@@ -210,27 +210,32 @@ def _analytic_metric(metric: str, cfg: NetworkConfig, kind: PolicyKind, threshol
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[list[str]]:
     """All CSV rows (header included) for a sweep experiment."""
     rows = [["sweep_var", "policy", "method", "metric", "value", "std_error"]]
-    for idx, value in enumerate(spec.sweep_values()):
-        cfg, threshold = spec.config_at(value)
-        for kind in spec.policies:
-            policy = _policy_obj(kind, threshold)
-            for metric in spec.metrics:
-                if "analytic" in spec.methods:
-                    closed = _analytic_metric(metric, cfg, kind, policy.feedback_threshold)
-                    if closed is not None:
-                        rows.append([_fmt(value), kind.value, "analytic", metric, _fmt(closed), ""])
+    mc_trials = spec.trials if "montecarlo" in spec.methods else 0
+    with montecarlo.shared_pool(workers, mc_trials) as pool:
+        for idx, value in enumerate(spec.sweep_values()):
+            cfg, threshold = spec.config_at(value)
+            for kind in spec.policies:
+                policy = _policy_obj(kind, threshold)
+                mc = {}
                 if "montecarlo" in spec.methods:
+                    # one selection pass per (point, policy) serves both metrics
                     seed = np.random.SeedSequence([spec.seed, idx, _POLICY_STABLE_ID[kind]])
-                    rng = np.random.default_rng(seed)
-                    if metric == "outage":
-                        est = montecarlo.mc_outage(cfg, policy, spec.trials, rng, workers=workers)
-                    else:
-                        est = montecarlo.mc_rate(
-                            cfg, policy, spec.trials, spec.fading_draws, rng, workers=workers
-                        )
-                    rows.append(
-                        [_fmt(value), kind.value, "montecarlo", metric, _fmt(est.mean), _fmt(est.std_error)]
+                    draws = spec.fading_draws if "rate" in spec.metrics else None
+                    outage, rate = montecarlo.mc_outage_rate(
+                        cfg, policy, spec.trials, draws, np.random.default_rng(seed),
+                        workers=workers, pool=pool,
                     )
+                    mc = {"outage": outage, "rate": rate}
+                for metric in spec.metrics:
+                    if "analytic" in spec.methods:
+                        closed = _analytic_metric(metric, cfg, kind, policy.feedback_threshold)
+                        if closed is not None:
+                            rows.append([_fmt(value), kind.value, "analytic", metric, _fmt(closed), ""])
+                    if mc:
+                        est = mc[metric]
+                        rows.append(
+                            [_fmt(value), kind.value, "montecarlo", metric, _fmt(est.mean), _fmt(est.std_error)]
+                        )
     return rows
 
 

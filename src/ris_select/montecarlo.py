@@ -9,6 +9,15 @@ regardless of how many worker processes execute the chunks; merging is
 plain count/sum/sum-of-squares.  Common random numbers across policies
 only require passing the same seed and window, since stream consumption
 never depends on the policy.
+
+Outage and rate come from one sampling-and-selection pass per chunk: the
+outage moments are reduced from the selected scores, and the fading for
+the rate is drawn afterwards from the same chunk stream, so asking for
+both metrics at once gives the same two estimates as asking for each
+alone.  Selection is a segmented arg-min, linear in the number of points.
+A sweep can open one process pool (``shared_pool``) and pass it to every
+estimator call; the pool never has more processes than the worker cap,
+the chunk count or the CPUs this process may run on.
 """
 
 from __future__ import annotations
@@ -16,6 +25,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -191,14 +201,24 @@ def _chunk_scores(
         crit = np.where(fb_score <= policy.feedback_threshold, crit, np.inf)
     score = ds * dd if score_kind is ScoreKind.MIN_PRODUCT else ds + dd
 
-    seg = np.repeat(np.arange(n), counts)
-    order = np.lexsort((crit, seg))
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    nonempty = counts > 0
-    best = order[starts[nonempty]]
-    chosen = np.where(np.isfinite(crit[best]), score[best], np.inf)
-    out[nonempty] = chosen
+    best = _segment_argmin(crit, counts)
+    out[counts > 0] = np.where(np.isfinite(crit[best]), score[best], np.inf)
     return out
+
+
+def _segment_argmin(crit: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Index of the first minimum of crit in each non-empty segment.
+
+    crit is the concatenation of segments of the given lengths and holds no
+    NaN.  Ties go to the lowest index, and a segment that is all +inf yields
+    its first element, as a stable sort by (segment, crit) would.
+    """
+    nonempty = counts > 0
+    starts = (np.cumsum(counts) - counts)[nonempty]
+    segmin = np.minimum.reduceat(crit, starts)
+    hit = crit == np.repeat(segmin, counts[nonempty])
+    position = np.where(hit, np.arange(crit.size), crit.size)
+    return np.minimum.reduceat(position, starts)
 
 
 def _chunk_feedback_counts(
@@ -239,6 +259,22 @@ def _rates_from_scores(
     return np.where(ok, rates, 0.0)
 
 
+def _chunk_moments(cfg, policy, score_kind, snr_score_cap, m_fading, radius, n, rng) -> np.ndarray:
+    """[n, outage sum, outage sum of squares] from one selection pass, plus
+    [rate sum, rate sum of squares] when m_fading draws per trial are asked.
+
+    The fading is drawn after the selection, so the outage moments do not
+    depend on whether the rate is computed too.
+    """
+    scores = _chunk_scores(cfg, policy, score_kind, radius, n, rng)
+    outage = (~(scores < snr_score_cap)).astype(float)
+    moments = [n, outage.sum(), (outage * outage).sum()]
+    if m_fading is not None:
+        rates = _rates_from_scores(cfg, scores, m_fading, rng)
+        moments += [rates.sum(), (rates * rates).sum()]
+    return np.array(moments)
+
+
 def _run_chunk(task) -> object:
     op, cfg, payload, radius, n, rng = task
     if op == "scores":
@@ -246,30 +282,52 @@ def _run_chunk(task) -> object:
         return _chunk_scores(cfg, policy, score_kind, radius, n, rng)
     if op == "feedback":
         return _chunk_feedback_counts(cfg, payload, radius, n, rng)
-    if op == "outage":
-        policy, score_kind, snr_score_cap = payload
-        scores = _chunk_scores(cfg, policy, score_kind, radius, n, rng)
-        outage = (~(scores < snr_score_cap)).astype(float)
-        return np.array([n, outage.sum(), (outage * outage).sum()])
-    if op == "rate":
-        policy, score_kind, m_fading = payload
-        scores = _chunk_scores(cfg, policy, score_kind, radius, n, rng)
-        rates = _rates_from_scores(cfg, scores, m_fading, rng)
-        return np.array([n, rates.sum(), (rates * rates).sum()])
+    if op == "moments":
+        return _chunk_moments(cfg, *payload, radius, n, rng)
     raise ValueError(f"unknown chunk op {op!r}")
 
 
-def _map_chunks(op, cfg, payload, radius, n_trials, rng, workers):
+def _n_chunks(n_trials: int) -> int:
+    return (n_trials + _CHUNK_TRIALS - 1) // _CHUNK_TRIALS
+
+
+def _pool_size(workers: int, n_chunks: int) -> int:
+    """Processes worth starting: no more than workers, chunks or usable CPUs."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    return max(1, min(workers, n_chunks, cpus))
+
+
+@contextmanager
+def shared_pool(workers: int, n_trials: int):
+    """Process pool for many estimator calls of n_trials each, or None.
+
+    Yields None when those calls would run their chunks in this process
+    anyway (one chunk, or a pool size of one).
+    """
+    size = _pool_size(workers, _n_chunks(n_trials))
+    if size < 2:
+        yield None
+        return
+    with ProcessPoolExecutor(max_workers=size) as pool:
+        yield pool
+
+
+def _map_chunks(op, cfg, payload, radius, n_trials, rng, workers, pool=None):
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     source = _as_seed_source(rng)
-    n_chunks = (n_trials + _CHUNK_TRIALS - 1) // _CHUNK_TRIALS
+    n_chunks = _n_chunks(n_trials)
     streams = source.spawn(n_chunks)
     sizes = [_CHUNK_TRIALS] * (n_chunks - 1) + [n_trials - _CHUNK_TRIALS * (n_chunks - 1)]
     tasks = [(op, cfg, payload, radius, sz, st) for sz, st in zip(sizes, streams)]
-    if workers > 1 and n_chunks > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_run_chunk, tasks))
+    if pool is not None and n_chunks > 1:
+        return list(pool.map(_run_chunk, tasks))
+    with shared_pool(workers, n_trials) as own:
+        if own is not None:
+            return list(own.map(_run_chunk, tasks))
     return [_run_chunk(t) for t in tasks]
 
 
@@ -301,10 +359,24 @@ def policy_scores(
     realizations, making pathwise comparisons exact.
     """
     _check_policy_model(cfg, policy)
-    radius = window_radius_override or coverage_radius(cfg, policy)
+    radius = _window(cfg, policy, window_radius_override)
     kind = score_kind_for_model(cfg.model)
     chunks = _map_chunks("scores", cfg, (policy, kind), radius, n_trials, rng, workers)
     return np.concatenate(chunks)
+
+
+def _window(cfg: NetworkConfig, policy: SelectionPolicy, override: float | None) -> float:
+    """The policy's coverage radius, or the override if it is at least that."""
+    needed = coverage_radius(cfg, policy)
+    if override is None:
+        return needed
+    if not override > 0.0:
+        raise ValueError(f"window_radius_override must be > 0, got {override}")
+    if override < needed * (1.0 - 1e-12):
+        raise WindowTooSmallError(
+            f"window radius {override} is below the coverage radius {needed} of {policy.kind}"
+        )
+    return override
 
 
 def _check_policy_model(cfg: NetworkConfig, policy: SelectionPolicy) -> None:
@@ -344,6 +416,39 @@ def _snr_score_cap(cfg: NetworkConfig) -> float:
     return math.log(ratio) / cfg.alpha if ratio > 0 else -math.inf
 
 
+def mc_outage_rate(
+    cfg: NetworkConfig,
+    policy: SelectionPolicy,
+    n_trials: int,
+    fading_draws_per_trial: int | None,
+    rng,
+    window_radius_override: float | None = None,
+    workers: int = 1,
+    pool: ProcessPoolExecutor | None = None,
+) -> tuple[Estimate, Estimate | None]:
+    """Outage and, when fading draws are asked for, rate from one pass.
+
+    Both estimates equal what ``mc_outage`` and ``mc_rate`` return for the
+    same arguments and seed; the rate is None when fading_draws_per_trial
+    is None.  ``pool`` (see ``shared_pool``) runs the chunks in place of a
+    pool of this call's own.
+    """
+    if fading_draws_per_trial is not None and fading_draws_per_trial < 1:
+        raise ValueError(f"fading_draws_per_trial must be >= 1, got {fading_draws_per_trial}")
+    _check_policy_model(cfg, policy)
+    radius = _window(cfg, policy, window_radius_override)
+    kind = score_kind_for_model(cfg.model)
+    m_fading = None if fading_draws_per_trial is None else int(fading_draws_per_trial)
+    payload = (policy, kind, _snr_score_cap(cfg), m_fading)
+    chunks = _map_chunks("moments", cfg, payload, radius, n_trials, rng, workers, pool)
+    moments = np.sum(chunks, axis=0)
+    n = int(moments[0])
+    outage = Estimate.from_moments(n, float(moments[1]), float(moments[2]))
+    if m_fading is None:
+        return outage, None
+    return outage, Estimate.from_moments(n, float(moments[3]), float(moments[4]))
+
+
 def mc_outage(
     cfg: NetworkConfig,
     policy: SelectionPolicy,
@@ -351,19 +456,15 @@ def mc_outage(
     rng,
     window_radius_override: float | None = None,
     workers: int = 1,
+    pool: ProcessPoolExecutor | None = None,
 ) -> Estimate:
     """Fraction of realizations whose fading-averaged SNR is <= target.
 
     Randomness is over node locations only (the SNR is already averaged
     over fading); an empty selection counts as an outage.
     """
-    _check_policy_model(cfg, policy)
-    radius = window_radius_override or coverage_radius(cfg, policy)
-    kind = score_kind_for_model(cfg.model)
-    cap = _snr_score_cap(cfg)
-    chunks = _map_chunks("outage", cfg, (policy, kind, cap), radius, n_trials, rng, workers)
-    n, total, total_sq = np.sum(chunks, axis=0)
-    return Estimate.from_moments(int(n), float(total), float(total_sq))
+    outage, _ = mc_outage_rate(cfg, policy, n_trials, None, rng, window_radius_override, workers, pool)
+    return outage
 
 
 def mc_rate(
@@ -374,21 +475,19 @@ def mc_rate(
     rng,
     window_radius_override: float | None = None,
     workers: int = 1,
+    pool: ProcessPoolExecutor | None = None,
 ) -> Estimate:
     """Joint average of log2(1 + snr) over node locations and exact fading.
 
     Fading uses the exact cascaded Rayleigh draw, not the gamma surrogate,
     so agreement with the analytic rate also validates that approximation.
     """
-    if fading_draws_per_trial < 1:
-        raise ValueError(f"fading_draws_per_trial must be >= 1, got {fading_draws_per_trial}")
-    _check_policy_model(cfg, policy)
-    radius = window_radius_override or coverage_radius(cfg, policy)
-    kind = score_kind_for_model(cfg.model)
-    payload = (policy, kind, int(fading_draws_per_trial))
-    chunks = _map_chunks("rate", cfg, payload, radius, n_trials, rng, workers)
-    n, total, total_sq = np.sum(chunks, axis=0)
-    return Estimate.from_moments(int(n), float(total), float(total_sq))
+    if fading_draws_per_trial is None:
+        raise ValueError("fading_draws_per_trial must be >= 1, got None")
+    _, rate = mc_outage_rate(
+        cfg, policy, n_trials, fading_draws_per_trial, rng, window_radius_override, workers, pool
+    )
+    return rate
 
 
 def mc_feedback_dist(

@@ -1,9 +1,11 @@
 """CLI: spec parsing, exit codes, CSV determinism, dB conversion."""
 
+import hashlib
 import math
 
 import pytest
 
+from ris_select import montecarlo
 from ris_select.cli import (
     ExperimentSpec,
     SpecError,
@@ -146,6 +148,95 @@ class TestRun:
         assert len(analytic_vals) == 3
         # outage is non-increasing in the feedback threshold
         assert all(b <= a + 1e-12 for a, b in zip(analytic_vals, analytic_vals[1:]))
+
+
+GOLDEN_SPEC = """\
+[scenario]
+d = 1.2
+intensity = 0.5
+n_elements = {n}
+model = {model}
+avg_snr_db = {snr}
+target_snr_db = 5
+
+[sweep]
+variable = {var}
+min = {lo}
+max = {hi}
+steps = {steps}
+
+[run]
+policies = {policies}
+methods = {methods}
+metrics = {metrics}
+trials = {trials}
+fading_draws = 4
+seed = 11
+output = unused.csv
+"""
+
+# sha256 of the rows (comma-joined cells, newline-joined rows), recorded
+# when outage and rate were estimated in separate selection passes with a
+# process pool per estimator call; any change to a CSV byte changes them
+GOLDEN = {
+    "power-snr-all-policies": (
+        dict(n=8, model="power", snr=0, var="avg_snr_db", lo=-10, hi=30, steps=3,
+             policies="opt-product, min-min, min-max, mid-point", methods="analytic, montecarlo",
+             metrics="outage, rate", trials=2000),
+        "4bb325323431ba374a740972173d693d56dbbf6384af89d0a7e8617059f33e09",
+    ),
+    "exp-threshold-feedback": (
+        dict(n=16, model="exp", snr=10, var="threshold", lo=3, hi=9, steps=3,
+             policies="opt-sum, min-min", methods="analytic, montecarlo",
+             metrics="outage, rate", trials=2000),
+        "56f72aba66c35363442f53b0c0a8187194f5684b8589a27d1495b5ae0b05f928",
+    ),
+    "outage-only": (
+        dict(n=16, model="exp", snr=0, var="intensity", lo=0.2, hi=1.0, steps=2,
+             policies="opt-sum, mid-point", methods="montecarlo", metrics="outage", trials=2000),
+        "dd91dd9aee41ec9e50b56f4315c1fed3d2670e97b6db34047de396ba2422798f",
+    ),
+    "rate-only": (
+        dict(n=4, model="power", snr=5, var="n_elements", lo=4, hi=16, steps=2,
+             policies="opt-product, min-max", methods="montecarlo", metrics="rate", trials=2000),
+        "efb27f7fb8f6e236bfd5da1e54fae27890e238cd4504cc5a3e9ec4123595a123",
+    ),
+    "two-chunks": (
+        dict(n=4, model="exp", snr=5, var="avg_snr_db", lo=0, hi=10, steps=2,
+             policies="opt-sum, min-max", methods="montecarlo", metrics="outage, rate", trials=8193),
+        "807457fc8e40fcc2461cc689b6127224a7e91d2cfa35144b96c7a80d94d20d49",
+    ),
+}
+
+
+class TestGoldenRows:
+    @pytest.mark.parametrize(
+        "name, workers",
+        [(name, 1) for name in GOLDEN] + [("two-chunks", 2)],
+    )
+    def test_rows_match_recorded_digest(self, tmp_path, name, workers):
+        params, digest = GOLDEN[name]
+        spec = load_spec(write_spec(tmp_path, GOLDEN_SPEC.format(**params)))
+        rows = run_experiment(spec, workers=workers)
+        text = "\n".join(",".join(row) for row in rows)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_run_opens_one_pool(self, tmp_path, monkeypatch):
+        sizes = []
+
+        class CountingPool(montecarlo.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(64)))
+        params, digest = GOLDEN["two-chunks"]
+        spec = load_spec(write_spec(tmp_path, GOLDEN_SPEC.format(**params)))
+        rows = run_experiment(spec, workers=8)
+        assert sizes == [2]  # four MC cells of two chunks each share one pool
+        text = "\n".join(",".join(row) for row in rows)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestSubcommands:

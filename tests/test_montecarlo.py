@@ -1,11 +1,14 @@
 """Monte Carlo estimators: reproducibility, merging, and analytic agreement."""
 
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ris_select import analytic
+from ris_select import analytic, montecarlo
 from ris_select.analytic import DistCdf
 from ris_select.channel import NetworkConfig, PathLossModel
 from ris_select.errors import WindowTooSmallError
@@ -17,6 +20,7 @@ from ris_select.montecarlo import (
     mc_distance_dist,
     mc_feedback_dist,
     mc_outage,
+    mc_outage_rate,
     mc_rate,
     poisson_gof,
     policy_scores,
@@ -93,6 +97,98 @@ class TestBasics:
         assert default_workers() == 1
         monkeypatch.delenv("RIS_SELECT_THREADS")
         assert default_workers() == 1
+
+
+    def test_pool_size_capped_by_chunks_and_cpus(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            """Stands in for ProcessPoolExecutor; runs the chunks in this process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setenv("RIS_SELECT_THREADS", "10000")
+        workers = montecarlo.default_workers()
+        n_trials = 3 * montecarlo._CHUNK_TRIALS + 1  # four chunks
+        cfg, pol = pow_cfg(), SelectionPolicy(PolicyKind.MIN_MIN)
+        want = mc_outage(cfg, pol, n_trials, 8)
+        assert mc_outage(cfg, pol, n_trials, 8, workers=workers) == want
+        assert all(size <= min(4, len(os.sched_getaffinity(0))) for size in sizes)
+
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(64)))
+        sizes.clear()
+        assert mc_outage(cfg, pol, n_trials, 8, workers=workers) == want
+        with montecarlo.shared_pool(workers, n_trials) as pool:
+            assert mc_outage(cfg, pol, n_trials, 8, pool=pool) == want
+        assert sizes == [4, 4]
+
+
+def _lexsort_argmin(crit, counts):
+    """Reference selection: stable sort by (segment, criterion), take each
+    non-empty segment's first element."""
+    seg = np.repeat(np.arange(counts.size), counts)
+    order = np.lexsort((crit, seg))
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    return order[starts[counts > 0]]
+
+
+_CRITERION = st.one_of(
+    st.sampled_from([0.5, 1.0, 2.0, math.inf]),  # exact ties and filtered-out nodes
+    st.floats(min_value=0.0, max_value=1e6),
+)
+
+
+class TestSelectionKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(_CRITERION, max_size=6), max_size=12))
+    def test_segment_argmin_matches_lexsort(self, segments):
+        counts = np.array([len(seg) for seg in segments], dtype=np.int64)
+        crit = np.array([c for seg in segments for c in seg], dtype=float)
+        got = montecarlo._segment_argmin(crit, counts)
+        assert np.array_equal(got, _lexsort_argmin(crit, counts))
+
+    def test_ties_empty_and_filtered_segments(self):
+        inf = math.inf
+        counts = np.array([3, 0, 2, 4, 0, 1])
+        crit = np.array([2.0, 1.0, 1.0, inf, inf, 5.0, 3.0, 3.0, inf, inf])
+        got = montecarlo._segment_argmin(crit, counts)
+        assert got.tolist() == [1, 3, 6, 9]
+        assert np.array_equal(got, _lexsort_argmin(crit, counts))
+
+
+class TestWindowOverride:
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("estimator", ["scores", "outage", "rate"])
+    def test_non_positive_override_rejected(self, estimator, radius):
+        with pytest.raises(ValueError, match="must be > 0"):
+            _estimate(estimator, radius)
+
+    @pytest.mark.parametrize("estimator", ["scores", "outage", "rate"])
+    def test_override_below_coverage_rejected(self, estimator):
+        needed = coverage_radius(pow_cfg(), SelectionPolicy(PolicyKind.MIN_MAX))
+        with pytest.raises(WindowTooSmallError):
+            _estimate(estimator, 0.9 * needed)
+        _estimate(estimator, needed)  # the coverage radius itself is accepted
+
+
+def _estimate(estimator, radius):
+    cfg, pol = pow_cfg(), SelectionPolicy(PolicyKind.MIN_MAX)
+    if estimator == "scores":
+        return policy_scores(cfg, pol, 200, 1, window_radius_override=radius)
+    if estimator == "outage":
+        return mc_outage(cfg, pol, 200, 1, window_radius_override=radius)
+    return mc_rate(cfg, pol, 200, 2, 1, window_radius_override=radius)
 
 
 class TestDistanceDist:
@@ -212,6 +308,16 @@ class TestRate:
     def test_validation(self):
         with pytest.raises(ValueError):
             mc_rate(pow_cfg(), SelectionPolicy(PolicyKind.OPT_PRODUCT), 1000, 0, 1)
+
+    @pytest.mark.parametrize("threshold", [None, 3.0])
+    def test_one_pass_equals_separate_estimators(self, threshold):
+        cfg = pow_cfg()
+        pol = SelectionPolicy(PolicyKind.OPT_PRODUCT, feedback_threshold=threshold)
+        n_trials = montecarlo._CHUNK_TRIALS + 5
+        outage, rate = mc_outage_rate(cfg, pol, n_trials, 3, 17)
+        assert outage == mc_outage(cfg, pol, n_trials, 17)
+        assert rate == mc_rate(cfg, pol, n_trials, 3, 17)
+        assert mc_outage_rate(cfg, pol, n_trials, None, 17) == (outage, None)
 
 
 class TestFeedbackDist:
