@@ -69,7 +69,6 @@ from .montecarlo import (
     mc_distance_dist,
     mc_feedback_dist,
     mc_outage,
-    mc_outage_rate,
     mc_rate,
     poisson_gof,
     policy_scores,

@@ -222,8 +222,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[list[str]]:
                     seed = np.random.SeedSequence([spec.seed, idx, _POLICY_STABLE_ID[kind]])
                     draws = spec.fading_draws if "rate" in spec.metrics else None
                     outage, rate = montecarlo.mc_outage_rate(
-                        cfg, policy, spec.trials, draws, np.random.default_rng(seed),
-                        workers=workers, pool=pool,
+                        cfg, policy, spec.trials, draws, np.random.default_rng(seed), pool=pool
                     )
                     mc = {"outage": outage, "rate": rate}
                 for metric in spec.metrics:

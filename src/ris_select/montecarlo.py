@@ -456,14 +456,13 @@ def mc_outage(
     rng,
     window_radius_override: float | None = None,
     workers: int = 1,
-    pool: ProcessPoolExecutor | None = None,
 ) -> Estimate:
     """Fraction of realizations whose fading-averaged SNR is <= target.
 
     Randomness is over node locations only (the SNR is already averaged
     over fading); an empty selection counts as an outage.
     """
-    outage, _ = mc_outage_rate(cfg, policy, n_trials, None, rng, window_radius_override, workers, pool)
+    outage, _ = mc_outage_rate(cfg, policy, n_trials, None, rng, window_radius_override, workers)
     return outage
 
 
@@ -475,7 +474,6 @@ def mc_rate(
     rng,
     window_radius_override: float | None = None,
     workers: int = 1,
-    pool: ProcessPoolExecutor | None = None,
 ) -> Estimate:
     """Joint average of log2(1 + snr) over node locations and exact fading.
 
@@ -485,7 +483,7 @@ def mc_rate(
     if fading_draws_per_trial is None:
         raise ValueError("fading_draws_per_trial must be >= 1, got None")
     _, rate = mc_outage_rate(
-        cfg, policy, n_trials, fading_draws_per_trial, rng, window_radius_override, workers, pool
+        cfg, policy, n_trials, fading_draws_per_trial, rng, window_radius_override, workers
     )
     return rate
 

@@ -130,7 +130,7 @@ class TestBasics:
         sizes.clear()
         assert mc_outage(cfg, pol, n_trials, 8, workers=workers) == want
         with montecarlo.shared_pool(workers, n_trials) as pool:
-            assert mc_outage(cfg, pol, n_trials, 8, pool=pool) == want
+            assert mc_outage_rate(cfg, pol, n_trials, None, 8, pool=pool) == (want, None)
         assert sizes == [4, 4]
 
 
