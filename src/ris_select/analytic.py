@@ -11,20 +11,31 @@ the best product score Y and best sum score L achieved by any node satisfy
 which simultaneously gives the score CDFs and the Poisson mean of the
 number of nodes below a feedback threshold.  Densities are the analytic
 derivatives of those CDFs.  Rates average log2(1 + snr) over the gamma
-approximation of the fading gain, either by a closed form
-(log/digamma/hypergeometric terms) or by adaptive quadrature of the
-defining integral; the quadrature form doubles as the in-repo oracle for
-the closed form.
+approximation of the fading gain.  For one fixed path loss this average
+has the paper's closed form (log/digamma/hypergeometric terms,
+rate_fading_closed) and its defining integral by adaptive quadrature
+(rate_fading_quad); both are kept as oracles for each other, for
+`validate` and for the tests.
+
+The average rate over the point process (rate_pow, rate_exp) uses neither.
+It is one fixed tensor-product rule evaluated with numpy: score panels
+(tanh-sinh next to the log singularity at d^2, Gauss-Legendre on geometric
+panels elsewhere), times the score density, times a trapezoid rule in the
+log of the fading gain, which converges geometrically for every number of
+elements.  The path loss enters only through its logarithm, so no score
+overflows and no small-argument switch is needed.
 
 All quantities are strictly linear-scale; dB conversion belongs to the CLI.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
-from scipy import integrate
+import numpy as np
+from scipy import integrate, special
 
 from .channel import NetworkConfig, PathLossModel, ez2, gamma_params
 from .errors import (
@@ -73,7 +84,7 @@ class DistCdf:
 
 @dataclass(frozen=True)
 class RateQuadrature:
-    """Tolerances for the adaptive quadrature used by the rate integrals."""
+    """Tolerances for the adaptive quadrature of rate_fading_quad."""
 
     abs_tol: float = 1.0e-8
     rel_tol: float = 1.0e-8
@@ -354,12 +365,6 @@ def rate_fading_ub(y: float, cfg: NetworkConfig) -> float:
     return math.log1p(cfg.avg_snr * y * ez2(cfg.n_elements)) / _LN2
 
 
-def _rate_of_y(y: float, cfg: NetworkConfig, q: RateQuadrature) -> float:
-    if cfg.avg_snr * y < RATE_CLOSED_FORM_CUTOFF:
-        return rate_fading_quad(y, cfg, q)
-    return rate_fading_closed(y, cfg)
-
-
 # ---------------------------------------------------------------------------
 # Densities of the inverse path loss Y of the selected node
 # ---------------------------------------------------------------------------
@@ -438,23 +443,155 @@ def pdf_y_exp(y: float, cfg: NetworkConfig, dist: DistCdf) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Average rate over the point process
+# Average rate over the point process: fixed-rule tensor-product quadrature
 # ---------------------------------------------------------------------------
+
+_GL_NODES = 16
+_TS_NODES = 64
+_TS_HALF_WIDTH = 3.2  # tanh-sinh parameter range [-3.2, 3.2]: end nodes ~1e-17 from the ends
+_HALVINGS = 40  # geometric panels halving down towards g = 0 or u = 0
+_FADING_STEP = 0.25  # trapezoid step in the standardized log fading gain
+_FADING_PRUNE = 45.0  # drop fading nodes whose weight is below e^-45 of the largest
+_BLOCK = 16_384  # largest (score node x fading node) block evaluated at once
+_TAIL_EPS = 1.0e-14  # survival probability beyond which the score is truncated
+
+
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(_GL_NODES)
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+@functools.cache
+def _tanh_sinh() -> tuple[np.ndarray, np.ndarray]:
+    """Tanh-sinh nodes and weights on [0, 1].
+
+    Nodes are expit(pi sinh(s)), so the ones near 0 keep full relative
+    precision; an endpoint singularity placed at 0 is resolved to ~1e-17.
+    """
+    s = np.linspace(-_TS_HALF_WIDTH, _TS_HALF_WIDTH, _TS_NODES)
+    u = math.pi * np.sinh(s)
+    x = special.expit(u)
+    w = (s[1] - s[0]) * math.pi * np.cosh(s) * x * special.expit(-u)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _gl_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the Gauss-Legendre rule on each [edges[i], edges[i+1]]."""
+    x, w = _gauss_legendre()
+    lo, width = edges[:-1, None], np.diff(edges)[:, None]
+    return (lo + width * x).ravel(), (width * w).ravel()
+
+
+def _halvings(top: float) -> np.ndarray:
+    """Panel edges 0, top/2^40, ..., top/2, top."""
+    return top * np.concatenate([[0.0], 2.0 ** -np.arange(_HALVINGS, -1, -1)])
+
+
+@functools.lru_cache(maxsize=64)
+def _fading_rule(n_elements: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rule for E[f(log Z^2)] over the gamma-approximated gain Z.
+
+    Trapezoid rule in w = log(Z / theta), whose density exp(k w - e^w) /
+    Gamma(k) is entire; log(1 + c Z^2) is analytic in the strip |Im w| <
+    pi/2 for every c > 0, so the rule converges geometrically for any shape
+    k.  Returns the nodes as log Z^2 and weights summing to 1.
+    """
+    ga = gamma_params(n_elements)
+    k = ga.k
+    h = _FADING_STEP / math.sqrt(k)
+    reach = math.ceil((_FADING_PRUNE / math.sqrt(k) + 10.0) / _FADING_STEP)
+    w = math.log(k) + h * np.arange(-reach, reach + 1)
+    log_weight = k * w - np.exp(w)
+    keep = log_weight >= log_weight.max() - _FADING_PRUNE
+    weight = np.exp(log_weight[keep] - log_weight.max())
+    nodes = 2.0 * (math.log(ga.theta) + w[keep])
+    weight /= weight.sum()
+    nodes.flags.writeable = weight.flags.writeable = False
+    return nodes, weight
+
+
+def _average_rate(
+    log_y: np.ndarray, weight: np.ndarray, cfg: NetworkConfig, use_upper_bound: bool
+) -> float:
+    """sum_i weight_i * E[log2(1 + avg_snr * e^{log_y_i} * Z^2)] over the fading rule.
+
+    The Jensen bound replaces the fading rule by the single node E[Z^2].
+    """
+    if use_upper_bound:
+        nodes, fading_weight = np.array([math.log(ez2(cfg.n_elements))]), np.ones(1)
+    else:
+        nodes, fading_weight = _fading_rule(cfg.n_elements)
+    live = weight > 0.0
+    log_c, weight = log_y[live] + math.log(cfg.avg_snr), weight[live]
+    rows = max(1, _BLOCK // nodes.size)
+    total = 0.0
+    for i in range(0, log_c.size, rows):
+        inner = np.logaddexp(0.0, log_c[i : i + rows, None] + nodes) @ fading_weight
+        total += float(weight[i : i + rows] @ inner)
+    return total / _LN2
+
+
+def _product_score_rule(dist: DistCdf, cap: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes g and weights w (density of the best product score included)
+    with sum_i w_i f(g_i) ~ integral of f against that density up to cap.
+
+    Geometric panels around d^2: tanh-sinh on [d^2/2, d^2] and [d^2, 2 d^2],
+    which absorbs the log singularity of K at d^2, and Gauss-Legendre on 40
+    halvings down from min(cap, d^2/2) (then on to 0) and on the octaves
+    above 2 d^2 (up to the 1e-14 tail).  Each node carries its offset
+    tau = |g/d^2 - 1| from the branch point, so 1 - m reaches K without
+    cancellation.
+    """
+    lam, d2 = dist.intensity, dist.d * dist.d
+    rel_cap = cap / d2
+    x, w = _tanh_sinh()
+    # low branch g = d^2 (1 - tau), tau in (0, 1]
+    g_rel, g_w = _gl_panels(_halvings(min(rel_cap, 0.5)))
+    tau = 1.0 - g_rel
+    if rel_cap > 0.5:
+        tau_lo = max(0.0, 1.0 - rel_cap)
+        ts_tau = tau_lo + (0.5 - tau_lo) * x
+        g_rel, tau = np.concatenate([g_rel, 1.0 - ts_tau]), np.concatenate([tau, ts_tau])
+        g_w = np.concatenate([g_w, (0.5 - tau_lo) * w])
+    one_minus_m = tau * (2.0 - tau)
+    k_low = special.ellipkm1(one_minus_m)
+    xi_low = 2.0 * lam * d2 * (special.ellipe(g_rel * g_rel) - one_minus_m * k_low)
+    g, weight = [d2 * g_rel], [d2 * g_w * 2.0 * lam * g_rel * k_low * np.exp(-xi_low)]
+    # high branch g = d^2 (1 + tau), tau > 0
+    if rel_cap > 1.0:
+        tail = max(critical_score(ScoreKind.MIN_PRODUCT, lam, dist.d, _TAIL_EPS), 2.0 * d2) / d2
+        top = min(rel_cap, tail)
+        ts_hi = min(top, 2.0) - 1.0
+        octaves = 2.0 ** np.arange(1, math.ceil(math.log2(top)) + 1)
+        g_rel, g_w = _gl_panels(np.minimum(octaves, top))
+        tau = np.concatenate([ts_hi * x, g_rel - 1.0])
+        tau_w = np.concatenate([ts_hi * w, g_w])
+        m = (1.0 + tau) ** -2
+        dens_high = 2.0 * lam * special.ellipkm1(tau * (2.0 + tau) * m)
+        xi_high = 2.0 * lam * d2 * (1.0 + tau) * special.ellipe(m)
+        g.append(d2 * (1.0 + tau))
+        weight.append(d2 * tau_w * dens_high * np.exp(-xi_high))
+    return np.concatenate(g), np.concatenate(weight)
+
 
 def rate_pow(
     cfg: NetworkConfig,
     dist: DistCdf,
-    q: RateQuadrature = DEFAULT_QUADRATURE,
     t_threshold: float | None = None,
     use_upper_bound: bool = False,
 ) -> float:
     """Average rate of the (optionally feedback-limited) product policy.
 
-    Integrates rate(Y) against the density of the best product score; the
-    integration runs in score space, where the branch-1/branch-2 split is
-    the point g = d^2 and the tail decays like e^{-pi lam g}.  A feedback
-    threshold T truncates the score at T (no transmission beyond it), which
-    for T < d^2 simply empties the large-score branch.
+    Integrates the fading-averaged rate against the density of the best
+    product score g, with the inverse path loss entering only as log(y) =
+    -eta log g.  A feedback threshold T truncates the score at T (no
+    transmission beyond it), which for T < d^2 simply empties the
+    large-score branch.
     """
     if cfg.model is not PathLossModel.POWER_LAW:
         raise ValueError("rate_pow requires a power-law configuration")
@@ -462,43 +599,24 @@ def rate_pow(
     _require(dist, ScoreKind.MIN_PRODUCT)
     if t_threshold is not None and t_threshold <= 0.0:
         raise ValueError(f"threshold must be > 0, got {t_threshold}")
-    rate_of_y = rate_fading_ub if use_upper_bound else (lambda y, c: _rate_of_y(y, c, q))
-
-    def integrand(g: float) -> float:
-        dens = pdf_upsilon_opt(g, dist)
-        if dens == 0.0 or math.isinf(dens):
-            return 0.0
-        y = g ** (-cfg.eta)
-        if not math.isfinite(y):
-            return 0.0
-        return rate_of_y(y, cfg) * dens
-
-    d2 = dist.d * dist.d
     cap = math.inf if t_threshold is None else t_threshold
-    # beyond this level the survival function is below ~1e-14; integrating
-    # further only starves the quadrature of nodes where the mass lives
-    tail = max(critical_score(ScoreKind.MIN_PRODUCT, dist.intensity, dist.d, 1e-14), 2.0 * d2)
-    total = 0.0
-    low_hi = min(cap, d2)
-    if low_hi > 0.0:
-        total += _quad(integrand, 0.0, low_hi, q)
-    if cap > d2:
-        total += _quad(integrand, d2, min(cap, tail), q)
-    return total
+    g, weight = _product_score_rule(dist, cap)
+    return _average_rate(-cfg.eta * np.log(g), weight, cfg, use_upper_bound)
 
 
 def rate_exp(
     cfg: NetworkConfig,
     dist: DistCdf,
-    q: RateQuadrature = DEFAULT_QUADRATURE,
     t_threshold: float | None = None,
     use_upper_bound: bool = False,
 ) -> float:
     """Average rate of the (optionally feedback-limited) sum policy.
 
     The score density has an inverse-square-root singularity at 2d, removed
-    by the substitution u = sqrt(g^2 - 4 d^2); a threshold T <= 2d admits
-    no feedback at all and yields rate 0.
+    by the substitution u = sqrt(g^2 - 4 d^2); Gauss-Legendre panels halve
+    from the truncation point U down to u = 0, which resolves the spike of
+    width ~1/(pi lam d) that the density becomes when lam d is large.  A
+    threshold T <= 2d admits no feedback at all and yields rate 0.
     """
     if cfg.model is not PathLossModel.EXP_LAW:
         raise ValueError("rate_exp requires an exponential-law configuration")
@@ -506,28 +624,19 @@ def rate_exp(
     _require(dist, ScoreKind.MIN_SUM)
     if t_threshold is not None and t_threshold <= 0.0:
         raise ValueError(f"threshold must be > 0, got {t_threshold}")
-    d, lam, alpha = dist.d, dist.intensity, cfg.alpha
+    d, lam = dist.d, dist.intensity
     if t_threshold is not None and t_threshold <= 2.0 * d:
         return 0.0
-    rate_of_y = rate_fading_ub if use_upper_bound else (lambda y, c: _rate_of_y(y, c, q))
-
-    def integrand(u: float) -> float:
-        g = math.sqrt(u * u + 4.0 * d * d)
-        weight = (
-            math.pi
-            * lam
-            * (u * u + 2.0 * d * d)
-            / (2.0 * g)
-            * math.exp(-0.25 * math.pi * lam * g * u)
-        )
-        if weight == 0.0:
-            return 0.0
-        return rate_of_y(math.exp(-alpha * g), cfg) * weight
-
-    u_hi = math.inf if t_threshold is None else math.sqrt(t_threshold**2 - 4.0 * d * d)
-    g_tail = critical_score(ScoreKind.MIN_SUM, lam, d, 1e-14)
-    u_tail = math.sqrt(max(g_tail * g_tail - 4.0 * d * d, 4.0 * d * d))
-    return _quad(integrand, 0.0, min(u_hi, u_tail), q)
+    g_tail = critical_score(ScoreKind.MIN_SUM, lam, d, _TAIL_EPS)
+    u_top = math.sqrt((g_tail - 2.0 * d) * (g_tail + 2.0 * d))
+    if t_threshold is not None:
+        u_top = min(u_top, math.sqrt((t_threshold - 2.0 * d) * (t_threshold + 2.0 * d)))
+    # panels no wider than 4 / alpha: log(1 + e^{-alpha g} ...) has complex
+    # singularities pi / alpha off the real axis where the rate bends over
+    u, u_w = _gl_panels(np.union1d(_halvings(u_top), np.arange(0.0, u_top, 4.0 / cfg.alpha)))
+    g = np.sqrt(u * u + 4.0 * d * d)
+    weight = u_w * math.pi * lam * (u * u + 2.0 * d * d) / (2.0 * g) * np.exp(-0.25 * math.pi * lam * g * u)
+    return _average_rate(-cfg.alpha * g, weight, cfg, use_upper_bound)
 
 
 # ---------------------------------------------------------------------------

@@ -394,7 +394,7 @@ class TestAverageRate:
         got = rate_pow(cfg, DIST_P, t_threshold=t)
 
         def integrand(g):
-            return analytic._rate_of_y(g ** (-cfg.eta), cfg, analytic.DEFAULT_QUADRATURE) * pdf_upsilon_opt(g, DIST_P)
+            return rate_fading_quad(g ** (-cfg.eta), cfg) * pdf_upsilon_opt(g, DIST_P)
 
         want = integrate.quad(integrand, 0.0, t, limit=200)[0]
         assert got == pytest.approx(want, rel=1e-8)
@@ -413,6 +413,54 @@ class TestAverageRate:
         assert rate_pow(cfg, DIST_P, use_upper_bound=True) >= rate_pow(cfg, DIST_P)
         cfg_e = exp_cfg(avg_snr=10 ** 0.5)
         assert rate_exp(cfg_e, DIST_S, use_upper_bound=True) >= rate_exp(cfg_e, DIST_S)
+
+    # (law, lam, d, avg_snr_db, N, threshold, value): values from adaptive
+    # quadrature of rate_fading_quad (relative tolerance 1e-12) against the
+    # score density (power law) or against the Exp(1) variable lam * area
+    # (exponential law)
+    PINNED = [
+        # density spike of width ~1/(pi lam d) next to u = 0
+        ("exp", 20.0, 10.0, 0, 16, None, 2.32737969359842e-07),
+        # nearly all mass far out on the large-score branch
+        ("power", 0.01, 0.1, 0, 16, None, 0.6818116389607267),
+        # the rate bends from log-linear to zero inside one wide score panel
+        ("exp", 0.01, 0.1, 60, 100, None, 17.667478426585635),
+        # beyond the reach of the closed-form series
+        ("power", 0.5, 1.2, 0, 1024, None, 19.520855514621665),
+        ("power", 0.5, 1.2, 0, 1, None, 1.369197659274401),
+        ("exp", 0.5, 1.2, 0, 1, None, 0.08766618355977851),
+        # threshold below d^2
+        ("power", 0.5, 1.2, 0, 16, 1.008, 4.677995066380614),
+        # threshold at or below 2d admits no feedback
+        ("exp", 0.5, 1.2, 0, 16, 2.4, 0.0),
+        ("exp", 0.5, 1.2, 0, 16, 1.2, 0.0),
+    ]
+
+    @pytest.mark.parametrize("law, lam, d, snr_db, n, t, want", PINNED)
+    def test_pinned_oracle_values(self, law, lam, d, snr_db, n, t, want):
+        build = pow_cfg if law == "power" else exp_cfg
+        cfg = build(d=d, intensity=lam, n_elements=n, avg_snr=10.0 ** (snr_db / 10.0))
+        if law == "power":
+            got = rate_pow(cfg, DistCdf(ScoreKind.MIN_PRODUCT, lam, d), t_threshold=t)
+        else:
+            got = rate_exp(cfg, DistCdf(ScoreKind.MIN_SUM, lam, d), t_threshold=t)
+        if want == 0.0:
+            assert got == 0.0
+        else:
+            assert got == pytest.approx(want, rel=1e-10)
+
+    def test_engine_needs_no_series_or_adaptive_quadrature(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("the rate engine must not call this")
+
+        for name in ("genhyp", "rate_fading_closed", "rate_fading_quad"):
+            monkeypatch.setattr(analytic, name, boom)
+        monkeypatch.setattr(integrate, "quad", boom)
+        cfg, cfg_e = pow_cfg(avg_snr=10 ** 0.5), exp_cfg(avg_snr=10 ** 0.5)
+        for kwargs in ({}, {"t_threshold": 3.0}, {"use_upper_bound": True}):
+            assert rate_pow(cfg, DIST_P, **kwargs) > 0.0
+            assert rate_exp(cfg_e, DIST_S, **kwargs) > 0.0
+        assert rate_pow(cfg, DIST_P, t_threshold=0.7) > 0.0
 
     def test_quadrature_control_validation(self):
         with pytest.raises(ValueError):

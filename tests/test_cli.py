@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import warnings
 
 import pytest
 
@@ -137,6 +138,17 @@ class TestRun:
         assert main(["run", "--spec", spec_path, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_analytic_exp_sweep_emits_no_warning(self, tmp_path):
+        text = GOOD_SPEC.format(out=tmp_path / "e.csv").replace("model = power", "model = exp")
+        text = text.replace("eta = 4", "alpha = 1.037").replace("n_elements = 8", "n_elements = 16")
+        text = text.replace("steps = 3", "steps = 17").replace("metrics = outage", "metrics = outage, rate")
+        text = text.replace("policies = opt-product, min-min", "policies = opt-sum\nmethods = analytic")
+        spec = load_spec(write_spec(tmp_path, text, "exp.ini"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = run_experiment(spec)
+        assert len(rows) == 1 + 17 * 2
+
     def test_threshold_sweep(self, tmp_path):
         text = GOOD_SPEC.format(out=tmp_path / "t.csv")
         text = text.replace("variable = avg_snr_db", "variable = threshold")
@@ -175,21 +187,22 @@ seed = 11
 output = unused.csv
 """
 
-# sha256 of the rows (comma-joined cells, newline-joined rows), recorded
-# when outage and rate were estimated in separate selection passes with a
-# process pool per estimator call; any change to a CSV byte changes them
+# sha256 of the header and the Monte Carlo rows (comma-joined cells,
+# newline-joined rows).  These rows are the same as when outage and rate
+# were estimated in separate selection passes with a process pool per
+# estimator call; any change to a Monte Carlo CSV byte changes them
 GOLDEN = {
     "power-snr-all-policies": (
         dict(n=8, model="power", snr=0, var="avg_snr_db", lo=-10, hi=30, steps=3,
              policies="opt-product, min-min, min-max, mid-point", methods="analytic, montecarlo",
              metrics="outage, rate", trials=2000),
-        "4bb325323431ba374a740972173d693d56dbbf6384af89d0a7e8617059f33e09",
+        "bfe32f14da727ac2c2be747493c1c9ed41394abdf145d0f7ec8584913c88b99f",
     ),
     "exp-threshold-feedback": (
         dict(n=16, model="exp", snr=10, var="threshold", lo=3, hi=9, steps=3,
              policies="opt-sum, min-min", methods="analytic, montecarlo",
              metrics="outage, rate", trials=2000),
-        "56f72aba66c35363442f53b0c0a8187194f5684b8589a27d1495b5ae0b05f928",
+        "4a6ae5430a5ad6a33fd97dd7466b8a6ed15c346b767ab8810c7f0f98ce7e4861",
     ),
     "outage-only": (
         dict(n=16, model="exp", snr=0, var="intensity", lo=0.2, hi=1.0, steps=2,
@@ -209,6 +222,35 @@ GOLDEN = {
 }
 
 
+# (sweep value, metric) -> value of the analytic rows, from independent
+# adaptive quadrature: 1 - F at the score cap for outage; rate_fading_quad
+# (relative tolerance 1e-12) integrated against pdf_upsilon_opt in the
+# score for the power law and against the Exp(1) variable lam * area for
+# the exponential law
+GOLDEN_ANALYTIC = {
+    "power-snr-all-policies": {
+        ("-10", "outage"): 0.50139513093279,
+        ("-10", "rate"): 2.907195645228009,
+        ("10", "outage"): 0.006085097467513179,
+        ("10", "rate"): 8.755878463948344,
+        ("30", "outage"): 4.8517812101245283e-08,
+        ("30", "rate"): 15.37434214426129,
+    },
+    "exp-threshold-feedback": {
+        ("3", "outage"): 0.1199626252247541,
+        ("3", "rate"): 5.971522399387822,
+        ("6", "outage"): 2.359814546437633e-06,
+        ("6", "rate"): 6.64148888299594,
+        ("9", "outage"): 2.0627412092855124e-06,
+        ("9", "rate"): 6.641493158158571,
+    },
+}
+
+
+def _digest(rows) -> str:
+    return hashlib.sha256("\n".join(",".join(row) for row in rows).encode()).hexdigest()
+
+
 class TestGoldenRows:
     @pytest.mark.parametrize(
         "name, workers",
@@ -218,8 +260,16 @@ class TestGoldenRows:
         params, digest = GOLDEN[name]
         spec = load_spec(write_spec(tmp_path, GOLDEN_SPEC.format(**params)))
         rows = run_experiment(spec, workers=workers)
-        text = "\n".join(",".join(row) for row in rows)
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert _digest([rows[0]] + [r for r in rows[1:] if r[2] == "montecarlo"]) == digest
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_ANALYTIC))
+    def test_analytic_rows_match_oracle(self, tmp_path, name):
+        params, _ = GOLDEN[name]
+        spec = load_spec(write_spec(tmp_path, GOLDEN_SPEC.format(**params)))
+        got = {(r[0], r[3]): float(r[4]) for r in run_experiment(spec)[1:] if r[2] == "analytic"}
+        assert got.keys() == GOLDEN_ANALYTIC[name].keys()
+        for key, want in GOLDEN_ANALYTIC[name].items():
+            assert got[key] == pytest.approx(want, rel=1e-9), key
 
     def test_run_opens_one_pool(self, tmp_path, monkeypatch):
         sizes = []
@@ -235,8 +285,7 @@ class TestGoldenRows:
         spec = load_spec(write_spec(tmp_path, GOLDEN_SPEC.format(**params)))
         rows = run_experiment(spec, workers=8)
         assert sizes == [2]  # four MC cells of two chunks each share one pool
-        text = "\n".join(",".join(row) for row in rows)
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert _digest(rows) == digest
 
 
 class TestSubcommands:
