@@ -15,7 +15,6 @@ from enum import Enum
 
 import numpy as np
 
-_RAYLEIGH_SCALE = 1.0 / math.sqrt(2.0)
 _PI2 = math.pi * math.pi
 
 
@@ -84,11 +83,36 @@ def sample_z(n_elements: int, rng: np.random.Generator, size=None):
     """
     if n_elements < 1:
         raise ValueError(f"n_elements must be >= 1, got {n_elements}")
-    shape = (n_elements,) if size is None else tuple(np.atleast_1d(size)) + (n_elements,)
-    a = rng.rayleigh(_RAYLEIGH_SCALE, shape)
-    b = rng.rayleigh(_RAYLEIGH_SCALE, shape)
-    z = (a * b).sum(axis=-1)
+    shape = () if size is None else tuple(np.atleast_1d(size))
+    z = sample_z_prefixes([n_elements], rng, shape)[n_elements]
     return float(z) if size is None else z
+
+
+def sample_z_prefixes(n_elements, rng: np.random.Generator, shape) -> dict[int, np.ndarray]:
+    """Z over the first N elements of one draw, for every N in n_elements.
+
+    Elements are drawn one at a time: two unit exponentials E1, E2 per
+    element and entry of ``shape``, with a*b = sqrt(E1*E2) (a Rayleigh
+    amplitude of scale 1/sqrt(2) is sqrt(E)).  Memory is a few arrays of
+    ``shape`` whatever N, and the Z for a smaller N is bit for bit the
+    partial sum of the Z for a larger one, so the same stream gives the
+    same Z_N whichever other element counts are asked for with it.
+    """
+    wanted = {int(n) for n in n_elements}
+    if not wanted or min(wanted) < 1:
+        raise ValueError(f"element counts must be >= 1, got {sorted(wanted)}")
+    top = max(wanted)
+    pair = np.empty((2,) + tuple(shape))
+    term = np.empty(shape)
+    z = np.zeros(shape)
+    out = {}
+    for n in range(1, top + 1):
+        rng.standard_exponential(out=pair)
+        np.multiply(pair[0], pair[1], out=term)
+        z += np.sqrt(term, out=term)
+        if n in wanted:
+            out[n] = z if n == top else z.copy()
+    return out
 
 
 def ez2(n_elements: int) -> float:

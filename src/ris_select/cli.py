@@ -210,35 +210,45 @@ def _analytic_metric(metric: str, cfg: NetworkConfig, kind: PolicyKind, threshol
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[list[str]]:
     """All CSV rows (header included) for a sweep experiment."""
     rows = [["sweep_var", "policy", "method", "metric", "value", "std_error"]]
-    mc_trials = spec.trials if "montecarlo" in spec.methods else 0
-    with montecarlo.shared_pool(workers, mc_trials) as pool:
-        for idx, value in enumerate(spec.sweep_values()):
-            cfg, threshold = spec.config_at(value)
-            for kind in spec.policies:
-                policy = _policy_obj(kind, threshold)
-                mc = {}
-                if "montecarlo" in spec.methods:
-                    # one selection pass per (point, policy) serves both metrics
-                    seed = np.random.SeedSequence([spec.seed, idx, _POLICY_STABLE_ID[kind]])
-                    draws = spec.fading_draws if "rate" in spec.metrics else None
-                    outage, rate = montecarlo.mc_outage_rate(
-                        cfg, policy, spec.trials, draws, np.random.default_rng(seed), pool=pool
+    points = [(value, *spec.config_at(value)) for value in spec.sweep_values()]
+    mc = _monte_carlo_cells(spec, points, workers) if "montecarlo" in spec.methods else {}
+    for idx, (value, cfg, threshold) in enumerate(points):
+        for kind in spec.policies:
+            policy = _policy_obj(kind, threshold)
+            for metric in spec.metrics:
+                if "analytic" in spec.methods:
+                    closed = _analytic_metric(metric, cfg, kind, policy.feedback_threshold)
+                    if closed is not None:
+                        rows.append([_fmt(value), kind.value, "analytic", metric, _fmt(closed), ""])
+                if mc:
+                    est = mc[idx, kind][metric]
+                    rows.append(
+                        [_fmt(value), kind.value, "montecarlo", metric, _fmt(est.mean), _fmt(est.std_error)]
                     )
-                    mc = {"outage": outage, "rate": rate}
-                for metric in spec.metrics:
-                    if "analytic" in spec.methods:
-                        closed = _analytic_metric(metric, cfg, kind, policy.feedback_threshold)
-                        if closed is not None:
-                            rows.append([_fmt(value), kind.value, "analytic", metric, _fmt(closed), ""])
-                    if mc:
-                        est = mc[metric]
-                        rows.append(
-                            [_fmt(value), kind.value, "montecarlo", metric, _fmt(est.mean), _fmt(est.std_error)]
-                        )
     return rows
 
 
-_POLICY_STABLE_ID = {k: i for i, k in enumerate(PolicyKind)}
+def _monte_carlo_cells(spec: ExperimentSpec, points, workers: int) -> dict:
+    """(point index, policy) -> {metric: Estimate}, one kernel pass per geometry group.
+
+    Only an intensity sweep moves the geometry, so it has one group per
+    point; any other sweep is one group.  Group g is seeded by
+    SeedSequence([seed, g]), so every policy and point of a group reads the
+    same realizations.
+    """
+    draws = spec.fading_draws if "rate" in spec.metrics else None
+    indices = range(len(points))
+    groups = [[i] for i in indices] if spec.sweep_variable == "intensity" else [list(indices)]
+    out = {}
+    with montecarlo.shared_pool(workers, spec.trials) as pool:
+        for group_idx, members in enumerate(groups):
+            keys = [(i, kind) for i in members for kind in spec.policies]
+            cells = [(points[i][1], _policy_obj(kind, points[i][2])) for i, kind in keys]
+            rng = np.random.default_rng(np.random.SeedSequence([spec.seed, group_idx]))
+            estimates = montecarlo.mc_sweep(cells, spec.trials, draws, rng, pool=pool)
+            for key, (outage, rate) in zip(keys, estimates):
+                out[key] = {"outage": outage, "rate": rate}
+    return out
 
 
 def _write_csv(rows: list[list[str]], path: str) -> None:

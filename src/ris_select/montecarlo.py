@@ -3,25 +3,34 @@
 Each estimator draws realizations of the point process inside a finite
 window sized so the probability that the infinite process' winner falls
 outside is below a configurable epsilon, then evaluates the metric exactly
-on the sample.  Trials are processed in fixed-size chunks, each with its
-own deterministically spawned random stream, so results are identical
-regardless of how many worker processes execute the chunks; merging is
-plain count/sum/sum-of-squares.  Common random numbers across policies
-only require passing the same seed and window, since stream consumption
-never depends on the policy.
+on the sample.  Trials are processed in fixed-size chunks (8192 trials),
+each with its own stream spawned from the caller's seed, so results are
+identical regardless of how many worker processes execute the chunks.
+Chunk results merge as (count, mean, sum of squared deviations) with the
+pairwise update of Chan, Golub & LeVeque (1979), never as raw sums of
+squares.
 
-Outage and rate come from one sampling-and-selection pass per chunk: the
-outage moments are reduced from the selected scores, and the fading for
-the rate is drawn afterwards from the same chunk stream, so asking for
-both metrics at once gives the same two estimates as asking for each
-alone.  Selection is a segmented arg-min, linear in the number of points.
+Outage and rate come from one kernel, ``mc_sweep``, that estimates many
+(config, policy) cells at once when they share their geometry (intensity,
+d and path-loss model).  Per chunk it samples the point process once, in
+the largest window any cell needs; selects once per distinct policy and
+feedback threshold (a segmented arg-min, linear in the number of points);
+then draws the fading of every trial from the same stream, accumulated
+element by element, so one draw serves every cell and the gain for N
+elements is the partial sum of the gain for more.  Every cell thus reads
+the same realizations (common random numbers), and each equals what
+``mc_outage_rate`` returns for that cell alone with the same seed and the
+group's window radius.  ``mc_outage_rate``, ``mc_outage`` and ``mc_rate``
+are the one-cell case.
+
 A sweep can open one process pool (``shared_pool``) and pass it to every
-estimator call; the pool never has more processes than the worker cap,
-the chunk count or the CPUs this process may run on.
+kernel call; the pool never has more processes than the worker cap, the
+chunk count or the CPUs this process may run on.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -31,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
-from .channel import NetworkConfig, PathLossModel, ez2
+from .channel import NetworkConfig, PathLossModel, ez2, sample_z_prefixes
 from .errors import WindowTooSmallError
 from .geometry import ScoreKind, critical_score, enclosing_radius, window_radius
 from .policies import PolicyKind, SelectionPolicy, score_kind_for_model, score_kind_for_policy
@@ -55,10 +64,38 @@ class Estimate:
             raise ValueError(f"n_trials must be >= 1, got {self.n_trials}")
 
     @classmethod
-    def from_moments(cls, n: int, total: float, total_sq: float) -> "Estimate":
-        mean = total / n
-        var = max(0.0, (total_sq - n * mean * mean) / (n - 1)) if n > 1 else 0.0
+    def from_moments(cls, n: int, mean: float, m2: float) -> "Estimate":
+        """From the count, the mean and the sum of squared deviations M2."""
+        var = m2 / (n - 1) if n > 1 else 0.0
         return cls(mean=mean, std_error=math.sqrt(var / n), n_trials=n)
+
+
+def _moments(values: np.ndarray) -> tuple:
+    """(n, shift, offset, M2) of values along the last axis.
+
+    The mean is shift + offset: shift is the rounded mean and offset the
+    mean of the deviations from it, which keeps the digits that rounding
+    the mean to one double loses.  M2 is the sum of squared deviations
+    from the mean.
+    """
+    shift = values.mean(axis=-1)
+    dev = values - shift[..., None]
+    offset = dev.mean(axis=-1)
+    return values.shape[-1], shift, offset, np.square(dev - offset[..., None]).sum(axis=-1)
+
+
+def _merge_moments(a: tuple, b: tuple) -> tuple:
+    """Pairwise update of two ``_moments`` tuples (Chan, Golub & LeVeque 1979).
+
+    The result keeps a's shift.  The difference of the two means is taken
+    shift to shift plus offset to offset, so it stays accurate when the
+    means are large and close, where a difference of rounded means is not.
+    """
+    na, shift, offset_a, m2_a = a
+    nb, shift_b, offset_b, m2_b = b
+    n = na + nb
+    delta = (shift_b - shift) + (offset_b - offset_a)
+    return n, shift, offset_a + delta * (nb / n), m2_a + m2_b + delta * delta * (na * nb / n)
 
 
 @dataclass
@@ -177,21 +214,19 @@ def _criterion_values(kind: PolicyKind, ds: np.ndarray, dd: np.ndarray) -> np.nd
     return 0.5 * (ds * ds + dd * dd)
 
 
-def _chunk_scores(
-    cfg: NetworkConfig,
+def _select(
     policy: SelectionPolicy,
     score_kind: ScoreKind,
-    radius: float,
-    n: int,
-    rng: np.random.Generator,
+    counts: np.ndarray,
+    ds: np.ndarray,
+    dd: np.ndarray,
 ) -> np.ndarray:
     """Per-trial score (of kind score_kind) of the node the policy selects.
 
     +inf marks trials with no candidate (empty realization, or everything
     filtered out by the feedback threshold).
     """
-    counts, ds, dd = _sample_batch(cfg.intensity, cfg.d, radius, n, rng)
-    out = np.full(n, np.inf)
+    out = np.full(counts.size, np.inf)
     if ds.size == 0:
         return out
     crit = _criterion_values(policy.kind, ds, dd)
@@ -204,6 +239,18 @@ def _chunk_scores(
     best = _segment_argmin(crit, counts)
     out[counts > 0] = np.where(np.isfinite(crit[best]), score[best], np.inf)
     return out
+
+
+def _chunk_scores(
+    cfg: NetworkConfig,
+    policy: SelectionPolicy,
+    score_kind: ScoreKind,
+    radius: float,
+    n: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    counts, ds, dd = _sample_batch(cfg.intensity, cfg.d, radius, n, rng)
+    return _select(policy, score_kind, counts, ds, dd)
 
 
 def _segment_argmin(crit: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -236,55 +283,50 @@ def _chunk_feedback_counts(
     return out
 
 
-def _rates_from_scores(
-    cfg: NetworkConfig, scores: np.ndarray, m_fading: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Per-trial rate, averaging log2(1 + snr) over fresh fading draws.
+def _rates(cfg: NetworkConfig, scores: np.ndarray, z2: np.ndarray) -> np.ndarray:
+    """Per-trial rate: log2(1 + snr) averaged over the fading draws in z2.
 
-    Fading is drawn for every trial (selected or not) so stream consumption
-    stays policy-independent; empty trials contribute zero rate.
+    z2 holds Z^2 with one row of draws per trial; empty trials have rate 0.
     """
-    n = scores.size
-    scale = 1.0 / math.sqrt(2.0)
-    a = rng.rayleigh(scale, (n, m_fading, cfg.n_elements))
-    b = rng.rayleigh(scale, (n, m_fading, cfg.n_elements))
-    z = (a * b).sum(axis=-1)
     ok = np.isfinite(scores)
     if cfg.model is PathLossModel.POWER_LAW:
         y = np.where(ok, scores, 1.0) ** (-cfg.eta)
     else:
         y = np.exp(-cfg.alpha * np.where(ok, scores, 1.0))
-    inst = cfg.avg_snr * y[:, None] * z * z
-    rates = np.log1p(inst).mean(axis=1) / math.log(2.0)
+    inst = (cfg.avg_snr * y)[:, None] * z2
+    rates = np.log1p(inst, out=inst).mean(axis=1) / math.log(2.0)
     return np.where(ok, rates, 0.0)
 
 
-def _chunk_moments(cfg, policy, score_kind, snr_score_cap, m_fading, radius, n, rng) -> np.ndarray:
-    """[n, outage sum, outage sum of squares] from one selection pass, plus
-    [rate sum, rate sum of squares] when m_fading draws per trial are asked.
+def _chunk_cells(cells, m_fading, radius, n, rng) -> tuple:
+    """``_moments`` of every cell's per-trial outage (and rate) in one chunk.
 
-    The fading is drawn after the selection, so the outage moments do not
-    depend on whether the rate is computed too.
+    One point-process sample serves all cells and each distinct policy
+    selects once.  The fading is drawn after every selection, from the same
+    stream, for every trial (selected or not) and once for all cells, so
+    neither the policies nor the other cells change what a cell reads.
     """
-    scores = _chunk_scores(cfg, policy, score_kind, radius, n, rng)
-    outage = (~(scores < snr_score_cap)).astype(float)
-    moments = [n, outage.sum(), (outage * outage).sum()]
+    geometry = cells[0][0]
+    counts, ds, dd = _sample_batch(geometry.intensity, geometry.d, radius, n, rng)
+    score_kind = score_kind_for_model(geometry.model)
+    scores = {}
+    for _, policy in cells:
+        if policy not in scores:
+            scores[policy] = _select(policy, score_kind, counts, ds, dd)
     if m_fading is not None:
-        rates = _rates_from_scores(cfg, scores, m_fading, rng)
-        moments += [rates.sum(), (rates * rates).sum()]
-    return np.array(moments)
+        z = sample_z_prefixes({cfg.n_elements for cfg, _ in cells}, rng, (n, m_fading))
+        z2 = {size: gain * gain for size, gain in z.items()}
+    values = np.empty((len(cells), 1 if m_fading is None else 2, n))
+    for row, (cfg, policy) in zip(values, cells):
+        row[0] = ~(scores[policy] < _snr_score_cap(cfg))
+        if m_fading is not None:
+            row[1] = _rates(cfg, scores[policy], z2[cfg.n_elements])
+    return _moments(values)
 
 
 def _run_chunk(task) -> object:
-    op, cfg, payload, radius, n, rng = task
-    if op == "scores":
-        policy, score_kind = payload
-        return _chunk_scores(cfg, policy, score_kind, radius, n, rng)
-    if op == "feedback":
-        return _chunk_feedback_counts(cfg, payload, radius, n, rng)
-    if op == "moments":
-        return _chunk_moments(cfg, *payload, radius, n, rng)
-    raise ValueError(f"unknown chunk op {op!r}")
+    kernel, payload, radius, n, rng = task
+    return kernel(*payload, radius, n, rng)
 
 
 def _n_chunks(n_trials: int) -> int:
@@ -315,14 +357,15 @@ def shared_pool(workers: int, n_trials: int):
         yield pool
 
 
-def _map_chunks(op, cfg, payload, radius, n_trials, rng, workers, pool=None):
+def _map_chunks(kernel, payload, radius, n_trials, rng, workers, pool=None):
+    """kernel(*payload, radius, n, stream) for each chunk, in chunk order."""
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     source = _as_seed_source(rng)
     n_chunks = _n_chunks(n_trials)
     streams = source.spawn(n_chunks)
     sizes = [_CHUNK_TRIALS] * (n_chunks - 1) + [n_trials - _CHUNK_TRIALS * (n_chunks - 1)]
-    tasks = [(op, cfg, payload, radius, sz, st) for sz, st in zip(sizes, streams)]
+    tasks = [(kernel, payload, radius, sz, st) for sz, st in zip(sizes, streams)]
     if pool is not None and n_chunks > 1:
         return list(pool.map(_run_chunk, tasks))
     with shared_pool(workers, n_trials) as own:
@@ -361,7 +404,7 @@ def policy_scores(
     _check_policy_model(cfg, policy)
     radius = _window(cfg, policy, window_radius_override)
     kind = score_kind_for_model(cfg.model)
-    chunks = _map_chunks("scores", cfg, (policy, kind), radius, n_trials, rng, workers)
+    chunks = _map_chunks(_chunk_scores, (cfg, policy, kind), radius, n_trials, rng, workers)
     return np.concatenate(chunks)
 
 
@@ -402,7 +445,7 @@ def mc_distance_dist(
     policy = SelectionPolicy(policy_kind)
     score_kind = score_kind_for_policy(policy_kind)
     radius = window_radius(score_kind, cfg.intensity, cfg.d, eps=_WINDOW_EPS)
-    chunks = _map_chunks("scores", cfg, (policy, score_kind), radius, n_trials, rng, workers)
+    chunks = _map_chunks(_chunk_scores, (cfg, policy, score_kind), radius, n_trials, rng, workers)
     return EmpiricalDist(np.concatenate(chunks))
 
 
@@ -414,6 +457,48 @@ def _snr_score_cap(cfg: NetworkConfig) -> float:
     if cfg.model is PathLossModel.POWER_LAW:
         return ratio ** (1.0 / cfg.eta)
     return math.log(ratio) / cfg.alpha if ratio > 0 else -math.inf
+
+
+def mc_sweep(
+    cells,
+    n_trials: int,
+    fading_draws_per_trial: int | None,
+    rng,
+    window_radius_override: float | None = None,
+    workers: int = 1,
+    pool: ProcessPoolExecutor | None = None,
+) -> list[tuple[Estimate, Estimate | None]]:
+    """Outage and, when fading draws are asked for, rate of every cell.
+
+    cells is a sequence of (NetworkConfig, SelectionPolicy) pairs that share
+    intensity, d and path-loss model; they may differ in everything else
+    (SNRs, element count, policy, feedback threshold).  All cells read the
+    same realizations, sampled in the largest window any of them needs, or
+    in window_radius_override, which must cover every cell.  Returns one
+    (outage, rate) pair per cell, in order; rate is None when
+    fading_draws_per_trial is None.  ``pool`` (see ``shared_pool``) runs
+    the chunks in place of a pool of this call's own.
+    """
+    if not cells:
+        raise ValueError("mc_sweep needs at least one cell")
+    if fading_draws_per_trial is not None and fading_draws_per_trial < 1:
+        raise ValueError(f"fading_draws_per_trial must be >= 1, got {fading_draws_per_trial}")
+    geometry = cells[0][0]
+    for cfg, policy in cells:
+        if (cfg.intensity, cfg.d, cfg.model) != (geometry.intensity, geometry.d, geometry.model):
+            raise ValueError("cells of one sweep must share intensity, d and path-loss model")
+        _check_policy_model(cfg, policy)
+    radius = max(_window(cfg, policy, window_radius_override) for cfg, policy in cells)
+    m_fading = None if fading_draws_per_trial is None else int(fading_draws_per_trial)
+    payload = (tuple(cells), m_fading)
+    chunks = _map_chunks(_chunk_cells, payload, radius, n_trials, rng, workers, pool)
+    n, shift, offset, m2 = functools.reduce(_merge_moments, chunks)
+    out = []
+    for mean, sq in zip(shift + offset, m2):
+        outage = Estimate.from_moments(n, float(mean[0]), float(sq[0]))
+        rate = None if m_fading is None else Estimate.from_moments(n, float(mean[1]), float(sq[1]))
+        out.append((outage, rate))
+    return out
 
 
 def mc_outage_rate(
@@ -428,25 +513,14 @@ def mc_outage_rate(
 ) -> tuple[Estimate, Estimate | None]:
     """Outage and, when fading draws are asked for, rate from one pass.
 
-    Both estimates equal what ``mc_outage`` and ``mc_rate`` return for the
-    same arguments and seed; the rate is None when fading_draws_per_trial
-    is None.  ``pool`` (see ``shared_pool``) runs the chunks in place of a
-    pool of this call's own.
+    The one-cell case of ``mc_sweep``.  Both estimates equal what
+    ``mc_outage`` and ``mc_rate`` return for the same arguments and seed;
+    the rate is None when fading_draws_per_trial is None.
     """
-    if fading_draws_per_trial is not None and fading_draws_per_trial < 1:
-        raise ValueError(f"fading_draws_per_trial must be >= 1, got {fading_draws_per_trial}")
-    _check_policy_model(cfg, policy)
-    radius = _window(cfg, policy, window_radius_override)
-    kind = score_kind_for_model(cfg.model)
-    m_fading = None if fading_draws_per_trial is None else int(fading_draws_per_trial)
-    payload = (policy, kind, _snr_score_cap(cfg), m_fading)
-    chunks = _map_chunks("moments", cfg, payload, radius, n_trials, rng, workers, pool)
-    moments = np.sum(chunks, axis=0)
-    n = int(moments[0])
-    outage = Estimate.from_moments(n, float(moments[1]), float(moments[2]))
-    if m_fading is None:
-        return outage, None
-    return outage, Estimate.from_moments(n, float(moments[3]), float(moments[4]))
+    [estimates] = mc_sweep(
+        [(cfg, policy)], n_trials, fading_draws_per_trial, rng, window_radius_override, workers, pool
+    )
+    return estimates
 
 
 def mc_outage(
@@ -513,7 +587,7 @@ def mc_feedback_dist(
         raise WindowTooSmallError(
             f"window radius {radius} does not cover the score region (needs {needed})"
         )
-    chunks = _map_chunks("feedback", cfg, threshold, radius, n_trials, rng, workers)
+    chunks = _map_chunks(_chunk_feedback_counts, (cfg, threshold), radius, n_trials, rng, workers)
     return EmpiricalDist(np.concatenate(chunks))
 
 

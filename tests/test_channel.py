@@ -15,6 +15,7 @@ from ris_select.channel import (
     mean_snr,
     pathloss_product,
     sample_z,
+    sample_z_prefixes,
 )
 
 PI2 = math.pi**2
@@ -44,6 +45,14 @@ class TestSampleZ:
     def test_validation(self):
         with pytest.raises(ValueError):
             sample_z(0, np.random.default_rng(0))
+
+    def test_smaller_counts_are_partial_sums_of_one_draw(self):
+        z = sample_z_prefixes([16, 4, 9], np.random.default_rng(6), (5, 3))
+        assert sorted(z) == [4, 9, 16]
+        for n in (4, 9, 16):
+            assert np.array_equal(z[n], sample_z(n, np.random.default_rng(6), size=(5, 3)))
+        with pytest.raises(ValueError):
+            sample_z_prefixes([0, 3], np.random.default_rng(0), (2,))
 
 
 class TestMoments:

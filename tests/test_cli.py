@@ -4,17 +4,20 @@ import hashlib
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from ris_select import montecarlo
 from ris_select.cli import (
     ExperimentSpec,
     SpecError,
+    _policy_obj,
     db_to_linear,
     load_spec,
     main,
     run_experiment,
 )
+from ris_select.policies import PolicyKind
 
 GOOD_SPEC = """\
 [scenario]
@@ -188,36 +191,37 @@ output = unused.csv
 """
 
 # sha256 of the header and the Monte Carlo rows (comma-joined cells,
-# newline-joined rows).  These rows are the same as when outage and rate
-# were estimated in separate selection passes with a process pool per
-# estimator call; any change to a Monte Carlo CSV byte changes them
+# newline-joined rows), recorded under the seed contract in which each
+# geometry group of a sweep is one pass seeded by SeedSequence([seed, group])
+# and every policy and point of the group reads the same realizations; any
+# change to a Monte Carlo CSV byte changes them
 GOLDEN = {
     "power-snr-all-policies": (
         dict(n=8, model="power", snr=0, var="avg_snr_db", lo=-10, hi=30, steps=3,
              policies="opt-product, min-min, min-max, mid-point", methods="analytic, montecarlo",
              metrics="outage, rate", trials=2000),
-        "bfe32f14da727ac2c2be747493c1c9ed41394abdf145d0f7ec8584913c88b99f",
+        "47164f772aacff3c0ac735abaf42b85d63dd2b7d4b6bbd9dcd2564c412996a8b",
     ),
     "exp-threshold-feedback": (
         dict(n=16, model="exp", snr=10, var="threshold", lo=3, hi=9, steps=3,
              policies="opt-sum, min-min", methods="analytic, montecarlo",
              metrics="outage, rate", trials=2000),
-        "4a6ae5430a5ad6a33fd97dd7466b8a6ed15c346b767ab8810c7f0f98ce7e4861",
+        "20bf4a8ce932a970bd7a72c350d9827c14271213024ed9c912e3b116d270191b",
     ),
     "outage-only": (
         dict(n=16, model="exp", snr=0, var="intensity", lo=0.2, hi=1.0, steps=2,
              policies="opt-sum, mid-point", methods="montecarlo", metrics="outage", trials=2000),
-        "dd91dd9aee41ec9e50b56f4315c1fed3d2670e97b6db34047de396ba2422798f",
+        "0eb7040208f08fdde1b4be2a970a6bad13a21d85ff9c7004e77b63540ce9a498",
     ),
     "rate-only": (
         dict(n=4, model="power", snr=5, var="n_elements", lo=4, hi=16, steps=2,
              policies="opt-product, min-max", methods="montecarlo", metrics="rate", trials=2000),
-        "efb27f7fb8f6e236bfd5da1e54fae27890e238cd4504cc5a3e9ec4123595a123",
+        "57d0e91a85b06e19ca13eb9d12cbe239c2f8922116906c470e080126c3885b08",
     ),
     "two-chunks": (
         dict(n=4, model="exp", snr=5, var="avg_snr_db", lo=0, hi=10, steps=2,
              policies="opt-sum, min-max", methods="montecarlo", metrics="outage, rate", trials=8193),
-        "807457fc8e40fcc2461cc689b6127224a7e91d2cfa35144b96c7a80d94d20d49",
+        "c364179ff29bf4db5bfa0cb21ecf1efa43cfd58e4b02b0f672411103e2d767e4",
     ),
 }
 
@@ -284,8 +288,90 @@ class TestGoldenRows:
         params, digest = GOLDEN["two-chunks"]
         spec = load_spec(write_spec(tmp_path, GOLDEN_SPEC.format(**params)))
         rows = run_experiment(spec, workers=8)
-        assert sizes == [2]  # four MC cells of two chunks each share one pool
+        assert sizes == [2]  # one pass of two chunks serves all four MC cells
         assert _digest(rows) == digest
+
+
+# one spec per sweep variable; only the intensity sweep moves the geometry
+ORACLE = {
+    "avg_snr_db": dict(n=8, model="power", snr=0, var="avg_snr_db", lo=-10, hi=20, steps=3,
+                       policies="opt-product, min-min, mid-point"),
+    "n_elements": dict(n=4, model="power", snr=5, var="n_elements", lo=2, hi=8, steps=3,
+                       policies="opt-product, min-max"),
+    "threshold": dict(n=16, model="exp", snr=10, var="threshold", lo=3, hi=9, steps=3,
+                      policies="opt-sum, min-min"),
+    "intensity": dict(n=4, model="exp", snr=5, var="intensity", lo=0.3, hi=0.9, steps=2,
+                      policies="opt-sum, mid-point"),
+}
+
+
+def _mc_values(rows, metric):
+    """(sweep value, policy) -> float value of the Monte Carlo rows of one metric."""
+    return {(r[0], r[1]): float(r[4]) for r in rows[1:] if r[2] == "montecarlo" and r[3] == metric}
+
+
+class TestSharedRealizations:
+    @pytest.mark.parametrize("trials, workers", [(500, 1), (500, 2), (8193, 1), (8193, 2)])
+    @pytest.mark.parametrize("name", sorted(ORACLE))
+    def test_cells_equal_one_cell_estimator(self, tmp_path, name, trials, workers):
+        params = dict(ORACLE[name], methods="montecarlo", metrics="outage, rate", trials=trials)
+        spec = load_spec(write_spec(tmp_path, GOLDEN_SPEC.format(**params)))
+        rows = run_experiment(spec, workers=workers)
+
+        # the seed contract: geometry group g draws from SeedSequence([seed, g])
+        # in the largest window any of its (point, policy) cells needs
+        points = [(value, *spec.config_at(value)) for value in spec.sweep_values()]
+        groups = [[i] for i in range(len(points))] if name == "intensity" else [range(len(points))]
+        want = {}
+        for g, members in enumerate(groups):
+            cells = {
+                (i, kind): (points[i][1], _policy_obj(kind, points[i][2]))
+                for i in members for kind in spec.policies
+            }
+            radius = max(montecarlo.coverage_radius(cfg, pol) for cfg, pol in cells.values())
+            for (i, kind), (cfg, pol) in cells.items():
+                rng = np.random.default_rng(np.random.SeedSequence([spec.seed, g]))
+                want[i, kind] = montecarlo.mc_outage_rate(
+                    cfg, pol, trials, spec.fading_draws, rng, window_radius_override=radius
+                )
+        expected = [rows[0]]
+        for i, (value, _, _) in enumerate(points):
+            for kind in spec.policies:
+                for metric, est in zip(("outage", "rate"), want[i, kind]):
+                    expected.append([f"{value:.12g}", kind.value, "montecarlo", metric,
+                                     f"{est.mean:.12g}", f"{est.std_error:.12g}"])
+        assert rows == expected
+
+    def test_snr_sweep_orders_policies_and_points(self, tmp_path):
+        params = dict(n=8, model="power", snr=0, var="avg_snr_db", lo=-10, hi=30, steps=5,
+                      policies="opt-product, min-min, min-max, mid-point", methods="montecarlo",
+                      metrics="outage, rate", trials=3000)
+        rows = run_experiment(load_spec(write_spec(tmp_path, GOLDEN_SPEC.format(**params))))
+        outage, rate = _mc_values(rows, "outage"), _mc_values(rows, "rate")
+        values = sorted({v for v, _ in outage}, key=float)
+        baselines = ("min-min", "min-max", "mid-point")
+        for v in values:
+            for other in baselines:
+                assert outage[v, "opt-product"] <= outage[v, other]
+                assert rate[v, "opt-product"] >= rate[v, other]
+        for policy in ("opt-product",) + baselines:
+            for lo, hi in zip(values, values[1:]):
+                assert outage[hi, policy] <= outage[lo, policy]
+                assert rate[hi, policy] >= rate[lo, policy]
+
+    def test_threshold_sweep_feedback_monotone_baseline_fixed(self, tmp_path):
+        params = dict(n=16, model="exp", snr=10, var="threshold", lo=2.5, hi=6, steps=6,
+                      policies="opt-sum, min-min", methods="montecarlo",
+                      metrics="outage, rate", trials=3000)
+        rows = run_experiment(load_spec(write_spec(tmp_path, GOLDEN_SPEC.format(**params))))
+        outage = _mc_values(rows, "outage")
+        values = sorted({v for v, _ in outage}, key=float)
+        feedback = [outage[v, "opt-sum"] for v in values]
+        assert all(b <= a for a, b in zip(feedback, feedback[1:]))
+        assert feedback[0] > feedback[-1]
+        baseline = [r[1:] for r in rows[1:] if r[1] == PolicyKind.MIN_MIN.value]
+        assert len(baseline) == 2 * len(values)
+        assert baseline == baseline[:2] * len(values)
 
 
 class TestSubcommands:

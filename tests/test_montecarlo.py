@@ -2,6 +2,8 @@
 
 import math
 import os
+import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from ris_select.montecarlo import (
     mc_outage,
     mc_outage_rate,
     mc_rate,
+    mc_sweep,
     poisson_gof,
     policy_scores,
 )
@@ -49,7 +52,7 @@ def exp_cfg(**kw):
 class TestBasics:
     def test_estimate_moments(self):
         data = np.array([1.0, 2.0, 3.0, 4.0])
-        est = Estimate.from_moments(4, data.sum(), (data * data).sum())
+        est = Estimate.from_moments(4, data.mean(), ((data - data.mean()) ** 2).sum())
         assert est.mean == pytest.approx(2.5)
         assert est.std_error == pytest.approx(data.std(ddof=1) / 2.0)
 
@@ -132,6 +135,77 @@ class TestBasics:
         with montecarlo.shared_pool(workers, n_trials) as pool:
             assert mc_outage_rate(cfg, pol, n_trials, None, 8, pool=pool) == (want, None)
         assert sizes == [4, 4]
+
+
+class TestMomentMerge:
+    def test_merge_is_free_of_cancellation(self):
+        # large, nearly equal values: the sum-of-squares form total_sq - n*mean^2
+        # loses every digit here, and so does a merge over one-double means
+        rng = np.random.default_rng(3)
+        chunks = [1e8 + rng.uniform(0.0, 1e-3, size) for size in (8192, 8192, 5000)]
+        n, shift, offset, m2 = reduce(montecarlo._merge_moments, map(montecarlo._moments, chunks))
+        est = Estimate.from_moments(n, shift + offset, m2)
+        values = np.concatenate(chunks)
+        # x - values[0] is exact here (Sterbenz), so this reference is free of
+        # the mean's rounding, which puts np.std of the raw values off by up
+        # to a few 1e-9 on some seeds (5e-10 on this one)
+        want = (values - values[0]).std(ddof=1) / math.sqrt(values.size)
+        assert est.std_error == pytest.approx(want, rel=1e-12)
+        assert est.std_error == pytest.approx(values.std(ddof=1) / math.sqrt(values.size), rel=1e-9)
+        assert est.mean == pytest.approx(values.mean(), rel=1e-15)
+        total = values.sum()
+        old_var = max(0.0, ((values * values).sum() - total * total / values.size) / (values.size - 1))
+        assert abs(math.sqrt(old_var / values.size) / want - 1.0) > 1e-3  # the formula replaced
+
+    def test_merge_matches_one_pass_moments(self):
+        rng = np.random.default_rng(4)
+        values = rng.normal(3.0, 2.0, (2, 3, 1000))
+        merged = montecarlo._merge_moments(
+            montecarlo._moments(values[..., :300]), montecarlo._moments(values[..., 300:])
+        )
+        whole = montecarlo._moments(values)
+        assert merged[0] == whole[0]
+        np.testing.assert_allclose(merged[1] + merged[2], whole[1] + whole[2], rtol=1e-14)
+        np.testing.assert_allclose(merged[3], whole[3], rtol=1e-12)
+
+
+class TestSweepKernel:
+    def test_cells_equal_one_cell_calls_on_the_group_window(self):
+        cells = [
+            (pow_cfg(avg_snr=snr, n_elements=n), SelectionPolicy(kind, feedback_threshold=t))
+            for snr, n in ((1.0, 2), (10.0, 7))
+            for kind, t in ((PolicyKind.OPT_PRODUCT, None), (PolicyKind.OPT_PRODUCT, 2.0),
+                            (PolicyKind.MIN_MAX, None))
+        ]
+        radius = max(coverage_radius(cfg, pol) for cfg, pol in cells)
+        n_trials = montecarlo._CHUNK_TRIALS + 1
+        got = mc_sweep(cells, n_trials, 3, 23)
+        for (cfg, pol), pair in zip(cells, got):
+            assert pair == mc_outage_rate(cfg, pol, n_trials, 3, 23, window_radius_override=radius)
+        assert mc_sweep(cells, n_trials, None, 23) == [(outage, None) for outage, _ in got]
+
+    def test_cells_must_share_geometry(self):
+        pol = SelectionPolicy(PolicyKind.MIN_MIN)
+        with pytest.raises(ValueError, match="share"):
+            mc_sweep([(pow_cfg(), pol), (pow_cfg(intensity=2 * LAM), pol)], 100, None, 1)
+        with pytest.raises(ValueError, match="at least one"):
+            mc_sweep([], 100, None, 1)
+
+    def test_chunk_memory_is_bounded_in_elements(self):
+        # the fading of a chunk is accumulated element by element, so a
+        # full chunk at N = 1024, 8 draws stays far below the 2 x 0.5 GB
+        # that holding every element's draws would take
+        cfg, pol = pow_cfg(n_elements=1024), SelectionPolicy(PolicyKind.OPT_PRODUCT)
+        radius = coverage_radius(cfg, pol)
+        rng = np.random.default_rng(5)
+        tracemalloc.start()
+        try:
+            n, *_ = montecarlo._chunk_cells(((cfg, pol),), 8, radius, montecarlo._CHUNK_TRIALS, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n == montecarlo._CHUNK_TRIALS
+        assert peak < 64e6
 
 
 def _lexsort_argmin(crit, counts):
