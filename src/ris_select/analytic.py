@@ -23,7 +23,10 @@ It is one fixed tensor-product rule evaluated with numpy: score panels
 panels elsewhere), times the score density, times a trapezoid rule in the
 log of the fading gain, which converges geometrically for every number of
 elements.  The path loss enters only through its logarithm, so no score
-overflows and no small-argument switch is needed.
+overflows and no small-argument switch is needed.  The engine needs numpy
+only: K and E come from the array AGM kernel specfun.ellip_ke_m1, and
+scipy is imported only inside the quadrature oracle, so `ris-select run`
+never loads it.
 
 All quantities are strictly linear-scale; dB conversion belongs to the CLI.
 """
@@ -35,7 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
 
 from .channel import NetworkConfig, PathLossModel, ez2, gamma_params
 from .errors import (
@@ -51,7 +53,7 @@ from .geometry import (
     min_product_region_area,
     min_sum_region_area,
 )
-from .specfun import SeriesControl, digamma, ellip_e, ellip_k, genhyp, log_gamma
+from .specfun import SeriesControl, digamma, ellip_e, ellip_ke_m1, ellip_k, genhyp, log_gamma
 
 _LN2 = math.log(2.0)
 
@@ -103,6 +105,8 @@ DEFAULT_QUADRATURE = RateQuadrature()
 
 
 def _quad(f, lo, hi, q: RateQuadrature, points=None) -> float:
+    from scipy import integrate  # imported here so that `ris-select run` never loads scipy
+
     kwargs = dict(epsabs=q.abs_tol, epsrel=q.rel_tol, limit=q.max_subdivisions)
     if points is not None and not (math.isinf(lo) or math.isinf(hi)):
         kwargs["points"] = points
@@ -469,13 +473,14 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
 def _tanh_sinh() -> tuple[np.ndarray, np.ndarray]:
     """Tanh-sinh nodes and weights on [0, 1].
 
-    Nodes are expit(pi sinh(s)), so the ones near 0 keep full relative
-    precision; an endpoint singularity placed at 0 is resolved to ~1e-17.
+    Nodes are the logistic 1 / (1 + e^{-pi sinh(s)}), so the ones near 0
+    keep full relative precision; an endpoint singularity placed at 0 is
+    resolved to ~1e-17.
     """
     s = np.linspace(-_TS_HALF_WIDTH, _TS_HALF_WIDTH, _TS_NODES)
     u = math.pi * np.sinh(s)
-    x = special.expit(u)
-    w = (s[1] - s[0]) * math.pi * np.cosh(s) * x * special.expit(-u)
+    x = 1.0 / (1.0 + np.exp(-u))
+    w = (s[1] - s[0]) * math.pi * np.cosh(s) * x / (1.0 + np.exp(u))
     x.flags.writeable = w.flags.writeable = False
     return x, w
 
@@ -536,6 +541,7 @@ def _average_rate(
     return total / _LN2
 
 
+@functools.lru_cache(maxsize=64)
 def _product_score_rule(dist: DistCdf, cap: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes g and weights w (density of the best product score included)
     with sum_i w_i f(g_i) ~ integral of f against that density up to cap.
@@ -545,7 +551,8 @@ def _product_score_rule(dist: DistCdf, cap: float) -> tuple[np.ndarray, np.ndarr
     halvings down from min(cap, d^2/2) (then on to 0) and on the octaves
     above 2 d^2 (up to the 1e-14 tail).  Each node carries its offset
     tau = |g/d^2 - 1| from the branch point, so 1 - m reaches K without
-    cancellation.
+    cancellation.  The rule depends on neither the SNR nor the element
+    count, so it is built once per (dist, cap) and returned read-only.
     """
     lam, d2 = dist.intensity, dist.d * dist.d
     rel_cap = cap / d2
@@ -559,8 +566,8 @@ def _product_score_rule(dist: DistCdf, cap: float) -> tuple[np.ndarray, np.ndarr
         g_rel, tau = np.concatenate([g_rel, 1.0 - ts_tau]), np.concatenate([tau, ts_tau])
         g_w = np.concatenate([g_w, (0.5 - tau_lo) * w])
     one_minus_m = tau * (2.0 - tau)
-    k_low = special.ellipkm1(one_minus_m)
-    xi_low = 2.0 * lam * d2 * (special.ellipe(g_rel * g_rel) - one_minus_m * k_low)
+    k_low, e_low = ellip_ke_m1(one_minus_m)
+    xi_low = 2.0 * lam * d2 * (e_low - one_minus_m * k_low)
     g, weight = [d2 * g_rel], [d2 * g_w * 2.0 * lam * g_rel * k_low * np.exp(-xi_low)]
     # high branch g = d^2 (1 + tau), tau > 0
     if rel_cap > 1.0:
@@ -571,12 +578,13 @@ def _product_score_rule(dist: DistCdf, cap: float) -> tuple[np.ndarray, np.ndarr
         g_rel, g_w = _gl_panels(np.minimum(octaves, top))
         tau = np.concatenate([ts_hi * x, g_rel - 1.0])
         tau_w = np.concatenate([ts_hi * w, g_w])
-        m = (1.0 + tau) ** -2
-        dens_high = 2.0 * lam * special.ellipkm1(tau * (2.0 + tau) * m)
-        xi_high = 2.0 * lam * d2 * (1.0 + tau) * special.ellipe(m)
+        k_high, e_high = ellip_ke_m1(tau * (2.0 + tau) * (1.0 + tau) ** -2)
+        xi_high = 2.0 * lam * d2 * (1.0 + tau) * e_high
         g.append(d2 * (1.0 + tau))
-        weight.append(d2 * tau_w * dens_high * np.exp(-xi_high))
-    return np.concatenate(g), np.concatenate(weight)
+        weight.append(d2 * tau_w * 2.0 * lam * k_high * np.exp(-xi_high))
+    g, weight = np.concatenate(g), np.concatenate(weight)
+    g.flags.writeable = weight.flags.writeable = False
+    return g, weight
 
 
 def rate_pow(

@@ -38,7 +38,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .channel import NetworkConfig, PathLossModel, ez2, sample_z_prefixes
 from .errors import WindowTooSmallError
@@ -597,6 +596,8 @@ def poisson_gof(dist: EmpiricalDist, mean: float, min_expected: float = 5.0):
     Bins with expected count below ``min_expected`` are merged into their
     neighbours.  Returns (statistic, dof, p_value).
     """
+    from scipy import stats  # imported here so that `ris-select run` never loads scipy
+
     if mean <= 0.0:
         raise ValueError(f"mean must be > 0, got {mean}")
     samples = dist.values.astype(int)

@@ -1,8 +1,11 @@
-"""Scalar special-function kernel.
+"""Special-function kernel.
 
 Complete and incomplete elliptic integrals, digamma, log-gamma, and the
-generalized hypergeometric series.  Everything is plain float arithmetic
-with no state, so all functions are safe to call concurrently.
+generalized hypergeometric series, in plain float arithmetic, plus one
+numpy array kernel, ellip_ke_m1, that returns both complete elliptic
+integrals over an array of complementary parameters in one AGM pass (the
+rate engine's K and E).  Nothing holds state, so all functions are safe to
+call concurrently.
 
 Elliptic integrals use the *parameter* convention throughout: the argument
 ``m`` multiplies ``sin^2 t`` inside the defining integrals,
@@ -21,6 +24,8 @@ import math
 import sys
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .errors import DomainError, NonConvergenceError, PoleError
 
@@ -93,6 +98,33 @@ def ellip_e(m: float) -> float:
             break
     k_complete = math.pi / (a + b)
     return k_complete * (1.0 - s)
+
+
+def ellip_ke_m1(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """K(1 - p) and E(1 - p) for an array of complementary parameters p in [0, 1].
+
+    One arithmetic-geometric mean pass per element (Abramowitz & Stegun
+    17.6) with the recurrence and deficit sum of ellip_e.  The pass starts
+    at b = sqrt(p), so K keeps full relative precision as m = 1 - p -> 1
+    when p is known without cancellation.  E loses about log(1/p) ulps there
+    to the deficit sum.  p = 0 gives K = inf and E = 1.
+    """
+    p = np.asarray(p, dtype=float)
+    if not np.all((p >= 0.0) & (p <= 1.0)):
+        raise DomainError("ellip_ke_m1 requires 0 <= p <= 1")
+    pole = p == 0.0
+    a, b = np.ones_like(p), np.sqrt(np.where(pole, 1.0, p))
+    s = 0.5 * (1.0 - p)
+    weight = 0.5
+    for _ in range(64):
+        c = 0.5 * (a - b)
+        a, b = 0.5 * (a + b), np.sqrt(a * b)
+        weight *= 2.0
+        s += weight * c * c
+        if np.all(np.abs(c) <= 2.0 * _EPS * a):
+            break
+    k_complete = np.where(pole, np.inf, math.pi / (a + b))
+    return k_complete, np.where(pole, 1.0, k_complete * (1.0 - s))
 
 
 def _carlson_rf(x: float, y: float, z: float) -> float:

@@ -33,6 +33,7 @@ from ris_select.analytic import (
 from ris_select.channel import NetworkConfig, PathLossModel, ez2
 from ris_select.errors import DomainError, PoleError, SingularityError, UnsupportedRegionError
 from ris_select.geometry import ScoreKind
+from ris_select.specfun import ellip_ke_m1
 
 LAM, D = 0.5, 1.2
 DIST_P = DistCdf(ScoreKind.MIN_PRODUCT, LAM, D)
@@ -461,6 +462,31 @@ class TestAverageRate:
             assert rate_pow(cfg, DIST_P, **kwargs) > 0.0
             assert rate_exp(cfg_e, DIST_S, **kwargs) > 0.0
         assert rate_pow(cfg, DIST_P, t_threshold=0.7) > 0.0
+
+    @pytest.mark.parametrize("cap", [0.3, 1.0, 1.44, 2.5, 5.0, math.inf])
+    def test_score_rule_elliptic_nodes_match_scipy(self, monkeypatch, cap):
+        # the complementary parameters the rule really produces, down to
+        # ~1e-17 next to the branch point d^2 = 1.44
+        from scipy import special
+
+        seen = []
+
+        def recording(p):
+            seen.append(np.array(p))
+            return ellip_ke_m1(p)
+
+        monkeypatch.setattr(analytic, "ellip_ke_m1", recording)
+        analytic._product_score_rule.__wrapped__(DIST_P, cap)
+        p = np.concatenate(seen)
+        assert p.min() < 1e-15 or cap < D * D
+        got_k, got_e = ellip_ke_m1(p)
+        assert got_k == pytest.approx(special.ellipkm1(p), rel=1e-13)
+        assert got_e == pytest.approx(special.ellipe(1.0 - p), rel=1e-13)
+
+    def test_score_rule_is_cached_read_only(self):
+        g, weight = analytic._product_score_rule(DIST_P, math.inf)
+        assert analytic._product_score_rule(DIST_P, math.inf)[0] is g
+        assert not g.flags.writeable and not weight.flags.writeable
 
     def test_quadrature_control_validation(self):
         with pytest.raises(ValueError):

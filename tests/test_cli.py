@@ -2,12 +2,17 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ris_select import montecarlo
+import ris_select
+from ris_select import analytic, montecarlo
 from ris_select.cli import (
     ExperimentSpec,
     SpecError,
@@ -290,6 +295,62 @@ class TestGoldenRows:
         rows = run_experiment(spec, workers=8)
         assert sizes == [2]  # one pass of two chunks serves all four MC cells
         assert _digest(rows) == digest
+
+
+class TestRunCost:
+    def test_rate_sweep_solves_tail_once(self, tmp_path, monkeypatch):
+        # the product-score rule depends on neither the SNR nor N, so a
+        # 17-point SNR sweep finds the 1e-14 score tail once
+        calls = []
+        original = analytic.critical_score
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(analytic, "critical_score", counting)
+        analytic._product_score_rule.cache_clear()
+        params = dict(n=16, model="power", snr=0, var="avg_snr_db", lo=-10, hi=30, steps=17,
+                      policies="opt-product", methods="analytic", metrics="rate", trials=1000)
+        rows = run_experiment(load_spec(write_spec(tmp_path, GOLDEN_SPEC.format(**params))))
+        assert len(rows) == 18
+        assert len(calls) == 1
+
+    def test_run_imports_no_scipy(self, tmp_path):
+        # a fresh interpreter: the run path loads numpy only, and the
+        # oracles and `validate` still load scipy when they are called
+        specs = [
+            dict(n=8, model="power", snr=0, var="avg_snr_db", lo=-10, hi=30, steps=3,
+                 policies="opt-product, min-min"),
+            dict(n=16, model="exp", snr=10, var="threshold", lo=3, hi=9, steps=3,
+                 policies="opt-sum, min-min"),
+        ]
+        paths = [
+            write_spec(tmp_path, GOLDEN_SPEC.format(**params, methods="analytic, montecarlo",
+                                                    metrics="outage, rate", trials=200), f"s{i}.ini")
+            for i, params in enumerate(specs)
+        ]
+        script = """
+import sys
+from ris_select import analytic, cli
+from ris_select.channel import NetworkConfig, PathLossModel
+
+for path in sys.argv[1:]:
+    rows = cli.run_experiment(cli.load_spec(path))
+    assert {r[2] for r in rows[1:]} == {"analytic", "montecarlo"}, rows
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+cfg = NetworkConfig(d=1.2, intensity=0.5, n_elements=16, model=PathLossModel.POWER_LAW)
+assert abs(analytic.rate_fading_quad(1.0, cfg) / analytic.rate_fading_closed(1.0, cfg) - 1) < 1e-4
+assert cli.main(["validate", "--trials", "1500", "--seed", "1"]) == 0
+assert "scipy.integrate" in sys.modules and "scipy.stats" in sys.modules
+"""
+        src = str(Path(ris_select.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script, *paths], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert "13/13 checks passed" in done.stdout
 
 
 # one spec per sweep variable; only the intensity sweep moves the geometry

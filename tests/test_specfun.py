@@ -24,6 +24,7 @@ from ris_select.specfun import (
     ellip_e_inc,
     ellip_f_inc,
     ellip_k,
+    ellip_ke_m1,
     genhyp,
     log_gamma,
 )
@@ -92,6 +93,34 @@ class TestCompleteElliptic:
                 - ellip_k(m) * ellip_k(1 - m)
             )
             assert abs(lhs - math.pi / 2) < 1e-10
+
+
+class TestArrayAgm:
+    # complementary parameters p = 1 - m: log-spaced down to 1e-300, where
+    # K ~ 346, plus a linear grid on (0, 1]
+    P = np.concatenate([np.geomspace(1e-300, 1.0, 121), np.linspace(0.0, 1.0, 41)[1:]])
+
+    def test_against_mpmath(self):
+        import mpmath as mp
+
+        got_k, got_e = ellip_ke_m1(self.P)
+        with mp.workdps(400):
+            want_k = np.array([float(mp.ellipk(1 - mp.mpf(p))) for p in self.P])
+            want_e = np.array([float(mp.ellipe(1 - mp.mpf(p))) for p in self.P])
+        assert np.max(np.abs(got_k / want_k - 1.0)) <= 1e-15
+        assert np.max(np.abs(got_e / want_e - 1.0)) <= 1e-13
+
+    def test_endpoints_and_shape(self):
+        got_k, got_e = ellip_ke_m1(np.array([[0.0], [1.0]]))
+        assert got_k.shape == got_e.shape == (2, 1)
+        assert got_k[0, 0] == math.inf and got_e[0, 0] == 1.0
+        assert got_k[1, 0] == pytest.approx(math.pi / 2, rel=1e-16)
+        assert got_e[1, 0] == pytest.approx(math.pi / 2, rel=1e-16)
+
+    @pytest.mark.parametrize("bad", [-1e-300, 1.0 + 1e-15, math.nan])
+    def test_domain(self, bad):
+        with pytest.raises(DomainError):
+            ellip_ke_m1(np.array([0.5, bad]))
 
 
 class TestIncompleteElliptic:
