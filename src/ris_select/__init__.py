@@ -10,7 +10,6 @@ from .analytic import (
     RateQuadrature,
     cdf_lambda_opt,
     cdf_upsilon_opt,
-    half_disc_product_cdf,
     outage_exp,
     outage_exp_fb,
     outage_pow,
@@ -34,9 +33,8 @@ from .channel import (
     PathLossModel,
     ez2,
     gamma_params,
-    mean_snr,
-    pathloss_product,
     sample_z,
+    snr_score_cap,
 )
 from .errors import (
     DomainError,
@@ -50,7 +48,6 @@ from .errors import (
 from .geometry import (
     AnchorPair,
     Point2,
-    Realization,
     ScoreKind,
     critical_score,
     enclosing_radius,
@@ -58,9 +55,6 @@ from .geometry import (
     min_sum_region_area,
     s_exp,
     s_pow,
-    sample_ppp,
-    score_region_area,
-    window_radius,
 )
 from .montecarlo import (
     EmpiricalDist,
@@ -73,20 +67,11 @@ from .montecarlo import (
     poisson_gof,
     policy_scores,
 )
-from .policies import (
-    PolicyKind,
-    SelectionPolicy,
-    feedback_count,
-    feedback_filter,
-    score_kind_for_model,
-    select,
-)
+from .policies import OPTIMUM, PolicyKind, SelectionPolicy
 from .specfun import (
     SeriesControl,
     digamma,
     ellip_e,
-    ellip_e_inc,
-    ellip_f_inc,
     ellip_k,
     genhyp,
     log_gamma,

@@ -39,14 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import NetworkConfig, PathLossModel, ez2, gamma_params
-from .errors import (
-    DomainError,
-    PoleError,
-    QuadratureError,
-    SingularityError,
-    UnsupportedRegionError,
-)
+from .channel import NetworkConfig, PathLossModel, ez2, gamma_params, snr_score_cap
+from .errors import DomainError, PoleError, QuadratureError, SingularityError
 from .geometry import (
     ScoreKind,
     critical_score,
@@ -224,71 +218,44 @@ def pdf_lambda_opt(gamma: float, dist: DistCdf) -> float:
 # Outage probabilities
 # ---------------------------------------------------------------------------
 
-def _pow_score_threshold(cfg: NetworkConfig) -> float:
-    """Largest distance product keeping the fading-averaged SNR above rho."""
-    if cfg.target_snr == 0.0:
-        return math.inf
-    return (cfg.avg_snr * ez2(cfg.n_elements) / cfg.target_snr) ** (1.0 / cfg.eta)
+def _outage(cfg: NetworkConfig, dist: DistCdf, model: PathLossModel, threshold: float | None) -> float:
+    """1 - F(min(cap, T)) for the optimum policy of the given path-loss law.
 
-
-def _exp_score_threshold(cfg: NetworkConfig) -> float:
-    """Largest distance sum keeping the fading-averaged SNR above rho."""
-    if cfg.target_snr == 0.0:
-        return math.inf
-    return math.log(cfg.avg_snr * ez2(cfg.n_elements) / cfg.target_snr) / cfg.alpha
+    F is the CDF of the optimum score and cap = snr_score_cap(cfg): an outage
+    happens when the best node misses the SNR target or, with feedback
+    limited to scores <= T, when no node feeds back.  A cap below every
+    possible score (an exponential-law target out of reach) gives 1.
+    """
+    if cfg.model is not model:
+        raise ValueError(f"this outage needs a {model.value}-law configuration, got {cfg.model.value}")
+    _check_match(cfg, dist)
+    level = snr_score_cap(cfg)
+    if threshold is not None:
+        if threshold <= 0.0:
+            raise ValueError(f"threshold must be > 0, got {threshold}")
+        level = min(level, threshold)
+    cdf = cdf_upsilon_opt if model is PathLossModel.POWER_LAW else cdf_lambda_opt
+    return 1.0 - cdf(max(level, 0.0), dist)
 
 
 def outage_pow(cfg: NetworkConfig, dist: DistCdf) -> float:
     """Outage of the optimum product-score policy under the power law."""
-    if cfg.model is not PathLossModel.POWER_LAW:
-        raise ValueError("outage_pow requires a power-law configuration")
-    _check_match(cfg, dist)
-    return 1.0 - cdf_upsilon_opt(_pow_score_threshold(cfg), dist)
+    return _outage(cfg, dist, PathLossModel.POWER_LAW, None)
 
 
 def outage_exp(cfg: NetworkConfig, dist: DistCdf) -> float:
-    """Outage of the optimum sum-score policy under the exponential law.
-
-    When the SNR target is unreachable even at the minimum possible sum 2d
-    (log argument <= e^{2 alpha d}), the CDF is evaluated below 2d and the
-    outage is 1.
-    """
-    if cfg.model is not PathLossModel.EXP_LAW:
-        raise ValueError("outage_exp requires an exponential-law configuration")
-    _check_match(cfg, dist)
-    level = _exp_score_threshold(cfg)
-    if level < 0.0:
-        return 1.0
-    return 1.0 - cdf_lambda_opt(level, dist)
+    """Outage of the optimum sum-score policy under the exponential law."""
+    return _outage(cfg, dist, PathLossModel.EXP_LAW, None)
 
 
 def outage_pow_fb(cfg: NetworkConfig, dist: DistCdf, threshold: float) -> float:
-    """Outage with feedback limited to nodes with product score <= threshold.
-
-    Equals 1 - F_Y(min(score threshold for rho, T)): when the SNR condition
-    is loose the only failure mode is an empty feedback set, with
-    probability e^{-xi(T)}; the two branches meet continuously where the
-    SNR threshold crosses T.
-    """
-    if cfg.model is not PathLossModel.POWER_LAW:
-        raise ValueError("outage_pow_fb requires a power-law configuration")
-    _check_match(cfg, dist)
-    if threshold <= 0.0:
-        raise ValueError(f"threshold must be > 0, got {threshold}")
-    return 1.0 - cdf_upsilon_opt(min(_pow_score_threshold(cfg), threshold), dist)
+    """Outage with feedback limited to nodes with product score <= threshold."""
+    return _outage(cfg, dist, PathLossModel.POWER_LAW, threshold)
 
 
 def outage_exp_fb(cfg: NetworkConfig, dist: DistCdf, threshold: float) -> float:
     """Outage with feedback limited to nodes with sum score <= threshold."""
-    if cfg.model is not PathLossModel.EXP_LAW:
-        raise ValueError("outage_exp_fb requires an exponential-law configuration")
-    _check_match(cfg, dist)
-    if threshold <= 0.0:
-        raise ValueError(f"threshold must be > 0, got {threshold}")
-    level = min(_exp_score_threshold(cfg), threshold)
-    if level < 0.0:
-        return 1.0
-    return 1.0 - cdf_lambda_opt(level, dist)
+    return _outage(cfg, dist, PathLossModel.EXP_LAW, threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +545,8 @@ def _product_score_rule(dist: DistCdf, cap: float) -> tuple[np.ndarray, np.ndarr
         g_rel, g_w = _gl_panels(np.minimum(octaves, top))
         tau = np.concatenate([ts_hi * x, g_rel - 1.0])
         tau_w = np.concatenate([ts_hi * w, g_w])
-        k_high, e_high = ellip_ke_m1(tau * (2.0 + tau) * (1.0 + tau) ** -2)
+        # 1 - m = 1 - (1 + tau)^-2, formed so that it cannot round above 1
+        k_high, e_high = ellip_ke_m1(-np.expm1(-2.0 * np.log1p(tau)))
         xi_high = 2.0 * lam * d2 * (1.0 + tau) * e_high
         g.append(d2 * (1.0 + tau))
         weight.append(d2 * tau_w * 2.0 * lam * k_high * np.exp(-xi_high))
@@ -645,35 +613,3 @@ def rate_exp(
     g = np.sqrt(u * u + 4.0 * d * d)
     weight = u_w * math.pi * lam * (u * u + 2.0 * d * d) / (2.0 * g) * np.exp(-0.25 * math.pi * lam * g * u)
     return _average_rate(-cfg.alpha * g, weight, cfg, use_upper_bound)
-
-
-# ---------------------------------------------------------------------------
-# Distance-product CDF for a single uniform node on a half disc
-# ---------------------------------------------------------------------------
-
-def half_disc_product_cdf(gamma: float, tau: float, d: float) -> float:
-    """CDF of the distance product for one node uniform on the right half
-    disc of radius tau.
-
-    Closed forms exist for gamma <= d^2, d^2 < gamma <= tau^2 - d^2 and
-    gamma > d^2 + tau^2; the transition band tau^2 - d^2 < gamma <=
-    d^2 + tau^2 has no supported closed form and raises.  Requires
-    tau^2 >= 2 d^2 so the branch boundaries are ordered.
-    """
-    if gamma < 0.0:
-        raise DomainError(f"gamma must be >= 0, got {gamma}")
-    if tau <= 0.0:
-        raise DomainError(f"tau must be > 0, got {tau}")
-    if tau * tau < 2.0 * d * d:
-        raise DomainError(f"branch ordering needs tau^2 >= 2 d^2, got tau={tau}, d={d}")
-    d2 = d * d
-    tau2 = tau * tau
-    if gamma > d2 + tau2:
-        return 1.0
-    if gamma > tau2 - d2:
-        raise UnsupportedRegionError(
-            f"no closed form on tau^2 - d^2 < gamma <= d^2 + tau^2 (gamma={gamma})"
-        )
-    # for gamma <= tau^2 - d^2 the whole sublevel region sits inside the
-    # disc, where the CDF is just its area fraction (symmetric in halves)
-    return min_product_region_area(gamma, d) / (math.pi * tau2)

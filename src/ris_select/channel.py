@@ -4,7 +4,9 @@ Each surface has N elements; with ideal phase alignment the end-to-end
 amplitude gain is Z = sum_n a_n * b_n where a_n, b_n are independent
 Rayleigh amplitudes with scale 1/sqrt(2), i.e. E[a^2] = 1 (unit-variance
 complex Gaussian channels).  Only the link actually selected carries a
-fading draw, so no per-node fading state is kept anywhere.
+fading draw, so no per-node fading state is kept anywhere.  The score at
+which the fading-averaged SNR meets the target, snr_score_cap, serves both
+the closed forms and the Monte Carlo estimators.
 """
 
 from __future__ import annotations
@@ -136,20 +138,17 @@ def gamma_params(n_elements: int) -> GammaApprox:
     return GammaApprox(k=k, theta=theta)
 
 
-def pathloss_product(cfg: NetworkConfig, score: float) -> float:
-    """Two-hop path-loss product G(d_s) * G(d_d) from the model's score.
+def snr_score_cap(cfg: NetworkConfig) -> float:
+    """Score below which the fading-averaged SNR exceeds the target.
 
-    Under the power law the product of the hop losses depends on the node
-    only through the distance product (score^eta); under the exponential law
-    only through the distance sum (exp(alpha * score)).
+    That SNR is avg_snr * E[Z^2] / G, with path loss G = score^eta (power
+    law) or exp(alpha * score) (exponential law), so a node meets the target
+    exactly when its score is below this cap: +inf for a zero target, and
+    -inf when the exponential-law ratio underflows to zero.
     """
+    if cfg.target_snr == 0.0:
+        return math.inf
+    ratio = cfg.avg_snr * ez2(cfg.n_elements) / cfg.target_snr
     if cfg.model is PathLossModel.POWER_LAW:
-        return float(score) ** cfg.eta
-    return math.exp(cfg.alpha * float(score))
-
-
-def mean_snr(cfg: NetworkConfig, pathloss_product: float) -> float:
-    """SNR averaged over fading: avg_snr * E[Z^2] / (G(d_s) G(d_d))."""
-    if pathloss_product <= 0.0:
-        raise ValueError(f"pathloss_product must be > 0, got {pathloss_product}")
-    return cfg.avg_snr * ez2(cfg.n_elements) / pathloss_product
+        return ratio ** (1.0 / cfg.eta)
+    return math.log(ratio) / cfg.alpha if ratio > 0 else -math.inf

@@ -30,7 +30,7 @@ from . import analytic, montecarlo
 from .channel import NetworkConfig, PathLossModel
 from .geometry import ScoreKind
 from .montecarlo import default_workers
-from .policies import PolicyKind, SelectionPolicy
+from .policies import OPTIMUM, PolicyKind, SelectionPolicy
 
 _POLICY_NAMES = {p.value: p for p in PolicyKind}
 _MODEL_NAMES = {"power": PathLossModel.POWER_LAW, "exp": PathLossModel.EXP_LAW}
@@ -114,6 +114,12 @@ def _parse_model(text: str) -> PathLossModel:
     return _MODEL_NAMES[text]
 
 
+def _count(name: str, value: int) -> int:
+    if value < 1:
+        raise SpecError(f"{name} must be >= 1, got {value}")
+    return value
+
+
 def _parse_policy(text: str) -> PolicyKind:
     if text not in _POLICY_NAMES:
         raise ValueError(f"unknown policy '{text}' (expected one of {sorted(_POLICY_NAMES)})")
@@ -169,8 +175,8 @@ def load_spec(path: str) -> ExperimentSpec:
         policies=policies,
         methods=methods,
         metrics=metrics,
-        trials=_get(run, "trials", int, required=False, default=10_000),
-        fading_draws=_get(run, "fading_draws", int, required=False, default=8),
+        trials=_count("trials", _get(run, "trials", int, required=False, default=10_000)),
+        fading_draws=_count("fading_draws", _get(run, "fading_draws", int, required=False, default=8)),
         seed=_get(run, "seed", int, required=False, default=1),
         output=_get(run, "output", str, required=False, default="out.csv"),
     )
@@ -181,30 +187,24 @@ def _fmt(value: float) -> str:
 
 
 def _policy_obj(kind: PolicyKind, threshold: float | None) -> SelectionPolicy:
-    if threshold is not None and kind in (PolicyKind.OPT_PRODUCT, PolicyKind.OPT_SUM):
+    """The policy, with the threshold when it is an optimum policy (baselines ignore it)."""
+    if threshold is not None and kind in {optimum for _, optimum in OPTIMUM.values()}:
         return SelectionPolicy(kind, feedback_threshold=threshold)
     return SelectionPolicy(kind)
 
 
 def _analytic_metric(metric: str, cfg: NetworkConfig, kind: PolicyKind, threshold: float | None):
-    """Closed-form value for policies that have one, else None."""
-    if cfg.model is PathLossModel.POWER_LAW:
-        if kind is not PolicyKind.OPT_PRODUCT:
-            return None
-        dist = analytic.DistCdf.from_config(cfg, ScoreKind.MIN_PRODUCT)
-        if metric == "outage":
-            if threshold is None:
-                return analytic.outage_pow(cfg, dist)
-            return analytic.outage_pow_fb(cfg, dist, threshold)
-        return analytic.rate_pow(cfg, dist, t_threshold=threshold)
-    if kind is not PolicyKind.OPT_SUM:
+    """Closed-form value for the optimum policy of the model, else None."""
+    score_kind, optimum = OPTIMUM[cfg.model]
+    if kind is not optimum:
         return None
-    dist = analytic.DistCdf.from_config(cfg, ScoreKind.MIN_SUM)
-    if metric == "outage":
-        if threshold is None:
-            return analytic.outage_exp(cfg, dist)
-        return analytic.outage_exp_fb(cfg, dist, threshold)
-    return analytic.rate_exp(cfg, dist, t_threshold=threshold)
+    dist = analytic.DistCdf.from_config(cfg, score_kind)
+    power = cfg.model is PathLossModel.POWER_LAW
+    if metric == "rate":
+        return (analytic.rate_pow if power else analytic.rate_exp)(cfg, dist, t_threshold=threshold)
+    if threshold is None:
+        return (analytic.outage_pow if power else analytic.outage_exp)(cfg, dist)
+    return (analytic.outage_pow_fb if power else analytic.outage_exp_fb)(cfg, dist, threshold)
 
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[list[str]]:
@@ -285,15 +285,9 @@ def _add_scenario_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="CSV output path (default: stdout summary only)")
 
 
-def _default_policy(args) -> PolicyKind:
-    if args.policy is not None:
-        return _POLICY_NAMES[args.policy]
-    return PolicyKind.OPT_PRODUCT if args.model == "power" else PolicyKind.OPT_SUM
-
-
 def _cmd_point_metric(args, metric: str, workers: int) -> int:
     cfg = _scenario_config(args)
-    kind = _default_policy(args)
+    kind = OPTIMUM[cfg.model][1] if args.policy is None else _POLICY_NAMES[args.policy]
     policy = _policy_obj(kind, args.threshold)
     rng = np.random.default_rng(args.seed)
     closed = _analytic_metric(metric, cfg, kind, policy.feedback_threshold)
@@ -314,8 +308,7 @@ def _cmd_point_metric(args, metric: str, workers: int) -> int:
 
 def _cmd_distance_dist(args, workers: int) -> int:
     cfg = _scenario_config(args)
-    kind = PolicyKind.OPT_PRODUCT if args.model == "power" else PolicyKind.OPT_SUM
-    score_kind = ScoreKind.MIN_PRODUCT if args.model == "power" else ScoreKind.MIN_SUM
+    score_kind, kind = OPTIMUM[cfg.model]
     dist = analytic.DistCdf.from_config(cfg, score_kind)
     emp = montecarlo.mc_distance_dist(cfg, kind, args.trials, np.random.default_rng(args.seed), workers=workers)
     eps = emp.dkw_epsilon(0.99)
@@ -358,9 +351,9 @@ def _cmd_feedback(args, workers: int) -> int:
     if args.threshold is None:
         print("feedback requires --threshold", file=sys.stderr)
         return 2
-    score_kind = ScoreKind.MIN_PRODUCT if args.model == "power" else ScoreKind.MIN_SUM
+    score_kind, _ = OPTIMUM[cfg.model]
     dist = analytic.DistCdf.from_config(cfg, score_kind)
-    xi = analytic.xi_pow(args.threshold, dist) if args.model == "power" else analytic.xi_exp(args.threshold, dist)
+    xi = (analytic.xi_pow if score_kind is ScoreKind.MIN_PRODUCT else analytic.xi_exp)(args.threshold, dist)
     emp = montecarlo.mc_feedback_dist(
         cfg, cfg.model, args.threshold, args.trials, np.random.default_rng(args.seed), workers=workers
     )
@@ -427,7 +420,7 @@ def main(argv=None) -> int:
             if args.seed is not None:
                 spec.seed = args.seed
             if args.trials is not None:
-                spec.trials = args.trials
+                spec.trials = _count("--trials", args.trials)
             if args.out is not None:
                 spec.output = args.out
             rows = run_experiment(spec, workers=workers)

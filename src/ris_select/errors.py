@@ -22,7 +22,8 @@ class QuadratureError(RuntimeError):
 
 
 class UnsupportedRegionError(ValueError):
-    """Argument falls in a region with no supported closed form."""
+    """Argument falls outside the region a method supports: no closed form
+    there, or more Monte Carlo work than the point budget allows."""
 
 
 class WindowTooSmallError(ValueError):

@@ -2,12 +2,12 @@
 
 The transmitter and receiver sit at (-d, 0) and (d, 0).  Every candidate
 node is scored either by the product or by the sum of its distances to the
-two anchors; the sublevel sets of those scores (a Cassini oval and an
-ellipse with the anchors as foci) drive all the analytic results, so their
-areas and enclosing radii live here too.
-
-Sampling mutates only the random stream passed to it, so distinct streams
-may run on distinct threads; everything else here is pure.
+two anchors (``score`` is the one place that choice is evaluated); the
+sublevel sets of those scores (a Cassini oval and an ellipse with the
+anchors as foci) drive all the analytic results, so their areas, enclosing
+radii and void-probability levels live here too.  Sampling the point
+process is the Monte Carlo engine's job (montecarlo._sample_batch).
+Everything here is pure.
 """
 
 from __future__ import annotations
@@ -58,51 +58,6 @@ class AnchorPair:
         return Point2(self.d, 0.0)
 
 
-@dataclass
-class Realization:
-    """One sampled node set inside a disc window centered at the origin.
-
-    ``points`` is an (n, 2) float array in generation order; no spatial
-    index is kept since windows at the scales used here hold at most a few
-    thousand points.
-    """
-
-    points: np.ndarray
-    window_radius: float
-    intensity: float
-
-    def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=float).reshape(-1, 2)
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("realization contains non-finite coordinates")
-        if self.window_radius <= 0.0:
-            raise ValueError(f"window_radius must be > 0, got {self.window_radius}")
-        radii2 = np.einsum("ij,ij->i", pts, pts)
-        if pts.size and radii2.max() > (self.window_radius * (1.0 + 1e-9)) ** 2:
-            raise ValueError("realization contains points outside its window")
-        self.points = pts
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-
-def sample_ppp(intensity: float, window_radius: float, rng: np.random.Generator) -> Realization:
-    """Sample a homogeneous Poisson process on the disc of given radius.
-
-    The point count is Poisson(intensity * pi * radius^2); given the count,
-    points are i.i.d. uniform on the disc.
-    """
-    if intensity <= 0.0:
-        raise ValueError(f"intensity must be > 0, got {intensity}")
-    if window_radius <= 0.0:
-        raise ValueError(f"window_radius must be > 0, got {window_radius}")
-    n = int(rng.poisson(intensity * math.pi * window_radius**2))
-    r = window_radius * np.sqrt(rng.random(n))
-    theta = rng.uniform(0.0, 2.0 * math.pi, n)
-    pts = np.column_stack((r * np.cos(theta), r * np.sin(theta)))
-    return Realization(points=pts, window_radius=window_radius, intensity=intensity)
-
-
 def _as_xy(p) -> tuple[np.ndarray, np.ndarray, bool]:
     if isinstance(p, Point2):
         return np.asarray(p.x), np.asarray(p.y), True
@@ -122,18 +77,19 @@ def anchor_distances(p, anchors: AnchorPair):
     return ds, dd
 
 
+def score(kind: ScoreKind, ds, dd):
+    """Score of the given kind from the distances to the two anchors."""
+    return ds * dd if kind is ScoreKind.MIN_PRODUCT else ds + dd
+
+
 def s_pow(p, anchors: AnchorPair):
     """Product of the distances to the two anchors (units^2)."""
-    ds, dd = anchor_distances(p, anchors)
-    out = ds * dd
-    return float(out) if np.ndim(out) == 0 else out
+    return score(ScoreKind.MIN_PRODUCT, *anchor_distances(p, anchors))
 
 
 def s_exp(p, anchors: AnchorPair):
     """Sum of the distances to the two anchors (units); always >= 2d."""
-    ds, dd = anchor_distances(p, anchors)
-    out = ds + dd
-    return float(out) if np.ndim(out) == 0 else out
+    return score(ScoreKind.MIN_SUM, *anchor_distances(p, anchors))
 
 
 def min_product_region_area(gamma: float, d: float) -> float:
@@ -171,12 +127,6 @@ def min_sum_region_area(gamma: float, d: float) -> float:
     if math.isinf(gamma):
         return math.inf
     return 0.25 * math.pi * gamma * math.sqrt(gamma * gamma - 4.0 * d * d)
-
-
-def score_region_area(kind: ScoreKind, gamma: float, d: float) -> float:
-    if kind is ScoreKind.MIN_PRODUCT:
-        return min_product_region_area(gamma, d)
-    return min_sum_region_area(gamma, d)
 
 
 def enclosing_radius(kind: ScoreKind, gamma: float, d: float) -> float:
@@ -224,22 +174,3 @@ def critical_score(kind: ScoreKind, intensity: float, d: float, eps: float = 1e-
         return math.sqrt(2.0 * d * d + math.sqrt(4.0 * d**4 + b))
     hi = max(d * d, 0.5 * area_req) + 1.0
     return _solve_increasing(lambda g: min_product_region_area(g, d), area_req, 0.0, hi)
-
-
-def window_radius(
-    kind: ScoreKind,
-    intensity: float,
-    d: float,
-    max_score: float | None = None,
-    eps: float = 1e-6,
-) -> float:
-    """Smallest window radius that truncates the infinite process safely.
-
-    The returned disc covers the sublevel region of every score up to
-    ``max_score`` (when given) and, beyond that, up to the level where the
-    probability of the best node falling outside is below ``eps``.
-    """
-    gamma = critical_score(kind, intensity, d, eps)
-    if max_score is not None:
-        gamma = max(gamma, max_score)
-    return enclosing_radius(kind, gamma, d)

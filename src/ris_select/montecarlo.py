@@ -1,11 +1,14 @@
 """Brute-force estimators for every analytic quantity.
 
-Each estimator draws realizations of the point process inside a finite
-window sized so the probability that the infinite process' winner falls
-outside is below a configurable epsilon, then evaluates the metric exactly
-on the sample.  Trials are processed in fixed-size chunks (8192 trials),
-each with its own stream spawned from the caller's seed, so results are
-identical regardless of how many worker processes execute the chunks.
+Each estimator draws realizations of the point process (``_sample_batch``,
+the package's one sampler) inside a finite window sized so the probability
+that the infinite process' winner falls outside is below a configurable
+epsilon, then evaluates the metric exactly on the sample.  A chunk expected
+to hold more points than a fixed budget is refused with
+UnsupportedRegionError before anything is drawn.  Trials are processed in
+fixed-size chunks (8192 trials), each with its own stream spawned from the
+caller's seed, so results are identical regardless of how many worker
+processes execute the chunks.
 Chunk results merge as (count, mean, sum of squared deviations) with the
 pairwise update of Chan, Golub & LeVeque (1979), never as raw sums of
 squares.
@@ -39,13 +42,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import NetworkConfig, PathLossModel, ez2, sample_z_prefixes
-from .errors import WindowTooSmallError
-from .geometry import ScoreKind, critical_score, enclosing_radius, window_radius
-from .policies import PolicyKind, SelectionPolicy, score_kind_for_model, score_kind_for_policy
+from .channel import NetworkConfig, PathLossModel, sample_z_prefixes, snr_score_cap
+from .errors import UnsupportedRegionError, WindowTooSmallError
+from .geometry import ScoreKind, critical_score, enclosing_radius, score
+from .policies import OPTIMUM, PolicyKind, SelectionPolicy
 
 _CHUNK_TRIALS = 8192
 _WINDOW_EPS = 1e-6
+# Most points one chunk may expect to sample.  Sampling and selection hold
+# about 56 bytes per point at their peak, so this caps a chunk near 1 GB.
+_POINT_BUDGET = 1 << 24
+_OPTIMUM_SCORE = {optimum: kind for kind, optimum in OPTIMUM.values()}
 
 
 @dataclass(frozen=True)
@@ -151,8 +158,8 @@ def coverage_radius(cfg: NetworkConfig, policy: SelectionPolicy, eps: float = _W
     lam, d = cfg.intensity, cfg.d
     need = math.log(1.0 / eps) / lam
     kind = policy.kind
-    if kind in (PolicyKind.OPT_PRODUCT, PolicyKind.OPT_SUM):
-        score_kind = score_kind_for_policy(kind)
+    if kind in _OPTIMUM_SCORE:
+        score_kind = _OPTIMUM_SCORE[kind]
         gamma = critical_score(score_kind, lam, d, eps)
         if policy.feedback_threshold is not None:
             gamma = min(gamma, policy.feedback_threshold)
@@ -188,8 +195,19 @@ def coverage_radius(cfg: NetworkConfig, policy: SelectionPolicy, eps: float = _W
 # ---------------------------------------------------------------------------
 
 def _sample_batch(lam: float, d: float, radius: float, n: int, rng: np.random.Generator):
-    """Vectorized batch of n realizations: anchor distances plus segment map."""
-    counts = rng.poisson(lam * math.pi * radius * radius, n)
+    """Vectorized batch of n realizations: anchor distances plus segment map.
+
+    The Poisson(lam pi radius^2) point counts come first, then the points,
+    uniform on the disc, in trial order.  A batch expected to hold more
+    than _POINT_BUDGET points is refused before anything is drawn.
+    """
+    mean = lam * math.pi * radius * radius
+    if not mean * n <= _POINT_BUDGET:
+        raise UnsupportedRegionError(
+            f"{mean:.3g} expected points per trial: {n} trials exceed the Monte Carlo "
+            f"budget of {_POINT_BUDGET} points per chunk"
+        )
+    counts = rng.poisson(mean, n)
     total = int(counts.sum())
     r = radius * np.sqrt(rng.random(total))
     theta = rng.uniform(0.0, 2.0 * math.pi, total)
@@ -201,10 +219,8 @@ def _sample_batch(lam: float, d: float, radius: float, n: int, rng: np.random.Ge
 
 
 def _criterion_values(kind: PolicyKind, ds: np.ndarray, dd: np.ndarray) -> np.ndarray:
-    if kind is PolicyKind.OPT_PRODUCT:
-        return ds * dd
-    if kind is PolicyKind.OPT_SUM:
-        return ds + dd
+    if kind in _OPTIMUM_SCORE:
+        return score(_OPTIMUM_SCORE[kind], ds, dd)
     if kind is PolicyKind.MIN_MIN:
         return np.minimum(ds, dd)
     if kind is PolicyKind.MIN_MAX:
@@ -222,34 +238,26 @@ def _select(
 ) -> np.ndarray:
     """Per-trial score (of kind score_kind) of the node the policy selects.
 
-    +inf marks trials with no candidate (empty realization, or everything
-    filtered out by the feedback threshold).
+    A feedback threshold filters on that same score: only the optimum policy
+    of a model takes one (see _check_policy_model).  Ties go to the earlier
+    node in sampling order; +inf marks trials with no candidate (empty
+    realization, or everything filtered out by the feedback threshold).
     """
     out = np.full(counts.size, np.inf)
     if ds.size == 0:
         return out
     crit = _criterion_values(policy.kind, ds, dd)
+    scores = score(score_kind, ds, dd)
     if policy.feedback_threshold is not None:
-        fb_kind = score_kind_for_policy(policy.kind)
-        fb_score = ds * dd if fb_kind is ScoreKind.MIN_PRODUCT else ds + dd
-        crit = np.where(fb_score <= policy.feedback_threshold, crit, np.inf)
-    score = ds * dd if score_kind is ScoreKind.MIN_PRODUCT else ds + dd
-
+        crit = np.where(scores <= policy.feedback_threshold, crit, np.inf)
     best = _segment_argmin(crit, counts)
-    out[counts > 0] = np.where(np.isfinite(crit[best]), score[best], np.inf)
+    out[counts > 0] = np.where(np.isfinite(crit[best]), scores[best], np.inf)
     return out
 
 
-def _chunk_scores(
-    cfg: NetworkConfig,
-    policy: SelectionPolicy,
-    score_kind: ScoreKind,
-    radius: float,
-    n: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
+def _chunk_scores(cfg: NetworkConfig, policy: SelectionPolicy, radius: float, n: int, rng) -> np.ndarray:
     counts, ds, dd = _sample_batch(cfg.intensity, cfg.d, radius, n, rng)
-    return _select(policy, score_kind, counts, ds, dd)
+    return _select(policy, OPTIMUM[cfg.model][0], counts, ds, dd)
 
 
 def _segment_argmin(crit: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -270,16 +278,10 @@ def _segment_argmin(crit: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def _chunk_feedback_counts(
     cfg: NetworkConfig, threshold: float, radius: float, n: int, rng: np.random.Generator
 ) -> np.ndarray:
+    """Per-trial number of nodes whose model score is <= threshold."""
     counts, ds, dd = _sample_batch(cfg.intensity, cfg.d, radius, n, rng)
-    out = np.zeros(n)
-    if ds.size == 0:
-        return out
-    score = ds * dd if cfg.model is PathLossModel.POWER_LAW else ds + dd
-    inside = (score <= threshold).astype(float)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    nonempty = counts > 0
-    out[nonempty] = np.add.reduceat(inside, starts[nonempty])
-    return out
+    trial = np.repeat(np.arange(n), counts)
+    return np.bincount(trial[score(OPTIMUM[cfg.model][0], ds, dd) <= threshold], minlength=n)
 
 
 def _rates(cfg: NetworkConfig, scores: np.ndarray, z2: np.ndarray) -> np.ndarray:
@@ -307,7 +309,7 @@ def _chunk_cells(cells, m_fading, radius, n, rng) -> tuple:
     """
     geometry = cells[0][0]
     counts, ds, dd = _sample_batch(geometry.intensity, geometry.d, radius, n, rng)
-    score_kind = score_kind_for_model(geometry.model)
+    score_kind = OPTIMUM[geometry.model][0]
     scores = {}
     for _, policy in cells:
         if policy not in scores:
@@ -317,7 +319,7 @@ def _chunk_cells(cells, m_fading, radius, n, rng) -> tuple:
         z2 = {size: gain * gain for size, gain in z.items()}
     values = np.empty((len(cells), 1 if m_fading is None else 2, n))
     for row, (cfg, policy) in zip(values, cells):
-        row[0] = ~(scores[policy] < _snr_score_cap(cfg))
+        row[0] = ~(scores[policy] < snr_score_cap(cfg))
         if m_fading is not None:
             row[1] = _rates(cfg, scores[policy], z2[cfg.n_elements])
     return _moments(values)
@@ -401,33 +403,23 @@ def policy_scores(
     realizations, making pathwise comparisons exact.
     """
     _check_policy_model(cfg, policy)
-    radius = _window(cfg, policy, window_radius_override)
-    kind = score_kind_for_model(cfg.model)
-    chunks = _map_chunks(_chunk_scores, (cfg, policy, kind), radius, n_trials, rng, workers)
-    return np.concatenate(chunks)
+    radius = _window(coverage_radius(cfg, policy), window_radius_override)
+    return np.concatenate(_map_chunks(_chunk_scores, (cfg, policy), radius, n_trials, rng, workers))
 
 
-def _window(cfg: NetworkConfig, policy: SelectionPolicy, override: float | None) -> float:
-    """The policy's coverage radius, or the override if it is at least that."""
-    needed = coverage_radius(cfg, policy)
+def _window(needed: float, override: float | None) -> float:
+    """The radius an estimator needs, or the override if it is at least that."""
     if override is None:
         return needed
     if not override > 0.0:
         raise ValueError(f"window_radius_override must be > 0, got {override}")
     if override < needed * (1.0 - 1e-12):
-        raise WindowTooSmallError(
-            f"window radius {override} is below the coverage radius {needed} of {policy.kind}"
-        )
+        raise WindowTooSmallError(f"window radius {override} is below the radius {needed} the estimate needs")
     return override
 
 
 def _check_policy_model(cfg: NetworkConfig, policy: SelectionPolicy) -> None:
-    if policy.feedback_threshold is None:
-        return
-    pairs_ok = (
-        policy.kind is PolicyKind.OPT_PRODUCT and cfg.model is PathLossModel.POWER_LAW
-    ) or (policy.kind is PolicyKind.OPT_SUM and cfg.model is PathLossModel.EXP_LAW)
-    if not pairs_ok:
+    if policy.feedback_threshold is not None and policy.kind is not OPTIMUM[cfg.model][1]:
         raise ValueError(f"feedback policy {policy.kind} mismatches path-loss model {cfg.model}")
 
 
@@ -438,24 +430,16 @@ def mc_distance_dist(
     rng,
     workers: int = 1,
 ) -> EmpiricalDist:
-    """Empirical distribution of the optimum score (min product or min sum)."""
-    if policy_kind not in (PolicyKind.OPT_PRODUCT, PolicyKind.OPT_SUM):
-        raise ValueError(f"distance distributions exist for optimum policies, got {policy_kind}")
+    """Empirical distribution of the optimum score (min product or min sum).
+
+    policy_kind must be the optimum policy of cfg.model.
+    """
+    if policy_kind is not OPTIMUM[cfg.model][1]:
+        raise ValueError(f"{policy_kind} is not the optimum policy of {cfg.model}")
     policy = SelectionPolicy(policy_kind)
-    score_kind = score_kind_for_policy(policy_kind)
-    radius = window_radius(score_kind, cfg.intensity, cfg.d, eps=_WINDOW_EPS)
-    chunks = _map_chunks(_chunk_scores, (cfg, policy, score_kind), radius, n_trials, rng, workers)
+    radius = coverage_radius(cfg, policy)
+    chunks = _map_chunks(_chunk_scores, (cfg, policy), radius, n_trials, rng, workers)
     return EmpiricalDist(np.concatenate(chunks))
-
-
-def _snr_score_cap(cfg: NetworkConfig) -> float:
-    """Score below which the fading-averaged SNR strictly exceeds the target."""
-    if cfg.target_snr == 0.0:
-        return math.inf
-    ratio = cfg.avg_snr * ez2(cfg.n_elements) / cfg.target_snr
-    if cfg.model is PathLossModel.POWER_LAW:
-        return ratio ** (1.0 / cfg.eta)
-    return math.log(ratio) / cfg.alpha if ratio > 0 else -math.inf
 
 
 def mc_sweep(
@@ -487,7 +471,7 @@ def mc_sweep(
         if (cfg.intensity, cfg.d, cfg.model) != (geometry.intensity, geometry.d, geometry.model):
             raise ValueError("cells of one sweep must share intensity, d and path-loss model")
         _check_policy_model(cfg, policy)
-    radius = max(_window(cfg, policy, window_radius_override) for cfg, policy in cells)
+    radius = max(_window(coverage_radius(cfg, policy), window_radius_override) for cfg, policy in cells)
     m_fading = None if fading_draws_per_trial is None else int(fading_draws_per_trial)
     payload = (tuple(cells), m_fading)
     chunks = _map_chunks(_chunk_cells, payload, radius, n_trials, rng, workers, pool)
@@ -579,13 +563,7 @@ def mc_feedback_dist(
         raise ValueError(f"threshold must be > 0, got {threshold}")
     if model is not cfg.model:
         raise ValueError("model argument disagrees with cfg.model")
-    kind = score_kind_for_model(model)
-    needed = enclosing_radius(kind, threshold, cfg.d)
-    radius = window_radius_override if window_radius_override is not None else max(needed, 0.5 * cfg.d)
-    if radius < needed * (1.0 - 1e-12):
-        raise WindowTooSmallError(
-            f"window radius {radius} does not cover the score region (needs {needed})"
-        )
+    radius = _window(enclosing_radius(OPTIMUM[model][0], threshold, cfg.d), window_radius_override)
     chunks = _map_chunks(_chunk_feedback_counts, (cfg, threshold), radius, n_trials, rng, workers)
     return EmpiricalDist(np.concatenate(chunks))
 

@@ -3,7 +3,10 @@
 Five rules are supported.  The two optimum rules minimize the score that
 actually drives the SNR of their path-loss model (distance product for the
 power law, distance sum for the exponential law); min-min, min-max and
-mid-point are conventional heuristics used as baselines.
+mid-point are conventional heuristics used as baselines.  OPTIMUM is the one
+table of that pairing: path-loss model -> (score kind, optimum policy).  The
+rules are applied, vectorized over whole chunks of trials, by the Monte
+Carlo engine (montecarlo._select).
 
 A policy may carry a feedback threshold T: only nodes whose score is <= T
 report to the source, and selection happens among those.  An empty
@@ -15,10 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .channel import PathLossModel
-from .geometry import AnchorPair, Point2, Realization, ScoreKind, anchor_distances
+from .geometry import ScoreKind
 
 
 class PolicyKind(Enum):
@@ -29,7 +30,10 @@ class PolicyKind(Enum):
     MID_POINT = "mid-point"
 
 
-_THRESHOLD_KINDS = {PolicyKind.OPT_PRODUCT, PolicyKind.OPT_SUM}
+OPTIMUM = {
+    PathLossModel.POWER_LAW: (ScoreKind.MIN_PRODUCT, PolicyKind.OPT_PRODUCT),
+    PathLossModel.EXP_LAW: (ScoreKind.MIN_SUM, PolicyKind.OPT_SUM),
+}
 
 
 @dataclass(frozen=True)
@@ -41,90 +45,5 @@ class SelectionPolicy:
         if self.feedback_threshold is not None:
             if self.feedback_threshold <= 0.0:
                 raise ValueError(f"feedback_threshold must be > 0, got {self.feedback_threshold}")
-            if self.kind not in _THRESHOLD_KINDS:
+            if self.kind not in {optimum for _, optimum in OPTIMUM.values()}:
                 raise ValueError(f"feedback thresholds apply only to optimum policies, got {self.kind}")
-
-
-def score_kind_for_model(model: PathLossModel) -> ScoreKind:
-    """Which distance functional the SNR of a path-loss model depends on."""
-    if model is PathLossModel.POWER_LAW:
-        return ScoreKind.MIN_PRODUCT
-    return ScoreKind.MIN_SUM
-
-
-def score_kind_for_policy(kind: PolicyKind) -> ScoreKind:
-    if kind is PolicyKind.OPT_PRODUCT:
-        return ScoreKind.MIN_PRODUCT
-    if kind is PolicyKind.OPT_SUM:
-        return ScoreKind.MIN_SUM
-    raise ValueError(f"{kind} does not minimize a model score")
-
-
-def selection_criterion(kind: PolicyKind, points: np.ndarray, anchors: AnchorPair) -> np.ndarray:
-    """Vectorized per-point criterion each policy minimizes."""
-    ds, dd = anchor_distances(points, anchors)
-    if kind is PolicyKind.OPT_PRODUCT:
-        return ds * dd
-    if kind is PolicyKind.OPT_SUM:
-        return ds + dd
-    if kind is PolicyKind.MIN_MIN:
-        return np.minimum(ds, dd)
-    if kind is PolicyKind.MIN_MAX:
-        return np.maximum(ds, dd)
-    return np.hypot(points[..., 0], points[..., 1])  # MID_POINT: distance to origin
-
-
-def model_score(model: PathLossModel, points: np.ndarray, anchors: AnchorPair) -> np.ndarray:
-    ds, dd = anchor_distances(points, anchors)
-    if model is PathLossModel.POWER_LAW:
-        return ds * dd
-    return ds + dd
-
-
-def select(policy: SelectionPolicy, realization: Realization, anchors: AnchorPair) -> Point2 | None:
-    """Chosen node for one realization, or None when no candidate remains.
-
-    Ties pick the earliest point in storage order so repeated runs are
-    reproducible (ties have probability zero under the point process).
-    """
-    pts = realization.points
-    if pts.shape[0] == 0:
-        return None
-    if policy.feedback_threshold is not None:
-        kind = score_kind_for_policy(policy.kind)
-        score = selection_criterion(
-            PolicyKind.OPT_PRODUCT if kind is ScoreKind.MIN_PRODUCT else PolicyKind.OPT_SUM,
-            pts,
-            anchors,
-        )
-        pts = pts[score <= policy.feedback_threshold]
-        if pts.shape[0] == 0:
-            return None
-    crit = selection_criterion(policy.kind, pts, anchors)
-    best = int(np.argmin(crit))
-    return Point2(float(pts[best, 0]), float(pts[best, 1]))
-
-
-def feedback_filter(
-    realization: Realization,
-    anchors: AnchorPair,
-    model: PathLossModel,
-    threshold: float,
-) -> Realization:
-    """Nodes whose model score is <= threshold; window metadata preserved."""
-    if threshold <= 0.0:
-        raise ValueError(f"threshold must be > 0, got {threshold}")
-    pts = realization.points
-    if pts.shape[0] == 0:
-        return Realization(pts, realization.window_radius, realization.intensity)
-    score = model_score(model, pts, anchors)
-    return Realization(pts[score <= threshold], realization.window_radius, realization.intensity)
-
-
-def feedback_count(
-    realization: Realization,
-    anchors: AnchorPair,
-    model: PathLossModel,
-    threshold: float,
-) -> int:
-    return len(feedback_filter(realization, anchors, model, threshold))

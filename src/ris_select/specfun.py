@@ -1,11 +1,10 @@
 """Special-function kernel.
 
-Complete and incomplete elliptic integrals, digamma, log-gamma, and the
-generalized hypergeometric series, in plain float arithmetic, plus one
-numpy array kernel, ellip_ke_m1, that returns both complete elliptic
-integrals over an array of complementary parameters in one AGM pass (the
-rate engine's K and E).  Nothing holds state, so all functions are safe to
-call concurrently.
+Complete elliptic integrals, digamma, log-gamma, and the generalized
+hypergeometric series, in plain float arithmetic, plus one numpy array
+kernel, ellip_ke_m1, that returns both complete elliptic integrals over an
+array of complementary parameters in one AGM pass (the rate engine's K and
+E).  Nothing holds state, so all functions are safe to call concurrently.
 
 Elliptic integrals use the *parameter* convention throughout: the argument
 ``m`` multiplies ``sin^2 t`` inside the defining integrals,
@@ -13,9 +12,8 @@ Elliptic integrals use the *parameter* convention throughout: the argument
     K(m) = int_0^{pi/2} (1 - m sin^2 t)^(-1/2) dt
     E(m) = int_0^{pi/2} (1 - m sin^2 t)^(1/2)  dt
 
-(i.e. ``m = k^2`` relative to the modulus convention).  Complete integrals
-are evaluated with the arithmetic-geometric mean, incomplete ones with the
-Carlson symmetric forms.
+(i.e. ``m = k^2`` relative to the modulus convention).  Both are evaluated
+with the arithmetic-geometric mean.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ import numpy as np
 from .errors import DomainError, NonConvergenceError, PoleError
 
 _EPS = sys.float_info.epsilon
-_CARLSON_ERRTOL = 1.0e-3  # duplication stopping point; tail error ~ ERRTOL^6
 
 
 @dataclass(frozen=True)
@@ -125,90 +122,6 @@ def ellip_ke_m1(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             break
     k_complete = np.where(pole, np.inf, math.pi / (a + b))
     return k_complete, np.where(pole, 1.0, k_complete * (1.0 - s))
-
-
-def _carlson_rf(x: float, y: float, z: float) -> float:
-    """Carlson symmetric integral R_F; arguments >= 0, at most one zero."""
-    xt, yt, zt = x, y, z
-    while True:
-        sx, sy, sz = math.sqrt(xt), math.sqrt(yt), math.sqrt(zt)
-        lam = sx * (sy + sz) + sy * sz
-        xt, yt, zt = 0.25 * (xt + lam), 0.25 * (yt + lam), 0.25 * (zt + lam)
-        mu = (xt + yt + zt) / 3.0
-        dx, dy, dz = (mu - xt) / mu, (mu - yt) / mu, (mu - zt) / mu
-        if max(abs(dx), abs(dy), abs(dz)) < _CARLSON_ERRTOL:
-            break
-    e2 = dx * dy - dz * dz
-    e3 = dx * dy * dz
-    return (1.0 + (e2 / 24.0 - 0.1 - 3.0 * e3 / 44.0) * e2 + e3 / 14.0) / math.sqrt(mu)
-
-
-def _carlson_rd(x: float, y: float, z: float) -> float:
-    """Carlson symmetric integral R_D; x, y >= 0 (at most one zero), z > 0."""
-    xt, yt, zt = x, y, z
-    total = 0.0
-    fac = 1.0
-    while True:
-        sx, sy, sz = math.sqrt(xt), math.sqrt(yt), math.sqrt(zt)
-        lam = sx * (sy + sz) + sy * sz
-        total += fac / (sz * (zt + lam))
-        fac *= 0.25
-        xt, yt, zt = 0.25 * (xt + lam), 0.25 * (yt + lam), 0.25 * (zt + lam)
-        mu = 0.2 * (xt + yt + 3.0 * zt)
-        dx, dy, dz = (mu - xt) / mu, (mu - yt) / mu, (mu - zt) / mu
-        if max(abs(dx), abs(dy), abs(dz)) < _CARLSON_ERRTOL:
-            break
-    ea = dx * dy
-    eb = dz * dz
-    ec = ea - eb
-    ed = ea - 6.0 * eb
-    ee = ed + ec + ec
-    tail = 1.0 + ed * (-3.0 / 14.0 + (9.0 / 88.0) * ed - (4.5 / 26.0) * dz * ee) + dz * (
-        ee / 6.0 + dz * (-(9.0 / 22.0) * ec + dz * (3.0 / 26.0) * ea)
-    )
-    return 3.0 * total + fac * tail / (mu * math.sqrt(mu))
-
-
-def _check_phi(phi: float) -> None:
-    if not 0.0 <= phi <= 0.5 * math.pi * (1.0 + 1e-12):
-        raise DomainError(f"phi must lie in [0, pi/2], got {phi}")
-
-
-def ellip_f_inc(phi: float, m: float) -> float:
-    """Incomplete elliptic integral of the first kind F(phi | m).
-
-    F(phi | m) = int_0^phi (1 - m sin^2 t)^(-1/2) dt, with 0 <= phi <= pi/2
-    and m sin^2(phi) < 1.  F(pi/2 | m) = ellip_k(m).
-    """
-    _check_phi(phi)
-    s = math.sin(phi)
-    if s == 0.0:
-        return 0.0
-    y = 1.0 - m * s * s
-    if y <= 0.0:
-        raise DomainError(f"ellip_f_inc requires m*sin(phi)^2 < 1, got m={m}, phi={phi}")
-    c2 = math.cos(phi) ** 2
-    return s * _carlson_rf(c2, y, 1.0)
-
-
-def ellip_e_inc(phi: float, m: float) -> float:
-    """Incomplete elliptic integral of the second kind E(phi | m).
-
-    E(phi | m) = int_0^phi (1 - m sin^2 t)^(1/2) dt, with 0 <= phi <= pi/2
-    and m sin^2(phi) <= 1.  E(pi/2 | m) = ellip_e(m).
-    """
-    _check_phi(phi)
-    s = math.sin(phi)
-    if s == 0.0:
-        return 0.0
-    y = 1.0 - m * s * s
-    if y < 0.0:
-        raise DomainError(f"ellip_e_inc requires m*sin(phi)^2 <= 1, got m={m}, phi={phi}")
-    if y == 0.0 and phi >= 0.5 * math.pi * (1.0 - 1e-12):
-        return ellip_e(m)
-    c2 = math.cos(phi) ** 2
-    s3 = s * s * s
-    return s * _carlson_rf(c2, y, 1.0) - (m / 3.0) * s3 * _carlson_rd(c2, y, 1.0)
 
 
 def digamma(x: float) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 from . import analytic, montecarlo
 from .channel import NetworkConfig, PathLossModel, ez2, gamma_params, sample_z
 from .geometry import ScoreKind
-from .policies import PolicyKind, SelectionPolicy
+from .policies import OPTIMUM, PolicyKind, SelectionPolicy
 
 Check = tuple[str, bool, str]
 
@@ -84,7 +84,7 @@ def run_validation(seed: int = 1, trials: int = 4000, workers: int = 1) -> list[
 
     baselines = (PolicyKind.MIN_MIN, PolicyKind.MIN_MAX, PolicyKind.MID_POINT)
     for cfg, name in ((pow_cfg, "power"), (exp_cfg, "exp")):
-        opt_kind = PolicyKind.OPT_PRODUCT if cfg.model is PathLossModel.POWER_LAW else PolicyKind.OPT_SUM
+        opt_kind = OPTIMUM[cfg.model][1]
         radius = max(
             montecarlo.coverage_radius(cfg, SelectionPolicy(k)) for k in (opt_kind,) + baselines
         )

@@ -12,7 +12,6 @@ from ris_select.analytic import (
     RateQuadrature,
     cdf_lambda_opt,
     cdf_upsilon_opt,
-    half_disc_product_cdf,
     outage_exp,
     outage_exp_fb,
     outage_pow,
@@ -31,7 +30,7 @@ from ris_select.analytic import (
     xi_pow,
 )
 from ris_select.channel import NetworkConfig, PathLossModel, ez2
-from ris_select.errors import DomainError, PoleError, SingularityError, UnsupportedRegionError
+from ris_select.errors import DomainError, PoleError, SingularityError
 from ris_select.geometry import ScoreKind
 from ris_select.specfun import ellip_ke_m1
 
@@ -415,6 +414,15 @@ class TestAverageRate:
         cfg_e = exp_cfg(avg_snr=10 ** 0.5)
         assert rate_exp(cfg_e, DIST_S, use_upper_bound=True) >= rate_exp(cfg_e, DIST_S)
 
+    def test_pow_finite_down_to_tiny_lam_d2(self):
+        # lam d^2 down to 1e-16: the 1e-14 tail puts the high branch at tau
+        # ~ 1e9, where 1 - m = 1 - (1 + tau)^-2 must not round above 1
+        for lam in 10.0 ** np.arange(-8, 1):
+            for d in 10.0 ** np.arange(-4, 2):
+                cfg, dist = pow_cfg(intensity=lam, d=d), DistCdf(ScoreKind.MIN_PRODUCT, lam, d)
+                got = rate_pow(cfg, dist)
+                assert math.isfinite(got) and 0.0 <= got <= rate_pow(cfg, dist, use_upper_bound=True)
+
     # (law, lam, d, avg_snr_db, N, threshold, value): values from adaptive
     # quadrature of rate_fading_quad (relative tolerance 1e-12) against the
     # score density (power law) or against the Exp(1) variable lam * area
@@ -493,34 +501,3 @@ class TestAverageRate:
             RateQuadrature(abs_tol=0.5)
         with pytest.raises(ValueError):
             RateQuadrature(max_subdivisions=10)
-
-
-class TestHalfDiscProductCdf:
-    TAU = 5.0
-
-    def test_trivial_branches(self):
-        assert half_disc_product_cdf(0.0, self.TAU, D) == 0.0
-        assert half_disc_product_cdf(D * D + self.TAU**2 + 1.0, self.TAU, D) == 1.0
-
-    def test_unsupported_band(self):
-        gamma = 0.5 * ((self.TAU**2 - D * D) + (self.TAU**2 + D * D))
-        with pytest.raises(UnsupportedRegionError):
-            half_disc_product_cdf(gamma, self.TAU, D)
-
-    def test_against_uniform_sampling(self):
-        rng = np.random.default_rng(123)
-        n = 1_000_000
-        r = self.TAU * np.sqrt(rng.random(n))
-        th = rng.uniform(-math.pi / 2, math.pi / 2, n)  # right half disc
-        x, y = r * np.cos(th), r * np.sin(th)
-        score = np.hypot(x + D, y) * np.hypot(x - D, y)
-        eps = math.sqrt(math.log(2 / 0.01) / (2 * n))
-        for gamma in (0.4, 1.0, 1.44, 2.0, 5.0, 12.0, 20.0):
-            want = np.mean(score <= gamma)
-            assert abs(half_disc_product_cdf(gamma, self.TAU, D) - want) <= eps
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            half_disc_product_cdf(-1.0, self.TAU, D)
-        with pytest.raises(DomainError):
-            half_disc_product_cdf(1.0, 1.0, D)  # tau^2 < 2 d^2 breaks branch ordering

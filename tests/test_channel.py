@@ -1,4 +1,4 @@
-"""Cascaded fading gain: moments, gamma approximation, averaged SNR."""
+"""Cascaded fading gain: moments, gamma approximation, averaged SNR and its score cap."""
 
 import math
 
@@ -12,10 +12,9 @@ from ris_select.channel import (
     PathLossModel,
     ez2,
     gamma_params,
-    mean_snr,
-    pathloss_product,
     sample_z,
     sample_z_prefixes,
+    snr_score_cap,
 )
 
 PI2 = math.pi**2
@@ -104,30 +103,35 @@ class TestMoments:
 
 
 class TestMeanSnr:
+    """The fading-averaged SNR avg_snr * E[Z^2] / G meets the target exactly
+    at the score snr_score_cap, with G = score^eta or exp(alpha * score)."""
+
     def cfg(self, **kw):
         base = dict(d=1.2, intensity=0.5, n_elements=16, model=PathLossModel.POWER_LAW)
         base.update(kw)
         return NetworkConfig(**base)
 
     def test_identity(self):
-        cfg = self.cfg(avg_snr=2.5)
-        for product in (0.3, 1.0, 17.0):
-            assert mean_snr(cfg, product) == pytest.approx(2.5 * ez2(16) / product, rel=1e-15)
+        for avg_snr, target in ((2.5, 0.3), (2.5, 17.0), (1e-3, 4.0)):
+            cfg = self.cfg(avg_snr=avg_snr, target_snr=target)
+            assert snr_score_cap(cfg) ** 4 == pytest.approx(avg_snr * ez2(16) / target, rel=1e-15)
 
     def test_unit_cases(self):
-        cfg = self.cfg(n_elements=1, avg_snr=1.0)
-        assert mean_snr(cfg, 1.0) == pytest.approx(1.0)
-        cfg = self.cfg(n_elements=16, avg_snr=1.0)
-        assert mean_snr(cfg, 1.0) == pytest.approx(164.04406601634038, rel=1e-12)
+        assert snr_score_cap(self.cfg(n_elements=1, avg_snr=1.0, target_snr=1.0)) == 1.0
+        cfg = self.cfg(n_elements=16, avg_snr=1.0, target_snr=1.0)
+        assert snr_score_cap(cfg) == pytest.approx(164.04406601634038 ** 0.25, rel=1e-12)
+        assert snr_score_cap(self.cfg(target_snr=0.0)) == math.inf
 
     def test_vanishes_for_huge_pathloss(self):
-        assert mean_snr(self.cfg(), 1e300) < 1e-290
+        # no score is small enough: 0 under the power law, -inf once the
+        # exponential-law ratio underflows
+        assert snr_score_cap(self.cfg(avg_snr=1e-300, target_snr=1e300)) == 0.0
+        cfg_e = self.cfg(model=PathLossModel.EXP_LAW, avg_snr=1e-300, target_snr=1e300)
+        assert snr_score_cap(cfg_e) == -math.inf
 
     def test_pathloss_product(self):
-        cfg = self.cfg(eta=4.0)
-        assert pathloss_product(cfg, 2.0) == pytest.approx(16.0)
-        cfg_e = self.cfg(model=PathLossModel.EXP_LAW, alpha=1.037)
-        assert pathloss_product(cfg_e, 3.0) == pytest.approx(math.exp(3.111), rel=1e-12)
+        cfg_e = self.cfg(model=PathLossModel.EXP_LAW, alpha=1.037, avg_snr=3.0, target_snr=2.0)
+        assert math.exp(1.037 * snr_score_cap(cfg_e)) == pytest.approx(3.0 * ez2(16) / 2.0, rel=1e-13)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -139,4 +143,4 @@ class TestMeanSnr:
         with pytest.raises(ValueError):
             self.cfg(n_elements=0)
         with pytest.raises(ValueError):
-            mean_snr(self.cfg(), 0.0)
+            self.cfg(avg_snr=0.0)

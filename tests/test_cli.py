@@ -85,6 +85,19 @@ class TestSpecParsing:
         assert main(["run", "--spec", bad]) == 2
         assert "intensity" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "old, new, extra",
+        [
+            ("trials = 3000", "trials = 0", []),
+            ("metrics = outage", "metrics = outage, rate\nfading_draws = 0", []),
+            ("seed = 42", "seed = 42", ["--trials", "-3"]),
+        ],
+    )
+    def test_counts_below_one_exit_2(self, tmp_path, capsys, old, new, extra):
+        spec = write_spec(tmp_path, GOOD_SPEC.format(out=tmp_path / "o.csv").replace(old, new))
+        assert main(["run", "--spec", spec, *extra]) == 2
+        assert "must be >= 1" in capsys.readouterr().err
+
 
 class TestDbConversion:
     def test_zero_db_is_exactly_one(self):

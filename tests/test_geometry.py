@@ -1,4 +1,5 @@
-"""Geometry: PPP sampling, the two score functionals, region areas, windows."""
+"""Geometry: PPP sampling (montecarlo._sample_batch), the two score
+functionals, region areas, windows."""
 
 import math
 
@@ -8,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from ris_select.errors import UnsupportedRegionError
 from ris_select.geometry import (
     AnchorPair,
     Point2,
-    Realization,
     ScoreKind,
     critical_score,
     enclosing_radius,
@@ -19,9 +20,8 @@ from ris_select.geometry import (
     min_sum_region_area,
     s_exp,
     s_pow,
-    sample_ppp,
-    window_radius,
 )
+from ris_select.montecarlo import _sample_batch
 
 ANCHORS = AnchorPair(d=1.2)
 
@@ -52,33 +52,35 @@ def product_area_oracle(gamma, d):
 class TestSamplePpp:
     def test_mean_count(self):
         rng = np.random.default_rng(101)
-        counts = [len(sample_ppp(0.5, 20.0, rng)) for _ in range(10_000)]
-        mean = np.mean(counts)
+        counts = np.concatenate([_sample_batch(0.5, 1.2, 20.0, 1000, rng)[0] for _ in range(10)])
         expected = 0.5 * math.pi * 400.0  # 200 pi ~ 628.3
         se = math.sqrt(expected / 10_000)
-        assert abs(mean - expected) < 3 * se
+        assert abs(counts.mean() - expected) < 3 * se
 
     def test_mostly_empty_when_tiny(self):
-        rng = np.random.default_rng(7)
         radius = math.sqrt(0.01 / (0.5 * math.pi))  # intensity*pi*r^2 = 0.01
-        empty = sum(len(sample_ppp(0.5, radius, rng)) == 0 for _ in range(10_000))
-        assert empty / 10_000 >= 0.989 - 3 * math.sqrt(0.011 * 0.989 / 10_000)
+        counts, ds, dd = _sample_batch(0.5, 1.2, radius, 10_000, np.random.default_rng(7))
+        assert np.mean(counts == 0) >= 0.989 - 3 * math.sqrt(0.011 * 0.989 / 10_000)
+        assert ds.size == dd.size == counts.sum()
 
     def test_determinism(self):
-        a = sample_ppp(1.0, 5.0, np.random.default_rng(42))
-        b = sample_ppp(1.0, 5.0, np.random.default_rng(42))
-        assert np.array_equal(a.points, b.points)
-        assert a.window_radius == b.window_radius
+        a = _sample_batch(1.0, 1.2, 5.0, 20, np.random.default_rng(42))
+        b = _sample_batch(1.0, 1.2, 5.0, 20, np.random.default_rng(42))
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_points_inside_window(self):
-        r = sample_ppp(2.0, 3.0, np.random.default_rng(3))
-        assert np.all(np.hypot(r.points[:, 0], r.points[:, 1]) <= 3.0 + 1e-12)
+        d = 1.2
+        _, ds, dd = _sample_batch(2.0, d, 3.0, 50, np.random.default_rng(3))
+        radius2 = 0.5 * (ds * ds + dd * dd) - d * d  # parallelogram law
+        assert ds.size > 0 and np.all(radius2 <= 9.0 * (1.0 + 1e-12))
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            sample_ppp(0.0, 1.0, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            Realization(np.array([[10.0, 0.0]]), window_radius=1.0, intensity=1.0)
+        # refused before drawing: the stream is left untouched
+        rng = np.random.default_rng(0)
+        for lam in (math.nan, math.inf, 1e9):
+            with pytest.raises(UnsupportedRegionError):
+                _sample_batch(lam, 1.2, 50.0, 8192, rng)
+        assert rng.random() == np.random.default_rng(0).random()
 
 
 class TestScoreFunctionals:
@@ -163,11 +165,6 @@ class TestWindowRule:
         gamma = critical_score(kind, lam, d, eps)
         area = min_product_region_area(gamma, d) if kind is ScoreKind.MIN_PRODUCT else min_sum_region_area(gamma, d)
         assert math.exp(-lam * area) == pytest.approx(eps, rel=1e-6)
-
-    def test_window_radius_covers_max_score(self):
-        lam, d = 0.5, 1.2
-        r = window_radius(ScoreKind.MIN_SUM, lam, d, max_score=20.0)
-        assert r >= enclosing_radius(ScoreKind.MIN_SUM, 20.0, d)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from ris_select import analytic, montecarlo
 from ris_select.analytic import DistCdf
 from ris_select.channel import NetworkConfig, PathLossModel
-from ris_select.errors import WindowTooSmallError
-from ris_select.geometry import AnchorPair, ScoreKind, s_exp, sample_ppp
+from ris_select.errors import UnsupportedRegionError, WindowTooSmallError
+from ris_select.geometry import ScoreKind
 from ris_select.montecarlo import (
     EmpiricalDist,
     Estimate,
@@ -243,7 +243,7 @@ class TestSelectionKernel:
 
 class TestWindowOverride:
     @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])
-    @pytest.mark.parametrize("estimator", ["scores", "outage", "rate"])
+    @pytest.mark.parametrize("estimator", ["scores", "outage", "rate", "feedback"])
     def test_non_positive_override_rejected(self, estimator, radius):
         with pytest.raises(ValueError, match="must be > 0"):
             _estimate(estimator, radius)
@@ -262,6 +262,8 @@ def _estimate(estimator, radius):
         return policy_scores(cfg, pol, 200, 1, window_radius_override=radius)
     if estimator == "outage":
         return mc_outage(cfg, pol, 200, 1, window_radius_override=radius)
+    if estimator == "feedback":
+        return mc_feedback_dist(cfg, cfg.model, 3.0, 200, 1, window_radius_override=radius)
     return mc_rate(cfg, pol, 200, 2, 1, window_radius_override=radius)
 
 
@@ -289,11 +291,9 @@ class TestDistanceDist:
     def test_uniform_sum_scores_match_ellipse_area_fraction(self):
         # single-node sanity for the sum functional: uniform points on a disc
         # land inside {s_exp <= g} with probability area(g)/disc area
-        rng = np.random.default_rng(8)
         tau = 5.0
-        r = sample_ppp(2.0, tau, rng)
-        anchors = AnchorPair(D)
-        score = s_exp(r.points, anchors)
+        _, ds, dd = montecarlo._sample_batch(2.0, D, tau, 1, np.random.default_rng(8))
+        score = ds + dd
         n = score.size
         eps = math.sqrt(math.log(2 / 0.01) / (2 * n))
         from ris_select.geometry import min_sum_region_area
@@ -382,6 +382,18 @@ class TestRate:
     def test_validation(self):
         with pytest.raises(ValueError):
             mc_rate(pow_cfg(), SelectionPolicy(PolicyKind.OPT_PRODUCT), 1000, 0, 1)
+
+    def test_oversized_window_refused_before_sampling(self):
+        # the coverage radius is ~328 here: 7.2e8 expected points per trial
+        cfg = pow_cfg(intensity=2130.0, d=328.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(UnsupportedRegionError, match="budget"):
+                mc_rate(cfg, SelectionPolicy(PolicyKind.OPT_PRODUCT), 10_000, 8, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     @pytest.mark.parametrize("threshold", [None, 3.0])
     def test_one_pass_equals_separate_estimators(self, threshold):

@@ -1,64 +1,95 @@
-"""Selection policies and the feedback filter."""
+"""Selection policies and the feedback filter, as the Monte Carlo engine
+applies them: montecarlo._select and montecarlo._chunk_feedback_counts."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from ris_select.channel import NetworkConfig, PathLossModel, mean_snr, pathloss_product
-from ris_select.geometry import AnchorPair, Point2, Realization, sample_ppp
-from ris_select.policies import (
-    PolicyKind,
-    SelectionPolicy,
-    feedback_count,
-    feedback_filter,
-    select,
-)
+from ris_select import montecarlo
+from ris_select.channel import NetworkConfig, PathLossModel
+from ris_select.geometry import AnchorPair, ScoreKind, anchor_distances, s_exp, s_pow
+from ris_select.montecarlo import _chunk_feedback_counts, _sample_batch, _select, mc_feedback_dist
+from ris_select.policies import OPTIMUM, PolicyKind, SelectionPolicy
 
 ANCHORS = AnchorPair(1.2)
 ALL_KINDS = list(PolicyKind)
+PRODUCT, SUM = ScoreKind.MIN_PRODUCT, ScoreKind.MIN_SUM
 
 
-def realization(points, radius=50.0):
-    return Realization(np.asarray(points, dtype=float), window_radius=radius, intensity=1.0)
+def select(policy, points, kind=PRODUCT):
+    """Score (of the given kind) of the node the policy picks from one trial's points."""
+    ds, dd = anchor_distances(np.asarray(points, dtype=float).reshape(-1, 2), ANCHORS)
+    return _select(policy, kind, np.array([ds.size]), ds, dd)[0]
+
+
+def argmin_oracle(policy, kind, counts, ds, dd):
+    """Per-trial np.argmin reference for _select (first minimum wins)."""
+    criterion = {
+        PolicyKind.OPT_PRODUCT: ds * dd, PolicyKind.OPT_SUM: ds + dd,
+        PolicyKind.MIN_MIN: np.minimum(ds, dd), PolicyKind.MIN_MAX: np.maximum(ds, dd),
+        PolicyKind.MID_POINT: ds * ds + dd * dd,
+    }[policy.kind]
+    score = ds * dd if kind is PRODUCT else ds + dd
+    out = np.full(counts.size, np.inf)
+    for trial, (lo, hi) in enumerate(zip(np.cumsum(counts) - counts, np.cumsum(counts))):
+        keep = np.arange(lo, hi)
+        if policy.feedback_threshold is not None:
+            keep = keep[score[keep] <= policy.feedback_threshold]
+        if keep.size:
+            out[trial] = score[keep[np.argmin(criterion[keep])]]
+    return out
+
+
+def feedback_counts(model, threshold, points_per_trial, monkeypatch):
+    """_chunk_feedback_counts on the given trials in place of sampled ones."""
+    counts = np.array([len(p) for p in points_per_trial])
+    pts = np.asarray([xy for p in points_per_trial for xy in p], dtype=float).reshape(-1, 2)
+    monkeypatch.setattr(montecarlo, "_sample_batch", lambda *a: (counts, *anchor_distances(pts, ANCHORS)))
+    cfg = NetworkConfig(d=1.2, intensity=1.0, n_elements=1, model=model)
+    return _chunk_feedback_counts(cfg, threshold, 50.0, counts.size, None)
 
 
 class TestSelect:
     def test_singleton_selected_by_all(self):
-        r = realization([[0.0, 0.0]])
         for kind in ALL_KINDS:
-            assert select(SelectionPolicy(kind), r, ANCHORS) == Point2(0.0, 0.0)
+            assert select(SelectionPolicy(kind), [[0.0, 0.0]]) == pytest.approx(1.44)
 
     def test_opt_sum_hand_case(self):
         # s_exp(0, 0.1) ~ 2.4083 beats s_exp(1.2, 0.5) = sqrt(5.76+0.25)+0.5 ~ 2.952
-        r = realization([[1.2, 0.5], [0.0, 0.1]])
-        assert select(SelectionPolicy(PolicyKind.OPT_SUM), r, ANCHORS) == Point2(0.0, 0.1)
+        got = select(SelectionPolicy(PolicyKind.OPT_SUM), [[1.2, 0.5], [0.0, 0.1]], SUM)
+        assert got == s_exp([0.0, 0.1], ANCHORS)
 
     def test_empty_returns_none(self):
-        r = realization(np.empty((0, 2)))
+        counts, ds, dd = np.array([0, 2, 0]), np.array([1.0, 2.0]), np.array([3.0, 1.0])
         for kind in ALL_KINDS:
-            assert select(SelectionPolicy(kind), r, ANCHORS) is None
+            assert select(SelectionPolicy(kind), np.empty((0, 2))) == math.inf
+            assert _select(SelectionPolicy(kind), PRODUCT, counts, ds, dd)[[0, 2]].tolist() == [math.inf] * 2
 
     def test_tie_break_uses_storage_order(self):
-        r = realization([[0.0, 1.0], [0.0, -1.0]])  # mirror points, equal scores
-        for kind in ALL_KINDS:
-            assert select(SelectionPolicy(kind), r, ANCHORS) == Point2(0.0, 1.0)
+        # (ds, dd) pairs that tie on each criterion but differ in the returned score
+        ties = {
+            PolicyKind.OPT_PRODUCT: ([1.0, 2.0], [6.0, 3.0], SUM, [7.0, 5.0]),
+            PolicyKind.OPT_SUM: ([1.0, 2.0], [4.0, 3.0], PRODUCT, [4.0, 6.0]),
+            PolicyKind.MIN_MIN: ([1.0, 1.0], [3.0, 5.0], PRODUCT, [3.0, 5.0]),
+            PolicyKind.MIN_MAX: ([3.0, 3.0], [1.0, 2.0], PRODUCT, [3.0, 6.0]),
+            PolicyKind.MID_POINT: ([1.0, 5.0], [7.0, 5.0], PRODUCT, [7.0, 25.0]),
+        }
+        for kind, (ds, dd, score_kind, scores) in ties.items():
+            ds, dd = np.array(ds), np.array(dd)
+            policy = SelectionPolicy(kind)
+            assert _select(policy, score_kind, np.array([2]), ds, dd)[0] == scores[0]
+            assert _select(policy, score_kind, np.array([2]), ds[::-1], dd[::-1])[0] == scores[1]
 
     def test_reflection_invariance_up_to_ties(self):
-        rng = np.random.default_rng(2)
-        pts = rng.normal(0.0, 2.0, (40, 2))
-        flipped = pts * np.array([1.0, -1.0])
+        pts = np.random.default_rng(2).normal(0.0, 2.0, (40, 2))
         for kind in ALL_KINDS:
-            a = select(SelectionPolicy(kind), realization(pts), ANCHORS)
-            b = select(SelectionPolicy(kind), realization(flipped), ANCHORS)
-            assert a == Point2(b.x, -b.y)
+            assert select(SelectionPolicy(kind), pts) == select(SelectionPolicy(kind), pts * [1.0, -1.0])
 
     def test_min_min_semantics(self):
         # closest node to either anchor wins, not closest to both
-        r = realization([[-1.3, 0.0], [0.0, 0.4]])
-        assert select(SelectionPolicy(PolicyKind.MIN_MIN), r, ANCHORS) == Point2(-1.3, 0.0)
+        got = select(SelectionPolicy(PolicyKind.MIN_MIN), [[-1.3, 0.0], [0.0, 0.4]])
+        assert got == s_pow([-1.3, 0.0], ANCHORS)
 
     def test_threshold_only_for_optimum_policies(self):
         with pytest.raises(ValueError):
@@ -68,103 +99,67 @@ class TestSelect:
 
     def test_threshold_filters_candidates(self):
         pol = SelectionPolicy(PolicyKind.OPT_SUM, feedback_threshold=2.5)
-        r = realization([[0.0, 1.6]])  # s_exp = 4 > 2.5
-        assert select(pol, r, ANCHORS) is None
+        assert select(pol, [[0.0, 1.6]], SUM) == math.inf  # s_exp = 4 > 2.5
+        assert select(pol, [[0.0, 1.6], [0.0, 0.1]], SUM) == s_exp([0.0, 0.1], ANCHORS)
 
     def test_selection_stable_when_winner_feeds_back(self):
-        rng = np.random.default_rng(9)
-        for _ in range(50):
-            r = sample_ppp(0.5, 6.0, rng)
-            if len(r) == 0:
-                continue
-            full = select(SelectionPolicy(PolicyKind.OPT_PRODUCT), r, ANCHORS)
-            score = full and math.hypot(full.x + 1.2, full.y) * math.hypot(full.x - 1.2, full.y)
-            if score is not None and score <= 3.0:
-                fb = select(SelectionPolicy(PolicyKind.OPT_PRODUCT, feedback_threshold=3.0), r, ANCHORS)
-                assert fb == full
+        counts, ds, dd = _sample_batch(0.5, 1.2, 6.0, 500, np.random.default_rng(9))
+        full = _select(SelectionPolicy(PolicyKind.OPT_PRODUCT), PRODUCT, counts, ds, dd)
+        fb = _select(SelectionPolicy(PolicyKind.OPT_PRODUCT, feedback_threshold=3.0), PRODUCT, counts, ds, dd)
+        assert np.any(full <= 3.0) and np.any(np.isfinite(full) & (full > 3.0))
+        assert np.array_equal(fb, np.where(full <= 3.0, full, np.inf))
+
+    @pytest.mark.parametrize("threshold", [None, 2.0])
+    def test_matches_per_trial_argmin(self, threshold):
+        counts, ds, dd = _sample_batch(0.5, 1.2, 4.0, 300, np.random.default_rng(5))
+        for model, (kind, optimum) in OPTIMUM.items():
+            for policy_kind in ALL_KINDS if threshold is None else [optimum]:
+                policy = SelectionPolicy(policy_kind, feedback_threshold=threshold)
+                got = _select(policy, kind, counts, ds, dd)
+                assert np.array_equal(got, argmin_oracle(policy, kind, counts, ds, dd)), (model, policy)
 
 
 class TestDominance:
     @pytest.mark.parametrize("model", [PathLossModel.POWER_LAW, PathLossModel.EXP_LAW])
     def test_optimum_beats_all_policies_pathwise(self, model):
-        cfg = NetworkConfig(d=1.2, intensity=0.5, n_elements=16, model=model, avg_snr=1.0)
-        opt_kind = PolicyKind.OPT_PRODUCT if model is PathLossModel.POWER_LAW else PolicyKind.OPT_SUM
-        rng = np.random.default_rng(31)
-        for _ in range(200):
-            r = sample_ppp(cfg.intensity, 8.0, rng)
-            if len(r) == 0:
-                continue
-            chosen = select(SelectionPolicy(opt_kind), r, ANCHORS)
-            s_opt = _model_score(model, chosen)
-            snr_opt = mean_snr(cfg, pathloss_product(cfg, s_opt))
-            for kind in ALL_KINDS:
-                other = select(SelectionPolicy(kind), r, ANCHORS)
-                snr_other = mean_snr(cfg, pathloss_product(cfg, _model_score(model, other)))
-                assert snr_opt >= snr_other - 1e-12
-
-
-def _model_score(model, p):
-    ds = math.hypot(p.x + 1.2, p.y)
-    dd = math.hypot(p.x - 1.2, p.y)
-    return ds * dd if model is PathLossModel.POWER_LAW else ds + dd
+        # the mean SNR falls as the model score grows, so the optimum's is the best
+        kind, optimum = OPTIMUM[model]
+        counts, ds, dd = _sample_batch(0.5, 1.2, 8.0, 200, np.random.default_rng(31))
+        best = _select(SelectionPolicy(optimum), kind, counts, ds, dd)
+        for policy_kind in ALL_KINDS:
+            assert np.all(best <= _select(SelectionPolicy(policy_kind), kind, counts, ds, dd))
 
 
 class TestFeedbackFilter:
     def test_exp_below_2d_always_empty(self):
-        rng = np.random.default_rng(17)
-        for _ in range(20):
-            r = sample_ppp(1.0, 5.0, rng)
-            out = feedback_filter(r, ANCHORS, PathLossModel.EXP_LAW, threshold=2.3)
-            assert len(out) == 0
+        cfg = NetworkConfig(d=1.2, intensity=1.0, n_elements=1, model=PathLossModel.EXP_LAW)
+        counts = _chunk_feedback_counts(cfg, 2.3, 5.0, 20, np.random.default_rng(17))
+        assert counts.tolist() == [0] * 20
 
     def test_infinite_threshold_is_identity(self):
-        r = sample_ppp(1.0, 5.0, np.random.default_rng(18))
-        out = feedback_filter(r, ANCHORS, PathLossModel.POWER_LAW, threshold=math.inf)
-        assert np.array_equal(out.points, r.points)
+        cfg = NetworkConfig(d=1.2, intensity=1.0, n_elements=1, model=PathLossModel.POWER_LAW)
+        got = _chunk_feedback_counts(cfg, math.inf, 5.0, 20, np.random.default_rng(18))
+        assert np.array_equal(got, _sample_batch(1.0, 1.2, 5.0, 20, np.random.default_rng(18))[0])
 
-    def test_removes_point_above_threshold(self):
-        r = realization([[0.0, 1.0]])  # s_exp = 2 sqrt(2.44) ~ 3.124
-        out = feedback_filter(r, ANCHORS, PathLossModel.EXP_LAW, threshold=3.0)
-        assert len(out) == 0
+    def test_removes_point_above_threshold(self, monkeypatch):
+        # s_exp(0, 1) = 2 sqrt(2.44) ~ 3.124
+        assert feedback_counts(PathLossModel.EXP_LAW, 3.0, [[[0.0, 1.0]]], monkeypatch).tolist() == [0]
+        assert feedback_counts(PathLossModel.EXP_LAW, 3.2, [[[0.0, 1.0]]], monkeypatch).tolist() == [1]
 
-    def test_metadata_preserved(self):
-        r = realization([[0.0, 0.0], [3.0, 3.0]], radius=50.0)
-        out = feedback_filter(r, ANCHORS, PathLossModel.POWER_LAW, threshold=2.0)
-        assert out.window_radius == r.window_radius
-        assert out.intensity == r.intensity
+    def test_counts(self, monkeypatch):
+        trials = [[], [[0.0, 0.0], [3.0, 3.0]], [], [[0.5, 0.0]]]
+        assert feedback_counts(PathLossModel.EXP_LAW, 5.0, trials, monkeypatch).tolist() == [0, 1, 0, 1]
+        assert feedback_counts(PathLossModel.POWER_LAW, math.inf, trials, monkeypatch).tolist() == [0, 2, 0, 1]
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        pts=st.lists(
-            st.tuples(st.floats(-10, 10), st.floats(-10, 10)), min_size=0, max_size=30
-        ),
-        threshold=st.floats(min_value=0.5, max_value=30.0),
-    )
-    def test_idempotent(self, pts, threshold):
-        r = realization(np.asarray(pts, dtype=float).reshape(-1, 2))
-        once = feedback_filter(r, ANCHORS, PathLossModel.POWER_LAW, threshold)
-        twice = feedback_filter(once, ANCHORS, PathLossModel.POWER_LAW, threshold)
-        assert np.array_equal(once.points, twice.points)
-
-    def test_counts(self):
-        r = realization(np.empty((0, 2)))
-        assert feedback_count(r, ANCHORS, PathLossModel.EXP_LAW, 5.0) == 0
-        r = sample_ppp(1.0, 4.0, np.random.default_rng(4))
-        assert feedback_count(r, ANCHORS, PathLossModel.POWER_LAW, math.inf) == len(r)
-
-    def test_retained_scores_never_exceed_threshold(self):
-        from ris_select.geometry import s_exp, s_pow
-
-        rng = np.random.default_rng(23)
+    def test_retained_scores_never_exceed_threshold(self, monkeypatch):
+        pts = np.random.default_rng(23).uniform(-6.0, 6.0, (60, 2))
+        trials = [pts[:25], pts[25:], []]
         for threshold in (1.0, 3.0, 8.0):
-            r = sample_ppp(1.0, 6.0, rng)
-            kept_p = feedback_filter(r, ANCHORS, PathLossModel.POWER_LAW, threshold)
-            if len(kept_p):
-                assert np.max(s_pow(kept_p.points, ANCHORS)) <= threshold
-            kept_s = feedback_filter(r, ANCHORS, PathLossModel.EXP_LAW, threshold)
-            if len(kept_s):
-                assert np.max(s_exp(kept_s.points, ANCHORS)) <= threshold
+            for model, score in ((PathLossModel.POWER_LAW, s_pow), (PathLossModel.EXP_LAW, s_exp)):
+                want = [int(np.sum(score(p, ANCHORS) <= threshold)) if len(p) else 0 for p in trials]
+                assert feedback_counts(model, threshold, trials, monkeypatch).tolist() == want
 
     def test_validation(self):
+        cfg = NetworkConfig(d=1.2, intensity=1.0, n_elements=1, model=PathLossModel.EXP_LAW)
         with pytest.raises(ValueError):
-            feedback_filter(realization([[0, 0]]), ANCHORS, PathLossModel.EXP_LAW, 0.0)
+            mc_feedback_dist(cfg, PathLossModel.EXP_LAW, 0.0, 10, 1)

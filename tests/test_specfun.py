@@ -21,8 +21,6 @@ from ris_select.specfun import (
     SeriesControl,
     digamma,
     ellip_e,
-    ellip_e_inc,
-    ellip_f_inc,
     ellip_k,
     ellip_ke_m1,
     genhyp,
@@ -37,14 +35,6 @@ def quad_k(m):
 
 def quad_e(m):
     return _quiet_quad(lambda t: math.sqrt(1.0 - m * math.sin(t) ** 2), 0.0, math.pi / 2)
-
-
-def quad_f_inc(phi, m):
-    return _quiet_quad(lambda t: (1.0 - m * math.sin(t) ** 2) ** -0.5, 0.0, phi)
-
-
-def quad_e_inc(phi, m):
-    return _quiet_quad(lambda t: math.sqrt(1.0 - m * math.sin(t) ** 2), 0.0, phi)
 
 
 class TestCompleteElliptic:
@@ -121,47 +111,6 @@ class TestArrayAgm:
     def test_domain(self, bad):
         with pytest.raises(DomainError):
             ellip_ke_m1(np.array([0.5, bad]))
-
-
-class TestIncompleteElliptic:
-    def test_zero_length(self):
-        assert ellip_f_inc(0.0, 0.5) == 0.0
-        assert ellip_e_inc(0.0, -1.0) == 0.0
-
-    def test_completeness_identity(self):
-        assert ellip_e_inc(math.pi / 2, 0.3) == pytest.approx(ellip_e(0.3), rel=1e-12)
-        assert ellip_f_inc(math.pi / 2, 0.3) == pytest.approx(ellip_k(0.3), rel=1e-12)
-
-    def test_against_quadrature(self):
-        assert ellip_e_inc(0.7, 0.4) == pytest.approx(quad_e_inc(0.7, 0.4), rel=1e-12)
-        assert ellip_f_inc(0.7, 0.4) == pytest.approx(quad_f_inc(0.7, 0.4), rel=1e-12)
-        # frozen: F(0.7|0.4) = 0.72250536386696848, E(0.7|0.4) = 0.67870535600337449
-        assert ellip_f_inc(0.7, 0.4) == pytest.approx(0.7225053638669685, rel=1e-13)
-        assert ellip_e_inc(0.7, 0.4) == pytest.approx(0.6787053560033745, rel=1e-13)
-
-    @pytest.mark.parametrize("phi,m", [(0.3, 0.9), (1.1, 0.6), (1.5, 0.2), (0.9, -1.5)])
-    def test_grid(self, phi, m):
-        assert ellip_f_inc(phi, m) == pytest.approx(quad_f_inc(phi, m), rel=1e-12)
-        assert ellip_e_inc(phi, m) == pytest.approx(quad_e_inc(phi, m), rel=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            ellip_f_inc(-0.1, 0.5)
-        with pytest.raises(DomainError):
-            ellip_f_inc(1.2, 1.5)  # m sin^2(phi) > 1
-        with pytest.raises(DomainError):
-            ellip_e_inc(2.0, 0.5)  # phi beyond pi/2
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        m=st.floats(min_value=0.05, max_value=0.95),
-        lo=st.floats(min_value=0.01, max_value=1.5),
-        step=st.floats(min_value=0.01, max_value=0.07),
-    )
-    def test_monotone_in_phi(self, m, lo, step):
-        hi = min(lo + step, math.pi / 2)
-        assert ellip_f_inc(hi, m) > ellip_f_inc(lo, m)
-        assert ellip_e_inc(hi, m) > ellip_e_inc(lo, m)
 
 
 class TestDigamma:
