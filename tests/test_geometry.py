@@ -74,6 +74,18 @@ class TestSamplePpp:
         radius2 = 0.5 * (ds * ds + dd * dd) - d * d  # parallelogram law
         assert ds.size > 0 and np.all(radius2 <= 9.0 * (1.0 + 1e-12))
 
+    def test_distances_within_2_ulp_of_hypot(self):
+        # the sampler's own draws, in its order, measured with np.hypot
+        d, radius, n = 1.2, 5.0, 2000
+        counts, ds, dd = _sample_batch(1.0, d, radius, n, np.random.default_rng(12))
+        rng = np.random.default_rng(12)
+        assert np.array_equal(counts, rng.poisson(1.0 * math.pi * radius * radius, n))
+        r = radius * np.sqrt(rng.random(ds.size))
+        theta = rng.uniform(0.0, 2.0 * math.pi, ds.size)
+        x, y = r * np.cos(theta), r * np.sin(theta)
+        for got, want in ((ds, np.hypot(x + d, y)), (dd, np.hypot(x - d, y))):
+            assert np.all(np.abs(got - want) <= 2 * np.spacing(want))
+
     def test_validation(self):
         # refused before drawing: the stream is left untouched
         rng = np.random.default_rng(0)

@@ -184,6 +184,24 @@ class TestSweepKernel:
             assert pair == mc_outage_rate(cfg, pol, n_trials, 3, 23, window_radius_override=radius)
         assert mc_sweep(cells, n_trials, None, 23) == [(outage, None) for outage, _ in got]
 
+    def test_one_arg_min_per_criterion(self, monkeypatch):
+        # five thresholds of the optimum policy mask one pick, so a feedback
+        # sweep with a baseline takes two arg-mins per chunk, not six
+        calls = []
+        original = montecarlo._segment_argmin
+
+        def counting(crit, seg):
+            calls.append(crit.size)
+            return original(crit, seg)
+
+        monkeypatch.setattr(montecarlo, "_segment_argmin", counting)
+        cfg = exp_cfg()
+        cells = [(cfg, SelectionPolicy(PolicyKind.OPT_SUM, feedback_threshold=t))
+                 for t in (3.0, 4.5, 6.0, 7.5, 9.0)] + [(cfg, SelectionPolicy(PolicyKind.MIN_MIN))]
+        n_trials = montecarlo._CHUNK_TRIALS + 1
+        mc_sweep(cells, n_trials, 2, 29)
+        assert len(calls) == 2 * 2
+
     def test_cells_must_share_geometry(self):
         pol = SelectionPolicy(PolicyKind.MIN_MIN)
         with pytest.raises(ValueError, match="share"):
@@ -229,14 +247,14 @@ class TestSelectionKernel:
     def test_segment_argmin_matches_lexsort(self, segments):
         counts = np.array([len(seg) for seg in segments], dtype=np.int64)
         crit = np.array([c for seg in segments for c in seg], dtype=float)
-        got = montecarlo._segment_argmin(crit, counts)
+        got = montecarlo._segment_argmin(crit, montecarlo._segments(counts))
         assert np.array_equal(got, _lexsort_argmin(crit, counts))
 
     def test_ties_empty_and_filtered_segments(self):
         inf = math.inf
         counts = np.array([3, 0, 2, 4, 0, 1])
         crit = np.array([2.0, 1.0, 1.0, inf, inf, 5.0, 3.0, 3.0, inf, inf])
-        got = montecarlo._segment_argmin(crit, counts)
+        got = montecarlo._segment_argmin(crit, montecarlo._segments(counts))
         assert got.tolist() == [1, 3, 6, 9]
         assert np.array_equal(got, _lexsort_argmin(crit, counts))
 

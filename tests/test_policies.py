@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ris_select import montecarlo
 from ris_select.channel import NetworkConfig, PathLossModel
@@ -117,6 +119,29 @@ class TestSelect:
                 policy = SelectionPolicy(policy_kind, feedback_threshold=threshold)
                 got = _select(policy, kind, counts, ds, dd)
                 assert np.array_equal(got, argmin_oracle(policy, kind, counts, ds, dd)), (model, policy)
+
+
+# coarse coordinates, so that scores tie and thresholds can fall on a score
+_COORD = st.one_of(st.sampled_from([-2.4, -1.2, 0.0, 0.6, 1.2, 3.0]), st.floats(-8.0, 8.0))
+_TRIALS = st.lists(st.lists(st.tuples(_COORD, _COORD), max_size=5), min_size=1, max_size=8)
+
+
+class TestThresholdMask:
+    @settings(max_examples=300, deadline=None)
+    @given(_TRIALS, st.one_of(st.sampled_from([1.44, 2.4, 3.6]), st.floats(0.05, 60.0)),
+           st.sampled_from(sorted(OPTIMUM.values(), key=str)))
+    def test_masked_pick_equals_filtered_argmin(self, trials, threshold, model_optimum):
+        # a threshold filters on the score the optimum policy minimises, so
+        # its pick is the unfiltered pick masked by score <= T
+        kind, optimum = model_optimum
+        counts = np.array([len(t) for t in trials])
+        points = np.array([xy for t in trials for xy in t], dtype=float).reshape(-1, 2)
+        ds, dd = anchor_distances(points, ANCHORS)
+        full = _select(SelectionPolicy(optimum), kind, counts, ds, dd)
+        masked = np.where(full <= threshold, full, np.inf)
+        policy = SelectionPolicy(optimum, feedback_threshold=threshold)
+        assert np.array_equal(masked, _select(policy, kind, counts, ds, dd))
+        assert np.array_equal(masked, argmin_oracle(policy, kind, counts, ds, dd))
 
 
 class TestDominance:
