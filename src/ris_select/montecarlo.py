@@ -149,13 +149,20 @@ def _as_seed_source(rng) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
+def _lens_area(c: float, d: float) -> float:
+    """Area common to the two radius-c discs about the anchors (centres 2d apart)."""
+    if c <= d:
+        return 0.0
+    return 2.0 * c * c * math.acos(d / c) - 2.0 * d * math.sqrt(c * c - d * d)
+
+
 def coverage_radius(cfg: NetworkConfig, policy: SelectionPolicy, eps: float = _WINDOW_EPS) -> float:
     """Window radius so the policy's true winner escapes with prob <= eps.
 
-    Optimum policies use the exact sublevel-set tail of their score; the
-    heuristic policies use conservative disc bounds on the region where
-    their criterion is below the eps-quantile level.  A feedback threshold
-    can only shrink the region that matters.
+    Optimum policies and min-min use the exact void probability of the
+    region where their criterion is below its eps-quantile level; min-max
+    and mid-point use conservative disc bounds on that region.  A feedback
+    threshold can only shrink the region that matters.
     """
     lam, d = cfg.intensity, cfg.d
     need = math.log(1.0 / eps) / lam
@@ -169,21 +176,27 @@ def coverage_radius(cfg: NetworkConfig, policy: SelectionPolicy, eps: float = _W
     if kind is PolicyKind.MID_POINT:
         return math.sqrt(need / math.pi)
     if kind is PolicyKind.MIN_MIN:
-        # union of two anchor discs covers at least one disc of the same radius
-        return d + math.sqrt(need / math.pi)
+        # {min distance <= c} is the union of two radius-c anchor discs, of
+        # area 2 pi c^2 - lens(c) >= pi c^2; it lies in the origin disc of
+        # radius d + c.  Bisect for the c at which it holds a point with
+        # probability 1 - eps, down to adjacent doubles.
+        lo, hi = 0.0, math.sqrt(need / math.pi)
+        mid = 0.5 * hi
+        while lo < mid < hi:
+            if 2.0 * math.pi * mid * mid - _lens_area(mid, d) < need:
+                lo = mid
+            else:
+                hi = mid
+            mid = 0.5 * (lo + hi)
+        return d + hi
     # MIN_MAX: {max distance <= c} is the lens of two radius-c anchor discs,
     # contained in the origin disc of radius sqrt(c^2 - d^2)
-    def lens_area(c: float) -> float:
-        if c <= d:
-            return 0.0
-        return 2.0 * c * c * math.acos(d / c) - 2.0 * d * math.sqrt(c * c - d * d)
-
     lo, hi = d, d + math.sqrt(need) + d
-    while lens_area(hi) < need:
+    while _lens_area(hi, d) < need:
         hi *= 2.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if lens_area(mid) < need:
+        if _lens_area(mid, d) < need:
             lo = mid
         else:
             hi = mid

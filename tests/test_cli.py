@@ -218,13 +218,13 @@ GOLDEN = {
         dict(n=8, model="power", snr=0, var="avg_snr_db", lo=-10, hi=30, steps=3,
              policies="opt-product, min-min, min-max, mid-point", methods="analytic, montecarlo",
              metrics="outage, rate", trials=2000),
-        "47164f772aacff3c0ac735abaf42b85d63dd2b7d4b6bbd9dcd2564c412996a8b",
+        "0836cf13143b2e2ee5ece491dada58bf9a5f0afcc9354fe12453556572dc79cb",
     ),
     "exp-threshold-feedback": (
         dict(n=16, model="exp", snr=10, var="threshold", lo=3, hi=9, steps=3,
              policies="opt-sum, min-min", methods="analytic, montecarlo",
              metrics="outage, rate", trials=2000),
-        "20bf4a8ce932a970bd7a72c350d9827c14271213024ed9c912e3b116d270191b",
+        "4677e001b45a133d85fbc86336e55b502fd0fc0d1f2d529db7e6c3928bcd0f4b",
     ),
     "outage-only": (
         dict(n=16, model="exp", snr=0, var="intensity", lo=0.2, hi=1.0, steps=2,

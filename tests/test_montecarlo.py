@@ -285,6 +285,44 @@ def _estimate(estimator, radius):
     return mc_rate(cfg, pol, 200, 2, 1, window_radius_override=radius)
 
 
+def _union_area(c, d):
+    """Area of the union of two radius-c discs whose centres are 2d apart."""
+    if c <= d:
+        return 2.0 * math.pi * c * c
+    lens = 2.0 * c * c * math.acos(2.0 * d / (2.0 * c)) - d * math.sqrt(4.0 * c * c - 4.0 * d * d)
+    return 2.0 * math.pi * c * c - lens
+
+
+class TestMinMinWindow:
+    @pytest.mark.parametrize("lam, d, eps", [(0.5, 1.2, 1e-6), (0.01, 1.2, 1e-6), (0.5, 30.0, 1e-9),
+                                             (2.0, 0.1, 0.5), (50.0, 1.2, 1e-3)])
+    def test_union_of_anchor_discs_holds_the_winner_with_prob_1_minus_eps(self, lam, d, eps):
+        radius = coverage_radius(pow_cfg(intensity=lam, d=d), SelectionPolicy(PolicyKind.MIN_MIN), eps)
+        need = math.log(1.0 / eps)
+        assert lam * _union_area(radius - d, d) == pytest.approx(need, rel=1e-12)
+        assert radius <= d + math.sqrt(need / (lam * math.pi))  # the one-disc bound it replaces
+
+    def test_no_winner_beyond_the_window(self):
+        # 1e5 trials in a window 1.5 times as wide: the min-min winner never
+        # lies beyond the eps = 1e-6 window, and its distance to the nearer
+        # anchor exceeds the eps = 0.05 level in a binomial(1e5, 0.05) count
+        policy = SelectionPolicy(PolicyKind.MIN_MIN)
+        radius = coverage_radius(pow_cfg(), policy)
+        level = coverage_radius(pow_cfg(), policy, 0.05) - D
+        rng = np.random.default_rng(17)
+        farthest, beyond_level, n = 0.0, 0, 100_000
+        for _ in range(10):
+            counts, ds, dd = montecarlo._sample_batch(LAM, D, 1.5 * radius, n // 10, rng)
+            seg = montecarlo._segments(counts)
+            assert seg.nonempty.all()
+            best = montecarlo._segment_argmin(np.minimum(ds, dd), seg)
+            r2 = 0.5 * (ds[best] ** 2 + dd[best] ** 2) - D * D  # parallelogram law
+            farthest = max(farthest, float(r2.max()))
+            beyond_level += int(np.sum(np.minimum(ds, dd)[best] > level))
+        assert farthest <= radius * radius
+        assert abs(beyond_level - 0.05 * n) <= 4 * math.sqrt(n * 0.05 * 0.95)
+
+
 class TestDistanceDist:
     def test_sum_scores_bounded_below(self):
         emp = mc_distance_dist(exp_cfg(), PolicyKind.OPT_SUM, 2000, 1)
