@@ -404,8 +404,9 @@ def _n_chunks(n_trials: int) -> int:
     return (n_trials + _CHUNK_TRIALS - 1) // _CHUNK_TRIALS
 
 
-def _pool_size(workers: int, n_chunks: int) -> int:
-    """Processes worth starting: no more than workers, chunks or usable CPUs."""
+def _processes(workers: int, n_chunks: int) -> int:
+    """Processes worth running chunks in, this one included: no more than
+    workers, chunks or usable CPUs."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without CPU affinity
@@ -413,19 +414,32 @@ def _pool_size(workers: int, n_chunks: int) -> int:
     return max(1, min(workers, n_chunks, cpus))
 
 
+def _caller_runs(executor: ProcessPoolExecutor, processes: int, tasks: list) -> list:
+    """Every task's result, in order, with this process as one of the workers.
+
+    The executor's processes - 1 workers share the last tasks while this
+    process runs the first ceil(len(tasks) / processes) of them, so a pool
+    for two chunks is one child running the second.
+    """
+    head = -(-len(tasks) // processes)
+    rest = executor.map(_run_chunk, tasks[head:])
+    return [_run_chunk(task) for task in tasks[:head]] + list(rest)
+
+
 @contextmanager
 def shared_pool(workers: int, n_trials: int):
-    """Process pool for many estimator calls of n_trials each, or None.
+    """Chunk runner for many estimator calls of n_trials each, or None.
 
-    Yields None when those calls would run their chunks in this process
-    anyway (one chunk, or a pool size of one).
+    The runner is a process pool with this process as one of its workers,
+    so it starts min(workers, chunks, usable CPUs) - 1 children.  Yields
+    None when the calls would run their chunks in this process anyway.
     """
-    size = _pool_size(workers, _n_chunks(n_trials))
-    if size < 2:
+    processes = _processes(workers, _n_chunks(n_trials))
+    if processes < 2:
         yield None
         return
-    with ProcessPoolExecutor(max_workers=size) as pool:
-        yield pool
+    with ProcessPoolExecutor(max_workers=processes - 1) as executor:
+        yield functools.partial(_caller_runs, executor, processes)
 
 
 def _map_chunks(kernel, payload, radius, n_trials, rng, workers, pool=None):
@@ -438,10 +452,10 @@ def _map_chunks(kernel, payload, radius, n_trials, rng, workers, pool=None):
     sizes = [_CHUNK_TRIALS] * (n_chunks - 1) + [n_trials - _CHUNK_TRIALS * (n_chunks - 1)]
     tasks = [(kernel, payload, radius, sz, st) for sz, st in zip(sizes, streams)]
     if pool is not None and n_chunks > 1:
-        return list(pool.map(_run_chunk, tasks))
+        return pool(tasks)
     with shared_pool(workers, n_trials) as own:
         if own is not None:
-            return list(own.map(_run_chunk, tasks))
+            return own(tasks)
     return [_run_chunk(t) for t in tasks]
 
 
@@ -519,7 +533,7 @@ def mc_sweep(
     rng,
     window_radius_override: float | None = None,
     workers: int = 1,
-    pool: ProcessPoolExecutor | None = None,
+    pool=None,
 ) -> list[tuple[Estimate, Estimate | None]]:
     """Outage and, when fading draws are asked for, rate of every cell.
 
@@ -562,7 +576,7 @@ def mc_outage_rate(
     rng,
     window_radius_override: float | None = None,
     workers: int = 1,
-    pool: ProcessPoolExecutor | None = None,
+    pool=None,
 ) -> tuple[Estimate, Estimate | None]:
     """Outage and, when fading draws are asked for, rate from one pass.
 

@@ -104,37 +104,55 @@ class TestBasics:
 
     def test_pool_size_capped_by_chunks_and_cpus(self, monkeypatch):
         sizes = []
-
-        class RecordingPool:
-            """Stands in for ProcessPoolExecutor; runs the chunks in this process."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", _recording_pool(sizes, []))
         monkeypatch.setenv("RIS_SELECT_THREADS", "10000")
         workers = montecarlo.default_workers()
         n_trials = 3 * montecarlo._CHUNK_TRIALS + 1  # four chunks
         cfg, pol = pow_cfg(), SelectionPolicy(PolicyKind.MIN_MIN)
         want = mc_outage(cfg, pol, n_trials, 8)
         assert mc_outage(cfg, pol, n_trials, 8, workers=workers) == want
-        assert all(size <= min(4, len(os.sched_getaffinity(0))) for size in sizes)
+        assert all(size <= min(4, len(os.sched_getaffinity(0))) - 1 for size in sizes)
 
         monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(64)))
         sizes.clear()
         assert mc_outage(cfg, pol, n_trials, 8, workers=workers) == want
         with montecarlo.shared_pool(workers, n_trials) as pool:
             assert mc_outage_rate(cfg, pol, n_trials, None, 8, pool=pool) == (want, None)
-        assert sizes == [4, 4]
+        assert sizes == [3, 3]  # four chunks: three children and this process
+
+
+    def test_this_process_runs_its_share_of_the_chunks(self, monkeypatch):
+        mapped = []
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", _recording_pool([], mapped))
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(64)))
+        n_trials = 4 * montecarlo._CHUNK_TRIALS + 1  # five chunks
+        cfg, pol = pow_cfg(), SelectionPolicy(PolicyKind.MIN_MIN)
+        want = mc_outage(cfg, pol, n_trials, 8)
+        for workers, pool_chunks in ((2, 2), (3, 3), (5, 4), (9, 4)):
+            mapped.clear()
+            assert mc_outage(cfg, pol, n_trials, 8, workers=workers) == want
+            assert mapped == [pool_chunks]  # this process runs the first ceil(5 / processes)
+
+
+def _recording_pool(sizes, mapped):
+    """Stand-in for ProcessPoolExecutor that runs the chunks in this process,
+    recording each pool's size and the number of chunks it is given."""
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            mapped.append(len(tasks))
+            return map(fn, tasks)
+
+    return RecordingPool
 
 
 class TestMomentMerge:
