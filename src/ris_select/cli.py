@@ -35,6 +35,7 @@ from .policies import OPTIMUM, PolicyKind, SelectionPolicy
 _POLICY_NAMES = {p.value: p for p in PolicyKind}
 _MODEL_NAMES = {"power": PathLossModel.POWER_LAW, "exp": PathLossModel.EXP_LAW}
 _SWEEP_VARS = ("avg_snr_db", "intensity", "n_elements", "threshold")
+_OPTIMA = {optimum for _, optimum in OPTIMUM.values()}
 
 
 class SpecError(ValueError):
@@ -120,6 +121,18 @@ def _count(name: str, value: int) -> int:
     return value
 
 
+def _check_feedback_policies(model: PathLossModel, kinds) -> None:
+    """A feedback threshold filters on the model's score, so the only
+    optimum policy it may apply to is the model's own."""
+    optimum = OPTIMUM[model][1]
+    for kind in kinds:
+        if kind in _OPTIMA and kind is not optimum:
+            raise SpecError(
+                f"a feedback threshold applies to {optimum.value} under the {model.value} model, "
+                f"not to {kind.value}"
+            )
+
+
 def _parse_policy(text: str) -> PolicyKind:
     if text not in _POLICY_NAMES:
         raise ValueError(f"unknown policy '{text}' (expected one of {sorted(_POLICY_NAMES)})")
@@ -157,17 +170,21 @@ def load_spec(path: str) -> ExperimentSpec:
     for m in metrics:
         if m not in ("outage", "rate"):
             raise SpecError(f"unknown metric '{m}'")
+    model = _get(sc, "model", _parse_model)
+    threshold = _get(sc, "threshold", float, required=False, default=None)
+    if threshold is not None or variable == "threshold":
+        _check_feedback_policies(model, policies)
 
     return ExperimentSpec(
         d=_get(sc, "d", float),
         intensity=_get(sc, "intensity", float),
         n_elements=_get(sc, "n_elements", int),
-        model=_get(sc, "model", _parse_model),
+        model=model,
         eta=_get(sc, "eta", float, required=False, default=4.0),
         alpha=_get(sc, "alpha", float, required=False, default=1.037),
         avg_snr_db=_get(sc, "avg_snr_db", float, required=False, default=0.0),
         target_snr_db=_get(sc, "target_snr_db", float, required=False, default=5.0),
-        threshold=_get(sc, "threshold", float, required=False, default=None),
+        threshold=threshold,
         sweep_variable=variable,
         sweep_min=lo,
         sweep_max=hi,
@@ -188,7 +205,7 @@ def _fmt(value: float) -> str:
 
 def _policy_obj(kind: PolicyKind, threshold: float | None) -> SelectionPolicy:
     """The policy, with the threshold when it is an optimum policy (baselines ignore it)."""
-    if threshold is not None and kind in {optimum for _, optimum in OPTIMUM.values()}:
+    if threshold is not None and kind in _OPTIMA:
         return SelectionPolicy(kind, feedback_threshold=threshold)
     return SelectionPolicy(kind)
 
@@ -288,6 +305,8 @@ def _add_scenario_args(p: argparse.ArgumentParser) -> None:
 def _cmd_point_metric(args, metric: str, workers: int) -> int:
     cfg = _scenario_config(args)
     kind = OPTIMUM[cfg.model][1] if args.policy is None else _POLICY_NAMES[args.policy]
+    if args.threshold is not None:
+        _check_feedback_policies(cfg.model, [kind])
     policy = _policy_obj(kind, args.threshold)
     rng = np.random.default_rng(args.seed)
     closed = _analytic_metric(metric, cfg, kind, policy.feedback_threshold)
@@ -415,12 +434,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     workers = default_workers()
     try:
+        for name in ("trials", "fading_draws", "grid_points"):
+            if getattr(args, name, None) is not None:
+                _count("--" + name.replace("_", "-"), getattr(args, name))
         if args.command == "run":
             spec = load_spec(args.spec)
             if args.seed is not None:
                 spec.seed = args.seed
             if args.trials is not None:
-                spec.trials = _count("--trials", args.trials)
+                spec.trials = args.trials
             if args.out is not None:
                 spec.output = args.out
             rows = run_experiment(spec, workers=workers)

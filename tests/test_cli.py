@@ -99,6 +99,24 @@ class TestSpecParsing:
         assert "must be >= 1" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("variable = avg_snr_db\nmin = -10\nmax = 30", "variable = threshold\nmin = 1\nmax = 5"),
+            ("target_snr_db = 5", "target_snr_db = 5\nthreshold = 3"),
+        ],
+    )
+    def test_threshold_with_the_other_models_optimum_exits_2(self, tmp_path, capsys, old, new):
+        # a feedback threshold filters on the model's score: opt-sum cannot take one under the power law
+        text = GOOD_SPEC.format(out=tmp_path / "o.csv").replace(old, new)
+        with pytest.raises(SpecError, match="opt-product"):
+            load_spec(write_spec(tmp_path, text.replace("opt-product, min-min", "opt-sum, min-min")))
+        load_spec(write_spec(tmp_path, text))  # the model's own optimum takes it
+        bad = write_spec(tmp_path, text.replace("opt-product, min-min", "opt-product, opt-sum"))
+        assert main(["run", "--spec", bad]) == 2
+        assert "opt-sum" in capsys.readouterr().err
+
+
 class TestDbConversion:
     def test_zero_db_is_exactly_one(self):
         assert db_to_linear(0.0) == 1.0
@@ -479,6 +497,28 @@ class TestSubcommands:
             "rate", "--model", "exp", "--snr-db", "0", "--trials", "2000",
             "--fading-draws", "4", "--seed", "4",
         ]) == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["outage", "--trials", "0"],
+            ["rate", "--fading-draws", "0"],
+            ["rate", "--trials", "-2"],
+            ["distance-dist", "--grid-points", "0"],
+            ["feedback", "--threshold", "5", "--trials", "0"],
+            ["validate", "--trials", "0"],
+        ],
+    )
+    def test_counts_below_one_exit_2(self, capsys, argv):
+        assert main(argv) == 2
+        assert "must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["outage", "rate"])
+    def test_threshold_with_the_other_models_optimum_exits_2(self, capsys, command):
+        argv = [command, "--model", "exp", "--threshold", "5", "--trials", "200"]
+        assert main(argv + ["--policy", "opt-product"]) == 2
+        assert "opt-product" in capsys.readouterr().err
+        assert main(argv + ["--policy", "opt-sum"]) == 0
 
     def test_validate_all_checks_pass(self, capsys):
         assert main(["validate", "--trials", "1500", "--seed", "1"]) == 0
