@@ -16,19 +16,26 @@ squares.
 Outage and rate come from one kernel, ``mc_sweep``, that estimates many
 (config, policy) cells at once when they share their geometry (intensity,
 d and path-loss model).  Per chunk it samples the point process once, in
-the largest window any cell needs; selects once per distinct policy and
-feedback threshold (a segmented arg-min, linear in the number of points);
+the largest window any cell needs.  It forms the model's score array and
+the layout of trials in the point arrays once, and takes one segmented
+arg-min (linear in the number of points) per distinct criterion, not per
+cell: an optimum policy's criterion is the score itself, and a feedback
+threshold filters on that same score, so a threshold is a mask on the
+unthresholded pick and a whole threshold sweep shares one arg-min.  It
 then draws the fading of every trial from the same stream, accumulated
 element by element, so one draw serves every cell and the gain for N
-elements is the partial sum of the gain for more.  Every cell thus reads
-the same realizations (common random numbers), and each equals what
-``mc_outage_rate`` returns for that cell alone with the same seed and the
-group's window radius.  ``mc_outage_rate``, ``mc_outage`` and ``mc_rate``
-are the one-cell case.
+elements is the partial sum of the gain for more.  Path gain and rate are
+formed once per distinct (policy, law parameter, SNR, N).  Every cell
+thus reads the same realizations (common random numbers), and each
+equals what ``mc_outage_rate`` returns for that cell alone with the same
+seed and the group's window radius.  ``mc_outage_rate``, ``mc_outage``
+and ``mc_rate`` are the one-cell case.
 
-A sweep can open one process pool (``shared_pool``) and pass it to every
-kernel call; the pool never has more processes than the worker cap, the
-chunk count or the CPUs this process may run on.
+Chunks run in the calling process, or in a pool in which the calling
+process is one of the workers: it runs the first share of the chunks
+while min(workers, chunks, usable CPUs) - 1 children run the rest, so a
+two-chunk sweep forks one child, not two.  A sweep can open one such pool
+(``shared_pool``) and pass it to every kernel call.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -533,7 +541,7 @@ def mc_sweep(
     rng,
     window_radius_override: float | None = None,
     workers: int = 1,
-    pool=None,
+    pool: Callable[[list], list] | None = None,
 ) -> list[tuple[Estimate, Estimate | None]]:
     """Outage and, when fading draws are asked for, rate of every cell.
 
@@ -576,7 +584,7 @@ def mc_outage_rate(
     rng,
     window_radius_override: float | None = None,
     workers: int = 1,
-    pool=None,
+    pool: Callable[[list], list] | None = None,
 ) -> tuple[Estimate, Estimate | None]:
     """Outage and, when fading draws are asked for, rate from one pass.
 
