@@ -218,7 +218,7 @@ class TestSweepKernel:
                  for t in (3.0, 4.5, 6.0, 7.5, 9.0)] + [(cfg, SelectionPolicy(PolicyKind.MIN_MIN))]
         n_trials = montecarlo._CHUNK_TRIALS + 1
         mc_sweep(cells, n_trials, 2, 29)
-        assert len(calls) == 2 * 2
+        assert len(calls) == 2 * montecarlo._n_chunks(n_trials)
 
     def test_cells_must_share_geometry(self):
         pol = SelectionPolicy(PolicyKind.MIN_MIN)
