@@ -23,7 +23,11 @@ It is one fixed tensor-product rule evaluated with numpy: score panels
 panels elsewhere), times the score density, times a trapezoid rule in the
 log of the fading gain, which converges geometrically for every number of
 elements.  The path loss enters only through its logarithm, so no score
-overflows and no small-argument switch is needed.  The engine needs numpy
+overflows and no small-argument switch is needed.  The inner term
+log(1 + e^x) is a softplus, max(x, 0) + log1p(e^-|x|), computed in place
+in two reused block buffers: it is nearly all of the engine's work, and
+np.logaddexp evaluates the same form one element at a time, where np.exp
+over a whole block is vectorised.  The engine needs numpy
 only: K and E come from the array AGM kernel specfun.ellip_ke_m1, and
 scipy is imported only inside the quadrature oracle, so `ris-select run`
 never loads it.
@@ -487,12 +491,31 @@ def _fading_rule(n_elements: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weight
 
 
+def _softplus(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Overwrite x with log(1 + e^x) = max(x, 0) + log1p(e^-|x|) and return it.
+
+    The same stable form np.logaddexp(0, x) evaluates, but as whole-array
+    ufunc passes, so exp runs vectorised instead of one element at a time;
+    within 2 ulp of np.logaddexp.  scratch has x's shape and is clobbered.
+    """
+    np.copysign(x, -1.0, out=scratch)  # -|x|
+    np.exp(scratch, out=scratch)
+    np.log1p(scratch, out=scratch)
+    np.maximum(x, 0.0, out=x)
+    x += scratch
+    return x
+
+
 def _average_rate(
     log_y: np.ndarray, weight: np.ndarray, cfg: NetworkConfig, use_upper_bound: bool
 ) -> float:
     """sum_i weight_i * E[log2(1 + avg_snr * e^{log_y_i} * Z^2)] over the fading rule.
 
-    The Jensen bound replaces the fading rule by the single node E[Z^2].
+    The inner term log(1 + e^x), x = log c + log Z^2, is a softplus computed
+    in place, block by block, in two buffers allocated once per call: it
+    is nearly all of the engine's work, and np.logaddexp takes it one
+    element at a time.  The Jensen bound replaces the fading rule by the
+    single node E[Z^2].
     """
     if use_upper_bound:
         nodes, fading_weight = np.array([math.log(ez2(cfg.n_elements))]), np.ones(1)
@@ -500,11 +523,13 @@ def _average_rate(
         nodes, fading_weight = _fading_rule(cfg.n_elements)
     live = weight > 0.0
     log_c, weight = log_y[live] + math.log(cfg.avg_snr), weight[live]
-    rows = max(1, _BLOCK // nodes.size)
+    rows = max(1, min(_BLOCK // nodes.size, log_c.size))
+    block, scratch = np.empty((rows, nodes.size)), np.empty((rows, nodes.size))
     total = 0.0
     for i in range(0, log_c.size, rows):
-        inner = np.logaddexp(0.0, log_c[i : i + rows, None] + nodes) @ fading_weight
-        total += float(weight[i : i + rows] @ inner)
+        x, s = block[: log_c.size - i], scratch[: log_c.size - i]
+        np.add(log_c[i : i + rows, None], nodes, out=x)
+        total += float(weight[i : i + rows] @ (_softplus(x, s) @ fading_weight))
     return total / _LN2
 
 

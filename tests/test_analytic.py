@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from ris_select import analytic
@@ -376,6 +378,56 @@ class TestTransformedDensities:
         assert mass == pytest.approx(1.0, abs=1e-5)
 
 
+def logaddexp_average_rate(log_y, weight, cfg, use_upper_bound):
+    """The rate engine's sum with the inner term taken by np.logaddexp."""
+    if use_upper_bound:
+        nodes, fading_weight = np.array([math.log(ez2(cfg.n_elements))]), np.ones(1)
+    else:
+        nodes, fading_weight = analytic._fading_rule(cfg.n_elements)
+    live = weight > 0.0
+    log_c = log_y[live] + math.log(cfg.avg_snr)
+    inner = np.logaddexp(0.0, log_c[:, None] + nodes) @ fading_weight
+    return float(weight[live] @ inner) / math.log(2.0)
+
+
+def softplus(x):
+    x = np.array(x, dtype=float)
+    return analytic._softplus(x, np.empty_like(x))
+
+
+def ulps_apart(a, b):
+    """Number of doubles between non-negative a and b (their bit patterns are ordered)."""
+    assert np.all(a >= 0.0) and np.all(b >= 0.0)
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+class TestSoftplus:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=64))
+    def test_within_2_ulp_of_logaddexp(self, xs):
+        x = np.array(xs + [1e308, -1e308, 5e-324, -5e-324, 2.2250738585072014e-308])
+        assert np.all(ulps_apart(softplus(x), np.logaddexp(0.0, x)) <= 2)
+
+    def test_dense_sweep_within_2_ulp(self):
+        x = np.concatenate([np.linspace(-800.0, 800.0, 400_001), np.geomspace(1e-320, 1e3, 20_001)])
+        x = np.concatenate([x, -x])
+        assert np.all(ulps_apart(softplus(x), np.logaddexp(0.0, x)) <= 2)
+
+    def test_special_values(self):
+        got = softplus([0.0, -0.0, math.inf, -math.inf, math.nan])
+        assert got[0] == got[1] == math.log(2.0) == np.logaddexp(0.0, 0.0)
+        assert got[2] == math.inf
+        assert got[3] == 0.0
+        assert math.isnan(got[4])
+
+    def test_overwrites_and_returns_its_argument(self):
+        x = np.array([-3.0, 0.5, 40.0])
+        want = np.logaddexp(0.0, x)
+        scratch = np.empty_like(x)
+        assert analytic._softplus(x, scratch) is x
+        assert np.all(ulps_apart(x, want) <= 2)
+
+
 class TestAverageRate:
     def test_pow_threshold_infinity_matches_all_feedback(self):
         cfg = pow_cfg(avg_snr=10 ** 0.5)
@@ -470,6 +522,48 @@ class TestAverageRate:
             assert rate_pow(cfg, DIST_P, **kwargs) > 0.0
             assert rate_exp(cfg_e, DIST_S, **kwargs) > 0.0
         assert rate_pow(cfg, DIST_P, t_threshold=0.7) > 0.0
+
+    def test_engine_needs_no_logaddexp(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("the rate engine must not call np.logaddexp")
+
+        monkeypatch.setattr(np, "logaddexp", boom)
+        cfg, cfg_e = pow_cfg(avg_snr=10 ** 0.5), exp_cfg(avg_snr=10 ** 0.5)
+        for kwargs in ({}, {"t_threshold": 3.0}, {"use_upper_bound": True}):
+            assert rate_pow(cfg, DIST_P, **kwargs) > 0.0
+            assert rate_exp(cfg_e, DIST_S, **kwargs) > 0.0
+        assert rate_pow(cfg, DIST_P, t_threshold=0.7) > 0.0
+        assert rate_pow(cfg, DIST_P, t_threshold=3.0, use_upper_bound=True) > 0.0
+        assert rate_exp(cfg_e, DIST_S, t_threshold=3.0, use_upper_bound=True) > 0.0
+
+    @pytest.mark.parametrize("law", ["power", "exp"])
+    @pytest.mark.parametrize("lam", [0.01, 0.5, 20.0])
+    @pytest.mark.parametrize("d", [0.1, 10.0])
+    @pytest.mark.parametrize("n", [1, 256])
+    def test_average_rate_matches_logaddexp_reference(self, monkeypatch, law, lam, d, n):
+        # the (log y, weight) pairs the real rules hand to the engine, with
+        # and without a threshold (both branches for the power law)
+        calls = []
+
+        def recording(*args):
+            calls.append(args)
+            return _average_rate(*args)
+
+        _average_rate = analytic._average_rate
+        monkeypatch.setattr(analytic, "_average_rate", recording)
+        build = pow_cfg if law == "power" else exp_cfg
+        cfg = build(d=d, intensity=lam, n_elements=n, avg_snr=10.0)
+        for t in (None, 1.5 * d * d if law == "power" else 3.0 * d):
+            for bound in (False, True):
+                if law == "power":
+                    rate_pow(cfg, DistCdf(ScoreKind.MIN_PRODUCT, lam, d), t_threshold=t, use_upper_bound=bound)
+                else:
+                    rate_exp(cfg, DistCdf(ScoreKind.MIN_SUM, lam, d), t_threshold=t, use_upper_bound=bound)
+        assert len(calls) == 4
+        for args in calls:
+            want = logaddexp_average_rate(*args)
+            assert want > 0.0
+            assert _average_rate(*args) == pytest.approx(want, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("cap", [0.3, 1.0, 1.44, 2.5, 5.0, math.inf])
     def test_score_rule_elliptic_nodes_match_scipy(self, monkeypatch, cap):
