@@ -46,15 +46,11 @@ from .errors import (
     WindowTooSmallError,
 )
 from .geometry import (
-    AnchorPair,
-    Point2,
     ScoreKind,
     critical_score,
     enclosing_radius,
     min_product_region_area,
     min_sum_region_area,
-    s_exp,
-    s_pow,
 )
 from .montecarlo import (
     EmpiricalDist,
@@ -69,7 +65,6 @@ from .montecarlo import (
 )
 from .policies import OPTIMUM, PolicyKind, SelectionPolicy
 from .specfun import (
-    SeriesControl,
     digamma,
     ellip_e,
     ellip_k,

@@ -3,10 +3,11 @@ average-rate integrals for optimum two-anchor selection over a planar
 Poisson process.
 
 Everything rests on the void probability of the score sublevel regions:
-the best product score Y and best sum score L achieved by any node satisfy
+the best product ds*dd and best sum ds+dd of any node's anchor distances,
+Y and L, satisfy
 
-    P(Y > g) = exp(-lambda * area{s_pow <= g})
-    P(L > g) = exp(-lambda * area{s_exp <= g})
+    P(Y > g) = exp(-lambda * area{ds * dd <= g})
+    P(L > g) = exp(-lambda * area{ds + dd <= g})
 
 which simultaneously gives the score CDFs and the Poisson mean of the
 number of nodes below a feedback threshold.  Densities are the analytic
@@ -51,15 +52,13 @@ from .geometry import (
     min_product_region_area,
     min_sum_region_area,
 )
-from .specfun import SeriesControl, digamma, ellip_e, ellip_ke_m1, ellip_k, genhyp, log_gamma
+from .specfun import digamma, ellip_e, ellip_ke_m1, ellip_k, genhyp, log_gamma
 
 _LN2 = math.log(2.0)
 
 # Below this value of avg_snr * y the closed-form rate loses too
 # many digits to cancellation; integrate the defining form instead.
 RATE_CLOSED_FORM_CUTOFF = 1.0e-2
-
-_RATE_SERIES = SeriesControl(rel_tol=1e-14, max_terms=800)
 
 
 @dataclass(frozen=True)
@@ -317,17 +316,17 @@ def rate_fading_closed(y: float, cfg: NetworkConfig) -> float:
     half = 0.5 * math.pi * k
 
     bracket = 2.0 * math.log(theta) + math.log(c) + 2.0 * digamma(k)
-    bracket += genhyp([1.0, 1.0], [2.0, 0.5 * (3.0 - k), 0.5 * (4.0 - k)], -x, _RATE_SERIES) / (
+    bracket += genhyp([1.0, 1.0], [2.0, 0.5 * (3.0 - k), 0.5 * (4.0 - k)], -x) / (
         theta * theta * c * (k - 1.0) * (k - 2.0)
     )
     log_pref = math.log(math.pi) - 0.5 * k * math.log(c) - k * math.log(theta) - log_gamma(k + 1.0)
     pref = math.exp(log_pref)
-    term_a = (1.0 / math.sin(half)) * genhyp([0.5 * k], [0.5, 0.5 * k + 1.0], -x, _RATE_SERIES)
+    term_a = (1.0 / math.sin(half)) * genhyp([0.5 * k], [0.5, 0.5 * k + 1.0], -x)
     term_b = (
         k
         / math.cos(half)
         / (math.sqrt(c) * theta * (1.0 + k))
-        * genhyp([0.5 * (k + 1.0)], [1.5, 0.5 * (k + 3.0)], -x, _RATE_SERIES)
+        * genhyp([0.5 * (k + 1.0)], [1.5, 0.5 * (k + 3.0)], -x)
     )
     bracket += pref * (term_a - term_b)
     return bracket / _LN2

@@ -175,7 +175,7 @@ def load_spec(path: str) -> ExperimentSpec:
     if threshold is not None or variable == "threshold":
         _check_feedback_policies(model, policies)
 
-    return ExperimentSpec(
+    spec = ExperimentSpec(
         d=_get(sc, "d", float),
         intensity=_get(sc, "intensity", float),
         n_elements=_get(sc, "n_elements", int),
@@ -197,6 +197,14 @@ def load_spec(path: str) -> ExperimentSpec:
         seed=_get(run, "seed", int, required=False, default=1),
         output=_get(run, "output", str, required=False, default="out.csv"),
     )
+    for value in spec.sweep_values():
+        try:
+            _, point_threshold = spec.config_at(value)
+            for kind in policies:
+                _policy_obj(kind, point_threshold)
+        except ValueError as exc:
+            raise SpecError(f"invalid scenario at {variable} = {_fmt(value)}: {exc}") from exc
+    return spec
 
 
 def _fmt(value: float) -> str:
@@ -274,16 +282,21 @@ def _write_csv(rows: list[list[str]], path: str) -> None:
 
 
 def _scenario_config(args) -> NetworkConfig:
-    return NetworkConfig(
-        d=args.d,
-        intensity=args.intensity,
-        n_elements=args.n_elements,
-        model=_MODEL_NAMES[args.model],
-        eta=args.eta,
-        alpha=args.alpha,
-        avg_snr=db_to_linear(args.snr_db),
-        target_snr=db_to_linear(args.target_snr_db),
-    )
+    if args.threshold is not None and not args.threshold > 0.0:
+        raise SpecError(f"--threshold must be > 0, got {args.threshold}")
+    try:
+        return NetworkConfig(
+            d=args.d,
+            intensity=args.intensity,
+            n_elements=args.n_elements,
+            model=_MODEL_NAMES[args.model],
+            eta=args.eta,
+            alpha=args.alpha,
+            avg_snr=db_to_linear(args.snr_db),
+            target_snr=db_to_linear(args.target_snr_db),
+        )
+    except ValueError as exc:
+        raise SpecError(str(exc)) from exc
 
 
 def _add_scenario_args(p: argparse.ArgumentParser) -> None:
@@ -376,7 +389,10 @@ def _cmd_feedback(args, workers: int) -> int:
     emp = montecarlo.mc_feedback_dist(
         cfg, cfg.model, args.threshold, args.trials, np.random.default_rng(args.seed), workers=workers
     )
-    stat, dof, p = montecarlo.poisson_gof(emp, xi) if xi > 0 else (float("nan"), 0, float("nan"))
+    try:
+        stat, dof, p = montecarlo.poisson_gof(emp, xi)
+    except ValueError:  # no chi-square test: xi = 0, or too few bins with enough expected count
+        stat, dof, p = float("nan"), 0, float("nan")
     print(f"analytic mean feedback = {_fmt(xi)}")
     print(f"simulated mean         = {_fmt(emp.mean())} +/- {_fmt(emp.std_error())}")
     print(f"poisson chi-square     = {_fmt(stat)} (dof {dof}), p = {_fmt(p)}")

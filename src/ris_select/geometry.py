@@ -1,22 +1,19 @@
 """Plane geometry for two-anchor selection over a planar Poisson process.
 
 The transmitter and receiver sit at (-d, 0) and (d, 0).  Every candidate
-node is scored either by the product or by the sum of its distances to the
-two anchors (``score`` is the one place that choice is evaluated); the
-sublevel sets of those scores (a Cassini oval and an ellipse with the
+node is scored either by the product or by the sum of its distances ds, dd
+to the two anchors (``score`` is the one place that choice is evaluated);
+the sublevel sets of those scores (a Cassini oval and an ellipse with the
 anchors as foci) drive all the analytic results, so their areas, enclosing
-radii and void-probability levels live here too.  Sampling the point
-process is the Monte Carlo engine's job (montecarlo._sample_batch).
-Everything here is pure.
+radii and void-probability levels live here too.  Node positions never
+reach this module: montecarlo._sample_batch samples them and forms their
+distances in one pass.  Everything here is pure.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from .errors import DomainError
 from .specfun import ellip_e, ellip_k
@@ -29,71 +26,13 @@ class ScoreKind(Enum):
     MIN_SUM = "min-sum"
 
 
-@dataclass(frozen=True)
-class Point2:
-    x: float
-    y: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"coordinates must be finite, got ({self.x}, {self.y})")
-
-
-@dataclass(frozen=True)
-class AnchorPair:
-    """Transmitter/receiver pair at (-d, 0) and (d, 0), half-separation d > 0."""
-
-    d: float
-
-    def __post_init__(self) -> None:
-        if not self.d > 0.0:
-            raise ValueError(f"half separation d must be > 0, got {self.d}")
-
-    @property
-    def source(self) -> Point2:
-        return Point2(-self.d, 0.0)
-
-    @property
-    def destination(self) -> Point2:
-        return Point2(self.d, 0.0)
-
-
-def _as_xy(p) -> tuple[np.ndarray, np.ndarray, bool]:
-    if isinstance(p, Point2):
-        return np.asarray(p.x), np.asarray(p.y), True
-    arr = np.asarray(p, dtype=float)
-    if arr.ndim == 1 and arr.shape == (2,):
-        return arr[0], arr[1], True
-    return arr[..., 0], arr[..., 1], False
-
-
-def anchor_distances(p, anchors: AnchorPair):
-    """Distances from a point (or array of points) to the two anchors."""
-    x, y, scalar = _as_xy(p)
-    ds = np.hypot(x + anchors.d, y)
-    dd = np.hypot(x - anchors.d, y)
-    if scalar:
-        return float(ds), float(dd)
-    return ds, dd
-
-
 def score(kind: ScoreKind, ds, dd):
     """Score of the given kind from the distances to the two anchors."""
     return ds * dd if kind is ScoreKind.MIN_PRODUCT else ds + dd
 
 
-def s_pow(p, anchors: AnchorPair):
-    """Product of the distances to the two anchors (units^2)."""
-    return score(ScoreKind.MIN_PRODUCT, *anchor_distances(p, anchors))
-
-
-def s_exp(p, anchors: AnchorPair):
-    """Sum of the distances to the two anchors (units); always >= 2d."""
-    return score(ScoreKind.MIN_SUM, *anchor_distances(p, anchors))
-
-
 def min_product_region_area(gamma: float, d: float) -> float:
-    """Area of the Cassini sublevel region {X : s_pow(X) <= gamma}.
+    """Area of the Cassini sublevel region {X : ds * dd <= gamma}.
 
     Below gamma = d^2 the region is a pair of petals around the anchors,
     above it a single oval; the two closed forms meet continuously at
@@ -115,7 +54,7 @@ def min_product_region_area(gamma: float, d: float) -> float:
 
 
 def min_sum_region_area(gamma: float, d: float) -> float:
-    """Area of the elliptical sublevel region {X : s_exp(X) <= gamma}.
+    """Area of the elliptical sublevel region {X : ds + dd <= gamma}.
 
     Zero for gamma <= 2d; otherwise pi * gamma * sqrt(gamma^2 - 4 d^2) / 4
     (semi-axes gamma/2 and sqrt(gamma^2 - 4 d^2)/2).

@@ -27,9 +27,9 @@ element by element, so one draw serves every cell and the gain for N
 elements is the partial sum of the gain for more.  Path gain and rate are
 formed once per distinct (policy, law parameter, SNR, N).  Every cell
 thus reads the same realizations (common random numbers), and each
-equals what ``mc_outage_rate`` returns for that cell alone with the same
-seed and the group's window radius.  ``mc_outage_rate``, ``mc_outage``
-and ``mc_rate`` are the one-cell case.
+equals what a one-cell ``mc_sweep`` returns for it with the same seed and
+the group's window radius.  ``mc_outage`` and ``mc_rate`` are that
+one-cell case.
 
 Chunks run in the calling process, or in a pool in which the calling
 process is one of the workers: it runs the first share of the chunks
@@ -528,10 +528,7 @@ def mc_distance_dist(
     """
     if policy_kind is not OPTIMUM[cfg.model][1]:
         raise ValueError(f"{policy_kind} is not the optimum policy of {cfg.model}")
-    policy = SelectionPolicy(policy_kind)
-    radius = coverage_radius(cfg, policy)
-    chunks = _map_chunks(_chunk_scores, (cfg, policy), radius, n_trials, rng, workers)
-    return EmpiricalDist(np.concatenate(chunks))
+    return EmpiricalDist(policy_scores(cfg, SelectionPolicy(policy_kind), n_trials, rng, workers=workers))
 
 
 def mc_sweep(
@@ -576,28 +573,6 @@ def mc_sweep(
     return out
 
 
-def mc_outage_rate(
-    cfg: NetworkConfig,
-    policy: SelectionPolicy,
-    n_trials: int,
-    fading_draws_per_trial: int | None,
-    rng,
-    window_radius_override: float | None = None,
-    workers: int = 1,
-    pool: Callable[[list], list] | None = None,
-) -> tuple[Estimate, Estimate | None]:
-    """Outage and, when fading draws are asked for, rate from one pass.
-
-    The one-cell case of ``mc_sweep``.  Both estimates equal what
-    ``mc_outage`` and ``mc_rate`` return for the same arguments and seed;
-    the rate is None when fading_draws_per_trial is None.
-    """
-    [estimates] = mc_sweep(
-        [(cfg, policy)], n_trials, fading_draws_per_trial, rng, window_radius_override, workers, pool
-    )
-    return estimates
-
-
 def mc_outage(
     cfg: NetworkConfig,
     policy: SelectionPolicy,
@@ -611,7 +586,7 @@ def mc_outage(
     Randomness is over node locations only (the SNR is already averaged
     over fading); an empty selection counts as an outage.
     """
-    outage, _ = mc_outage_rate(cfg, policy, n_trials, None, rng, window_radius_override, workers)
+    [(outage, _)] = mc_sweep([(cfg, policy)], n_trials, None, rng, window_radius_override, workers)
     return outage
 
 
@@ -631,8 +606,8 @@ def mc_rate(
     """
     if fading_draws_per_trial is None:
         raise ValueError("fading_draws_per_trial must be >= 1, got None")
-    _, rate = mc_outage_rate(
-        cfg, policy, n_trials, fading_draws_per_trial, rng, window_radius_override, workers
+    [(_, rate)] = mc_sweep(
+        [(cfg, policy)], n_trials, fading_draws_per_trial, rng, window_radius_override, workers
     )
     return rate
 

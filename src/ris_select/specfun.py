@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -28,28 +27,8 @@ import numpy as np
 from .errors import DomainError, NonConvergenceError, PoleError
 
 _EPS = sys.float_info.epsilon
-
-
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation control for hypergeometric series evaluation.
-
-    ``rel_tol`` is the relative size below which running terms are
-    considered negligible; ``max_terms`` caps the number of terms before
-    the evaluation is declared non-convergent.
-    """
-
-    rel_tol: float = 1.0e-14
-    max_terms: int = 600
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.rel_tol <= 1.0e-3:
-            raise ValueError(f"rel_tol must be in (0, 1e-3], got {self.rel_tol}")
-        if self.max_terms < 100:
-            raise ValueError(f"max_terms must be >= 100, got {self.max_terms}")
-
-
-DEFAULT_SERIES = SeriesControl()
+_SERIES_REL_TOL = 1.0e-14
+_SERIES_MAX_TERMS = 800
 
 
 def ellip_k(m: float) -> float:
@@ -222,7 +201,7 @@ def _dd_div(xh: float, xl: float, yh: float, yl: float) -> tuple[float, float]:
     return h2, l - (h2 - h)
 
 
-def _genhyp_sum(a, b, z, ctl: SeriesControl, floor_n: int, use_dd: bool):
+def _genhyp_sum(a, b, z, floor_n: int, use_dd: bool):
     """One summation pass; returns (value, max |term| seen) or raises.
 
     In the double-double pass every shifted parameter a_i + n and b_j + n is
@@ -234,7 +213,7 @@ def _genhyp_sum(a, b, z, ctl: SeriesControl, floor_n: int, use_dd: bool):
     total = (1.0, 0.0)
     max_term = 1.0
     small_streak = 0
-    for n in range(ctl.max_terms):
+    for n in range(_SERIES_MAX_TERMS):
         if use_dd:
             th, tl = _dd_mul_scalar(*term, z)
             for ai in a:
@@ -255,35 +234,32 @@ def _genhyp_sum(a, b, z, ctl: SeriesControl, floor_n: int, use_dd: bool):
             raise NonConvergenceError("hypergeometric term overflowed")
         total = _dd_add(*total, th, tl) if use_dd else (total[0] + th, 0.0)
         max_term = max(max_term, abs(th))
-        if abs(th) <= ctl.rel_tol * abs(total[0]) and n >= floor_n:
+        if abs(th) <= _SERIES_REL_TOL * abs(total[0]) and n >= floor_n:
             small_streak += 1
             if small_streak >= 3:
                 return total[0] + total[1], max_term
         else:
             small_streak = 0
     raise NonConvergenceError(
-        f"hypergeometric series did not converge within {ctl.max_terms} terms"
+        f"hypergeometric series did not converge within {_SERIES_MAX_TERMS} terms"
     )
 
 
-def genhyp(
-    p_params: Sequence[float],
-    q_params: Sequence[float],
-    z: float,
-    ctl: SeriesControl = DEFAULT_SERIES,
-) -> float:
+def genhyp(p_params: Sequence[float], q_params: Sequence[float], z: float) -> float:
     """Generalized hypergeometric series pFq(a_1..a_p; b_1..b_q; z).
 
     Direct term-by-term summation with the ratio recurrence
 
         t_{n+1} = t_n * prod(a_i + n) / prod(b_j + n) * z / (n + 1).
 
-    Truncates once the running term has stayed below rel_tol * |partial sum|
+    Truncates once the running term has stayed below 1e-14 * |partial sum|
     for three consecutive terms, but never before the index has passed every
     negative denominator parameter (those cause a transient dip-and-regrowth
-    in the term magnitudes that must not trigger early truncation).  When the
-    terms grow so far above the limit that plain double summation would lose
-    the answer, the pass is redone in compensated double-double arithmetic.
+    in the term magnitudes that must not trigger early truncation).  A series
+    that has not truncated after 800 terms, or whose terms overflow, raises
+    NonConvergenceError.  When the terms grow so far above the limit that
+    plain double summation would lose the answer, the pass is redone in
+    compensated double-double arithmetic.
 
     Denominator parameters within 1e-8 of a non-positive integer are
     rejected as poles rather than regularized.
@@ -302,9 +278,9 @@ def genhyp(
         if bj < 0.0:
             floor_n = max(floor_n, int(math.ceil(-bj)) + 2)
 
-    value, max_term = _genhyp_sum(a, b, z, ctl, floor_n, use_dd=False)
+    value, max_term = _genhyp_sum(a, b, z, floor_n, use_dd=False)
     if max_term * 4.0 * _EPS > 1e-13 * max(abs(value), sys.float_info.min):
-        value, max_term = _genhyp_sum(a, b, z, ctl, floor_n, use_dd=True)
+        value, max_term = _genhyp_sum(a, b, z, floor_n, use_dd=True)
         if max_term * 1e-31 > 1e-12 * abs(value):
             raise NonConvergenceError(
                 "series cancellation exceeds double-double precision"

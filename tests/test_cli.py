@@ -98,6 +98,21 @@ class TestSpecParsing:
         assert main(["run", "--spec", spec, *extra]) == 2
         assert "must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "old, new, match",
+        [
+            ("d = 1.2", "d = -1", "d must be > 0"),
+            ("model = power", "model = exp\nalpha = 0", "alpha > 0"),
+            ("variable = avg_snr_db\nmin = -10", "variable = n_elements\nmin = 0", "n_elements = 0"),
+            ("variable = avg_snr_db\nmin = -10", "variable = threshold\nmin = -1", "threshold = -1"),
+        ],
+    )
+    def test_invalid_scenario_at_a_sweep_point_exits_2(self, tmp_path, capsys, old, new, match):
+        spec = write_spec(tmp_path, GOOD_SPEC.format(out=tmp_path / "o.csv").replace(old, new))
+        with pytest.raises(SpecError, match=match):
+            load_spec(spec)
+        assert main(["run", "--spec", spec]) == 2
+        assert match in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "old, new",
@@ -423,8 +438,8 @@ class TestSharedRealizations:
             radius = max(montecarlo.coverage_radius(cfg, pol) for cfg, pol in cells.values())
             for (i, kind), (cfg, pol) in cells.items():
                 rng = np.random.default_rng(np.random.SeedSequence([spec.seed, g]))
-                want[i, kind] = montecarlo.mc_outage_rate(
-                    cfg, pol, trials, spec.fading_draws, rng, window_radius_override=radius
+                [want[i, kind]] = montecarlo.mc_sweep(
+                    [(cfg, pol)], trials, spec.fading_draws, rng, window_radius_override=radius
                 )
         expected = [rows[0]]
         for i, (value, _, _) in enumerate(points):
@@ -492,6 +507,13 @@ class TestSubcommands:
         xi = float(out.splitlines()[0].split("=")[1])
         assert xi == pytest.approx(155.9445582, rel=1e-6)
 
+    def test_feedback_with_too_few_bins_prints_both_means(self, capsys):
+        # xi ~ 0.002: no chi-square test can be formed, as when xi = 0
+        assert main(["feedback", "--model", "exp", "--threshold", "2.400001", "--trials", "1000"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("analytic mean") and lines[1].startswith("simulated mean")
+        assert lines[2].endswith("p = nan")
+
     def test_rate_subcommand(self, capsys):
         assert main([
             "rate", "--model", "exp", "--snr-db", "0", "--trials", "2000",
@@ -512,6 +534,20 @@ class TestSubcommands:
     def test_counts_below_one_exit_2(self, capsys, argv):
         assert main(argv) == 2
         assert "must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, match",
+        [
+            (["outage", "--d", "-1"], "d must be > 0"),
+            (["outage", "--n-elements", "0"], "n_elements must be a positive integer"),
+            (["rate", "--threshold", "-1"], "--threshold must be > 0"),
+            (["distance-dist", "--intensity", "0"], "intensity must be > 0"),
+            (["feedback", "--threshold", "0"], "--threshold must be > 0"),
+        ],
+    )
+    def test_scenario_flag_out_of_range_exits_2(self, capsys, argv, match):
+        assert main(argv + ["--trials", "100"]) == 2
+        assert match in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["outage", "rate"])
     def test_threshold_with_the_other_models_optimum_exits_2(self, capsys, command):

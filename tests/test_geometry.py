@@ -11,21 +11,25 @@ from scipy import integrate
 
 from ris_select.errors import UnsupportedRegionError
 from ris_select.geometry import (
-    AnchorPair,
-    Point2,
     ScoreKind,
     critical_score,
     enclosing_radius,
     min_product_region_area,
     min_sum_region_area,
-    s_exp,
-    s_pow,
+    score,
 )
 from ris_select.montecarlo import _sample_batch
 
-ANCHORS = AnchorPair(d=1.2)
+D = 1.2
+PRODUCT, SUM = ScoreKind.MIN_PRODUCT, ScoreKind.MIN_SUM
 
 coord = st.floats(min_value=-30.0, max_value=30.0, allow_nan=False)
+
+
+def scores(kind, points, d=D):
+    """score() of each (x, y) row of points, from np.hypot distances to (-d, 0) and (d, 0)."""
+    x, y = np.asarray(points, dtype=float).reshape(-1, 2).T
+    return score(kind, np.hypot(x + d, y), np.hypot(x - d, y))
 
 
 def product_area_oracle(gamma, d):
@@ -97,40 +101,28 @@ class TestSamplePpp:
 
 class TestScoreFunctionals:
     def test_product_hand_values(self):
-        assert s_pow(Point2(0.0, 0.0), ANCHORS) == pytest.approx(1.44)
-        assert s_pow(Point2(1.2, 0.0), ANCHORS) == pytest.approx(0.0)
-        # law of cosines: both hop distances are sqrt(1.44 + 1)
-        assert s_pow(Point2(0.0, 1.0), ANCHORS) == pytest.approx(2.44)
+        # law of cosines: both hop distances from (0, 1) are sqrt(1.44 + 1)
+        assert scores(PRODUCT, [[0.0, 0.0], [1.2, 0.0], [0.0, 1.0]]) == pytest.approx([1.44, 0.0, 2.44])
 
     def test_sum_hand_values(self):
-        assert s_exp(Point2(0.0, 0.0), ANCHORS) == pytest.approx(2.4)
-        assert s_exp(Point2(0.5, 0.0), ANCHORS) == pytest.approx(2.4)
         # 2 * sqrt(1.44 + 2.56) = 4
-        assert s_exp(Point2(0.0, 1.6), ANCHORS) == pytest.approx(4.0)
-
-    def test_vectorized_matches_scalar(self):
-        pts = np.array([[0.3, -0.7], [2.0, 1.0], [-1.2, 0.0]])
-        sp = s_pow(pts, ANCHORS)
-        se = s_exp(pts, ANCHORS)
-        for i, (x, y) in enumerate(pts):
-            assert sp[i] == pytest.approx(s_pow(Point2(x, y), ANCHORS))
-            assert se[i] == pytest.approx(s_exp(Point2(x, y), ANCHORS))
+        assert scores(SUM, [[0.0, 0.0], [0.5, 0.0], [0.0, 1.6]]) == pytest.approx([2.4, 2.4, 4.0])
 
     @settings(max_examples=60, deadline=None)
     @given(x=coord, y=coord)
     def test_sum_lower_bound(self, x, y):
-        assert s_exp(Point2(x, y), ANCHORS) >= 2 * ANCHORS.d - 1e-12
+        assert scores(SUM, [x, y])[0] >= 2 * D - 1e-12
 
     def test_sum_equality_on_segment_only(self):
-        assert s_exp(Point2(0.7, 0.0), ANCHORS) == pytest.approx(2.4, abs=1e-14)
-        assert s_exp(Point2(0.7, 0.01), ANCHORS) > 2.4
+        assert scores(SUM, [0.7, 0.0])[0] == pytest.approx(2.4, abs=1e-14)
+        assert scores(SUM, [0.7, 0.01])[0] > 2.4
 
     @settings(max_examples=60, deadline=None)
     @given(x=coord, y=coord)
     def test_reflection_invariance(self, x, y):
-        for p, q in [((x, y), (x, -y)), ((x, y), (-x, y))]:
-            assert s_pow(Point2(*p), ANCHORS) == pytest.approx(s_pow(Point2(*q), ANCHORS), rel=1e-12)
-            assert s_exp(Point2(*p), ANCHORS) == pytest.approx(s_exp(Point2(*q), ANCHORS), rel=1e-12)
+        for kind in (PRODUCT, SUM):
+            got = scores(kind, [[x, y], [x, -y], [-x, y]])
+            assert got[1:] == pytest.approx([got[0]] * 2, rel=1e-12)
 
 
 class TestRegionAreas:
@@ -165,8 +157,7 @@ class TestRegionAreas:
             radius = enclosing_radius(kind, gamma, d)
             theta = np.linspace(0.0, 2 * math.pi, 721)
             pts = np.column_stack((np.cos(theta), np.sin(theta))) * radius * 1.0001
-            score = s_pow(pts, AnchorPair(d)) if kind is ScoreKind.MIN_PRODUCT else s_exp(pts, AnchorPair(d))
-            assert np.all(score > gamma)
+            assert np.all(scores(kind, pts, d) > gamma)
 
 
 class TestWindowRule:

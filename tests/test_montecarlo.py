@@ -22,7 +22,6 @@ from ris_select.montecarlo import (
     mc_distance_dist,
     mc_feedback_dist,
     mc_outage,
-    mc_outage_rate,
     mc_rate,
     mc_sweep,
     poisson_gof,
@@ -117,7 +116,7 @@ class TestBasics:
         sizes.clear()
         assert mc_outage(cfg, pol, n_trials, 8, workers=workers) == want
         with montecarlo.shared_pool(workers, n_trials) as pool:
-            assert mc_outage_rate(cfg, pol, n_trials, None, 8, pool=pool) == (want, None)
+            assert mc_sweep([(cfg, pol)], n_trials, None, 8, pool=pool) == [(want, None)]
         assert sizes == [3, 3]  # four chunks: three children and this process
 
 
@@ -199,7 +198,7 @@ class TestSweepKernel:
         n_trials = montecarlo._CHUNK_TRIALS + 1
         got = mc_sweep(cells, n_trials, 3, 23)
         for (cfg, pol), pair in zip(cells, got):
-            assert pair == mc_outage_rate(cfg, pol, n_trials, 3, 23, window_radius_override=radius)
+            assert [pair] == mc_sweep([(cfg, pol)], n_trials, 3, 23, window_radius_override=radius)
         assert mc_sweep(cells, n_trials, None, 23) == [(outage, None) for outage, _ in got]
 
     def test_one_arg_min_per_criterion(self, monkeypatch):
@@ -364,7 +363,7 @@ class TestDistanceDist:
 
     def test_uniform_sum_scores_match_ellipse_area_fraction(self):
         # single-node sanity for the sum functional: uniform points on a disc
-        # land inside {s_exp <= g} with probability area(g)/disc area
+        # land inside {ds + dd <= g} with probability area(g)/disc area
         tau = 5.0
         _, ds, dd = montecarlo._sample_batch(2.0, D, tau, 1, np.random.default_rng(8))
         score = ds + dd
@@ -474,10 +473,10 @@ class TestRate:
         cfg = pow_cfg()
         pol = SelectionPolicy(PolicyKind.OPT_PRODUCT, feedback_threshold=threshold)
         n_trials = montecarlo._CHUNK_TRIALS + 5
-        outage, rate = mc_outage_rate(cfg, pol, n_trials, 3, 17)
+        [(outage, rate)] = mc_sweep([(cfg, pol)], n_trials, 3, 17)
         assert outage == mc_outage(cfg, pol, n_trials, 17)
         assert rate == mc_rate(cfg, pol, n_trials, 3, 17)
-        assert mc_outage_rate(cfg, pol, n_trials, None, 17) == (outage, None)
+        assert mc_sweep([(cfg, pol)], n_trials, None, 17) == [(outage, None)]
 
 
 class TestFeedbackDist:
@@ -511,6 +510,12 @@ class TestFeedbackDist:
         emp = EmpiricalDist(rng.poisson(40.0, 4000).astype(float))
         _, _, p = poisson_gof(emp, 31.4)
         assert p < 1e-6
+
+    def test_gof_refuses_too_few_bins(self):
+        # mean 0.002 over 1000 samples: only the zero bin reaches the expected count
+        emp = EmpiricalDist(np.random.default_rng(3).poisson(0.002, 1000).astype(float))
+        with pytest.raises(ValueError, match="too few bins"):
+            poisson_gof(emp, 0.002)
 
     def test_model_mismatch(self):
         with pytest.raises(ValueError):

@@ -10,18 +10,23 @@ from hypothesis import strategies as st
 
 from ris_select import montecarlo
 from ris_select.channel import NetworkConfig, PathLossModel
-from ris_select.geometry import AnchorPair, ScoreKind, anchor_distances, s_exp, s_pow
+from ris_select.geometry import ScoreKind, score
 from ris_select.montecarlo import _chunk_feedback_counts, _sample_batch, _select, mc_feedback_dist
 from ris_select.policies import OPTIMUM, PolicyKind, SelectionPolicy
 
-ANCHORS = AnchorPair(1.2)
 ALL_KINDS = list(PolicyKind)
 PRODUCT, SUM = ScoreKind.MIN_PRODUCT, ScoreKind.MIN_SUM
 
 
+def anchor_distances(points, d=1.2):
+    """np.hypot distances of each (x, y) row of points to the anchors (-d, 0) and (d, 0)."""
+    x, y = np.asarray(points, dtype=float).reshape(-1, 2).T
+    return np.hypot(x + d, y), np.hypot(x - d, y)
+
+
 def select(policy, points, kind=PRODUCT):
     """Score (of the given kind) of the node the policy picks from one trial's points."""
-    ds, dd = anchor_distances(np.asarray(points, dtype=float).reshape(-1, 2), ANCHORS)
+    ds, dd = anchor_distances(points)
     return _select(policy, kind, np.array([ds.size]), ds, dd)[0]
 
 
@@ -46,8 +51,8 @@ def argmin_oracle(policy, kind, counts, ds, dd):
 def feedback_counts(model, threshold, points_per_trial, monkeypatch):
     """_chunk_feedback_counts on the given trials in place of sampled ones."""
     counts = np.array([len(p) for p in points_per_trial])
-    pts = np.asarray([xy for p in points_per_trial for xy in p], dtype=float).reshape(-1, 2)
-    monkeypatch.setattr(montecarlo, "_sample_batch", lambda *a: (counts, *anchor_distances(pts, ANCHORS)))
+    pts = [xy for p in points_per_trial for xy in p]
+    monkeypatch.setattr(montecarlo, "_sample_batch", lambda *a: (counts, *anchor_distances(pts)))
     cfg = NetworkConfig(d=1.2, intensity=1.0, n_elements=1, model=model)
     return _chunk_feedback_counts(cfg, threshold, 50.0, counts.size, None)
 
@@ -58,9 +63,9 @@ class TestSelect:
             assert select(SelectionPolicy(kind), [[0.0, 0.0]]) == pytest.approx(1.44)
 
     def test_opt_sum_hand_case(self):
-        # s_exp(0, 0.1) ~ 2.4083 beats s_exp(1.2, 0.5) = sqrt(5.76+0.25)+0.5 ~ 2.952
+        # the sum score at (0, 0.1), ~2.4083, beats (1.2, 0.5)'s sqrt(5.76+0.25)+0.5 ~ 2.952
         got = select(SelectionPolicy(PolicyKind.OPT_SUM), [[1.2, 0.5], [0.0, 0.1]], SUM)
-        assert got == s_exp([0.0, 0.1], ANCHORS)
+        assert got == score(SUM, *anchor_distances([0.0, 0.1]))[0]
 
     def test_empty_returns_none(self):
         counts, ds, dd = np.array([0, 2, 0]), np.array([1.0, 2.0]), np.array([3.0, 1.0])
@@ -91,7 +96,7 @@ class TestSelect:
     def test_min_min_semantics(self):
         # closest node to either anchor wins, not closest to both
         got = select(SelectionPolicy(PolicyKind.MIN_MIN), [[-1.3, 0.0], [0.0, 0.4]])
-        assert got == s_pow([-1.3, 0.0], ANCHORS)
+        assert got == score(PRODUCT, *anchor_distances([-1.3, 0.0]))[0]
 
     def test_threshold_only_for_optimum_policies(self):
         with pytest.raises(ValueError):
@@ -101,8 +106,8 @@ class TestSelect:
 
     def test_threshold_filters_candidates(self):
         pol = SelectionPolicy(PolicyKind.OPT_SUM, feedback_threshold=2.5)
-        assert select(pol, [[0.0, 1.6]], SUM) == math.inf  # s_exp = 4 > 2.5
-        assert select(pol, [[0.0, 1.6], [0.0, 0.1]], SUM) == s_exp([0.0, 0.1], ANCHORS)
+        assert select(pol, [[0.0, 1.6]], SUM) == math.inf  # sum score 4 > 2.5
+        assert select(pol, [[0.0, 1.6], [0.0, 0.1]], SUM) == score(SUM, *anchor_distances([0.0, 0.1]))[0]
 
     def test_selection_stable_when_winner_feeds_back(self):
         counts, ds, dd = _sample_batch(0.5, 1.2, 6.0, 500, np.random.default_rng(9))
@@ -135,8 +140,7 @@ class TestThresholdMask:
         # its pick is the unfiltered pick masked by score <= T
         kind, optimum = model_optimum
         counts = np.array([len(t) for t in trials])
-        points = np.array([xy for t in trials for xy in t], dtype=float).reshape(-1, 2)
-        ds, dd = anchor_distances(points, ANCHORS)
+        ds, dd = anchor_distances([xy for t in trials for xy in t])
         full = _select(SelectionPolicy(optimum), kind, counts, ds, dd)
         masked = np.where(full <= threshold, full, np.inf)
         policy = SelectionPolicy(optimum, feedback_threshold=threshold)
@@ -167,7 +171,7 @@ class TestFeedbackFilter:
         assert np.array_equal(got, _sample_batch(1.0, 1.2, 5.0, 20, np.random.default_rng(18))[0])
 
     def test_removes_point_above_threshold(self, monkeypatch):
-        # s_exp(0, 1) = 2 sqrt(2.44) ~ 3.124
+        # the sum score at (0, 1) is 2 sqrt(2.44) ~ 3.124
         assert feedback_counts(PathLossModel.EXP_LAW, 3.0, [[[0.0, 1.0]]], monkeypatch).tolist() == [0]
         assert feedback_counts(PathLossModel.EXP_LAW, 3.2, [[[0.0, 1.0]]], monkeypatch).tolist() == [1]
 
@@ -180,8 +184,8 @@ class TestFeedbackFilter:
         pts = np.random.default_rng(23).uniform(-6.0, 6.0, (60, 2))
         trials = [pts[:25], pts[25:], []]
         for threshold in (1.0, 3.0, 8.0):
-            for model, score in ((PathLossModel.POWER_LAW, s_pow), (PathLossModel.EXP_LAW, s_exp)):
-                want = [int(np.sum(score(p, ANCHORS) <= threshold)) if len(p) else 0 for p in trials]
+            for model, (kind, _) in OPTIMUM.items():
+                want = [int(np.sum(score(kind, *anchor_distances(p)) <= threshold)) for p in trials]
                 assert feedback_counts(model, threshold, trials, monkeypatch).tolist() == want
 
     def test_validation(self):
