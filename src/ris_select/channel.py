@@ -61,20 +61,21 @@ class NetworkConfig:
     target_snr: float = 10.0 ** 0.5
 
     def __post_init__(self) -> None:
-        if self.d <= 0.0:
-            raise ValueError(f"d must be > 0, got {self.d}")
-        if self.intensity <= 0.0:
-            raise ValueError(f"intensity must be > 0, got {self.intensity}")
+        # written so that NaN fails every check
+        if not 0.0 < self.d < math.inf:
+            raise ValueError(f"d must be > 0 and finite, got {self.d}")
+        if not 0.0 < self.intensity < math.inf:
+            raise ValueError(f"intensity must be > 0 and finite, got {self.intensity}")
         if int(self.n_elements) != self.n_elements or self.n_elements < 1:
             raise ValueError(f"n_elements must be a positive integer, got {self.n_elements}")
         self.n_elements = int(self.n_elements)
-        if self.model is PathLossModel.POWER_LAW and not self.eta > 2.0:
-            raise ValueError(f"power law requires eta > 2, got {self.eta}")
-        if self.model is PathLossModel.EXP_LAW and not self.alpha > 0.0:
-            raise ValueError(f"exponential law requires alpha > 0, got {self.alpha}")
-        if self.avg_snr <= 0.0:
-            raise ValueError(f"avg_snr must be > 0, got {self.avg_snr}")
-        if self.target_snr < 0.0:
+        if self.model is PathLossModel.POWER_LAW and not 2.0 < self.eta < math.inf:
+            raise ValueError(f"power law requires eta > 2 and finite, got {self.eta}")
+        if self.model is PathLossModel.EXP_LAW and not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"exponential law requires alpha > 0 and finite, got {self.alpha}")
+        if not 0.0 < self.avg_snr < math.inf:
+            raise ValueError(f"avg_snr must be > 0 and finite, got {self.avg_snr}")
+        if not self.target_snr >= 0.0:  # +inf is a target no node meets
             raise ValueError(f"target_snr must be >= 0, got {self.target_snr}")
 
 

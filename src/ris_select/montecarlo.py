@@ -3,7 +3,9 @@
 Each estimator draws realizations of the point process (``_sample_batch``,
 the package's one sampler) inside a finite window sized so the probability
 that the infinite process' winner falls outside is below a configurable
-epsilon, then evaluates the metric exactly on the sample.  A chunk expected
+epsilon, then evaluates the metric exactly on the sample.  The sampler
+draws each trial's Poisson count first and then takes points by rejection
+from the window's bounding square, so it needs no trigonometry.  A chunk expected
 to hold more points than a fixed budget is refused with
 UnsupportedRegionError before anything is drawn.  Trials are processed in
 fixed-size chunks (8192 trials), each with its own stream spawned from the
@@ -22,9 +24,10 @@ arg-min (linear in the number of points) per distinct criterion, not per
 cell: an optimum policy's criterion is the score itself, and a feedback
 threshold filters on that same score, so a threshold is a mask on the
 unthresholded pick and a whole threshold sweep shares one arg-min.  It
-then draws the fading of every trial from the same stream, accumulated
-element by element, so one draw serves every cell and the gain for N
-elements is the partial sum of the gain for more.  Path gain and rate are
+then draws the fading of every trial from the same stream, draws-major
+(one row per draw, one column per trial) and accumulated element by
+element, so one draw serves every cell and the gain for N elements is the
+partial sum of the gain for more.  Path gain and rate are
 formed once per distinct (policy, law parameter, SNR, N).  Every cell
 thus reads the same realizations (common random numbers), and each
 equals what a one-cell ``mc_sweep`` returns for it with the same seed and
@@ -32,10 +35,13 @@ the group's window radius.  ``mc_outage`` and ``mc_rate`` are that
 one-cell case.
 
 Chunks run in the calling process, or in a pool in which the calling
-process is one of the workers: it runs the first share of the chunks
-while min(workers, chunks, usable CPUs) - 1 children run the rest, so a
-two-chunk sweep forks one child, not two.  A sweep can open one such pool
-(``shared_pool``) and pass it to every kernel call.
+process is one of the workers.  A last chunk of less than half the chunk
+size is no share for a child of its own: the pool has min(workers, usable
+CPUs, chunks of at least half the chunk size) processes, the calling
+process runs the first share of those chunks and the small tail, and the
+children run the rest.  So 8193 trials run in one process, and 2 x 8192 + 1
+trials fork one child that runs the second chunk.  A sweep can open one
+such pool (``shared_pool``) and pass it to every kernel call.
 """
 
 from __future__ import annotations
@@ -57,10 +63,16 @@ from .geometry import ScoreKind, critical_score, enclosing_radius, score
 from .policies import OPTIMUM, PolicyKind, SelectionPolicy
 
 _CHUNK_TRIALS = 8192
+# Fewest trials worth a pool process of their own; a smaller last chunk
+# runs in the calling process.
+_MIN_SHARE = _CHUNK_TRIALS // 2
 _WINDOW_EPS = 1e-6
-# Most points one chunk may expect to sample.  Sampling and selection hold
-# about 56 bytes per point at their peak, so this caps a chunk near 1 GB.
+# Most points one chunk may expect to sample.  Sampling holds 24 bytes per
+# point (x, y^2 and a distance array; a block of candidate pairs is fixed
+# size) and selection about 48 at its peak, so this caps a chunk near 0.8 GB.
 _POINT_BUDGET = 1 << 24
+# Candidate pairs the sampler draws at a time (256 KiB of doubles).
+_SAMPLE_BLOCK = 1 << 14
 _OPTIMUM_SCORE = {optimum: kind for kind, optimum in OPTIMUM.values()}
 
 
@@ -221,10 +233,14 @@ def _sample_batch(lam: float, d: float, radius: float, n: int, rng: np.random.Ge
     """Vectorized batch of n realizations: anchor distances plus segment map.
 
     The Poisson(lam pi radius^2) point counts come first, then the points,
-    uniform on the disc, in trial order.  A batch expected to hold more
-    than _POINT_BUDGET points is refused before anything is drawn.  The
-    distances are sqrt((x +- d)^2 + y^2) with y^2 formed once: within 2 ulp
-    of np.hypot, at a fraction of its cost.
+    uniform on the disc, in trial order.  Each point is the next pair
+    (u, v) of the stream, mapped to [-1, 1]^2, that falls in the unit disc,
+    times radius: rejection from the bounding square, with no trigonometry.
+    Pairs are drawn _SAMPLE_BLOCK at a time, and since a pair is two
+    consecutive doubles the points do not depend on the block size.  A
+    batch expected to hold more than _POINT_BUDGET points is refused before
+    anything is drawn.  The distances are sqrt((x +- d)^2 + y^2) with y^2
+    formed once: within 2 ulp of np.hypot, at a fraction of its cost.
     """
     mean = lam * math.pi * radius * radius
     if not mean * n <= _POINT_BUDGET:
@@ -234,15 +250,22 @@ def _sample_batch(lam: float, d: float, radius: float, n: int, rng: np.random.Ge
         )
     counts = rng.poisson(mean, n)
     total = int(counts.sum())
-    r = np.sqrt(rng.random(total))
-    r *= radius
-    theta = rng.uniform(0.0, 2.0 * math.pi, total)
-    y2 = np.sin(theta)
-    y2 *= r
+    x, y2 = np.empty(total), np.empty(total)
+    filled = 0
+    while filled < total:
+        uv = rng.random((_SAMPLE_BLOCK, 2))
+        uv *= 2.0
+        uv -= 1.0
+        u, v = uv.T
+        inside = np.flatnonzero(u * u + v * v <= 1.0)[: total - filled]
+        end = filled + inside.size
+        x[filled:end] = u[inside]
+        y2[filled:end] = v[inside]
+        filled = end
+    x *= radius
+    y2 *= radius
     np.square(y2, out=y2)
-    x = np.cos(theta, out=theta)
-    x *= r
-    ds, dd = np.add(x, d, out=r), np.subtract(x, d, out=x)
+    ds, dd = np.add(x, d), np.subtract(x, d, out=x)
     for dist in (ds, dd):
         np.square(dist, out=dist)
         dist += y2
@@ -360,10 +383,11 @@ def _path_gain(cfg: NetworkConfig, picked: np.ndarray) -> np.ndarray:
 def _rates(snr: np.ndarray, z2: np.ndarray) -> np.ndarray:
     """Per-trial log2(1 + snr Z^2) averaged over the fading draws in z2.
 
-    z2 holds Z^2 with one row of draws per trial.
+    z2 holds Z^2 draws-major, one row per draw and one column per trial,
+    so the average is a few contiguous row adds.
     """
-    inst = snr[:, None] * z2
-    return np.log1p(inst, out=inst).mean(axis=1) / math.log(2.0)
+    inst = z2 * snr
+    return np.log1p(inst, out=inst).mean(axis=0) / math.log(2.0)
 
 
 def _chunk_cells(cells, m_fading, radius, n, rng) -> tuple:
@@ -383,7 +407,7 @@ def _chunk_cells(cells, m_fading, radius, n, rng) -> tuple:
     kinds = dict.fromkeys(policy.kind for _, policy in cells)
     picks = _picks(kinds, OPTIMUM[geometry.model][0], counts, ds, dd)
     if m_fading is not None:
-        z = sample_z_prefixes({cfg.n_elements for cfg, _ in cells}, rng, (n, m_fading))
+        z = sample_z_prefixes({cfg.n_elements for cfg, _ in cells}, rng, (m_fading, n))
         z2 = {size: gain * gain for size, gain in z.items()}
     gains, rates = {}, {}
     values = np.empty((len(cells), 1 if m_fading is None else 2, n))
@@ -412,26 +436,32 @@ def _n_chunks(n_trials: int) -> int:
     return (n_trials + _CHUNK_TRIALS - 1) // _CHUNK_TRIALS
 
 
-def _processes(workers: int, n_chunks: int) -> int:
+def _processes(workers: int, n_trials: int) -> int:
     """Processes worth running chunks in, this one included: no more than
-    workers, chunks or usable CPUs."""
+    workers, usable CPUs, or chunks of at least _MIN_SHARE trials."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without CPU affinity
         cpus = os.cpu_count() or 1
-    return max(1, min(workers, n_chunks, cpus))
+    full, tail = divmod(n_trials, _CHUNK_TRIALS)
+    return max(1, min(workers, full + (tail >= _MIN_SHARE), cpus))
 
 
 def _caller_runs(executor: ProcessPoolExecutor, processes: int, tasks: list) -> list:
     """Every task's result, in order, with this process as one of the workers.
 
-    The executor's processes - 1 workers share the last tasks while this
-    process runs the first ceil(len(tasks) / processes) of them, so a pool
-    for two chunks is one child running the second.
+    A last task of fewer than _MIN_SHARE trials runs in this process.  Of
+    the others, this process runs the first ceil(count / processes) while
+    the executor's processes - 1 workers share the rest, so two full chunks
+    and a 1-trial tail make one child run the second chunk.
     """
-    head = -(-len(tasks) // processes)
-    rest = executor.map(_run_chunk, tasks[head:])
-    return [_run_chunk(task) for task in tasks[:head]] + list(rest)
+    small_tail = tasks[-1][3] < _MIN_SHARE  # a task's trial count is its item 3
+    shared = tasks[:-1] if small_tail else tasks
+    head = -(-len(shared) // processes)
+    rest = executor.map(_run_chunk, shared[head:])
+    mine = [_run_chunk(task) for task in shared[:head]]
+    tail = [_run_chunk(tasks[-1])] if small_tail else []
+    return mine + list(rest) + tail
 
 
 @contextmanager
@@ -439,10 +469,10 @@ def shared_pool(workers: int, n_trials: int):
     """Chunk runner for many estimator calls of n_trials each, or None.
 
     The runner is a process pool with this process as one of its workers,
-    so it starts min(workers, chunks, usable CPUs) - 1 children.  Yields
+    so it starts ``_processes(workers, n_trials)`` - 1 children.  Yields
     None when the calls would run their chunks in this process anyway.
     """
-    processes = _processes(workers, _n_chunks(n_trials))
+    processes = _processes(workers, n_trials)
     if processes < 2:
         yield None
         return
@@ -560,7 +590,9 @@ def mc_sweep(
         if (cfg.intensity, cfg.d, cfg.model) != (geometry.intensity, geometry.d, geometry.model):
             raise ValueError("cells of one sweep must share intensity, d and path-loss model")
         _check_policy_model(cfg, policy)
-    radius = max(_window(coverage_radius(cfg, policy), window_radius_override) for cfg, policy in cells)
+    # the window depends on the policy and the shared geometry only
+    policies = dict.fromkeys(policy for _, policy in cells)
+    radius = max(_window(coverage_radius(geometry, policy), window_radius_override) for policy in policies)
     m_fading = None if fading_draws_per_trial is None else int(fading_draws_per_trial)
     payload = (tuple(cells), m_fading)
     chunks = _map_chunks(_chunk_cells, payload, radius, n_trials, rng, workers, pool)

@@ -102,6 +102,12 @@ class TestSpecParsing:
         "old, new, match",
         [
             ("d = 1.2", "d = -1", "d must be > 0"),
+            ("d = 1.2", "d = nan", "d must be > 0"),
+            ("intensity = 0.5", "intensity = nan", "intensity must be > 0"),
+            ("target_snr_db = 5\n\n[sweep]\nvariable = avg_snr_db\nmin = -10",
+             "avg_snr_db = nan\ntarget_snr_db = 5\n\n[sweep]\nvariable = n_elements\nmin = 1",
+             "avg_snr must be > 0"),
+            ("target_snr_db = 5", "target_snr_db = nan", "target_snr must be >= 0"),
             ("model = power", "model = exp\nalpha = 0", "alpha > 0"),
             ("variable = avg_snr_db\nmin = -10", "variable = n_elements\nmin = 0", "n_elements = 0"),
             ("variable = avg_snr_db\nmin = -10", "variable = threshold\nmin = -1", "threshold = -1"),
@@ -244,35 +250,44 @@ output = unused.csv
 # sha256 of the header and the Monte Carlo rows (comma-joined cells,
 # newline-joined rows), recorded under the seed contract in which each
 # geometry group of a sweep is one pass seeded by SeedSequence([seed, group])
-# and every policy and point of the group reads the same realizations; any
-# change to a Monte Carlo CSV byte changes them
+# and every policy and point of the group reads the same realizations, with
+# points drawn by rejection from the bounding square and fading draws-major;
+# any change to a Monte Carlo CSV byte changes them
 GOLDEN = {
     "power-snr-all-policies": (
         dict(n=8, model="power", snr=0, var="avg_snr_db", lo=-10, hi=30, steps=3,
              policies="opt-product, min-min, min-max, mid-point", methods="analytic, montecarlo",
              metrics="outage, rate", trials=2000),
-        "0836cf13143b2e2ee5ece491dada58bf9a5f0afcc9354fe12453556572dc79cb",
+        "2ff31498e5e6a792b7392d8d0196710f87d91eb8eb2d35bbf44929f7afe4cc57",
     ),
     "exp-threshold-feedback": (
         dict(n=16, model="exp", snr=10, var="threshold", lo=3, hi=9, steps=3,
              policies="opt-sum, min-min", methods="analytic, montecarlo",
              metrics="outage, rate", trials=2000),
-        "4677e001b45a133d85fbc86336e55b502fd0fc0d1f2d529db7e6c3928bcd0f4b",
+        "5ffe53456b1556736918a3e9f4d15be1ba23f18857932511ae0122d8e916c61d",
     ),
     "outage-only": (
         dict(n=16, model="exp", snr=0, var="intensity", lo=0.2, hi=1.0, steps=2,
              policies="opt-sum, mid-point", methods="montecarlo", metrics="outage", trials=2000),
-        "0eb7040208f08fdde1b4be2a970a6bad13a21d85ff9c7004e77b63540ce9a498",
+        "cb506025132ac64416f3bf90109eda299151a65d1a64a5d1f2db494b9cfb089b",
     ),
     "rate-only": (
         dict(n=4, model="power", snr=5, var="n_elements", lo=4, hi=16, steps=2,
              policies="opt-product, min-max", methods="montecarlo", metrics="rate", trials=2000),
-        "57d0e91a85b06e19ca13eb9d12cbe239c2f8922116906c470e080126c3885b08",
+        "48bc3b5d4525822a8c04e4c7b6699c6cf7f2d1d1dbe1d874f716791e91a65ea5",
     ),
     "two-chunks": (
         dict(n=4, model="exp", snr=5, var="avg_snr_db", lo=0, hi=10, steps=2,
              policies="opt-sum, min-max", methods="montecarlo", metrics="outage, rate", trials=8193),
-        "c364179ff29bf4db5bfa0cb21ecf1efa43cfd58e4b02b0f672411103e2d767e4",
+        "08293d504a3c24a21fde3faad994af101268a21a521dc3d6cc797c7aeb0d3d30",
+    ),
+    # two full chunks and a 1-trial tail: at two workers a real pool child
+    # runs the second chunk
+    "three-chunks": (
+        dict(n=4, model="exp", snr=5, var="avg_snr_db", lo=0, hi=10, steps=2,
+             policies="opt-sum, min-max", methods="montecarlo", metrics="outage, rate",
+             trials=2 * 8192 + 1),
+        "289240f801599cac921a10ec450cf7847c7a67647f87e46962d52c3e00d5966b",
     ),
 }
 
@@ -309,7 +324,7 @@ def _digest(rows) -> str:
 class TestGoldenRows:
     @pytest.mark.parametrize(
         "name, workers",
-        [(name, 1) for name in GOLDEN] + [("two-chunks", 2)],
+        [(name, 1) for name in GOLDEN] + [("two-chunks", 2), ("three-chunks", 2)],
     )
     def test_rows_match_recorded_digest(self, tmp_path, name, workers):
         params, digest = GOLDEN[name]
@@ -336,11 +351,15 @@ class TestGoldenRows:
 
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
         monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(64)))
-        params, digest = GOLDEN["two-chunks"]
-        spec = load_spec(write_spec(tmp_path, GOLDEN_SPEC.format(**params)))
-        rows = run_experiment(spec, workers=8)
-        assert sizes == [1]  # one pass of two chunks serves all four MC cells; this process runs one
-        assert _digest(rows) == digest
+        for name, want in (("two-chunks", []), ("three-chunks", [1])):
+            sizes.clear()
+            params, digest = GOLDEN[name]
+            spec = load_spec(write_spec(tmp_path, GOLDEN_SPEC.format(**params)))
+            rows = run_experiment(spec, workers=8)
+            # one pass serves all four MC cells; a 1-trial tail chunk is no
+            # share for a child, so two chunks and a tail fork one child
+            assert sizes == want, name
+            assert _digest(rows) == digest
 
 
 class TestRunCost:
@@ -542,6 +561,11 @@ class TestSubcommands:
             (["outage", "--n-elements", "0"], "n_elements must be a positive integer"),
             (["rate", "--threshold", "-1"], "--threshold must be > 0"),
             (["distance-dist", "--intensity", "0"], "intensity must be > 0"),
+            (["rate", "--snr-db", "nan"], "avg_snr must be > 0 and finite"),
+            (["rate", "--snr-db", "inf"], "avg_snr must be > 0 and finite"),
+            (["outage", "--d", "nan"], "d must be > 0 and finite"),
+            (["outage", "--intensity", "nan"], "intensity must be > 0 and finite"),
+            (["outage", "--target-snr-db", "nan"], "target_snr must be >= 0"),
             (["feedback", "--threshold", "0"], "--threshold must be > 0"),
         ],
     )

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, stats
 
+from ris_select import montecarlo
 from ris_select.errors import UnsupportedRegionError
 from ris_select.geometry import (
     ScoreKind,
@@ -79,16 +80,40 @@ class TestSamplePpp:
         assert ds.size > 0 and np.all(radius2 <= 9.0 * (1.0 + 1e-12))
 
     def test_distances_within_2_ulp_of_hypot(self):
-        # the sampler's own draws, in its order, measured with np.hypot
+        # the sampler's draws replayed in one shot, not in its blocks: the
+        # Poisson counts, then consecutive (u, v) pairs mapped to [-1, 1]^2,
+        # keeping those in the unit disc in order, measured with np.hypot
         d, radius, n = 1.2, 5.0, 2000
         counts, ds, dd = _sample_batch(1.0, d, radius, n, np.random.default_rng(12))
         rng = np.random.default_rng(12)
         assert np.array_equal(counts, rng.poisson(1.0 * math.pi * radius * radius, n))
-        r = radius * np.sqrt(rng.random(ds.size))
-        theta = rng.uniform(0.0, 2.0 * math.pi, ds.size)
-        x, y = r * np.cos(theta), r * np.sin(theta)
+        u, v = 2.0 * rng.random((2 * ds.size, 2)).T - 1.0
+        inside = u * u + v * v <= 1.0
+        assert inside.sum() >= ds.size
+        x, y = radius * u[inside][: ds.size], radius * v[inside][: ds.size]
         for got, want in ((ds, np.hypot(x + d, y)), (dd, np.hypot(x - d, y))):
             assert np.all(np.abs(got - want) <= 2 * np.spacing(want))
+
+    def test_points_do_not_depend_on_block_size(self, monkeypatch):
+        want = _sample_batch(1.0, 1.2, 5.0, 300, np.random.default_rng(4))
+        monkeypatch.setattr(montecarlo, "_SAMPLE_BLOCK", 97)  # many short blocks
+        got = _sample_batch(1.0, 1.2, 5.0, 300, np.random.default_rng(4))
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_uniform_on_the_disc(self):
+        # 1.3e6 points: r^2 / R^2 is U(0, 1) and the polar angle, folded to
+        # [0, pi] (the distances keep y^2 only), is uniform, each by a
+        # Kolmogorov-Smirnov test at alpha = 1e-6, so a correct sampler fails
+        # on one seed in a million
+        d, radius = 1.2, 5.0
+        _, ds, dd = _sample_batch(1.0, d, radius, 1 << 14, np.random.default_rng(2))
+        assert ds.size >= 1_000_000
+        s2, d2 = ds * ds, dd * dd
+        r2 = 0.5 * (s2 + d2) - d * d  # parallelogram law
+        x = (s2 - d2) / (4.0 * d)
+        angle = np.arctan2(np.sqrt(np.maximum(r2 - x * x, 0.0)), x)
+        for sample in (r2 / (radius * radius), angle / math.pi):
+            assert stats.kstest(sample, "uniform").pvalue > 1e-6
 
     def test_validation(self):
         # refused before drawing: the stream is left untouched

@@ -106,31 +106,47 @@ class TestBasics:
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", _recording_pool(sizes, []))
         monkeypatch.setenv("RIS_SELECT_THREADS", "10000")
         workers = montecarlo.default_workers()
-        n_trials = 3 * montecarlo._CHUNK_TRIALS + 1  # four chunks
+        n_trials = 3 * montecarlo._CHUNK_TRIALS + 1  # three full chunks and a 1-trial tail
         cfg, pol = pow_cfg(), SelectionPolicy(PolicyKind.MIN_MIN)
         want = mc_outage(cfg, pol, n_trials, 8)
         assert mc_outage(cfg, pol, n_trials, 8, workers=workers) == want
-        assert all(size <= min(4, len(os.sched_getaffinity(0))) - 1 for size in sizes)
+        assert all(size <= min(3, len(os.sched_getaffinity(0))) - 1 for size in sizes)
 
         monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(64)))
         sizes.clear()
         assert mc_outage(cfg, pol, n_trials, 8, workers=workers) == want
         with montecarlo.shared_pool(workers, n_trials) as pool:
             assert mc_sweep([(cfg, pol)], n_trials, None, 8, pool=pool) == [(want, None)]
-        assert sizes == [3, 3]  # four chunks: three children and this process
+        assert sizes == [2, 2]  # the tail is no share: two children and this process
 
+    @pytest.mark.parametrize("n_trials", [montecarlo._CHUNK_TRIALS + 1, 10_000,
+                                          montecarlo._CHUNK_TRIALS + montecarlo._MIN_SHARE - 1])
+    def test_no_child_for_less_than_half_a_chunk(self, monkeypatch, n_trials):
+        sizes = []
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", _recording_pool(sizes, []))
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(64)))
+        cfg, pol = pow_cfg(), SelectionPolicy(PolicyKind.MIN_MIN)
+        want = mc_outage(cfg, pol, n_trials, 8)
+        assert mc_outage(cfg, pol, n_trials, 8, workers=2) == want
+        with montecarlo.shared_pool(2, n_trials) as pool:
+            assert pool is None
+        assert sizes == []
 
-    def test_this_process_runs_its_share_of_the_chunks(self, monkeypatch):
+    @pytest.mark.parametrize("tail, shares", [(1, ((2, 2), (3, 2), (5, 3), (9, 3))),
+                                              (montecarlo._MIN_SHARE, ((2, 2), (3, 3), (5, 4), (9, 4)))])
+    def test_this_process_runs_its_share_of_the_chunks(self, monkeypatch, tail, shares):
         mapped = []
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", _recording_pool([], mapped))
         monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(64)))
-        n_trials = 4 * montecarlo._CHUNK_TRIALS + 1  # five chunks
+        n_trials = 4 * montecarlo._CHUNK_TRIALS + tail  # five chunks
         cfg, pol = pow_cfg(), SelectionPolicy(PolicyKind.MIN_MIN)
         want = mc_outage(cfg, pol, n_trials, 8)
-        for workers, pool_chunks in ((2, 2), (3, 3), (5, 4), (9, 4)):
+        for workers, pool_chunks in shares:
             mapped.clear()
             assert mc_outage(cfg, pol, n_trials, 8, workers=workers) == want
-            assert mapped == [pool_chunks]  # this process runs the first ceil(5 / processes)
+            # this process runs the first ceil(shares / processes) chunks and a
+            # tail of less than half a chunk; the children run the rest
+            assert mapped == [pool_chunks], workers
 
 
 def _recording_pool(sizes, mapped):
@@ -218,6 +234,30 @@ class TestSweepKernel:
         n_trials = montecarlo._CHUNK_TRIALS + 1
         mc_sweep(cells, n_trials, 2, 29)
         assert len(calls) == 2 * montecarlo._n_chunks(n_trials)
+
+    def test_one_window_solve_per_policy(self, monkeypatch):
+        # the window radius depends on the policy and the shared geometry,
+        # not on the SNR or N: three points of two policies solve it twice
+        calls = []
+        original = montecarlo.coverage_radius
+
+        def counting(cfg, policy, *args):
+            calls.append(policy)
+            return original(cfg, policy, *args)
+
+        monkeypatch.setattr(montecarlo, "coverage_radius", counting)
+        cells = [(pow_cfg(avg_snr=snr), SelectionPolicy(kind))
+                 for snr in (0.1, 1.0, 10.0) for kind in (PolicyKind.OPT_PRODUCT, PolicyKind.MIN_MIN)]
+        mc_sweep(cells, 100, 2, 5)
+        assert sorted(p.kind.value for p in calls) == ["min-min", "opt-product"]
+
+    def test_rates_average_each_trials_draws(self):
+        # draws-major z2 (draw, trial) against a per-trial reference; the
+        # row adds sum in another order than a per-trial mean
+        rng = np.random.default_rng(6)
+        snr, z2 = rng.exponential(10.0, 500), rng.exponential(5.0, (8, 500))
+        want = [np.mean(np.log2(1.0 + s * z2[:, trial])) for trial, s in enumerate(snr)]
+        np.testing.assert_allclose(montecarlo._rates(snr, z2), want, rtol=1e-14)
 
     def test_cells_must_share_geometry(self):
         pol = SelectionPolicy(PolicyKind.MIN_MIN)
