@@ -43,7 +43,7 @@ class SelectionPolicy:
 
     def __post_init__(self) -> None:
         if self.feedback_threshold is not None:
-            if self.feedback_threshold <= 0.0:
+            if not self.feedback_threshold > 0.0:  # NaN included; +inf is every node
                 raise ValueError(f"feedback_threshold must be > 0, got {self.feedback_threshold}")
             if self.kind not in {optimum for _, optimum in OPTIMUM.values()}:
                 raise ValueError(f"feedback thresholds apply only to optimum policies, got {self.kind}")

@@ -149,16 +149,12 @@ class TestMeanSnr:
         "field, value",
         [("d", math.nan), ("d", math.inf), ("intensity", math.nan), ("intensity", math.inf),
          ("avg_snr", math.nan), ("avg_snr", math.inf), ("target_snr", math.nan),
-         ("eta", math.nan), ("eta", math.inf)],
+         ("eta", math.nan), ("eta", math.inf), ("alpha", math.nan), ("alpha", math.inf)],
     )
     def test_non_finite_values_rejected(self, field, value):
+        model = PathLossModel.EXP_LAW if field == "alpha" else PathLossModel.POWER_LAW
         with pytest.raises(ValueError, match=field):
-            self.cfg(**{field: value})
-
-    def test_non_finite_alpha_rejected(self):
-        for value in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="alpha"):
-                self.cfg(model=PathLossModel.EXP_LAW, alpha=value)
+            self.cfg(model=model, **{field: value})
 
     def test_infinite_target_is_a_target_no_node_meets(self):
         assert snr_score_cap(self.cfg(target_snr=math.inf)) == 0.0

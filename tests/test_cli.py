@@ -102,15 +102,16 @@ class TestSpecParsing:
         "old, new, match",
         [
             ("d = 1.2", "d = -1", "d must be > 0"),
+            ("model = power", "model = exp\nalpha = 0", "alpha > 0"),
+            ("variable = avg_snr_db\nmin = -10", "variable = n_elements\nmin = 0", "n_elements = 0"),
+            ("variable = avg_snr_db\nmin = -10", "variable = threshold\nmin = -1", "threshold = -1"),
             ("d = 1.2", "d = nan", "d must be > 0"),
             ("intensity = 0.5", "intensity = nan", "intensity must be > 0"),
             ("target_snr_db = 5\n\n[sweep]\nvariable = avg_snr_db\nmin = -10",
              "avg_snr_db = nan\ntarget_snr_db = 5\n\n[sweep]\nvariable = n_elements\nmin = 1",
              "avg_snr must be > 0"),
             ("target_snr_db = 5", "target_snr_db = nan", "target_snr must be >= 0"),
-            ("model = power", "model = exp\nalpha = 0", "alpha > 0"),
-            ("variable = avg_snr_db\nmin = -10", "variable = n_elements\nmin = 0", "n_elements = 0"),
-            ("variable = avg_snr_db\nmin = -10", "variable = threshold\nmin = -1", "threshold = -1"),
+            ("target_snr_db = 5", "target_snr_db = 5\nthreshold = nan", "feedback_threshold must be > 0"),
         ],
     )
     def test_invalid_scenario_at_a_sweep_point_exits_2(self, tmp_path, capsys, old, new, match):
@@ -561,12 +562,12 @@ class TestSubcommands:
             (["outage", "--n-elements", "0"], "n_elements must be a positive integer"),
             (["rate", "--threshold", "-1"], "--threshold must be > 0"),
             (["distance-dist", "--intensity", "0"], "intensity must be > 0"),
+            (["feedback", "--threshold", "0"], "--threshold must be > 0"),
             (["rate", "--snr-db", "nan"], "avg_snr must be > 0 and finite"),
             (["rate", "--snr-db", "inf"], "avg_snr must be > 0 and finite"),
             (["outage", "--d", "nan"], "d must be > 0 and finite"),
             (["outage", "--intensity", "nan"], "intensity must be > 0 and finite"),
             (["outage", "--target-snr-db", "nan"], "target_snr must be >= 0"),
-            (["feedback", "--threshold", "0"], "--threshold must be > 0"),
         ],
     )
     def test_scenario_flag_out_of_range_exits_2(self, capsys, argv, match):

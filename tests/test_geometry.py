@@ -103,8 +103,8 @@ class TestSamplePpp:
     def test_uniform_on_the_disc(self):
         # 1.3e6 points: r^2 / R^2 is U(0, 1) and the polar angle, folded to
         # [0, pi] (the distances keep y^2 only), is uniform, each by a
-        # Kolmogorov-Smirnov test at alpha = 1e-6, so a correct sampler fails
-        # on one seed in a million
+        # Kolmogorov-Smirnov test at alpha = 1e-6, which a correct sampler
+        # fails on one seed in a million
         d, radius = 1.2, 5.0
         _, ds, dd = _sample_batch(1.0, d, radius, 1 << 14, np.random.default_rng(2))
         assert ds.size >= 1_000_000

@@ -132,21 +132,22 @@ class TestBasics:
             assert pool is None
         assert sizes == []
 
-    @pytest.mark.parametrize("tail, shares", [(1, ((2, 2), (3, 2), (5, 3), (9, 3))),
-                                              (montecarlo._MIN_SHARE, ((2, 2), (3, 3), (5, 4), (9, 4)))])
-    def test_this_process_runs_its_share_of_the_chunks(self, monkeypatch, tail, shares):
+    def test_this_process_runs_its_share_of_the_chunks(self, monkeypatch):
         mapped = []
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", _recording_pool([], mapped))
         monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(64)))
-        n_trials = 4 * montecarlo._CHUNK_TRIALS + tail  # five chunks
         cfg, pol = pow_cfg(), SelectionPolicy(PolicyKind.MIN_MIN)
-        want = mc_outage(cfg, pol, n_trials, 8)
-        for workers, pool_chunks in shares:
-            mapped.clear()
-            assert mc_outage(cfg, pol, n_trials, 8, workers=workers) == want
-            # this process runs the first ceil(shares / processes) chunks and a
-            # tail of less than half a chunk; the children run the rest
-            assert mapped == [pool_chunks], workers
+        # five chunks; a tail of fewer than _MIN_SHARE trials is no share
+        for tail, shares in ((1, ((2, 2), (3, 2), (5, 3), (9, 3))),
+                             (montecarlo._MIN_SHARE, ((2, 2), (3, 3), (5, 4), (9, 4)))):
+            n_trials = 4 * montecarlo._CHUNK_TRIALS + tail
+            want = mc_outage(cfg, pol, n_trials, 8)
+            for workers, pool_chunks in shares:
+                mapped.clear()
+                assert mc_outage(cfg, pol, n_trials, 8, workers=workers) == want
+                # this process runs the first ceil(shares / processes) chunks and
+                # a small tail; the children run the rest
+                assert mapped == [pool_chunks], (tail, workers)
 
 
 def _recording_pool(sizes, mapped):

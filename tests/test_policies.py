@@ -103,6 +103,8 @@ class TestSelect:
             SelectionPolicy(PolicyKind.MIN_MIN, feedback_threshold=2.0)
         with pytest.raises(ValueError):
             SelectionPolicy(PolicyKind.OPT_SUM, feedback_threshold=-1.0)
+        with pytest.raises(ValueError, match="must be > 0"):
+            SelectionPolicy(PolicyKind.OPT_SUM, feedback_threshold=math.nan)
 
     def test_threshold_filters_candidates(self):
         pol = SelectionPolicy(PolicyKind.OPT_SUM, feedback_threshold=2.5)
