@@ -71,10 +71,11 @@ class DistCdf:
     d: float
 
     def __post_init__(self) -> None:
-        if self.intensity <= 0.0:
-            raise ValueError(f"intensity must be > 0, got {self.intensity}")
-        if self.d <= 0.0:
-            raise ValueError(f"d must be > 0, got {self.d}")
+        # written so that NaN fails every check
+        if not 0.0 < self.intensity < math.inf:
+            raise ValueError(f"intensity must be > 0 and finite, got {self.intensity}")
+        if not 0.0 < self.d < math.inf:
+            raise ValueError(f"d must be > 0 and finite, got {self.d}")
 
     @classmethod
     def from_config(cls, cfg: NetworkConfig, model: ScoreKind) -> "DistCdf":
@@ -134,7 +135,7 @@ def xi_pow(threshold: float, dist: DistCdf) -> float:
     both equal 2 * lambda * d^2.
     """
     _require(dist, ScoreKind.MIN_PRODUCT)
-    if threshold < 0.0:
+    if not threshold >= 0.0:
         raise DomainError(f"threshold must be >= 0, got {threshold}")
     return dist.intensity * min_product_region_area(threshold, dist.d)
 
@@ -145,7 +146,7 @@ def xi_exp(threshold: float, dist: DistCdf) -> float:
     Zero for threshold <= 2d; lambda * pi * T * sqrt(T^2 - 4 d^2) / 4 above.
     """
     _require(dist, ScoreKind.MIN_SUM)
-    if threshold < 0.0:
+    if not threshold >= 0.0:
         raise DomainError(f"threshold must be >= 0, got {threshold}")
     return dist.intensity * min_sum_region_area(threshold, dist.d)
 
@@ -157,7 +158,7 @@ def xi_exp(threshold: float, dist: DistCdf) -> float:
 def cdf_upsilon_opt(gamma: float, dist: DistCdf) -> float:
     """CDF of the smallest distance product over the process: 1 - e^{-xi}."""
     _require(dist, ScoreKind.MIN_PRODUCT)
-    if gamma < 0.0:
+    if not gamma >= 0.0:
         raise DomainError(f"gamma must be >= 0, got {gamma}")
     return -math.expm1(-dist.intensity * min_product_region_area(gamma, dist.d))
 
@@ -173,7 +174,7 @@ def pdf_upsilon_opt(gamma: float, dist: DistCdf) -> float:
     with a logarithmic divergence at g = d^2 (returned as inf there).
     """
     _require(dist, ScoreKind.MIN_PRODUCT)
-    if gamma <= 0.0:
+    if not gamma > 0.0:
         raise DomainError(f"gamma must be > 0, got {gamma}")
     lam, d = dist.intensity, dist.d
     d2 = d * d
@@ -191,7 +192,7 @@ def pdf_upsilon_opt(gamma: float, dist: DistCdf) -> float:
 def cdf_lambda_opt(gamma: float, dist: DistCdf) -> float:
     """CDF of the smallest distance sum: 0 below 2d, 1 - e^{-xi} above."""
     _require(dist, ScoreKind.MIN_SUM)
-    if gamma < 0.0:
+    if not gamma >= 0.0:
         raise DomainError(f"gamma must be >= 0, got {gamma}")
     return -math.expm1(-dist.intensity * min_sum_region_area(gamma, dist.d))
 
@@ -205,7 +206,7 @@ def pdf_lambda_opt(gamma: float, dist: DistCdf) -> float:
     reported as an error rather than an infinity.
     """
     _require(dist, ScoreKind.MIN_SUM)
-    if gamma < 0.0:
+    if not gamma >= 0.0:
         raise DomainError(f"gamma must be >= 0, got {gamma}")
     lam, d = dist.intensity, dist.d
     if gamma == 2.0 * d:
@@ -234,7 +235,7 @@ def _outage(cfg: NetworkConfig, dist: DistCdf, model: PathLossModel, threshold: 
     _check_match(cfg, dist)
     level = snr_score_cap(cfg)
     if threshold is not None:
-        if threshold <= 0.0:
+        if not threshold > 0.0:
             raise ValueError(f"threshold must be > 0, got {threshold}")
         level = min(level, threshold)
     cdf = cdf_upsilon_opt if model is PathLossModel.POWER_LAW else cdf_lambda_opt
@@ -597,7 +598,7 @@ def rate_pow(
         raise ValueError("rate_pow requires a power-law configuration")
     _check_match(cfg, dist)
     _require(dist, ScoreKind.MIN_PRODUCT)
-    if t_threshold is not None and t_threshold <= 0.0:
+    if t_threshold is not None and not t_threshold > 0.0:
         raise ValueError(f"threshold must be > 0, got {t_threshold}")
     cap = math.inf if t_threshold is None else t_threshold
     g, weight = _product_score_rule(dist, cap)
@@ -622,7 +623,7 @@ def rate_exp(
         raise ValueError("rate_exp requires an exponential-law configuration")
     _check_match(cfg, dist)
     _require(dist, ScoreKind.MIN_SUM)
-    if t_threshold is not None and t_threshold <= 0.0:
+    if t_threshold is not None and not t_threshold > 0.0:
         raise ValueError(f"threshold must be > 0, got {t_threshold}")
     d, lam = dist.d, dist.intensity
     if t_threshold is not None and t_threshold <= 2.0 * d:

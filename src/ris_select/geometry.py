@@ -38,7 +38,7 @@ def min_product_region_area(gamma: float, d: float) -> float:
     above it a single oval; the two closed forms meet continuously at
     gamma = d^2 with value 2*d^2.
     """
-    if gamma < 0.0:
+    if not gamma >= 0.0:
         raise DomainError(f"score must be >= 0, got {gamma}")
     if gamma == 0.0:
         return 0.0
@@ -59,7 +59,7 @@ def min_sum_region_area(gamma: float, d: float) -> float:
     Zero for gamma <= 2d; otherwise pi * gamma * sqrt(gamma^2 - 4 d^2) / 4
     (semi-axes gamma/2 and sqrt(gamma^2 - 4 d^2)/2).
     """
-    if gamma < 0.0:
+    if not gamma >= 0.0:
         raise DomainError(f"score must be >= 0, got {gamma}")
     if gamma <= 2.0 * d:
         return 0.0
@@ -103,8 +103,10 @@ def critical_score(kind: ScoreKind, intensity: float, d: float, eps: float = 1e-
     containing the whole sublevel region {score <= gamma*} also contains the
     best-scoring node of the infinite process with that probability.
     """
-    if intensity <= 0.0:
-        raise ValueError(f"intensity must be > 0, got {intensity}")
+    if not 0.0 < intensity < math.inf:
+        raise ValueError(f"intensity must be > 0 and finite, got {intensity}")
+    if not 0.0 < d < math.inf:
+        raise ValueError(f"d must be > 0 and finite, got {d}")
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
     area_req = math.log(1.0 / eps) / intensity

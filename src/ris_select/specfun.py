@@ -1,7 +1,8 @@
 """Special-function kernel.
 
 Complete elliptic integrals, digamma, log-gamma, and the generalized
-hypergeometric series, in plain float arithmetic, plus one numpy array
+hypergeometric series, in plain float arithmetic (genhyp redoes a cancelling
+series in 32-digit stdlib decimal arithmetic), plus one numpy array
 kernel, ellip_ke_m1, that returns both complete elliptic integrals over an
 array of complementary parameters in one AGM pass (the rate engine's K and
 E).  Nothing holds state, so all functions are safe to call concurrently.
@@ -132,112 +133,39 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-# --- double-double helpers -------------------------------------------------
-# Alternating hypergeometric series can pass through term magnitudes many
-# orders above their limit before converging; summing those in plain doubles
-# voids the result.  The fallback below carries each term as an unevaluated
-# pair of doubles (~31 significant digits, fixed precision).
+def _genhyp_sum(a, b, z, floor_n: int, num):
+    """One summation pass in the number type num; returns (value, max |term|
+    seen) or raises.
 
-_SPLITTER = 134217729.0  # 2**27 + 1
-
-
-def _two_sum(a: float, b: float) -> tuple[float, float]:
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _two_prod(a: float, b: float) -> tuple[float, float]:
-    p = a * b
-    ca = _SPLITTER * a
-    ah = ca - (ca - a)
-    al = a - ah
-    cb = _SPLITTER * b
-    bh = cb - (cb - b)
-    bl = b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def _dd_add(xh: float, xl: float, yh: float, yl: float) -> tuple[float, float]:
-    s, e = _two_sum(xh, yh)
-    e += xl + yl
-    h = s + e
-    return h, e - (h - s)
-
-
-def _dd_mul_scalar(xh: float, xl: float, s: float) -> tuple[float, float]:
-    p, e = _two_prod(xh, s)
-    e += xl * s
-    h = p + e
-    return h, e - (h - p)
-
-
-def _dd_div_scalar(xh: float, xl: float, s: float) -> tuple[float, float]:
-    q1 = xh / s
-    p, e = _two_prod(q1, s)
-    rh, rl = _dd_add(xh, xl, -p, -e)
-    q2 = (rh + rl) / s
-    return _two_sum(q1, q2)
-
-
-def _dd_mul(xh: float, xl: float, yh: float, yl: float) -> tuple[float, float]:
-    p, e = _two_prod(xh, yh)
-    e += xh * yl + xl * yh
-    h = p + e
-    return h, e - (h - p)
-
-
-def _dd_div(xh: float, xl: float, yh: float, yl: float) -> tuple[float, float]:
-    q1 = xh / yh
-    th, tl = _dd_mul_scalar(yh, yl, q1)
-    rh, rl = _dd_add(xh, xl, -th, -tl)
-    q2 = (rh + rl) / yh
-    th, tl = _dd_mul_scalar(yh, yl, q2)
-    rh, rl = _dd_add(rh, rl, -th, -tl)
-    q3 = (rh + rl) / yh
-    h, l = _two_sum(q1, q2)
-    l += q3
-    h2 = h + l
-    return h2, l - (h2 - h)
-
-
-def _genhyp_sum(a, b, z, floor_n: int, use_dd: bool):
-    """One summation pass; returns (value, max |term| seen) or raises.
-
-    In the double-double pass every shifted parameter a_i + n and b_j + n is
-    kept as an exact sum-of-two-doubles pair: rounding those factors to
-    single doubles leaves a coherent error across the whole tail of the
-    series, which the cancellation amplifies right back to double precision.
+    num is float for the plain pass and decimal.Decimal, under a 32-digit
+    context, for the exact pass.  Converting a float to Decimal is exact, so
+    the shifted parameters a_i + n and b_j + n carry 32 significant digits:
+    rounding them to doubles would leave a coherent error across the whole
+    tail of the series, which the cancellation amplifies right back to
+    double precision.
     """
-    term = (1.0, 0.0)
-    total = (1.0, 0.0)
-    max_term = 1.0
+    a = [num(v) for v in a]
+    b = [num(v) for v in b]
+    z = num(z)
+    tol = num(_SERIES_REL_TOL)
+    term = total = max_term = num(1)
     small_streak = 0
     for n in range(_SERIES_MAX_TERMS):
-        if use_dd:
-            th, tl = _dd_mul_scalar(*term, z)
-            for ai in a:
-                th, tl = _dd_mul(th, tl, *_two_sum(ai, float(n)))
-            for bj in b:
-                th, tl = _dd_div(th, tl, *_two_sum(bj, float(n)))
-            th, tl = _dd_div_scalar(th, tl, n + 1.0)
-        else:
-            th = term[0] * z
-            for ai in a:
-                th *= ai + n
-            for bj in b:
-                th /= bj + n
-            th /= n + 1.0
-            tl = 0.0
-        term = (th, tl)
-        if not math.isfinite(th):
+        term *= z
+        for ai in a:
+            term *= ai + n
+        for bj in b:
+            term /= bj + n
+        term /= n + 1
+        if not math.isfinite(term):
             raise NonConvergenceError("hypergeometric term overflowed")
-        total = _dd_add(*total, th, tl) if use_dd else (total[0] + th, 0.0)
-        max_term = max(max_term, abs(th))
-        if abs(th) <= _SERIES_REL_TOL * abs(total[0]) and n >= floor_n:
+        total += term
+        size = abs(term)
+        max_term = max(max_term, size)
+        if size <= tol * abs(total) and n >= floor_n:
             small_streak += 1
             if small_streak >= 3:
-                return total[0] + total[1], max_term
+                return float(total), float(max_term)
         else:
             small_streak = 0
     raise NonConvergenceError(
@@ -258,8 +186,9 @@ def genhyp(p_params: Sequence[float], q_params: Sequence[float], z: float) -> fl
     in the term magnitudes that must not trigger early truncation).  A series
     that has not truncated after 800 terms, or whose terms overflow, raises
     NonConvergenceError.  When the terms grow so far above the limit that
-    plain double summation would lose the answer, the pass is redone in
-    compensated double-double arithmetic.
+    plain double summation would lose the answer, the same loop is run again
+    in 32-digit decimal arithmetic (the exact pass), and a cancellation
+    beyond even that precision raises NonConvergenceError.
 
     Denominator parameters within 1e-8 of a non-positive integer are
     rejected as poles rather than regularized.
@@ -278,11 +207,14 @@ def genhyp(p_params: Sequence[float], q_params: Sequence[float], z: float) -> fl
         if bj < 0.0:
             floor_n = max(floor_n, int(math.ceil(-bj)) + 2)
 
-    value, max_term = _genhyp_sum(a, b, z, floor_n, use_dd=False)
+    value, max_term = _genhyp_sum(a, b, z, floor_n, float)
     if max_term * 4.0 * _EPS > 1e-13 * max(abs(value), sys.float_info.min):
-        value, max_term = _genhyp_sum(a, b, z, floor_n, use_dd=True)
+        import decimal  # imported here so that `ris-select run` never loads it
+
+        with decimal.localcontext(decimal.Context(prec=32)):
+            value, max_term = _genhyp_sum(a, b, z, floor_n, decimal.Decimal)
         if max_term * 1e-31 > 1e-12 * abs(value):
             raise NonConvergenceError(
-                "series cancellation exceeds double-double precision"
+                "series cancellation exceeds the 32-digit exact pass"
             )
     return value

@@ -33,7 +33,7 @@ from ris_select.analytic import (
 )
 from ris_select.channel import NetworkConfig, PathLossModel, ez2
 from ris_select.errors import DomainError, PoleError, SingularityError
-from ris_select.geometry import ScoreKind
+from ris_select.geometry import ScoreKind, min_product_region_area, min_sum_region_area
 from ris_select.specfun import ellip_ke_m1
 
 LAM, D = 0.5, 1.2
@@ -85,6 +85,32 @@ class TestScoreCdfs:
             cdf_upsilon_opt(-0.1, DIST_P)
         with pytest.raises(ValueError):
             cdf_upsilon_opt(1.0, DIST_S)  # wrong functional
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+    @pytest.mark.parametrize("field", ["intensity", "d"])
+    def test_non_finite_parameters(self, field, bad):
+        params = dict(model=ScoreKind.MIN_PRODUCT, intensity=LAM, d=D) | {field: bad}
+        with pytest.raises(ValueError, match=f"{field} must be > 0 and finite"):
+            DistCdf(**params)
+
+    @pytest.mark.parametrize(
+        "fn, dist",
+        [
+            (xi_pow, DIST_P),
+            (xi_exp, DIST_S),
+            (cdf_upsilon_opt, DIST_P),
+            (pdf_upsilon_opt, DIST_P),
+            (cdf_lambda_opt, DIST_S),
+            (pdf_lambda_opt, DIST_S),
+            (lambda g, _: min_product_region_area(g, D), None),
+            (lambda g, _: min_sum_region_area(g, D), None),
+        ],
+        ids=["xi_pow", "xi_exp", "cdf_upsilon_opt", "pdf_upsilon_opt", "cdf_lambda_opt",
+             "pdf_lambda_opt", "min_product_region_area", "min_sum_region_area"],
+    )
+    def test_nan_score_raises(self, fn, dist):
+        with pytest.raises(DomainError):
+            fn(math.nan, dist)
 
 
 class TestVoidIdentity:
@@ -254,6 +280,21 @@ class TestLimitedFeedbackOutage:
         # high-gain plateau
         hi = exp_cfg(avg_snr=1e8)
         assert outage_exp_fb(hi, DIST_S, 5.0) == pytest.approx(math.exp(-xi_exp(5.0, DIST_S)), rel=1e-12)
+
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            lambda t: outage_pow_fb(pow_cfg(), DIST_P, t),
+            lambda t: outage_exp_fb(exp_cfg(), DIST_S, t),
+            lambda t: rate_pow(pow_cfg(), DIST_P, t_threshold=t),
+            lambda t: rate_exp(exp_cfg(), DIST_S, t_threshold=t),
+        ],
+        ids=["outage_pow_fb", "outage_exp_fb", "rate_pow", "rate_exp"],
+    )
+    def test_threshold_must_be_positive(self, fn, threshold):
+        with pytest.raises(ValueError, match="threshold must be > 0"):
+            fn(threshold)
 
 
 class TestFadingRate:

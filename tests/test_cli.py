@@ -383,8 +383,9 @@ class TestRunCost:
         assert len(calls) == 1
 
     def test_run_imports_no_scipy(self, tmp_path):
-        # a fresh interpreter: the run path loads numpy only, and the
-        # oracles and `validate` still load scipy when they are called
+        # a fresh interpreter: the run path loads numpy only (neither scipy
+        # nor genhyp's decimal), and the oracles and `validate` still load
+        # scipy when they are called
         specs = [
             dict(n=8, model="power", snr=0, var="avg_snr_db", lo=-10, hi=30, steps=3,
                  policies="opt-product, min-min"),
@@ -404,7 +405,7 @@ from ris_select.channel import NetworkConfig, PathLossModel
 for path in sys.argv[1:]:
     rows = cli.run_experiment(cli.load_spec(path))
     assert {r[2] for r in rows[1:]} == {"analytic", "montecarlo"}, rows
-loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+loaded = sorted(m for m in sys.modules if m in ("scipy", "decimal") or m.startswith("scipy."))
 assert not loaded, loaded
 cfg = NetworkConfig(d=1.2, intensity=0.5, n_elements=16, model=PathLossModel.POWER_LAW)
 assert abs(analytic.rate_fading_quad(1.0, cfg) / analytic.rate_fading_closed(1.0, cfg) - 1) < 1e-4

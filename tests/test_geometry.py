@@ -199,3 +199,9 @@ class TestWindowRule:
             critical_score(ScoreKind.MIN_SUM, 0.0, 1.2)
         with pytest.raises(ValueError):
             critical_score(ScoreKind.MIN_SUM, 1.0, 1.2, eps=2.0)
+
+    @pytest.mark.parametrize("kind", [PRODUCT, SUM])
+    @pytest.mark.parametrize("lam, d", [(math.nan, 1.2), (math.inf, 1.2), (0.5, math.nan), (0.5, math.inf)])
+    def test_non_finite_parameters(self, kind, lam, d):
+        with pytest.raises(ValueError, match="must be > 0 and finite"):
+            critical_score(kind, lam, d)

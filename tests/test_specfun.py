@@ -165,18 +165,41 @@ class TestGenhyp:
         got = genhyp([1.0, 1.0], [2.0, 1.5, 2.0], -0.1)
         assert got == pytest.approx(0.9834806906454448, rel=1e-13)
 
-    def test_large_negative_argument_with_negative_denominators(self):
-        # worst case of the production rate formula (N=16 at the cutoff);
-        # 60-digit oracle value of 2F3(1,1; 2, b2, b3; -105.047...)
-        k = 16 * math.pi**2 / (16 - math.pi**2)
+    @pytest.mark.parametrize("c", [1e-2, 0.1], ids=lambda c: f"c{c}")
+    @pytest.mark.parametrize("n", [1, 16, 64, 256], ids=lambda n: f"N{n}")
+    @pytest.mark.parametrize("series", ["2F3", "1F2a", "1F2b"])
+    def test_large_negative_argument_with_negative_denominators(self, series, n, c):
+        # the three series of the production rate formula near its cutoff
+        # avg_snr*y = c, where most of them cancel far beyond double
+        # precision and take the exact pass; 60-digit oracle
+        k = n * math.pi**2 / (16 - math.pi**2)
         theta = (16 - math.pi**2) / (4 * math.pi)
-        z = -1.0 / (4 * theta * theta * 1e-2)
-        got = genhyp([1.0, 1.0], [2.0, (3 - k) / 2, (4 - k) / 2], z)
+        z = -1.0 / (4 * theta * theta * c)
+        a, b = {
+            "2F3": ([1.0, 1.0], [2.0, (3 - k) / 2, (4 - k) / 2]),
+            "1F2a": ([k / 2], [0.5, k / 2 + 1]),
+            "1F2b": ([(k + 1) / 2], [1.5, (k + 3) / 2]),
+        }[series]
         import mpmath as mp
 
-        mp.mp.dps = 60
-        want = float(mp.hyper([1, 1], [2, (3 - k) / 2, (4 - k) / 2], mp.mpf(z)))
-        assert got == pytest.approx(want, rel=1e-10)
+        with mp.workdps(60):
+            want = float(mp.hyper(a, b, mp.mpf(z)))
+        assert genhyp(a, b, z) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_exact_pass_carries_32_digits(self):
+        # terms reach 6.3e16 times the sum: a 28-digit pass would be off by
+        # 1.6e-11, the 32-digit one is off by 4.6e-15
+        import mpmath as mp
+
+        with mp.workdps(60):
+            want = float(mp.hyper([1], [0.5, 3], -400))
+        assert genhyp([1.0], [0.5, 3.0], -400.0) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_cancellation_beyond_the_exact_pass(self):
+        # terms reach 2.8e23 around a sum of -2.8e-3: 32 digits leave about
+        # six of them, short of the 1e-12 the guard asks for
+        with pytest.raises(NonConvergenceError, match="series cancellation"):
+            genhyp([1.0], [0.5, 3.0], -1000.0)
 
     def test_partial_sums_bracket_limit(self):
         # alternating z: once terms decrease monotonically, consecutive
