@@ -52,6 +52,7 @@ from .geometry import (
     min_product_region_area,
     min_sum_region_area,
 )
+from .policies import OPTIMUM
 from .specfun import digamma, ellip_e, ellip_ke_m1, ellip_k, genhyp, log_gamma
 
 _LN2 = math.log(2.0)
@@ -119,9 +120,9 @@ def _require(dist: DistCdf, model: ScoreKind) -> None:
         raise ValueError(f"distribution parameterized for {dist.model}, needs {model}")
 
 
-def _check_match(cfg: NetworkConfig, dist: DistCdf) -> None:
-    if cfg.intensity != dist.intensity or cfg.d != dist.d:
-        raise ValueError("NetworkConfig and DistCdf disagree on intensity or d")
+def _optimum_dist(cfg: NetworkConfig) -> DistCdf:
+    """Distribution of the score the optimum policy of cfg.model minimises."""
+    return DistCdf.from_config(cfg, OPTIMUM[cfg.model][0])
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +223,7 @@ def pdf_lambda_opt(gamma: float, dist: DistCdf) -> float:
 # Outage probabilities
 # ---------------------------------------------------------------------------
 
-def _outage(cfg: NetworkConfig, dist: DistCdf, model: PathLossModel, threshold: float | None) -> float:
+def _outage(cfg: NetworkConfig, model: PathLossModel, threshold: float | None) -> float:
     """1 - F(min(cap, T)) for the optimum policy of the given path-loss law.
 
     F is the CDF of the optimum score and cap = snr_score_cap(cfg): an outage
@@ -232,34 +233,33 @@ def _outage(cfg: NetworkConfig, dist: DistCdf, model: PathLossModel, threshold: 
     """
     if cfg.model is not model:
         raise ValueError(f"this outage needs a {model.value}-law configuration, got {cfg.model.value}")
-    _check_match(cfg, dist)
     level = snr_score_cap(cfg)
     if threshold is not None:
         if not threshold > 0.0:
             raise ValueError(f"threshold must be > 0, got {threshold}")
         level = min(level, threshold)
     cdf = cdf_upsilon_opt if model is PathLossModel.POWER_LAW else cdf_lambda_opt
-    return 1.0 - cdf(max(level, 0.0), dist)
+    return 1.0 - cdf(max(level, 0.0), _optimum_dist(cfg))
 
 
-def outage_pow(cfg: NetworkConfig, dist: DistCdf) -> float:
+def outage_pow(cfg: NetworkConfig) -> float:
     """Outage of the optimum product-score policy under the power law."""
-    return _outage(cfg, dist, PathLossModel.POWER_LAW, None)
+    return _outage(cfg, PathLossModel.POWER_LAW, None)
 
 
-def outage_exp(cfg: NetworkConfig, dist: DistCdf) -> float:
+def outage_exp(cfg: NetworkConfig) -> float:
     """Outage of the optimum sum-score policy under the exponential law."""
-    return _outage(cfg, dist, PathLossModel.EXP_LAW, None)
+    return _outage(cfg, PathLossModel.EXP_LAW, None)
 
 
-def outage_pow_fb(cfg: NetworkConfig, dist: DistCdf, threshold: float) -> float:
+def outage_pow_fb(cfg: NetworkConfig, threshold: float) -> float:
     """Outage with feedback limited to nodes with product score <= threshold."""
-    return _outage(cfg, dist, PathLossModel.POWER_LAW, threshold)
+    return _outage(cfg, PathLossModel.POWER_LAW, threshold)
 
 
-def outage_exp_fb(cfg: NetworkConfig, dist: DistCdf, threshold: float) -> float:
+def outage_exp_fb(cfg: NetworkConfig, threshold: float) -> float:
     """Outage with feedback limited to nodes with sum score <= threshold."""
-    return _outage(cfg, dist, PathLossModel.EXP_LAW, threshold)
+    return _outage(cfg, PathLossModel.EXP_LAW, threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +272,7 @@ def rate_fading_quad(y: float, cfg: NetworkConfig, q: RateQuadrature = DEFAULT_Q
     This is the defining integral of the fading-averaged rate and serves as
     the in-repo oracle for the closed form.
     """
-    if y < 0.0:
+    if not y >= 0.0:
         raise DomainError(f"y must be >= 0, got {y}")
     c = cfg.avg_snr * y
     if c == 0.0:
@@ -300,7 +300,7 @@ def rate_fading_closed(y: float, cfg: NetworkConfig) -> float:
     cancellation once avg_snr * y drops below RATE_CLOSED_FORM_CUTOFF, so
     both situations are rejected (use rate_fading_quad there).
     """
-    if y <= 0.0:
+    if not y > 0.0:
         raise DomainError(f"y must be > 0, got {y}")
     c = cfg.avg_snr * y
     if c < RATE_CLOSED_FORM_CUTOFF:
@@ -335,7 +335,7 @@ def rate_fading_closed(y: float, cfg: NetworkConfig) -> float:
 
 def rate_fading_ub(y: float, cfg: NetworkConfig) -> float:
     """Jensen upper bound log2(1 + avg_snr * y * E[Z^2]) on the rate."""
-    if y < 0.0:
+    if not y >= 0.0:
         raise DomainError(f"y must be >= 0, got {y}")
     return math.log1p(cfg.avg_snr * y * ez2(cfg.n_elements)) / _LN2
 
@@ -344,7 +344,7 @@ def rate_fading_ub(y: float, cfg: NetworkConfig) -> float:
 # Densities of the inverse path loss Y of the selected node
 # ---------------------------------------------------------------------------
 
-def pdf_y_pow(y: float, cfg: NetworkConfig, dist: DistCdf) -> float:
+def pdf_y_pow(y: float, cfg: NetworkConfig) -> float:
     """Density of Y = (best distance product)^(-eta), written directly in y.
 
     Piecewise via the substitution g = y^(-1/eta):
@@ -359,11 +359,9 @@ def pdf_y_pow(y: float, cfg: NetworkConfig, dist: DistCdf) -> float:
     """
     if cfg.model is not PathLossModel.POWER_LAW:
         raise ValueError("pdf_y_pow requires a power-law configuration")
-    _check_match(cfg, dist)
-    _require(dist, ScoreKind.MIN_PRODUCT)
     if y <= 0.0:
         raise DomainError(f"y must be > 0, got {y}")
-    lam, d, eta = dist.intensity, dist.d, cfg.eta
+    lam, d, eta = cfg.intensity, cfg.d, cfg.eta
     d2 = d * d
     boundary = d2 ** (-eta)  # y value where the score crosses d^2
     if y <= boundary:
@@ -387,15 +385,15 @@ def pdf_y_pow(y: float, cfg: NetworkConfig, dist: DistCdf) -> float:
     )
 
 
-def pdf_y_pow_from_upsilon(y: float, cfg: NetworkConfig, dist: DistCdf) -> float:
+def pdf_y_pow_from_upsilon(y: float, cfg: NetworkConfig) -> float:
     """Same density obtained by transforming the score density directly."""
     if y <= 0.0:
         raise DomainError(f"y must be > 0, got {y}")
     g = y ** (-1.0 / cfg.eta)
-    return pdf_upsilon_opt(g, dist) * g / (cfg.eta * y)
+    return pdf_upsilon_opt(g, _optimum_dist(cfg)) * g / (cfg.eta * y)
 
 
-def pdf_y_exp(y: float, cfg: NetworkConfig, dist: DistCdf) -> float:
+def pdf_y_exp(y: float, cfg: NetworkConfig) -> float:
     """Density of Y = exp(-alpha * best distance sum).
 
     Supported on (0, e^{-2 alpha d}] with an integrable inverse-square-root
@@ -404,17 +402,15 @@ def pdf_y_exp(y: float, cfg: NetworkConfig, dist: DistCdf) -> float:
     """
     if cfg.model is not PathLossModel.EXP_LAW:
         raise ValueError("pdf_y_exp requires an exponential-law configuration")
-    _check_match(cfg, dist)
-    _require(dist, ScoreKind.MIN_SUM)
     if y <= 0.0:
         raise DomainError(f"y must be > 0, got {y}")
-    alpha, d = cfg.alpha, dist.d
+    alpha, d = cfg.alpha, cfg.d
     level = math.log(1.0 / y) / alpha
     if level < 2.0 * d:
         return 0.0
     if level == 2.0 * d:
         return math.inf
-    return pdf_lambda_opt(level, dist) / (alpha * y)
+    return pdf_lambda_opt(level, _optimum_dist(cfg)) / (alpha * y)
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +578,6 @@ def _product_score_rule(dist: DistCdf, cap: float) -> tuple[np.ndarray, np.ndarr
 
 def rate_pow(
     cfg: NetworkConfig,
-    dist: DistCdf,
     t_threshold: float | None = None,
     use_upper_bound: bool = False,
 ) -> float:
@@ -596,18 +591,15 @@ def rate_pow(
     """
     if cfg.model is not PathLossModel.POWER_LAW:
         raise ValueError("rate_pow requires a power-law configuration")
-    _check_match(cfg, dist)
-    _require(dist, ScoreKind.MIN_PRODUCT)
     if t_threshold is not None and not t_threshold > 0.0:
         raise ValueError(f"threshold must be > 0, got {t_threshold}")
     cap = math.inf if t_threshold is None else t_threshold
-    g, weight = _product_score_rule(dist, cap)
+    g, weight = _product_score_rule(_optimum_dist(cfg), cap)
     return _average_rate(-cfg.eta * np.log(g), weight, cfg, use_upper_bound)
 
 
 def rate_exp(
     cfg: NetworkConfig,
-    dist: DistCdf,
     t_threshold: float | None = None,
     use_upper_bound: bool = False,
 ) -> float:
@@ -621,11 +613,9 @@ def rate_exp(
     """
     if cfg.model is not PathLossModel.EXP_LAW:
         raise ValueError("rate_exp requires an exponential-law configuration")
-    _check_match(cfg, dist)
-    _require(dist, ScoreKind.MIN_SUM)
     if t_threshold is not None and not t_threshold > 0.0:
         raise ValueError(f"threshold must be > 0, got {t_threshold}")
-    d, lam = dist.d, dist.intensity
+    d, lam = cfg.d, cfg.intensity
     if t_threshold is not None and t_threshold <= 2.0 * d:
         return 0.0
     g_tail = critical_score(ScoreKind.MIN_SUM, lam, d, _TAIL_EPS)
@@ -633,8 +623,10 @@ def rate_exp(
     if t_threshold is not None:
         u_top = min(u_top, math.sqrt((t_threshold - 2.0 * d) * (t_threshold + 2.0 * d)))
     # panels no wider than 4 / alpha: log(1 + e^{-alpha g} ...) has complex
-    # singularities pi / alpha off the real axis where the rate bends over
-    u, u_w = _gl_panels(np.union1d(_halvings(u_top), np.arange(0.0, u_top, 4.0 / cfg.alpha)))
+    # singularities pi / alpha off the real axis where the rate bends over;
+    # the two edge sets are merged by hand, since np.union1d loads numpy.ma
+    edges = np.sort(np.concatenate([_halvings(u_top), np.arange(0.0, u_top, 4.0 / cfg.alpha)]))
+    u, u_w = _gl_panels(edges[np.concatenate([[True], edges[1:] != edges[:-1]])])
     g = np.sqrt(u * u + 4.0 * d * d)
     weight = u_w * math.pi * lam * (u * u + 2.0 * d * d) / (2.0 * g) * np.exp(-0.25 * math.pi * lam * g * u)
     return _average_rate(-cfg.alpha * g, weight, cfg, use_upper_bound)

@@ -30,7 +30,7 @@ from . import analytic, montecarlo
 from .channel import NetworkConfig, PathLossModel
 from .geometry import ScoreKind
 from .montecarlo import default_workers
-from .policies import OPTIMUM, PolicyKind, SelectionPolicy
+from .policies import OPTIMUM, PolicyKind, SelectionPolicy, check_feedback_policy
 
 _POLICY_NAMES = {p.value: p for p in PolicyKind}
 _MODEL_NAMES = {"power": PathLossModel.POWER_LAW, "exp": PathLossModel.EXP_LAW}
@@ -121,18 +121,6 @@ def _count(name: str, value: int) -> int:
     return value
 
 
-def _check_feedback_policies(model: PathLossModel, kinds) -> None:
-    """A feedback threshold filters on the model's score, so the only
-    optimum policy it may apply to is the model's own."""
-    optimum = OPTIMUM[model][1]
-    for kind in kinds:
-        if kind in _OPTIMA and kind is not optimum:
-            raise SpecError(
-                f"a feedback threshold applies to {optimum.value} under the {model.value} model, "
-                f"not to {kind.value}"
-            )
-
-
 def _parse_policy(text: str) -> PolicyKind:
     if text not in _POLICY_NAMES:
         raise ValueError(f"unknown policy '{text}' (expected one of {sorted(_POLICY_NAMES)})")
@@ -170,21 +158,16 @@ def load_spec(path: str) -> ExperimentSpec:
     for m in metrics:
         if m not in ("outage", "rate"):
             raise SpecError(f"unknown metric '{m}'")
-    model = _get(sc, "model", _parse_model)
-    threshold = _get(sc, "threshold", float, required=False, default=None)
-    if threshold is not None or variable == "threshold":
-        _check_feedback_policies(model, policies)
-
     spec = ExperimentSpec(
         d=_get(sc, "d", float),
         intensity=_get(sc, "intensity", float),
         n_elements=_get(sc, "n_elements", int),
-        model=model,
+        model=_get(sc, "model", _parse_model),
         eta=_get(sc, "eta", float, required=False, default=4.0),
         alpha=_get(sc, "alpha", float, required=False, default=1.037),
         avg_snr_db=_get(sc, "avg_snr_db", float, required=False, default=0.0),
         target_snr_db=_get(sc, "target_snr_db", float, required=False, default=5.0),
-        threshold=threshold,
+        threshold=_get(sc, "threshold", float, required=False, default=None),
         sweep_variable=variable,
         sweep_min=lo,
         sweep_max=hi,
@@ -199,9 +182,9 @@ def load_spec(path: str) -> ExperimentSpec:
     )
     for value in spec.sweep_values():
         try:
-            _, point_threshold = spec.config_at(value)
+            cfg, point_threshold = spec.config_at(value)
             for kind in policies:
-                _policy_obj(kind, point_threshold)
+                check_feedback_policy(_policy_obj(kind, point_threshold), cfg.model)
         except ValueError as exc:
             raise SpecError(f"invalid scenario at {variable} = {_fmt(value)}: {exc}") from exc
     return spec
@@ -220,16 +203,14 @@ def _policy_obj(kind: PolicyKind, threshold: float | None) -> SelectionPolicy:
 
 def _analytic_metric(metric: str, cfg: NetworkConfig, kind: PolicyKind, threshold: float | None):
     """Closed-form value for the optimum policy of the model, else None."""
-    score_kind, optimum = OPTIMUM[cfg.model]
-    if kind is not optimum:
+    if kind is not OPTIMUM[cfg.model][1]:
         return None
-    dist = analytic.DistCdf.from_config(cfg, score_kind)
     power = cfg.model is PathLossModel.POWER_LAW
     if metric == "rate":
-        return (analytic.rate_pow if power else analytic.rate_exp)(cfg, dist, t_threshold=threshold)
+        return (analytic.rate_pow if power else analytic.rate_exp)(cfg, t_threshold=threshold)
     if threshold is None:
-        return (analytic.outage_pow if power else analytic.outage_exp)(cfg, dist)
-    return (analytic.outage_pow_fb if power else analytic.outage_exp_fb)(cfg, dist, threshold)
+        return (analytic.outage_pow if power else analytic.outage_exp)(cfg)
+    return (analytic.outage_pow_fb if power else analytic.outage_exp_fb)(cfg, threshold)
 
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[list[str]]:
@@ -318,9 +299,11 @@ def _add_scenario_args(p: argparse.ArgumentParser) -> None:
 def _cmd_point_metric(args, metric: str, workers: int) -> int:
     cfg = _scenario_config(args)
     kind = OPTIMUM[cfg.model][1] if args.policy is None else _POLICY_NAMES[args.policy]
-    if args.threshold is not None:
-        _check_feedback_policies(cfg.model, [kind])
     policy = _policy_obj(kind, args.threshold)
+    try:
+        check_feedback_policy(policy, cfg.model)
+    except ValueError as exc:
+        raise SpecError(str(exc)) from exc
     rng = np.random.default_rng(args.seed)
     closed = _analytic_metric(metric, cfg, kind, policy.feedback_threshold)
     if metric == "outage":
@@ -340,9 +323,9 @@ def _cmd_point_metric(args, metric: str, workers: int) -> int:
 
 def _cmd_distance_dist(args, workers: int) -> int:
     cfg = _scenario_config(args)
-    score_kind, kind = OPTIMUM[cfg.model]
+    score_kind = OPTIMUM[cfg.model][0]
     dist = analytic.DistCdf.from_config(cfg, score_kind)
-    emp = montecarlo.mc_distance_dist(cfg, kind, args.trials, np.random.default_rng(args.seed), workers=workers)
+    emp = montecarlo.mc_distance_dist(cfg, args.trials, np.random.default_rng(args.seed), workers=workers)
     eps = emp.dkw_epsilon(0.99)
     cdf = analytic.cdf_upsilon_opt if score_kind is ScoreKind.MIN_PRODUCT else analytic.cdf_lambda_opt
     grid = _quantile_grid(cdf, dist, args.grid_points)
@@ -386,9 +369,8 @@ def _cmd_feedback(args, workers: int) -> int:
     score_kind, _ = OPTIMUM[cfg.model]
     dist = analytic.DistCdf.from_config(cfg, score_kind)
     xi = (analytic.xi_pow if score_kind is ScoreKind.MIN_PRODUCT else analytic.xi_exp)(args.threshold, dist)
-    emp = montecarlo.mc_feedback_dist(
-        cfg, cfg.model, args.threshold, args.trials, np.random.default_rng(args.seed), workers=workers
-    )
+    rng = np.random.default_rng(args.seed)
+    emp = montecarlo.mc_feedback_dist(cfg, args.threshold, args.trials, rng, workers=workers)
     try:
         stat, dof, p = montecarlo.poisson_gof(emp, xi)
     except ValueError:  # no chi-square test: xi = 0, or too few bins with enough expected count

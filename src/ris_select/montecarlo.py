@@ -60,7 +60,7 @@ import numpy as np
 from .channel import NetworkConfig, PathLossModel, sample_z_prefixes, snr_score_cap
 from .errors import UnsupportedRegionError, WindowTooSmallError
 from .geometry import ScoreKind, critical_score, enclosing_radius, score
-from .policies import OPTIMUM, PolicyKind, SelectionPolicy
+from .policies import OPTIMUM, PolicyKind, SelectionPolicy, check_feedback_policy
 
 _CHUNK_TRIALS = 8192
 # Fewest trials worth a pool process of their own; a smaller last chunk
@@ -334,9 +334,9 @@ def _threshold(picked: np.ndarray, policy: SelectionPolicy) -> np.ndarray:
     """The pick of policy.kind under the policy's feedback threshold T.
 
     Only the optimum policy of the model takes a threshold (see
-    _check_policy_model), and it filters on the very score it minimises:
-    the pick among the nodes with score <= T is the unfiltered pick when
-    that is <= T, and no node (+inf) otherwise.
+    policies.check_feedback_policy), and it filters on the very score it
+    minimises: the pick among the nodes with score <= T is the unfiltered
+    pick when that is <= T, and no node (+inf) otherwise.
     """
     t = policy.feedback_threshold
     return picked if t is None else np.where(picked <= t, picked, np.inf)
@@ -524,7 +524,7 @@ def policy_scores(
     gives common random numbers: every policy then sees identical
     realizations, making pathwise comparisons exact.
     """
-    _check_policy_model(cfg, policy)
+    check_feedback_policy(policy, cfg.model)
     radius = _window(coverage_radius(cfg, policy), window_radius_override)
     return np.concatenate(_map_chunks(_chunk_scores, (cfg, policy), radius, n_trials, rng, workers))
 
@@ -540,25 +540,10 @@ def _window(needed: float, override: float | None) -> float:
     return override
 
 
-def _check_policy_model(cfg: NetworkConfig, policy: SelectionPolicy) -> None:
-    if policy.feedback_threshold is not None and policy.kind is not OPTIMUM[cfg.model][1]:
-        raise ValueError(f"feedback policy {policy.kind} mismatches path-loss model {cfg.model}")
-
-
-def mc_distance_dist(
-    cfg: NetworkConfig,
-    policy_kind: PolicyKind,
-    n_trials: int,
-    rng,
-    workers: int = 1,
-) -> EmpiricalDist:
-    """Empirical distribution of the optimum score (min product or min sum).
-
-    policy_kind must be the optimum policy of cfg.model.
-    """
-    if policy_kind is not OPTIMUM[cfg.model][1]:
-        raise ValueError(f"{policy_kind} is not the optimum policy of {cfg.model}")
-    return EmpiricalDist(policy_scores(cfg, SelectionPolicy(policy_kind), n_trials, rng, workers=workers))
+def mc_distance_dist(cfg: NetworkConfig, n_trials: int, rng, workers: int = 1) -> EmpiricalDist:
+    """Empirical distribution of the optimum score of cfg.model (min product or min sum)."""
+    policy = SelectionPolicy(OPTIMUM[cfg.model][1])
+    return EmpiricalDist(policy_scores(cfg, policy, n_trials, rng, workers=workers))
 
 
 def mc_sweep(
@@ -589,7 +574,7 @@ def mc_sweep(
     for cfg, policy in cells:
         if (cfg.intensity, cfg.d, cfg.model) != (geometry.intensity, geometry.d, geometry.model):
             raise ValueError("cells of one sweep must share intensity, d and path-loss model")
-        _check_policy_model(cfg, policy)
+        check_feedback_policy(policy, cfg.model)
     # the window depends on the policy and the shared geometry only
     policies = dict.fromkeys(policy for _, policy in cells)
     radius = max(_window(coverage_radius(geometry, policy), window_radius_override) for policy in policies)
@@ -646,23 +631,20 @@ def mc_rate(
 
 def mc_feedback_dist(
     cfg: NetworkConfig,
-    model: PathLossModel,
     threshold: float,
     n_trials: int,
     rng,
     window_radius_override: float | None = None,
     workers: int = 1,
 ) -> EmpiricalDist:
-    """Distribution of the number of nodes whose score is <= threshold.
+    """Distribution of the number of nodes whose model score is <= threshold.
 
     The window must contain the whole threshold region so counts are exact;
     an explicitly passed radius that does not is an error.
     """
-    if threshold <= 0.0:
+    if not threshold > 0.0:  # NaN included; +inf is refused by the point budget
         raise ValueError(f"threshold must be > 0, got {threshold}")
-    if model is not cfg.model:
-        raise ValueError("model argument disagrees with cfg.model")
-    radius = _window(enclosing_radius(OPTIMUM[model][0], threshold, cfg.d), window_radius_override)
+    radius = _window(enclosing_radius(OPTIMUM[cfg.model][0], threshold, cfg.d), window_radius_override)
     chunks = _map_chunks(_chunk_feedback_counts, (cfg, threshold), radius, n_trials, rng, workers)
     return EmpiricalDist(np.concatenate(chunks))
 

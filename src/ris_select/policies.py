@@ -10,7 +10,10 @@ Carlo engine (montecarlo._select).
 
 A policy may carry a feedback threshold T: only nodes whose score is <= T
 report to the source, and selection happens among those.  An empty
-candidate set is a valid outcome (no transmission), not an error.
+candidate set is a valid outcome (no transmission), not an error.  The
+threshold filters on the model's own score, so under a given path-loss
+model only that model's optimum policy may carry one
+(check_feedback_policy).
 """
 
 from __future__ import annotations
@@ -47,3 +50,13 @@ class SelectionPolicy:
                 raise ValueError(f"feedback_threshold must be > 0, got {self.feedback_threshold}")
             if self.kind not in {optimum for _, optimum in OPTIMUM.values()}:
                 raise ValueError(f"feedback thresholds apply only to optimum policies, got {self.kind}")
+
+
+def check_feedback_policy(policy: SelectionPolicy, model: PathLossModel) -> None:
+    """Refuse a feedback threshold on any policy but the model's own optimum."""
+    optimum = OPTIMUM[model][1]
+    if policy.feedback_threshold is not None and policy.kind is not optimum:
+        raise ValueError(
+            f"a feedback threshold applies to {optimum.value} under the {model.value} model, "
+            f"not to {policy.kind.value}"
+        )

@@ -97,8 +97,7 @@ def run_validation(seed: int = 1, trials: int = 4000, workers: int = 1) -> list[
             bad += int(np.sum(opt > other + 1e-12))
         checks.append((f"pathwise dominance ({name})", bad == 0, f"{bad} violations"))
 
-    emp = montecarlo.mc_feedback_dist(exp_cfg, PathLossModel.EXP_LAW, 20.0, trials,
-                                      np.random.default_rng(seed), workers=workers)
+    emp = montecarlo.mc_feedback_dist(exp_cfg, 20.0, trials, np.random.default_rng(seed), workers=workers)
     xi = analytic.xi_exp(20.0, dist_s)
     stat, dof, p = montecarlo.poisson_gof(emp, xi)
     mean_gap = abs(emp.mean() - xi) / (math.sqrt(xi / trials) + 1e-12)

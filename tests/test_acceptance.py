@@ -80,7 +80,7 @@ def test_criterion_1_distance_distribution_fidelity():
             dist = DistCdf(score_kind, lam, D)
             cfg = cfg_pow(lam, 16) if model == "product" else cfg_exp(lam, 16)
             start = time.perf_counter()
-            emp = mc_distance_dist(cfg, kind, n_trials, 1000 + int(10 * lam))
+            emp = mc_distance_dist(cfg, n_trials, 1000 + int(10 * lam))
             elapsed = time.perf_counter() - start
             slowest = max(slowest, elapsed)
             eps = emp.dkw_epsilon(0.99)
@@ -125,7 +125,7 @@ def test_criterion_3_poisson_feedback():
         (cfg_pow(0.5, 16), analytic.xi_pow(20.0, DistCdf(ScoreKind.MIN_PRODUCT, 0.5, D))),
         (cfg_exp(0.5, 16), xi_exp_val),
     ):
-        emp = mc_feedback_dist(cfg, cfg.model, 20.0, n_trials, 2000)
+        emp = mc_feedback_dist(cfg, 20.0, n_trials, 2000)
         _, _, p = poisson_gof(emp, xi)
         mean_gap = abs(emp.mean() - xi) / math.sqrt(xi / n_trials)
         if p <= 0.01 or mean_gap > 3.0:
@@ -147,8 +147,8 @@ def _outage_sweep_check(cfg_fn, opt_kind, seed):
             cfg_pt = cfg_fn(lam, n, avg_snr=10.0 ** (db / 10.0))
             kind = ScoreKind.MIN_PRODUCT if cfg.model is PathLossModel.POWER_LAW else ScoreKind.MIN_SUM
             dist = DistCdf(kind, lam, D)
-            a = (analytic.outage_pow(cfg_pt, dist) if cfg.model is PathLossModel.POWER_LAW
-                 else analytic.outage_exp(cfg_pt, dist))
+            a = (analytic.outage_pow(cfg_pt) if cfg.model is PathLossModel.POWER_LAW
+                 else analytic.outage_exp(cfg_pt))
             if a < 1e-3:
                 continue
             ratio = cfg_pt.avg_snr * ez2(n) / cfg_pt.target_snr
@@ -201,7 +201,7 @@ def test_criterion_5_rate_reproduction():
 
     cfgp = cfg_pow(0.5, 16, avg_snr=RHO_5DB)
     dist_p = DistCdf(ScoreKind.MIN_PRODUCT, 0.5, D)
-    want = analytic.rate_pow(cfgp, dist_p)
+    want = analytic.rate_pow(cfgp)
     radius = max(coverage_radius(cfgp, SelectionPolicy(k))
                  for k in (PolicyKind.OPT_PRODUCT, PolicyKind.MIN_MIN))
     est_opt = mc_rate(cfgp, SelectionPolicy(PolicyKind.OPT_PRODUCT), n_trials, m_fading, 700,
@@ -220,7 +220,7 @@ def test_criterion_5_rate_reproduction():
 
     cfge = cfg_exp(0.5, 16, avg_snr=RHO_5DB)
     dist_s = DistCdf(ScoreKind.MIN_SUM, 0.5, D)
-    want_e = analytic.rate_exp(cfge, dist_s)
+    want_e = analytic.rate_exp(cfge)
     radius_e = max(coverage_radius(cfge, SelectionPolicy(k))
                    for k in (PolicyKind.OPT_SUM, PolicyKind.MID_POINT))
     est_opt_e = mc_rate(cfge, SelectionPolicy(PolicyKind.OPT_SUM), n_trials, m_fading, 701,
@@ -284,9 +284,9 @@ def test_criterion_7_limited_feedback_plateaus():
     ):
         cfg = cfg_fn(0.1, 16, avg_snr=RHO_5DB)
         dist = DistCdf(dist_cls, 0.1, D)
-        r_inf = rate(cfg, dist)
-        r5 = rate(cfg, dist, t_threshold=5.0)
-        r3 = rate(cfg, dist, t_threshold=3.0)
+        r_inf = rate(cfg)
+        r5 = rate(cfg, t_threshold=5.0)
+        r3 = rate(cfg, t_threshold=3.0)
         if not (r_inf - r5) < (r5 - r3):
             ok = False
         details.append(f"{model} losses {r_inf - r5:.3f} < {r5 - r3:.3f}")
@@ -356,14 +356,14 @@ def test_criterion_8_numerical_kernel_suite():
         * u / math.sqrt(u * u + 4 * D * D), 0, np.inf, limit=300)[0]
     norm_worst = max(norm_worst, abs(mass - 1))
     boundary = (D * D) ** (-4.0)
-    mass = (integrate.quad(lambda y: analytic.pdf_y_pow(y, cfgp, dist_p), 0, boundary, limit=300)[0]
-            + integrate.quad(lambda y: analytic.pdf_y_pow(y, cfgp, dist_p), boundary, np.inf, limit=300)[0])
+    mass = (integrate.quad(lambda y: analytic.pdf_y_pow(y, cfgp), 0, boundary, limit=300)[0]
+            + integrate.quad(lambda y: analytic.pdf_y_pow(y, cfgp), boundary, np.inf, limit=300)[0])
     norm_worst = max(norm_worst, abs(mass - 1))
 
     def y_exp_integrand(u):
         g = math.sqrt(u * u + 4 * D * D)
         y = math.exp(-cfge.alpha * g)
-        return 0.0 if y == 0.0 else analytic.pdf_y_exp(y, cfge, dist_s) * cfge.alpha * y * u / g
+        return 0.0 if y == 0.0 else analytic.pdf_y_exp(y, cfge) * cfge.alpha * y * u / g
 
     mass = integrate.quad(y_exp_integrand, 0, np.inf, limit=300)[0]
     norm_worst = max(norm_worst, abs(mass - 1))

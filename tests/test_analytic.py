@@ -212,83 +212,81 @@ class TestFeedbackMeans:
 
 class TestOutage:
     def test_pow_limits(self):
-        assert outage_pow(pow_cfg(target_snr=0.0), DIST_P) == 0.0
+        assert outage_pow(pow_cfg(target_snr=0.0)) == 0.0
         # outage -> 1 as the target grows without bound
-        assert outage_pow(pow_cfg(target_snr=1e12), DIST_P) == pytest.approx(1.0, abs=1e-5)
-        assert outage_pow(pow_cfg(target_snr=1e20), DIST_P) == pytest.approx(1.0, abs=1e-9)
+        assert outage_pow(pow_cfg(target_snr=1e12)) == pytest.approx(1.0, abs=1e-5)
+        assert outage_pow(pow_cfg(target_snr=1e20)) == pytest.approx(1.0, abs=1e-9)
 
     def test_pow_closed_form_structure(self):
         cfg = pow_cfg(avg_snr=10 ** 0.5)
         level = (cfg.avg_snr * ez2(16) / cfg.target_snr) ** 0.25
-        assert outage_pow(cfg, DIST_P) == pytest.approx(1 - cdf_upsilon_opt(level, DIST_P), rel=1e-14)
+        assert outage_pow(cfg) == pytest.approx(1 - cdf_upsilon_opt(level, DIST_P), rel=1e-14)
 
     def test_exp_high_snr(self):
-        assert outage_exp(exp_cfg(avg_snr=1e9), DIST_S) < 1e-6
+        assert outage_exp(exp_cfg(avg_snr=1e9)) < 1e-6
 
     def test_exp_unreachable_target(self):
         # target at or above the snr achievable at the minimum sum 2d
         cfg = exp_cfg(avg_snr=1.0)
         rho_star = cfg.avg_snr * ez2(16) / math.exp(cfg.alpha * 2 * D)
-        assert outage_exp(exp_cfg(target_snr=rho_star * 1.01), DIST_S) == 1.0
-        assert outage_exp(exp_cfg(target_snr=rho_star * 4), DIST_S) == 1.0
+        assert outage_exp(exp_cfg(target_snr=rho_star * 1.01)) == 1.0
+        assert outage_exp(exp_cfg(target_snr=rho_star * 4)) == 1.0
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
-            outage_pow(exp_cfg(), DIST_P)
+            outage_pow(exp_cfg())
         with pytest.raises(ValueError):
-            outage_exp(pow_cfg(), DIST_S)
-        with pytest.raises(ValueError):
-            outage_pow(pow_cfg(intensity=0.7), DIST_P)  # disagreeing parameters
+            outage_exp(pow_cfg())
 
 
 class TestLimitedFeedbackOutage:
     def test_pow_plateau_independent_of_avg_snr(self):
         t = 3.0
-        vals = {outage_pow_fb(pow_cfg(avg_snr=g), DIST_P, t) for g in (1e3, 1e5, 1e7)}
+        vals = {outage_pow_fb(pow_cfg(avg_snr=g), t) for g in (1e3, 1e5, 1e7)}
         assert len(vals) == 1
         assert vals.pop() == pytest.approx(math.exp(-xi_pow(t, DIST_P)), rel=1e-12)
 
     def test_pow_reduces_to_all_feedback(self):
         cfg = pow_cfg(avg_snr=2.0)
-        assert outage_pow_fb(cfg, DIST_P, 1e9) == pytest.approx(outage_pow(cfg, DIST_P), rel=1e-12)
+        assert outage_pow_fb(cfg, 1e9) == pytest.approx(outage_pow(cfg), rel=1e-12)
 
     def test_pow_continuous_at_branch(self):
         cfg = pow_cfg(avg_snr=2.0)
         t_star = (cfg.avg_snr * ez2(16) / cfg.target_snr) ** 0.25
-        below = outage_pow_fb(cfg, DIST_P, t_star * (1 - 1e-9))
-        above = outage_pow_fb(cfg, DIST_P, t_star * (1 + 1e-9))
+        below = outage_pow_fb(cfg, t_star * (1 - 1e-9))
+        above = outage_pow_fb(cfg, t_star * (1 + 1e-9))
         assert below == pytest.approx(above, rel=1e-6)
 
     def test_pow_monotone_in_threshold(self):
         cfg = pow_cfg(avg_snr=2.0)
         ts = np.linspace(0.5, 12.0, 40)
-        vals = [outage_pow_fb(cfg, DIST_P, float(t)) for t in ts]
+        vals = [outage_pow_fb(cfg, float(t)) for t in ts]
         assert all(b <= a + 1e-14 for a, b in zip(vals, vals[1:]))
 
     def test_exp_monotone_in_threshold(self):
         cfg = exp_cfg(avg_snr=10.0)
         ts = np.linspace(2.0, 12.0, 30)
-        vals = [outage_exp_fb(cfg, DIST_S, float(t)) for t in ts]
+        vals = [outage_exp_fb(cfg, float(t)) for t in ts]
         assert all(b <= a + 1e-14 for a, b in zip(vals, vals[1:]))
 
     def test_exp_three_branches(self):
         cfg = exp_cfg(avg_snr=10.0)
         # middle branch reproduces the all-feedback value
-        assert outage_exp_fb(cfg, DIST_S, 1e6) == pytest.approx(outage_exp(cfg, DIST_S), rel=1e-12)
+        assert outage_exp_fb(cfg, 1e6) == pytest.approx(outage_exp(cfg), rel=1e-12)
         # tiny threshold admits no feedback at all
-        assert outage_exp_fb(cfg, DIST_S, 2 * D * 0.9) == pytest.approx(1.0)
+        assert outage_exp_fb(cfg, 2 * D * 0.9) == pytest.approx(1.0)
         # high-gain plateau
         hi = exp_cfg(avg_snr=1e8)
-        assert outage_exp_fb(hi, DIST_S, 5.0) == pytest.approx(math.exp(-xi_exp(5.0, DIST_S)), rel=1e-12)
+        assert outage_exp_fb(hi, 5.0) == pytest.approx(math.exp(-xi_exp(5.0, DIST_S)), rel=1e-12)
 
     @pytest.mark.parametrize("threshold", [0.0, -1.0, math.nan])
     @pytest.mark.parametrize(
         "fn",
         [
-            lambda t: outage_pow_fb(pow_cfg(), DIST_P, t),
-            lambda t: outage_exp_fb(exp_cfg(), DIST_S, t),
-            lambda t: rate_pow(pow_cfg(), DIST_P, t_threshold=t),
-            lambda t: rate_exp(exp_cfg(), DIST_S, t_threshold=t),
+            lambda t: outage_pow_fb(pow_cfg(), t),
+            lambda t: outage_exp_fb(exp_cfg(), t),
+            lambda t: rate_pow(pow_cfg(), t_threshold=t),
+            lambda t: rate_exp(exp_cfg(), t_threshold=t),
         ],
         ids=["outage_pow_fb", "outage_exp_fb", "rate_pow", "rate_exp"],
     )
@@ -326,6 +324,12 @@ class TestFadingRate:
         asym = (2 * math.log(ga.theta) + math.log(c) + 2 * digamma(ga.k)) / math.log(2)
         assert rate_fading_closed(c, cfg) == pytest.approx(asym, abs=1e-6)
 
+    @pytest.mark.parametrize("y", [math.nan, -1.0])
+    @pytest.mark.parametrize("oracle", [rate_fading_quad, rate_fading_closed, rate_fading_ub])
+    def test_oracles_refuse_nan_and_negative_y(self, oracle, y):
+        with pytest.raises(DomainError, match="y must be"):
+            oracle(y, pow_cfg())
+
     def test_closed_rejects_small_argument(self):
         with pytest.raises(DomainError):
             rate_fading_closed(1e-3, pow_cfg(avg_snr=1.0))
@@ -353,8 +357,8 @@ class TestTransformedDensities:
     def test_pow_direct_equals_transform(self):
         cfg = pow_cfg()
         for y in np.geomspace(1e-3, 1e3, 25):
-            direct = pdf_y_pow(float(y), cfg, DIST_P)
-            via = pdf_y_pow_from_upsilon(float(y), cfg, DIST_P)
+            direct = pdf_y_pow(float(y), cfg)
+            via = pdf_y_pow_from_upsilon(float(y), cfg)
             if math.isinf(direct):
                 assert math.isinf(via)
             else:
@@ -363,8 +367,8 @@ class TestTransformedDensities:
     def test_pow_branch_continuity(self):
         cfg = pow_cfg()
         boundary = (D * D) ** (-cfg.eta)
-        lo = pdf_y_pow(boundary * (1 - 1e-4), cfg, DIST_P)
-        hi = pdf_y_pow(boundary * (1 + 1e-4), cfg, DIST_P)
+        lo = pdf_y_pow(boundary * (1 - 1e-4), cfg)
+        hi = pdf_y_pow(boundary * (1 + 1e-4), cfg)
         assert lo == pytest.approx(hi, rel=0.15)  # log divergence: nearby, both large
 
     def test_pow_matches_cdf_finite_difference(self):
@@ -376,20 +380,20 @@ class TestTransformedDensities:
         for y in (0.05, 0.4, 2.0, 50.0):
             h = y * 1e-6
             slope = (cdf_y(y + h) - cdf_y(y - h)) / (2 * h)
-            assert pdf_y_pow(y, cfg, DIST_P) == pytest.approx(slope, rel=1e-5)
+            assert pdf_y_pow(y, cfg) == pytest.approx(slope, rel=1e-5)
 
     def test_pow_normalizes(self):
         cfg = pow_cfg()
         boundary = (D * D) ** (-cfg.eta)
-        mass = integrate.quad(lambda y: pdf_y_pow(y, cfg, DIST_P), 0, boundary, limit=300)[0]
-        mass += integrate.quad(lambda y: pdf_y_pow(y, cfg, DIST_P), boundary, np.inf, limit=300)[0]
+        mass = integrate.quad(lambda y: pdf_y_pow(y, cfg), 0, boundary, limit=300)[0]
+        mass += integrate.quad(lambda y: pdf_y_pow(y, cfg), boundary, np.inf, limit=300)[0]
         assert mass == pytest.approx(1.0, abs=1e-5)
 
     def test_exp_support(self):
         cfg = exp_cfg()
         edge = math.exp(-2 * cfg.alpha * D)
-        assert pdf_y_exp(edge * 1.01, cfg, DIST_S) == 0.0
-        assert pdf_y_exp(0.9, cfg, DIST_S) == 0.0
+        assert pdf_y_exp(edge * 1.01, cfg) == 0.0
+        assert pdf_y_exp(0.9, cfg) == 0.0
 
     def test_exp_matches_cdf_finite_difference(self):
         cfg = exp_cfg()
@@ -401,7 +405,7 @@ class TestTransformedDensities:
         for y in (0.5 * edge, 0.2 * edge, 0.05 * edge):
             h = y * 1e-6
             slope = (cdf_y(y + h) - cdf_y(y - h)) / (2 * h)
-            assert pdf_y_exp(y, cfg, DIST_S) == pytest.approx(slope, rel=1e-5)
+            assert pdf_y_exp(y, cfg) == pytest.approx(slope, rel=1e-5)
 
     def test_exp_normalizes_with_substitution(self):
         cfg = exp_cfg()
@@ -413,7 +417,7 @@ class TestTransformedDensities:
             y = math.exp(-cfg.alpha * g)
             if y == 0.0:
                 return 0.0
-            return pdf_y_exp(y, cfg, DIST_S) * cfg.alpha * y * u / g
+            return pdf_y_exp(y, cfg) * cfg.alpha * y * u / g
 
         mass = integrate.quad(integrand, 0.0, np.inf, limit=300)[0]
         assert mass == pytest.approx(1.0, abs=1e-5)
@@ -467,19 +471,19 @@ class TestSoftplus:
 class TestAverageRate:
     def test_pow_threshold_infinity_matches_all_feedback(self):
         cfg = pow_cfg(avg_snr=10 ** 0.5)
-        base = rate_pow(cfg, DIST_P)
-        assert rate_pow(cfg, DIST_P, t_threshold=1e9) == pytest.approx(base, rel=1e-7)
+        base = rate_pow(cfg)
+        assert rate_pow(cfg, t_threshold=1e9) == pytest.approx(base, rel=1e-7)
 
     def test_pow_monotone_in_threshold(self):
         cfg = pow_cfg(avg_snr=10 ** 0.5)
-        vals = [rate_pow(cfg, DIST_P, t_threshold=t) for t in (0.5, 1.0, 2.0, 5.0, 20.0)]
+        vals = [rate_pow(cfg, t_threshold=t) for t in (0.5, 1.0, 2.0, 5.0, 20.0)]
         assert all(b >= a - 1e-10 for a, b in zip(vals, vals[1:]))
 
     def test_pow_small_threshold_keeps_low_score_branch_only(self):
         # T below d^2: only scores <= T < d^2 can transmit
         cfg = pow_cfg(avg_snr=10 ** 0.5)
         t = 0.7
-        got = rate_pow(cfg, DIST_P, t_threshold=t)
+        got = rate_pow(cfg, t_threshold=t)
 
         def integrand(g):
             return rate_fading_quad(g ** (-cfg.eta), cfg) * pdf_upsilon_opt(g, DIST_P)
@@ -489,27 +493,27 @@ class TestAverageRate:
 
     def test_exp_zero_below_2d(self):
         cfg = exp_cfg(avg_snr=10 ** 0.5)
-        assert rate_exp(cfg, DIST_S, t_threshold=2 * D) == 0.0
+        assert rate_exp(cfg, t_threshold=2 * D) == 0.0
 
     def test_exp_threshold_infinity_matches_all_feedback(self):
         cfg = exp_cfg(avg_snr=10 ** 0.5)
-        base = rate_exp(cfg, DIST_S)
-        assert rate_exp(cfg, DIST_S, t_threshold=200.0) == pytest.approx(base, rel=1e-9)
+        base = rate_exp(cfg)
+        assert rate_exp(cfg, t_threshold=200.0) == pytest.approx(base, rel=1e-9)
 
     def test_upper_bound_dominates(self):
         cfg = pow_cfg(avg_snr=10 ** 0.5)
-        assert rate_pow(cfg, DIST_P, use_upper_bound=True) >= rate_pow(cfg, DIST_P)
+        assert rate_pow(cfg, use_upper_bound=True) >= rate_pow(cfg)
         cfg_e = exp_cfg(avg_snr=10 ** 0.5)
-        assert rate_exp(cfg_e, DIST_S, use_upper_bound=True) >= rate_exp(cfg_e, DIST_S)
+        assert rate_exp(cfg_e, use_upper_bound=True) >= rate_exp(cfg_e)
 
     def test_pow_finite_down_to_tiny_lam_d2(self):
         # lam d^2 down to 1e-16: the 1e-14 tail puts the high branch at tau
         # ~ 1e9, where 1 - m = 1 - (1 + tau)^-2 must not round above 1
         for lam in 10.0 ** np.arange(-8, 1):
             for d in 10.0 ** np.arange(-4, 2):
-                cfg, dist = pow_cfg(intensity=lam, d=d), DistCdf(ScoreKind.MIN_PRODUCT, lam, d)
-                got = rate_pow(cfg, dist)
-                assert math.isfinite(got) and 0.0 <= got <= rate_pow(cfg, dist, use_upper_bound=True)
+                cfg = pow_cfg(intensity=lam, d=d)
+                got = rate_pow(cfg)
+                assert math.isfinite(got) and 0.0 <= got <= rate_pow(cfg, use_upper_bound=True)
 
     # (law, lam, d, avg_snr_db, N, threshold, value): values from adaptive
     # quadrature of rate_fading_quad (relative tolerance 1e-12) against the
@@ -538,9 +542,9 @@ class TestAverageRate:
         build = pow_cfg if law == "power" else exp_cfg
         cfg = build(d=d, intensity=lam, n_elements=n, avg_snr=10.0 ** (snr_db / 10.0))
         if law == "power":
-            got = rate_pow(cfg, DistCdf(ScoreKind.MIN_PRODUCT, lam, d), t_threshold=t)
+            got = rate_pow(cfg, t_threshold=t)
         else:
-            got = rate_exp(cfg, DistCdf(ScoreKind.MIN_SUM, lam, d), t_threshold=t)
+            got = rate_exp(cfg, t_threshold=t)
         if want == 0.0:
             assert got == 0.0
         else:
@@ -555,9 +559,9 @@ class TestAverageRate:
         monkeypatch.setattr(integrate, "quad", boom)
         cfg, cfg_e = pow_cfg(avg_snr=10 ** 0.5), exp_cfg(avg_snr=10 ** 0.5)
         for kwargs in ({}, {"t_threshold": 3.0}, {"use_upper_bound": True}):
-            assert rate_pow(cfg, DIST_P, **kwargs) > 0.0
-            assert rate_exp(cfg_e, DIST_S, **kwargs) > 0.0
-        assert rate_pow(cfg, DIST_P, t_threshold=0.7) > 0.0
+            assert rate_pow(cfg, **kwargs) > 0.0
+            assert rate_exp(cfg_e, **kwargs) > 0.0
+        assert rate_pow(cfg, t_threshold=0.7) > 0.0
 
     def test_engine_needs_no_logaddexp(self, monkeypatch):
         def boom(*args, **kwargs):
@@ -567,9 +571,9 @@ class TestAverageRate:
         cfg, cfg_e = pow_cfg(avg_snr=10 ** 0.5), exp_cfg(avg_snr=10 ** 0.5)
         for kwargs in ({}, {"t_threshold": 3.0}, {"use_upper_bound": True},
                        {"t_threshold": 3.0, "use_upper_bound": True}):
-            assert rate_pow(cfg, DIST_P, **kwargs) > 0.0
-            assert rate_exp(cfg_e, DIST_S, **kwargs) > 0.0
-        assert rate_pow(cfg, DIST_P, t_threshold=0.7) > 0.0
+            assert rate_pow(cfg, **kwargs) > 0.0
+            assert rate_exp(cfg_e, **kwargs) > 0.0
+        assert rate_pow(cfg, t_threshold=0.7) > 0.0
 
     @pytest.mark.parametrize("law", ["power", "exp"])
     @pytest.mark.parametrize("lam", [0.01, 0.5, 20.0])
@@ -590,9 +594,9 @@ class TestAverageRate:
         for t in (None, 1.5 * d * d if law == "power" else 3.0 * d):
             for bound in (False, True):
                 if law == "power":
-                    rate_pow(cfg, DistCdf(ScoreKind.MIN_PRODUCT, lam, d), t_threshold=t, use_upper_bound=bound)
+                    rate_pow(cfg, t_threshold=t, use_upper_bound=bound)
                 else:
-                    rate_exp(cfg, DistCdf(ScoreKind.MIN_SUM, lam, d), t_threshold=t, use_upper_bound=bound)
+                    rate_exp(cfg, t_threshold=t, use_upper_bound=bound)
         assert len(calls) == 4
         for args in calls:
             want = logaddexp_average_rate(*args)

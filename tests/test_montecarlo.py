@@ -339,7 +339,7 @@ def _estimate(estimator, radius):
     if estimator == "outage":
         return mc_outage(cfg, pol, 200, 1, window_radius_override=radius)
     if estimator == "feedback":
-        return mc_feedback_dist(cfg, cfg.model, 3.0, 200, 1, window_radius_override=radius)
+        return mc_feedback_dist(cfg, 3.0, 200, 1, window_radius_override=radius)
     return mc_rate(cfg, pol, 200, 2, 1, window_radius_override=radius)
 
 
@@ -383,24 +383,20 @@ class TestMinMinWindow:
 
 class TestDistanceDist:
     def test_sum_scores_bounded_below(self):
-        emp = mc_distance_dist(exp_cfg(), PolicyKind.OPT_SUM, 2000, 1)
+        emp = mc_distance_dist(exp_cfg(), 2000, 1)
         assert np.all(emp.values >= 2 * D - 1e-12)
 
     def test_product_within_dkw_band(self):
-        emp = mc_distance_dist(pow_cfg(), PolicyKind.OPT_PRODUCT, 20_000, 2)
+        emp = mc_distance_dist(pow_cfg(), 20_000, 2)
         eps = emp.dkw_epsilon(0.99)
         for g in np.linspace(0.2, 6.0, 20):
             assert abs(emp.cdf(float(g)) - analytic.cdf_upsilon_opt(float(g), DIST_P)) <= eps
 
     def test_sum_within_dkw_band(self):
-        emp = mc_distance_dist(exp_cfg(), PolicyKind.OPT_SUM, 20_000, 4)
+        emp = mc_distance_dist(exp_cfg(), 20_000, 4)
         eps = emp.dkw_epsilon(0.99)
         for g in np.linspace(2.5, 7.0, 20):
             assert abs(emp.cdf(float(g)) - analytic.cdf_lambda_opt(float(g), DIST_S)) <= eps
-
-    def test_rejects_baseline_policies(self):
-        with pytest.raises(ValueError):
-            mc_distance_dist(pow_cfg(), PolicyKind.MIN_MIN, 1000, 0)
 
     def test_uniform_sum_scores_match_ellipse_area_fraction(self):
         # single-node sanity for the sum functional: uniform points on a disc
@@ -427,11 +423,11 @@ class TestOutage:
     def test_matches_analytic(self, model):
         if model == "pow":
             cfg = pow_cfg(avg_snr=10.0 ** 0.5)
-            want = analytic.outage_pow(cfg, DIST_P)
+            want = analytic.outage_pow(cfg)
             pol = SelectionPolicy(PolicyKind.OPT_PRODUCT)
         else:
             cfg = exp_cfg(avg_snr=10.0)
-            want = analytic.outage_exp(cfg, DIST_S)
+            want = analytic.outage_exp(cfg)
             pol = SelectionPolicy(PolicyKind.OPT_SUM)
         est = mc_outage(cfg, pol, 40_000, 12)
         se = max(math.sqrt(want * (1 - want) / est.n_trials), 1e-9)
@@ -449,7 +445,7 @@ class TestOutage:
             assert np.all(scores[PolicyKind.OPT_PRODUCT] <= scores[k] + 1e-12)
 
     def test_feedback_policy_model_pairing(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="applies to opt-sum under the exp model"):
             mc_outage(exp_cfg(), SelectionPolicy(PolicyKind.OPT_PRODUCT, feedback_threshold=2.0), 1000, 0)
 
     def test_limited_feedback_plateau(self):
@@ -468,7 +464,7 @@ class TestRate:
 
     def test_matches_analytic_within_budget(self):
         cfg = pow_cfg(avg_snr=10.0 ** 0.5)
-        want = analytic.rate_pow(cfg, DIST_P)
+        want = analytic.rate_pow(cfg)
         est = mc_rate(cfg, SelectionPolicy(PolicyKind.OPT_PRODUCT), 20_000, 16, 31)
         assert abs(est.mean - want) <= max(3 * est.std_error, 0.01 * want)
 
@@ -489,7 +485,7 @@ class TestRate:
         # integral and the simulator must share the no-transmission rule
         cfg = pow_cfg(avg_snr=10.0 ** 0.5)
         pol = SelectionPolicy(PolicyKind.OPT_PRODUCT, feedback_threshold=0.7)
-        want = analytic.rate_pow(cfg, DIST_P, t_threshold=0.7)
+        want = analytic.rate_pow(cfg, t_threshold=0.7)
         est = mc_rate(cfg, pol, 30_000, 16, 41)
         assert abs(est.mean - want) <= max(3 * est.std_error, 0.01 * want)
 
@@ -522,17 +518,16 @@ class TestRate:
 
 class TestFeedbackDist:
     def test_counts_zero_below_2d(self):
-        emp = mc_feedback_dist(exp_cfg(), PathLossModel.EXP_LAW, 2.0, 2000, 14)
+        emp = mc_feedback_dist(exp_cfg(), 2.0, 2000, 14)
         assert np.all(emp.values == 0)
 
     def test_window_too_small(self):
         with pytest.raises(WindowTooSmallError):
-            mc_feedback_dist(exp_cfg(), PathLossModel.EXP_LAW, 20.0, 100, 0,
-                             window_radius_override=5.0)
+            mc_feedback_dist(exp_cfg(), 20.0, 100, 0, window_radius_override=5.0)
 
     def test_mean_and_variance_match_poisson(self):
         cfg = exp_cfg()
-        emp = mc_feedback_dist(cfg, PathLossModel.EXP_LAW, 20.0, 3000, 15)
+        emp = mc_feedback_dist(cfg, 20.0, 3000, 15)
         xi = analytic.xi_exp(20.0, DIST_S)
         se_mean = math.sqrt(xi / emp.n)
         assert abs(emp.mean() - xi) <= 3 * se_mean
@@ -558,6 +553,11 @@ class TestFeedbackDist:
         with pytest.raises(ValueError, match="too few bins"):
             poisson_gof(emp, 0.002)
 
-    def test_model_mismatch(self):
-        with pytest.raises(ValueError):
-            mc_feedback_dist(exp_cfg(), PathLossModel.POWER_LAW, 5.0, 100, 0)
+    @pytest.mark.parametrize("threshold", [-1.0, math.nan])
+    def test_threshold_must_be_positive(self, threshold):
+        with pytest.raises(ValueError, match="threshold must be > 0"):
+            mc_feedback_dist(exp_cfg(), threshold, 100, 0)
+
+    def test_infinite_threshold_refused_by_point_budget(self):
+        with pytest.raises(UnsupportedRegionError, match="budget"):
+            mc_feedback_dist(exp_cfg(), math.inf, 100, 0)

@@ -12,7 +12,7 @@ from ris_select import montecarlo
 from ris_select.channel import NetworkConfig, PathLossModel
 from ris_select.geometry import ScoreKind, score
 from ris_select.montecarlo import _chunk_feedback_counts, _sample_batch, _select, mc_feedback_dist
-from ris_select.policies import OPTIMUM, PolicyKind, SelectionPolicy
+from ris_select.policies import OPTIMUM, PolicyKind, SelectionPolicy, check_feedback_policy
 
 ALL_KINDS = list(PolicyKind)
 PRODUCT, SUM = ScoreKind.MIN_PRODUCT, ScoreKind.MIN_SUM
@@ -106,6 +106,17 @@ class TestSelect:
         with pytest.raises(ValueError, match="must be > 0"):
             SelectionPolicy(PolicyKind.OPT_SUM, feedback_threshold=math.nan)
 
+    @pytest.mark.parametrize("model", list(PathLossModel))
+    def test_threshold_only_for_the_models_own_optimum(self, model):
+        optimum = OPTIMUM[model][1]
+        other = next(kind for _, kind in OPTIMUM.values() if kind is not optimum)
+        check_feedback_policy(SelectionPolicy(optimum, feedback_threshold=2.0), model)
+        for kind in PolicyKind:  # no threshold: every policy goes
+            check_feedback_policy(SelectionPolicy(kind), model)
+        with pytest.raises(ValueError, match=f"applies to {optimum.value} under the {model.value} model, "
+                                             f"not to {other.value}"):
+            check_feedback_policy(SelectionPolicy(other, feedback_threshold=2.0), model)
+
     def test_threshold_filters_candidates(self):
         pol = SelectionPolicy(PolicyKind.OPT_SUM, feedback_threshold=2.5)
         assert select(pol, [[0.0, 1.6]], SUM) == math.inf  # sum score 4 > 2.5
@@ -193,4 +204,4 @@ class TestFeedbackFilter:
     def test_validation(self):
         cfg = NetworkConfig(d=1.2, intensity=1.0, n_elements=1, model=PathLossModel.EXP_LAW)
         with pytest.raises(ValueError):
-            mc_feedback_dist(cfg, PathLossModel.EXP_LAW, 0.0, 10, 1)
+            mc_feedback_dist(cfg, 0.0, 10, 1)
