@@ -22,13 +22,13 @@ import configparser
 import csv
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
 from . import analytic, montecarlo
 from .channel import NetworkConfig, PathLossModel
-from .geometry import ScoreKind
+from .geometry import ScoreKind, critical_score
 from .montecarlo import default_workers
 from .policies import OPTIMUM, PolicyKind, SelectionPolicy, check_feedback_policy
 
@@ -50,14 +50,7 @@ def db_to_linear(db: float) -> float:
 class ExperimentSpec:
     """Parsed sweep experiment: scenario, one sweep variable, run options."""
 
-    d: float
-    intensity: float
-    n_elements: int
-    model: PathLossModel
-    eta: float
-    alpha: float
-    avg_snr_db: float
-    target_snr_db: float
+    scenario: dict  # NetworkConfig keyword arguments; an unset optional key is absent
     threshold: float | None
     sweep_variable: str
     sweep_min: float
@@ -76,26 +69,12 @@ class ExperimentSpec:
 
     def config_at(self, value: float) -> tuple[NetworkConfig, float | None]:
         """NetworkConfig plus feedback threshold at one sweep point."""
-        params = dict(
-            d=self.d,
-            intensity=self.intensity,
-            n_elements=self.n_elements,
-            model=self.model,
-            eta=self.eta,
-            alpha=self.alpha,
-            avg_snr=db_to_linear(self.avg_snr_db),
-            target_snr=db_to_linear(self.target_snr_db),
-        )
-        threshold = self.threshold
-        if self.sweep_variable == "avg_snr_db":
-            params["avg_snr"] = db_to_linear(value)
-        elif self.sweep_variable == "intensity":
-            params["intensity"] = value
-        elif self.sweep_variable == "n_elements":
-            params["n_elements"] = int(round(value))
-        else:
-            threshold = value
-        return NetworkConfig(**params), threshold
+        if self.sweep_variable == "threshold":
+            return NetworkConfig(**self.scenario), value
+        if self.sweep_variable == "n_elements":
+            value = int(round(value))
+        swept = _config_kwargs({self.sweep_variable: value})
+        return NetworkConfig(**{**self.scenario, **swept}), self.threshold
 
 
 def _get(section, key, cast, *, required=True, default=None):
@@ -113,6 +92,33 @@ def _parse_model(text: str) -> PathLossModel:
     if text not in _MODEL_NAMES:
         raise ValueError(f"unknown model '{text}' (expected power|exp)")
     return _MODEL_NAMES[text]
+
+
+# [scenario] key -> (NetworkConfig field, parser, given in dB).  The point
+# commands' flags store their values under the same keys (--snr-db under
+# avg_snr_db).  A key is required exactly when its NetworkConfig field has no
+# default; an unset optional key or flag is left out, so that default applies.
+_SCENARIO = {
+    "d": ("d", float, False),
+    "intensity": ("intensity", float, False),
+    "n_elements": ("n_elements", int, False),
+    "model": ("model", _parse_model, False),
+    "eta": ("eta", float, False),
+    "alpha": ("alpha", float, False),
+    "avg_snr_db": ("avg_snr", float, True),
+    "target_snr_db": ("target_snr", float, True),
+}
+_REQUIRED = {f.name for f in fields(NetworkConfig) if f.default is MISSING}
+
+
+def _config_kwargs(values: dict) -> dict:
+    """NetworkConfig keyword arguments from [scenario] values; None is unset."""
+    kwargs = {}
+    for key, value in values.items():
+        field, _, in_db = _SCENARIO[key]
+        if value is not None:
+            kwargs[field] = db_to_linear(value) if in_db else value
+    return kwargs
 
 
 def _count(name: str, value: int) -> int:
@@ -158,15 +164,10 @@ def load_spec(path: str) -> ExperimentSpec:
     for m in metrics:
         if m not in ("outage", "rate"):
             raise SpecError(f"unknown metric '{m}'")
+    values = {key: _get(sc, key, parse, required=field in _REQUIRED)
+              for key, (field, parse, _) in _SCENARIO.items()}
     spec = ExperimentSpec(
-        d=_get(sc, "d", float),
-        intensity=_get(sc, "intensity", float),
-        n_elements=_get(sc, "n_elements", int),
-        model=_get(sc, "model", _parse_model),
-        eta=_get(sc, "eta", float, required=False, default=4.0),
-        alpha=_get(sc, "alpha", float, required=False, default=1.037),
-        avg_snr_db=_get(sc, "avg_snr_db", float, required=False, default=0.0),
-        target_snr_db=_get(sc, "target_snr_db", float, required=False, default=5.0),
+        scenario=_config_kwargs(values),
         threshold=_get(sc, "threshold", float, required=False, default=None),
         sweep_variable=variable,
         sweep_min=lo,
@@ -235,19 +236,20 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[list[str]]:
 
 
 def _monte_carlo_cells(spec: ExperimentSpec, points, workers: int) -> dict:
-    """(point index, policy) -> {metric: Estimate}, one kernel pass per geometry group.
+    """(point index, policy) -> {metric: Estimate}, one kernel pass per sample group.
 
-    Only an intensity sweep moves the geometry, so it has one group per
-    point; any other sweep is one group.  Group g is seeded by
+    Points with equal montecarlo.sample_key form a group; groups are
+    numbered in order of first appearance.  Group g is seeded by
     SeedSequence([seed, g]), so every policy and point of a group reads the
     same realizations.
     """
     draws = spec.fading_draws if "rate" in spec.metrics else None
-    indices = range(len(points))
-    groups = [[i] for i in indices] if spec.sweep_variable == "intensity" else [list(indices)]
+    groups = {}
+    for i, (_, cfg, _) in enumerate(points):
+        groups.setdefault(montecarlo.sample_key(cfg), []).append(i)
     out = {}
     with montecarlo.shared_pool(workers, spec.trials) as pool:
-        for group_idx, members in enumerate(groups):
+        for group_idx, members in enumerate(groups.values()):
             keys = [(i, kind) for i in members for kind in spec.policies]
             cells = [(points[i][1], _policy_obj(kind, points[i][2])) for i, kind in keys]
             rng = np.random.default_rng(np.random.SeedSequence([spec.seed, group_idx]))
@@ -265,30 +267,25 @@ def _write_csv(rows: list[list[str]], path: str) -> None:
 def _scenario_config(args) -> NetworkConfig:
     if args.threshold is not None and not args.threshold > 0.0:
         raise SpecError(f"--threshold must be > 0, got {args.threshold}")
+    values = {key: getattr(args, key) for key in _SCENARIO}
+    values["model"] = _MODEL_NAMES[args.model]  # argparse has checked the name
     try:
-        return NetworkConfig(
-            d=args.d,
-            intensity=args.intensity,
-            n_elements=args.n_elements,
-            model=_MODEL_NAMES[args.model],
-            eta=args.eta,
-            alpha=args.alpha,
-            avg_snr=db_to_linear(args.snr_db),
-            target_snr=db_to_linear(args.target_snr_db),
-        )
+        return NetworkConfig(**_config_kwargs(values))
     except ValueError as exc:
         raise SpecError(str(exc)) from exc
 
 
 def _add_scenario_args(p: argparse.ArgumentParser) -> None:
+    # each dest is a [scenario] key; a flag with no default takes NetworkConfig's
     p.add_argument("--model", choices=sorted(_MODEL_NAMES), default="power")
     p.add_argument("--d", type=float, default=1.2, help="half TX-RX separation")
     p.add_argument("--intensity", type=float, default=0.5, help="node density")
     p.add_argument("--n-elements", type=int, default=16)
-    p.add_argument("--eta", type=float, default=4.0)
-    p.add_argument("--alpha", type=float, default=1.037)
-    p.add_argument("--snr-db", type=float, default=0.0, help="average SNR in dB")
-    p.add_argument("--target-snr-db", type=float, default=5.0, help="outage target in dB")
+    p.add_argument("--eta", type=float)
+    p.add_argument("--alpha", type=float)
+    # the point commands print the SNR in their CSV, so it has a value of its own
+    p.add_argument("--snr-db", dest="avg_snr_db", type=float, default=0.0, help="average SNR in dB")
+    p.add_argument("--target-snr-db", type=float, help="outage target in dB")
     p.add_argument("--threshold", type=float, default=None, help="feedback threshold (linear score)")
     p.add_argument("--policy", choices=sorted(_POLICY_NAMES), default=None)
     p.add_argument("--trials", type=int, default=10_000)
@@ -313,9 +310,9 @@ def _cmd_point_metric(args, metric: str, workers: int) -> int:
     rows = [["sweep_var", "policy", "method", "metric", "value", "std_error"]]
     if closed is not None:
         print(f"analytic   {metric} = {_fmt(closed)}")
-        rows.append([_fmt(args.snr_db), kind.value, "analytic", metric, _fmt(closed), ""])
+        rows.append([_fmt(args.avg_snr_db), kind.value, "analytic", metric, _fmt(closed), ""])
     print(f"montecarlo {metric} = {_fmt(est.mean)} +/- {_fmt(est.std_error)} ({est.n_trials} trials)")
-    rows.append([_fmt(args.snr_db), kind.value, "montecarlo", metric, _fmt(est.mean), _fmt(est.std_error)])
+    rows.append([_fmt(args.avg_snr_db), kind.value, "montecarlo", metric, _fmt(est.mean), _fmt(est.std_error)])
     if args.out:
         _write_csv(rows, args.out)
     return 0
@@ -328,10 +325,11 @@ def _cmd_distance_dist(args, workers: int) -> int:
     emp = montecarlo.mc_distance_dist(cfg, args.trials, np.random.default_rng(args.seed), workers=workers)
     eps = emp.dkw_epsilon(0.99)
     cdf = analytic.cdf_upsilon_opt if score_kind is ScoreKind.MIN_PRODUCT else analytic.cdf_lambda_opt
-    grid = _quantile_grid(cdf, dist, args.grid_points)
     rows = [["gamma", "analytic_cdf", "empirical_cdf", "dkw_lo", "dkw_hi"]]
     worst = 0.0
-    for g in grid:
+    # score levels at evenly spaced analytic quantiles (2.5%..97.5%)
+    for p in np.linspace(0.025, 0.975, args.grid_points):
+        g = critical_score(score_kind, cfg.intensity, cfg.d, 1.0 - p)
         a = cdf(g, dist)
         e = emp.cdf(g)
         worst = max(worst, abs(a - e))
@@ -340,25 +338,6 @@ def _cmd_distance_dist(args, workers: int) -> int:
     if args.out:
         _write_csv(rows, args.out)
     return 0
-
-
-def _quantile_grid(cdf, dist, n_points: int) -> list[float]:
-    """Score levels at evenly spaced analytic quantiles (2.5%..97.5%)."""
-    levels = np.linspace(0.025, 0.975, n_points)
-    out = []
-    lo, hi = 0.0, max(4.0 * dist.d * dist.d, 4.0 * dist.d)
-    while cdf(hi, dist) < levels[-1]:
-        hi *= 2.0
-    for p in levels:
-        a, b = lo, hi
-        for _ in range(80):
-            mid = 0.5 * (a + b)
-            if cdf(mid, dist) < p:
-                a = mid
-            else:
-                b = mid
-        out.append(0.5 * (a + b))
-    return out
 
 
 def _cmd_feedback(args, workers: int) -> int:

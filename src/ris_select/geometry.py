@@ -91,7 +91,7 @@ def _solve_increasing(f, target: float, lo: float, hi: float) -> float:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-12 * max(1.0, hi):
+        if hi - lo <= 1e-12 * hi:
             break
     return hi
 

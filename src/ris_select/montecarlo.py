@@ -540,6 +540,12 @@ def _window(needed: float, override: float | None) -> float:
     return override
 
 
+def sample_key(cfg: NetworkConfig) -> tuple:
+    """(intensity, d, path-loss model): what a point-process sample and its
+    scores depend on.  Cells with equal keys can read one sample (mc_sweep)."""
+    return cfg.intensity, cfg.d, cfg.model
+
+
 def mc_distance_dist(cfg: NetworkConfig, n_trials: int, rng, workers: int = 1) -> EmpiricalDist:
     """Empirical distribution of the optimum score of cfg.model (min product or min sum)."""
     policy = SelectionPolicy(OPTIMUM[cfg.model][1])
@@ -558,11 +564,11 @@ def mc_sweep(
     """Outage and, when fading draws are asked for, rate of every cell.
 
     cells is a sequence of (NetworkConfig, SelectionPolicy) pairs that share
-    intensity, d and path-loss model; they may differ in everything else
-    (SNRs, element count, policy, feedback threshold).  All cells read the
-    same realizations, sampled in the largest window any of them needs, or
-    in window_radius_override, which must cover every cell.  Returns one
-    (outage, rate) pair per cell, in order; rate is None when
+    their sample_key (intensity, d and path-loss model); they may differ in
+    everything else (SNRs, element count, policy, feedback threshold).  All
+    cells read the same realizations, sampled in the largest window any of
+    them needs, or in window_radius_override, which must cover every cell.
+    Returns one (outage, rate) pair per cell, in order; rate is None when
     fading_draws_per_trial is None.  ``pool`` (see ``shared_pool``) runs
     the chunks in place of a pool of this call's own.
     """
@@ -572,7 +578,7 @@ def mc_sweep(
         raise ValueError(f"fading_draws_per_trial must be >= 1, got {fading_draws_per_trial}")
     geometry = cells[0][0]
     for cfg, policy in cells:
-        if (cfg.intensity, cfg.d, cfg.model) != (geometry.intensity, geometry.d, geometry.model):
+        if sample_key(cfg) != sample_key(geometry):
             raise ValueError("cells of one sweep must share intensity, d and path-loss model")
         check_feedback_policy(policy, cfg.model)
     # the window depends on the policy and the shared geometry only
@@ -634,17 +640,16 @@ def mc_feedback_dist(
     threshold: float,
     n_trials: int,
     rng,
-    window_radius_override: float | None = None,
     workers: int = 1,
 ) -> EmpiricalDist:
     """Distribution of the number of nodes whose model score is <= threshold.
 
-    The window must contain the whole threshold region so counts are exact;
-    an explicitly passed radius that does not is an error.
+    The window is the smallest origin-centred disc containing the whole
+    threshold region, so counts are exact.
     """
     if not threshold > 0.0:  # NaN included; +inf is refused by the point budget
         raise ValueError(f"threshold must be > 0, got {threshold}")
-    radius = _window(enclosing_radius(OPTIMUM[cfg.model][0], threshold, cfg.d), window_radius_override)
+    radius = enclosing_radius(OPTIMUM[cfg.model][0], threshold, cfg.d)
     chunks = _map_chunks(_chunk_feedback_counts, (cfg, threshold), radius, n_trials, rng, workers)
     return EmpiricalDist(np.concatenate(chunks))
 

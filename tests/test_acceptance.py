@@ -72,9 +72,9 @@ def test_criterion_1_distance_distribution_fidelity():
     worst = 0.0
     slowest = 0.0
     for lam in (0.5, 2.0):
-        for model, kind, cdf in (
-            ("product", PolicyKind.OPT_PRODUCT, analytic.cdf_upsilon_opt),
-            ("sum", PolicyKind.OPT_SUM, analytic.cdf_lambda_opt),
+        for model, cdf in (
+            ("product", analytic.cdf_upsilon_opt),
+            ("sum", analytic.cdf_lambda_opt),
         ):
             score_kind = ScoreKind.MIN_PRODUCT if model == "product" else ScoreKind.MIN_SUM
             dist = DistCdf(score_kind, lam, D)
@@ -145,8 +145,6 @@ def _outage_sweep_check(cfg_fn, opt_kind, seed):
         scores = policy_scores(cfg, SelectionPolicy(opt_kind), n_trials, seed)
         for db in snr_grid_db:
             cfg_pt = cfg_fn(lam, n, avg_snr=10.0 ** (db / 10.0))
-            kind = ScoreKind.MIN_PRODUCT if cfg.model is PathLossModel.POWER_LAW else ScoreKind.MIN_SUM
-            dist = DistCdf(kind, lam, D)
             a = (analytic.outage_pow(cfg_pt) if cfg.model is PathLossModel.POWER_LAW
                  else analytic.outage_exp(cfg_pt))
             if a < 1e-3:
@@ -200,7 +198,6 @@ def test_criterion_5_rate_reproduction():
     details, ok = [], True
 
     cfgp = cfg_pow(0.5, 16, avg_snr=RHO_5DB)
-    dist_p = DistCdf(ScoreKind.MIN_PRODUCT, 0.5, D)
     want = analytic.rate_pow(cfgp)
     radius = max(coverage_radius(cfgp, SelectionPolicy(k))
                  for k in (PolicyKind.OPT_PRODUCT, PolicyKind.MIN_MIN))
@@ -219,7 +216,6 @@ def test_criterion_5_rate_reproduction():
     details.append(f"opt vs min-min gap {diff:.3f} (expect 0.3 +/- 0.1)")
 
     cfge = cfg_exp(0.5, 16, avg_snr=RHO_5DB)
-    dist_s = DistCdf(ScoreKind.MIN_SUM, 0.5, D)
     want_e = analytic.rate_exp(cfge)
     radius_e = max(coverage_radius(cfge, SelectionPolicy(k))
                    for k in (PolicyKind.OPT_SUM, PolicyKind.MID_POINT))
@@ -263,9 +259,9 @@ def test_criterion_7_limited_feedback_plateaus():
     dist_p = DistCdf(ScoreKind.MIN_PRODUCT, 0.5, D)
     dist_s = DistCdf(ScoreKind.MIN_SUM, 0.5, D)
     for t in (3.0, 5.0):
-        for model, cfg, dist, xi in (
-            ("power", cfg_pow(0.5, 16, avg_snr=1e3), dist_p, analytic.xi_pow(t, dist_p)),
-            ("exp", cfg_exp(0.5, 16, avg_snr=1e3), dist_s, analytic.xi_exp(t, dist_s)),
+        for model, cfg, xi in (
+            ("power", cfg_pow(0.5, 16, avg_snr=1e3), analytic.xi_pow(t, dist_p)),
+            ("exp", cfg_exp(0.5, 16, avg_snr=1e3), analytic.xi_exp(t, dist_s)),
         ):
             opt = PolicyKind.OPT_PRODUCT if model == "power" else PolicyKind.OPT_SUM
             est = mc_outage(cfg, SelectionPolicy(opt, feedback_threshold=t), n_trials,
@@ -278,12 +274,11 @@ def test_criterion_7_limited_feedback_plateaus():
             details.append(f"{model} T={t}: plateau within {z:.2f} se")
 
     # diminishing loss: T=inf -> 5 costs less than 5 -> 3 at intensity 0.1
-    for model, cfg_fn, dist_cls, rate in (
-        ("power", cfg_pow, ScoreKind.MIN_PRODUCT, analytic.rate_pow),
-        ("exp", cfg_exp, ScoreKind.MIN_SUM, analytic.rate_exp),
+    for model, cfg_fn, rate in (
+        ("power", cfg_pow, analytic.rate_pow),
+        ("exp", cfg_exp, analytic.rate_exp),
     ):
         cfg = cfg_fn(0.1, 16, avg_snr=RHO_5DB)
-        dist = DistCdf(dist_cls, 0.1, D)
         r_inf = rate(cfg)
         r5 = rate(cfg, t_threshold=5.0)
         r3 = rate(cfg, t_threshold=3.0)

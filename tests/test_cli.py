@@ -13,6 +13,7 @@ import pytest
 
 import ris_select
 from ris_select import analytic, montecarlo
+from ris_select.channel import NetworkConfig, PathLossModel
 from ris_select.cli import (
     ExperimentSpec,
     SpecError,
@@ -137,6 +138,19 @@ class TestSpecParsing:
         bad = write_spec(tmp_path, text.replace("opt-product, min-min", "opt-product, opt-sum"))
         assert main(["run", "--spec", bad]) == 2
         assert "opt-sum" in capsys.readouterr().err
+
+
+    def test_unset_optional_keys_take_network_config_defaults(self, tmp_path):
+        text = GOOD_SPEC.format(out=tmp_path / "o.csv")
+        text = text.replace("eta = 4\n", "").replace("target_snr_db = 5\n", "")
+        text = text.replace("variable = avg_snr_db\nmin = -10\nmax = 30", "variable = n_elements\nmin = 2\nmax = 8")
+        spec = load_spec(write_spec(tmp_path, text))
+        scenario = dict(d=1.2, intensity=0.5, n_elements=8, model=PathLossModel.POWER_LAW)
+        assert spec.scenario == scenario
+        for value in spec.sweep_values():
+            cfg, threshold = spec.config_at(value)
+            assert threshold is None
+            assert cfg == NetworkConfig(**dict(scenario, n_elements=int(value)))
 
 
 class TestDbConversion:
@@ -470,6 +484,16 @@ class TestSharedRealizations:
                                      f"{est.mean:.12g}", f"{est.std_error:.12g}"])
         assert rows == expected
 
+    def test_intensity_sweep_of_one_value_is_one_group(self, tmp_path):
+        # points with the same intensity, d and model share one sample group,
+        # so both points of this sweep read the same realizations
+        params = dict(ORACLE["intensity"], lo=0.5, hi=0.5, methods="montecarlo",
+                      metrics="outage, rate", trials=500)
+        rows = run_experiment(load_spec(write_spec(tmp_path, GOLDEN_SPEC.format(**params))))
+        first, second = rows[1:5], rows[5:]
+        assert len(second) == 4
+        assert first == second
+
     def test_snr_sweep_orders_policies_and_points(self, tmp_path):
         params = dict(n=8, model="power", snr=0, var="avg_snr_db", lo=-10, hi=30, steps=5,
                       policies="opt-product, min-min, min-max, mid-point", methods="montecarlo",
@@ -518,6 +542,31 @@ class TestSubcommands:
         lines = out.read_text().splitlines()
         assert lines[0] == "gamma,analytic_cdf,empirical_cdf,dkw_lo,dkw_hi"
         assert len(lines) == 11
+
+    @pytest.mark.parametrize("model", ["power", "exp"])
+    def test_distance_dist_levels_are_the_analytic_quantiles(self, monkeypatch, tmp_path, model):
+        name = "cdf_upsilon_opt" if model == "power" else "cdf_lambda_opt"
+        original, values = getattr(analytic, name), []
+
+        def recording(gamma, dist):
+            values.append(original(gamma, dist))
+            return values[-1]
+
+        monkeypatch.setattr(analytic, name, recording)
+        argv = ["distance-dist", "--model", model, "--trials", "500", "--out", str(tmp_path / "dd.csv")]
+        assert main(argv) == 0
+        assert values == pytest.approx(np.linspace(0.025, 0.975, 20).tolist(), rel=0, abs=1e-12)
+
+    def test_unset_flags_take_network_config_defaults(self, monkeypatch, capsys):
+        seen = []
+
+        def fake_outage(cfg, policy, n_trials, rng, workers=1):
+            seen.append(cfg)
+            return montecarlo.Estimate(mean=0.5, std_error=0.0, n_trials=n_trials)
+
+        monkeypatch.setattr(montecarlo, "mc_outage", fake_outage)
+        assert main(["outage", "--model", "exp", "--trials", "10"]) == 0
+        assert seen == [NetworkConfig(d=1.2, intensity=0.5, n_elements=16, model=PathLossModel.EXP_LAW)]
 
     def test_feedback_requires_threshold(self, capsys):
         assert main(["feedback", "--model", "exp", "--trials", "500"]) == 2

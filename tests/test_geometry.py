@@ -194,6 +194,16 @@ class TestWindowRule:
         area = min_product_region_area(gamma, d) if kind is ScoreKind.MIN_PRODUCT else min_sum_region_area(gamma, d)
         assert math.exp(-lam * area) == pytest.approx(eps, rel=1e-6)
 
+    @pytest.mark.parametrize("lam, d", [(1e4, 1e-3), (10.0, 0.1)])
+    @pytest.mark.parametrize("eps", [0.975, 0.5])
+    def test_product_level_below_one_is_relatively_accurate(self, lam, d, eps):
+        # the bisection stops at a tolerance relative to the level, so a
+        # level far below 1 is as accurate as one above it
+        gamma = critical_score(PRODUCT, lam, d, eps)
+        assert gamma < 0.05
+        cdf = -math.expm1(-lam * min_product_region_area(gamma, d))
+        assert cdf == pytest.approx(1.0 - eps, rel=1e-11)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             critical_score(ScoreKind.MIN_SUM, 0.0, 1.2)

@@ -319,7 +319,7 @@ class TestSelectionKernel:
 
 class TestWindowOverride:
     @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])
-    @pytest.mark.parametrize("estimator", ["scores", "outage", "rate", "feedback"])
+    @pytest.mark.parametrize("estimator", ["scores", "outage", "rate"])
     def test_non_positive_override_rejected(self, estimator, radius):
         with pytest.raises(ValueError, match="must be > 0"):
             _estimate(estimator, radius)
@@ -338,8 +338,6 @@ def _estimate(estimator, radius):
         return policy_scores(cfg, pol, 200, 1, window_radius_override=radius)
     if estimator == "outage":
         return mc_outage(cfg, pol, 200, 1, window_radius_override=radius)
-    if estimator == "feedback":
-        return mc_feedback_dist(cfg, 3.0, 200, 1, window_radius_override=radius)
     return mc_rate(cfg, pol, 200, 2, 1, window_radius_override=radius)
 
 
@@ -520,10 +518,6 @@ class TestFeedbackDist:
     def test_counts_zero_below_2d(self):
         emp = mc_feedback_dist(exp_cfg(), 2.0, 2000, 14)
         assert np.all(emp.values == 0)
-
-    def test_window_too_small(self):
-        with pytest.raises(WindowTooSmallError):
-            mc_feedback_dist(exp_cfg(), 20.0, 100, 0, window_radius_override=5.0)
 
     def test_mean_and_variance_match_poisson(self):
         cfg = exp_cfg()
