@@ -103,13 +103,10 @@ class RateQuadrature:
 DEFAULT_QUADRATURE = RateQuadrature()
 
 
-def _quad(f, lo, hi, q: RateQuadrature, points=None) -> float:
+def _quad(f, lo, hi, q: RateQuadrature) -> float:
     from scipy import integrate  # imported here so that `ris-select run` never loads scipy
 
-    kwargs = dict(epsabs=q.abs_tol, epsrel=q.rel_tol, limit=q.max_subdivisions)
-    if points is not None and not (math.isinf(lo) or math.isinf(hi)):
-        kwargs["points"] = points
-    value, err = integrate.quad(f, lo, hi, **kwargs)
+    value, err = integrate.quad(f, lo, hi, epsabs=q.abs_tol, epsrel=q.rel_tol, limit=q.max_subdivisions)
     if err > 100.0 * max(q.abs_tol, q.rel_tol * abs(value)):
         raise QuadratureError(f"quadrature error estimate {err} too large for value {value}")
     return value

@@ -30,12 +30,11 @@ from . import analytic, montecarlo
 from .channel import NetworkConfig, PathLossModel
 from .geometry import ScoreKind, critical_score
 from .montecarlo import default_workers
-from .policies import OPTIMUM, PolicyKind, SelectionPolicy, check_feedback_policy
+from .policies import OPTIMUM, OPTIMUM_SCORE, PolicyKind, SelectionPolicy, check_feedback_policy
 
 _POLICY_NAMES = {p.value: p for p in PolicyKind}
 _MODEL_NAMES = {"power": PathLossModel.POWER_LAW, "exp": PathLossModel.EXP_LAW}
 _SWEEP_VARS = ("avg_snr_db", "intensity", "n_elements", "threshold")
-_OPTIMA = {optimum for _, optimum in OPTIMUM.values()}
 
 
 class SpecError(ValueError):
@@ -68,7 +67,11 @@ class ExperimentSpec:
         return list(np.linspace(self.sweep_min, self.sweep_max, self.sweep_steps))
 
     def config_at(self, value: float) -> tuple[NetworkConfig, float | None]:
-        """NetworkConfig plus feedback threshold at one sweep point."""
+        """NetworkConfig plus feedback threshold at one sweep point.
+
+        An n_elements point runs at the nearest integer N (half to even),
+        while its CSV row keeps the requested value as its label.
+        """
         if self.sweep_variable == "threshold":
             return NetworkConfig(**self.scenario), value
         if self.sweep_variable == "n_elements":
@@ -197,7 +200,7 @@ def _fmt(value: float) -> str:
 
 def _policy_obj(kind: PolicyKind, threshold: float | None) -> SelectionPolicy:
     """The policy, with the threshold when it is an optimum policy (baselines ignore it)."""
-    if threshold is not None and kind in _OPTIMA:
+    if threshold is not None and kind in OPTIMUM_SCORE:
         return SelectionPolicy(kind, feedback_threshold=threshold)
     return SelectionPolicy(kind)
 

@@ -59,8 +59,8 @@ import numpy as np
 
 from .channel import NetworkConfig, PathLossModel, sample_z_prefixes, snr_score_cap
 from .errors import UnsupportedRegionError, WindowTooSmallError
-from .geometry import ScoreKind, critical_score, enclosing_radius, score
-from .policies import OPTIMUM, PolicyKind, SelectionPolicy, check_feedback_policy
+from .geometry import ScoreKind, _solve_increasing, critical_score, enclosing_radius, score
+from .policies import OPTIMUM, OPTIMUM_SCORE, PolicyKind, SelectionPolicy, check_feedback_policy
 
 _CHUNK_TRIALS = 8192
 # Fewest trials worth a pool process of their own; a smaller last chunk
@@ -73,7 +73,6 @@ _WINDOW_EPS = 1e-6
 _POINT_BUDGET = 1 << 24
 # Candidate pairs the sampler draws at a time (256 KiB of doubles).
 _SAMPLE_BLOCK = 1 << 14
-_OPTIMUM_SCORE = {optimum: kind for kind, optimum in OPTIMUM.values()}
 
 
 @dataclass(frozen=True)
@@ -163,12 +162,6 @@ class EmpiricalDist:
         return float(self.values.std(ddof=1) / math.sqrt(self.n))
 
 
-def _as_seed_source(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 def _lens_area(c: float, d: float) -> float:
     """Area common to the two radius-c discs about the anchors (centres 2d apart)."""
     if c <= d:
@@ -187,8 +180,8 @@ def coverage_radius(cfg: NetworkConfig, policy: SelectionPolicy, eps: float = _W
     lam, d = cfg.intensity, cfg.d
     need = math.log(1.0 / eps) / lam
     kind = policy.kind
-    if kind in _OPTIMUM_SCORE:
-        score_kind = _OPTIMUM_SCORE[kind]
+    if kind in OPTIMUM_SCORE:
+        score_kind = OPTIMUM_SCORE[kind]
         gamma = critical_score(score_kind, lam, d, eps)
         if policy.feedback_threshold is not None:
             gamma = min(gamma, policy.feedback_threshold)
@@ -210,19 +203,10 @@ def coverage_radius(cfg: NetworkConfig, policy: SelectionPolicy, eps: float = _W
             mid = 0.5 * (lo + hi)
         return d + hi
     # MIN_MAX: {max distance <= c} is the lens of two radius-c anchor discs,
-    # contained in the origin disc of radius sqrt(c^2 - d^2)
-    lo, hi = d, d + math.sqrt(need) + d
-    while _lens_area(hi, d) < need:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _lens_area(mid, d) < need:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12 * hi:
-            break
-    return math.sqrt(hi * hi - d * d)
+    # contained in the origin disc of radius sqrt(c^2 - d^2).  The lens at
+    # c >= 2d + sqrt(need) has area >= (2 pi / 3 - 1) c^2 >= need.
+    c = _solve_increasing(lambda c: _lens_area(c, d), need, d, d + math.sqrt(need) + d)
+    return math.sqrt(c * c - d * d)
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +285,8 @@ def _segment_argmin(crit: np.ndarray, seg: _Segments) -> np.ndarray:
 
 
 def _criterion_values(kind: PolicyKind, ds: np.ndarray, dd: np.ndarray) -> np.ndarray:
-    if kind in _OPTIMUM_SCORE:
-        return score(_OPTIMUM_SCORE[kind], ds, dd)
+    if kind in OPTIMUM_SCORE:
+        return score(OPTIMUM_SCORE[kind], ds, dd)
     if kind is PolicyKind.MIN_MIN:
         return np.minimum(ds, dd)
     if kind is PolicyKind.MIN_MAX:
@@ -323,7 +307,7 @@ def _picks(kinds, score_kind: ScoreKind, counts: np.ndarray, ds: np.ndarray, dd:
     scores = score(score_kind, ds, dd)
     out = {}
     for kind in kinds:
-        crit = scores if _OPTIMUM_SCORE.get(kind) is score_kind else _criterion_values(kind, ds, dd)
+        crit = scores if OPTIMUM_SCORE.get(kind) is score_kind else _criterion_values(kind, ds, dd)
         picked = np.full(counts.size, np.inf)
         picked[seg.nonempty] = scores[_segment_argmin(crit, seg)]
         out[kind] = picked
@@ -484,9 +468,8 @@ def _map_chunks(kernel, payload, radius, n_trials, rng, workers, pool=None):
     """kernel(*payload, radius, n, stream) for each chunk, in chunk order."""
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    source = _as_seed_source(rng)
     n_chunks = _n_chunks(n_trials)
-    streams = source.spawn(n_chunks)
+    streams = np.random.default_rng(rng).spawn(n_chunks)  # a Generator is used as it is
     sizes = [_CHUNK_TRIALS] * (n_chunks - 1) + [n_trials - _CHUNK_TRIALS * (n_chunks - 1)]
     tasks = [(kernel, payload, radius, sz, st) for sz, st in zip(sizes, streams)]
     if pool is not None and n_chunks > 1:

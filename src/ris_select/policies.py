@@ -4,7 +4,8 @@ Five rules are supported.  The two optimum rules minimize the score that
 actually drives the SNR of their path-loss model (distance product for the
 power law, distance sum for the exponential law); min-min, min-max and
 mid-point are conventional heuristics used as baselines.  OPTIMUM is the one
-table of that pairing: path-loss model -> (score kind, optimum policy).  The
+table of that pairing: path-loss model -> (score kind, optimum policy), and
+OPTIMUM_SCORE its inverse: optimum policy -> the score it minimises.  The
 rules are applied, vectorized over whole chunks of trials, by the Monte
 Carlo engine (montecarlo._select).
 
@@ -37,6 +38,7 @@ OPTIMUM = {
     PathLossModel.POWER_LAW: (ScoreKind.MIN_PRODUCT, PolicyKind.OPT_PRODUCT),
     PathLossModel.EXP_LAW: (ScoreKind.MIN_SUM, PolicyKind.OPT_SUM),
 }
+OPTIMUM_SCORE = {optimum: kind for kind, optimum in OPTIMUM.values()}
 
 
 @dataclass(frozen=True)
@@ -48,7 +50,7 @@ class SelectionPolicy:
         if self.feedback_threshold is not None:
             if not self.feedback_threshold > 0.0:  # NaN included; +inf is every node
                 raise ValueError(f"feedback_threshold must be > 0, got {self.feedback_threshold}")
-            if self.kind not in {optimum for _, optimum in OPTIMUM.values()}:
+            if self.kind not in OPTIMUM_SCORE:
                 raise ValueError(f"feedback thresholds apply only to optimum policies, got {self.kind}")
 
 

@@ -13,8 +13,8 @@ Elliptic integrals use the *parameter* convention throughout: the argument
     K(m) = int_0^{pi/2} (1 - m sin^2 t)^(-1/2) dt
     E(m) = int_0^{pi/2} (1 - m sin^2 t)^(1/2)  dt
 
-(i.e. ``m = k^2`` relative to the modulus convention).  Both are evaluated
-with the arithmetic-geometric mean.
+(i.e. ``m = k^2`` relative to the modulus convention).  One
+arithmetic-geometric-mean loop, _agm, evaluates both, on floats and arrays.
 """
 
 from __future__ import annotations
@@ -32,6 +32,25 @@ _SERIES_REL_TOL = 1.0e-14
 _SERIES_MAX_TERMS = 800
 
 
+def _agm(b, s, sqrt, converged):
+    """K and the deficit sum s of the arithmetic-geometric mean from (1, b).
+
+    One pass of Abramowitz & Stegun 17.6: K(m) = pi / (a_n + b_n) with
+    b = sqrt(1 - m), and E(m) = K(m) * (1 - s) when s enters as m / 2 (the
+    sum gains 2^(n-1) c_n^2 each step).  b and s are floats, with sqrt =
+    math.sqrt and converged = bool, or arrays, with np.sqrt and np.all.
+    """
+    a, weight = 1.0, 0.5
+    for _ in range(64):
+        c = 0.5 * (a - b)
+        a, b = 0.5 * (a + b), sqrt(a * b)
+        weight *= 2.0
+        s += weight * c * c
+        if converged(abs(c) <= 2.0 * _EPS * a):
+            break
+    return math.pi / (a + b), s
+
+
 def ellip_k(m: float) -> float:
     """Complete elliptic integral of the first kind, parameter convention.
 
@@ -42,12 +61,7 @@ def ellip_k(m: float) -> float:
         raise DomainError(f"ellip_k requires m < 1, got {m}")
     if m < 0.0:
         return ellip_k(m / (m - 1.0)) / math.sqrt(1.0 - m)
-    a, b = 1.0, math.sqrt(1.0 - m)
-    for _ in range(64):
-        if abs(a - b) <= 4.0 * _EPS * a:
-            break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return math.pi / (a + b)
+    return _agm(math.sqrt(1.0 - m), 0.0, math.sqrt, bool)[0]
 
 
 def ellip_e(m: float) -> float:
@@ -62,45 +76,25 @@ def ellip_e(m: float) -> float:
         return 1.0
     if m < 0.0:
         return math.sqrt(1.0 - m) * ellip_e(m / (m - 1.0))
-    # AGM with the classical deficit sum: E = K * (1 - sum 2^(n-1) c_n^2).
-    a, b = 1.0, math.sqrt(1.0 - m)
-    s = 0.5 * m
-    weight = 0.5
-    for _ in range(64):
-        c = 0.5 * (a - b)
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-        weight *= 2.0
-        s += weight * c * c
-        if abs(c) <= 2.0 * _EPS * a:
-            break
-    k_complete = math.pi / (a + b)
+    k_complete, s = _agm(math.sqrt(1.0 - m), 0.5 * m, math.sqrt, bool)
     return k_complete * (1.0 - s)
 
 
 def ellip_ke_m1(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """K(1 - p) and E(1 - p) for an array of complementary parameters p in [0, 1].
 
-    One arithmetic-geometric mean pass per element (Abramowitz & Stegun
-    17.6) with the recurrence and deficit sum of ellip_e.  The pass starts
-    at b = sqrt(p), so K keeps full relative precision as m = 1 - p -> 1
-    when p is known without cancellation.  E loses about log(1/p) ulps there
-    to the deficit sum.  p = 0 gives K = inf and E = 1.
+    The same AGM pass as ellip_k and ellip_e (_agm), run on the whole array
+    until every element has converged.  The pass starts at b = sqrt(p), so
+    K keeps full relative precision as m = 1 - p -> 1 when p is known
+    without cancellation.  E loses about log(1/p) ulps there to the deficit
+    sum.  p = 0 gives K = inf and E = 1.
     """
     p = np.asarray(p, dtype=float)
     if not np.all((p >= 0.0) & (p <= 1.0)):
         raise DomainError("ellip_ke_m1 requires 0 <= p <= 1")
     pole = p == 0.0
-    a, b = np.ones_like(p), np.sqrt(np.where(pole, 1.0, p))
-    s = 0.5 * (1.0 - p)
-    weight = 0.5
-    for _ in range(64):
-        c = 0.5 * (a - b)
-        a, b = 0.5 * (a + b), np.sqrt(a * b)
-        weight *= 2.0
-        s += weight * c * c
-        if np.all(np.abs(c) <= 2.0 * _EPS * a):
-            break
-    k_complete = np.where(pole, np.inf, math.pi / (a + b))
+    k_complete, s = _agm(np.sqrt(np.where(pole, 1.0, p)), 0.5 * (1.0 - p), np.sqrt, np.all)
+    k_complete = np.where(pole, np.inf, k_complete)
     return k_complete, np.where(pole, 1.0, k_complete * (1.0 - s))
 
 

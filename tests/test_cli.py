@@ -236,6 +236,18 @@ class TestRun:
         # outage is non-increasing in the feedback threshold
         assert all(b <= a + 1e-12 for a, b in zip(analytic_vals, analytic_vals[1:]))
 
+    def test_n_elements_point_runs_at_the_rounded_count_under_its_own_label(self, tmp_path):
+        text = GOOD_SPEC.format(out=tmp_path / "n.csv")
+        text = text.replace("variable = avg_snr_db", "variable = n_elements")
+        text = text.replace("min = -10", "min = 1").replace("max = 30", "max = 4")
+        text = text.replace("policies = opt-product, min-min", "policies = opt-product\nmethods = analytic")
+        spec = load_spec(write_spec(tmp_path, text, "n.ini"))
+        rows = run_experiment(spec)
+        assert [r[0] for r in rows[1:]] == ["1", "2.5", "4"]
+        cfg, _ = spec.config_at(2.5)
+        assert cfg.n_elements == 2  # round half to even
+        assert rows[2][4] == f"{analytic.outage_pow(cfg):.12g}"
+
 
 GOLDEN_SPEC = """\
 [scenario]

@@ -379,6 +379,43 @@ class TestMinMinWindow:
         assert abs(beyond_level - 0.05 * n) <= 4 * math.sqrt(n * 0.05 * 0.95)
 
 
+# coverage_radius as float.hex at three (intensity, d) pairs, for every policy
+# kind and for opt-product under a threshold of a quarter of its eps-level.  A
+# radius one ulp off moves every Monte Carlo stream sampled in its window, so
+# the comparison is exact.
+WINDOW_BITS = {
+    (0.5, 1.2): {
+        "opt-product": "0x1.9aae132012823p+1", "opt-sum": "0x1.8b72d14ef9ac6p+1",
+        "min-min": "0x1.c33d8b76bf0b0p+1", "min-max": "0x1.ceeb13c18a779p+1",
+        "mid-point": "0x1.7b9b3b96d221ap+1", "opt-product@T": "0x1.e952ab3ee422ep+0",
+    },
+    (1e-3, 30.0): {
+        "opt-product": "0x1.2465ec7b08919p+6", "opt-sum": "0x1.172878a7572a8p+6",
+        "min-min": "0x1.43176a78056d4p+6", "min-max": "0x1.4950ad43b0d8cp+6",
+        "mid-point": "0x1.09420da35508fp+6", "opt-product@T": "0x1.66be414eb3577p+5",
+    },
+    (50.0, 0.05): {
+        "opt-product": "0x1.34004b67cb6cdp-2", "opt-sum": "0x1.31d9ca1705ef4p-2",
+        "min-min": "0x1.4434bf287e752p-2", "min-max": "0x1.4dfbea3566408p-2",
+        "mid-point": "0x1.2faf62df0e815p-2", "opt-product@T": "0x1.4083818637f84p-3",
+    },
+}
+WINDOW_THRESHOLD = {
+    (0.5, 1.2): "0x1.1b548aef1679fp+1",
+    (1e-3, 30.0): "0x1.15b8ac0d1f13ep+10",
+    (50.0, 0.05): "0x1.685344ce00a98p-6",
+}
+
+
+@pytest.mark.parametrize("lam, d", list(WINDOW_BITS))
+def test_window_radii_are_bit_exact(lam, d):
+    cfg = NetworkConfig(d=d, intensity=lam, n_elements=16, model=PathLossModel.POWER_LAW)
+    got = {kind.value: coverage_radius(cfg, SelectionPolicy(kind)).hex() for kind in PolicyKind}
+    threshold = float.fromhex(WINDOW_THRESHOLD[lam, d])
+    got["opt-product@T"] = coverage_radius(cfg, SelectionPolicy(PolicyKind.OPT_PRODUCT, threshold)).hex()
+    assert got == WINDOW_BITS[lam, d]
+
+
 class TestDistanceDist:
     def test_sum_scores_bounded_below(self):
         emp = mc_distance_dist(exp_cfg(), 2000, 1)

@@ -112,6 +112,40 @@ class TestArrayAgm:
             ellip_ke_m1(np.array([0.5, bad]))
 
 
+class TestGoldenBits:
+    """K and E as float.hex.  The scalar functions and ellip_ke_m1 share one
+    AGM loop; these values pin every bit of what it returns."""
+
+    # m -> (K(m), E(m)); negative m takes the imaginary-modulus transform
+    SCALAR = {
+        -12.5: ("0x1.7b0bd571e6751p-1", "0x1.fd3812fcc38abp+1"),
+        -1.0: ("0x1.4f9f94f9f50afp+0", "0x1.e8fc3dbc10116p+0"),
+        0.0: ("0x1.921fb54442d18p+0", "0x1.921fb54442d18p+0"),
+        0.3: ("0x1.b6c17578e32c4p+0", "0x1.720350547fad5p+0"),
+        0.9: ("0x1.49feec2073f57p+1", "0x1.1ad2845269402p+0"),
+        0.999999: ("0x1.0968de9d703d6p+3", "0x1.0000416199972p+0"),
+    }
+    # p -> (K(1 - p), E(1 - p)) from ellip_ke_m1
+    ARRAY = {
+        0.0: ("inf", "0x1.0000000000000p+0"),
+        1e-12: ("0x1.e6752f96f4eadp+3", "0x1.0000000008150p+0"),
+        1e-3: ("0x1.35d51da9ca834p+2", "0x1.008e43d3a3f12p+0"),
+        0.25: ("0x1.1408b469a95fbp+1", "0x1.3607c49007bbbp+0"),
+        0.5: ("0x1.daa4a35759e4ap+0", "0x1.59c3cc21a46c7p+0"),
+        1.0: ("0x1.921fb54442d18p+0", "0x1.921fb54442d18p+0"),
+    }
+
+    def test_scalar(self):
+        got = {m: (ellip_k(m).hex(), ellip_e(m).hex()) for m in self.SCALAR}
+        assert got == self.SCALAR
+        assert ellip_e(1.0) == 1.0
+
+    def test_array(self):
+        k, e = ellip_ke_m1(np.array(list(self.ARRAY)))
+        got = {p: (float(a).hex(), float(b).hex()) for p, a, b in zip(self.ARRAY, k, e)}
+        assert got == self.ARRAY
+
+
 class TestDigamma:
     def test_euler_mascheroni(self):
         # psi(1) = -euler_gamma = -0.57721566490153286061 (50-digit oracle)
