@@ -96,10 +96,14 @@ def sample_z_prefixes(n_elements, rng: np.random.Generator, shape) -> dict[int, 
 
     Elements are drawn one at a time: two unit exponentials E1, E2 per
     element and entry of ``shape``, with a*b = sqrt(E1*E2) (a Rayleigh
-    amplitude of scale 1/sqrt(2) is sqrt(E)).  Memory is a few arrays of
-    ``shape`` whatever N, and the Z for a smaller N is bit for bit the
-    partial sum of the Z for a larger one, so the same stream gives the
-    same Z_N whichever other element counts are asked for with it.
+    amplitude of scale 1/sqrt(2) is sqrt(E)).  Each E is -log(1 - U) for a
+    uniform double U in [0, 1) from ``rng.random``: 1 - U is exact and in
+    (0, 1], and the two logs' signs cancel in their product.  numpy takes
+    the log a whole array at a time, which costs less than the ziggurat
+    of ``standard_exponential``.  Memory is a few arrays of ``shape``
+    whatever N, and the Z for a smaller N is bit for bit the partial sum
+    of the Z for a larger one, so the same stream gives the same Z_N
+    whichever other element counts are asked for with it.
     """
     wanted = {int(n) for n in n_elements}
     if not wanted or min(wanted) < 1:
@@ -110,7 +114,9 @@ def sample_z_prefixes(n_elements, rng: np.random.Generator, shape) -> dict[int, 
     z = np.zeros(shape)
     out = {}
     for n in range(1, top + 1):
-        rng.standard_exponential(out=pair)
+        rng.random(out=pair)
+        np.subtract(1.0, pair, out=pair)
+        np.log(pair, out=pair)  # -E1 and -E2
         np.multiply(pair[0], pair[1], out=term)
         z += np.sqrt(term, out=term)
         if n in wanted:

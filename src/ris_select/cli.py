@@ -256,7 +256,7 @@ def _monte_carlo_cells(spec: ExperimentSpec, points, workers: int) -> dict:
             keys = [(i, kind) for i in members for kind in spec.policies]
             cells = [(points[i][1], _policy_obj(kind, points[i][2])) for i, kind in keys]
             rng = np.random.default_rng(np.random.SeedSequence([spec.seed, group_idx]))
-            estimates = montecarlo.mc_sweep(cells, spec.trials, draws, rng, pool=pool)
+            estimates = montecarlo.mc_sweep(cells, spec.trials, draws, rng, workers=workers, pool=pool)
             for key, (outage, rate) in zip(keys, estimates):
                 out[key] = {"outage": outage, "rate": rate}
     return out

@@ -24,10 +24,11 @@ arg-min (linear in the number of points) per distinct criterion, not per
 cell: an optimum policy's criterion is the score itself, and a feedback
 threshold filters on that same score, so a threshold is a mask on the
 unthresholded pick and a whole threshold sweep shares one arg-min.  It
-then draws the fading of every trial from the same stream, draws-major
-(one row per draw, one column per trial) and accumulated element by
-element, so one draw serves every cell and the gain for N elements is the
-partial sum of the gain for more.  Path gain and rate are
+then draws the fading of every trial, draws-major (one row per draw, one
+column per trial) and accumulated element by element, so one draw serves
+every cell and the gain for N elements is the partial sum of the gain for
+more.  The fading comes in fixed blocks of 4096 trials, each drawn from a
+stream of its own spawned from the chunk's stream.  Path gain and rate are
 formed once per distinct (policy, law parameter, SNR, N).  Every cell
 thus reads the same realizations (common random numbers), and each
 equals what a one-cell ``mc_sweep`` returns for it with the same seed and
@@ -41,7 +42,12 @@ CPUs, chunks of at least half the chunk size) processes, the calling
 process runs the first share of those chunks and the small tail, and the
 children run the rest.  So 8193 trials run in one process, and 2 x 8192 + 1
 trials fork one child that runs the second chunk.  A sweep can open one
-such pool (``shared_pool``) and pass it to every kernel call.
+such pool (``shared_pool``) and pass it to every kernel call.  When one
+process runs the whole estimate, the fading blocks of a chunk run on
+min(workers, usable CPUs, blocks) threads, the calling thread included;
+numpy releases the GIL while it fills and transforms those arrays.  In a
+pool each process draws its blocks in turn.  Since the block layout alone
+fixes the streams, neither processes nor threads change a result.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ import functools
 import math
 import os
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -66,6 +72,9 @@ _CHUNK_TRIALS = 8192
 # Fewest trials worth a pool process of their own; a smaller last chunk
 # runs in the calling process.
 _MIN_SHARE = _CHUNK_TRIALS // 2
+# Trials per fading block: each block of a chunk draws its fading from a
+# stream of its own, so the blocks may run on any number of threads.
+_FADING_BLOCK = _CHUNK_TRIALS // 2
 _WINDOW_EPS = 1e-6
 # Most points one chunk may expect to sample.  Sampling holds 24 bytes per
 # point (x, y^2 and a distance array; a block of candidate pairs is fixed
@@ -374,25 +383,54 @@ def _rates(snr: np.ndarray, z2: np.ndarray) -> np.ndarray:
     return np.log1p(inst, out=inst).mean(axis=0) / math.log(2.0)
 
 
-def _chunk_cells(cells, m_fading, radius, n, rng) -> tuple:
+def _fading_power(sizes, m: int, n: int, rng: np.random.Generator, threads: int) -> dict:
+    """Z^2 of m draws for each of n trials, as one (m, n) array per N in sizes.
+
+    Columns come in blocks of _FADING_BLOCK trials.  Block b is drawn by
+    ``sample_z_prefixes`` from the b-th stream spawned from rng, so the
+    block layout alone fixes every value.  The blocks run on min(threads,
+    blocks) threads, this one included, which runs the first share.
+    """
+    starts = range(0, n, _FADING_BLOCK)
+    blocks = list(zip(starts, rng.spawn(len(starts))))
+    z2 = {size: np.empty((m, n)) for size in sizes}
+
+    def draw(block):
+        start, stream = block
+        width = min(_FADING_BLOCK, n - start)
+        for size, gain in sample_z_prefixes(sizes, stream, (m, width)).items():
+            np.multiply(gain, gain, out=z2[size][:, start : start + width])
+
+    threads = min(threads, len(blocks))
+    head = -(-len(blocks) // threads)
+    # on one thread nothing is mapped, and the executor starts no thread
+    with ThreadPoolExecutor(max_workers=max(1, threads - 1)) as executor:
+        rest = executor.map(draw, blocks[head:])
+        for block in blocks[:head]:
+            draw(block)
+        list(rest)  # waits for the other threads and raises what they raised
+    return z2
+
+
+def _chunk_cells(cells, m_fading, threads, radius, n, rng) -> tuple:
     """``_moments`` of every cell's per-trial outage (and rate) in one chunk.
 
     One point-process sample serves all cells, and each distinct policy
     kind takes one arg-min; feedback thresholds are masks on that pick.  The
-    fading is drawn after the selection, from the same stream, for every
-    trial (selected or not) and once for all cells, so neither the policies
-    nor the other cells change what a cell reads.  The path gain is formed
-    once per (policy kind, eta, alpha) and the rate once per (policy kind,
-    eta, alpha, avg_snr, N); a cell with a threshold masks that rate to 0
-    where its pick is filtered out.
+    fading is drawn after the selection, from streams spawned from the
+    chunk's stream (see _fading_power, which runs it on up to ``threads``
+    threads), for every trial (selected or not) and once for all cells, so
+    neither the policies nor the other cells change what a cell reads.
+    The path gain is formed once per (policy kind, eta, alpha) and the rate
+    once per (policy kind, eta, alpha, avg_snr, N); a cell with a threshold
+    masks that rate to 0 where its pick is filtered out.
     """
     geometry = cells[0][0]
     counts, ds, dd = _sample_batch(geometry.intensity, geometry.d, radius, n, rng)
     kinds = dict.fromkeys(policy.kind for _, policy in cells)
     picks = _picks(kinds, OPTIMUM[geometry.model][0], counts, ds, dd)
     if m_fading is not None:
-        z = sample_z_prefixes({cfg.n_elements for cfg, _ in cells}, rng, (m_fading, n))
-        z2 = {size: gain * gain for size, gain in z.items()}
+        z2 = _fading_power({cfg.n_elements for cfg, _ in cells}, m_fading, n, rng, threads)
     gains, rates = {}, {}
     values = np.empty((len(cells), 1 if m_fading is None else 2, n))
     for row, (cfg, policy) in zip(values, cells):
@@ -412,23 +450,27 @@ def _chunk_cells(cells, m_fading, radius, n, rng) -> tuple:
 
 
 def _run_chunk(task) -> object:
-    kernel, payload, radius, n, rng = task
-    return kernel(*payload, radius, n, rng)
+    kernel, payload, radius, n, (bit_generator, seed) = task
+    return kernel(*payload, radius, n, np.random.Generator(bit_generator(seed)))
 
 
 def _n_chunks(n_trials: int) -> int:
     return (n_trials + _CHUNK_TRIALS - 1) // _CHUNK_TRIALS
 
 
+def _cpus() -> int:
+    """CPUs this process may run on; no pool of processes or threads is larger."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
 def _processes(workers: int, n_trials: int) -> int:
     """Processes worth running chunks in, this one included: no more than
     workers, usable CPUs, or chunks of at least _MIN_SHARE trials."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        cpus = os.cpu_count() or 1
     full, tail = divmod(n_trials, _CHUNK_TRIALS)
-    return max(1, min(workers, full + (tail >= _MIN_SHARE), cpus))
+    return max(1, min(workers, full + (tail >= _MIN_SHARE), _cpus()))
 
 
 def _caller_runs(executor: ProcessPoolExecutor, processes: int, tasks: list) -> list:
@@ -464,20 +506,32 @@ def shared_pool(workers: int, n_trials: int):
         yield functools.partial(_caller_runs, executor, processes)
 
 
-def _map_chunks(kernel, payload, radius, n_trials, rng, workers, pool=None):
-    """kernel(*payload, radius, n, stream) for each chunk, in chunk order."""
+def _map_chunks(kernel, payload, radius, n_trials, rng, workers, pool=None, threaded=False):
+    """kernel(*payload, radius, n, stream) for each chunk, in chunk order.
+
+    A ``threaded`` kernel takes one more payload item, the threads it may
+    run on: min(workers, usable CPUs) when this process runs every chunk,
+    and 1 when pool processes keep the other CPUs busy.
+    """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     n_chunks = _n_chunks(n_trials)
-    streams = np.random.default_rng(rng).spawn(n_chunks)  # a Generator is used as it is
+    # a task carries its stream's seed, not a Generator: before numpy 2.0 an
+    # unpickled Generator lost its SeedSequence, and so what it spawns
+    bit_generator = np.random.default_rng(rng).bit_generator  # a Generator is used as it is
+    seeds = [(type(bit_generator), seed) for seed in bit_generator.seed_seq.spawn(n_chunks)]
     sizes = [_CHUNK_TRIALS] * (n_chunks - 1) + [n_trials - _CHUNK_TRIALS * (n_chunks - 1)]
-    tasks = [(kernel, payload, radius, sz, st) for sz, st in zip(sizes, streams)]
+
+    def tasks(threads):
+        head = payload + (threads,) if threaded else payload
+        return [(kernel, head, radius, sz, seed) for sz, seed in zip(sizes, seeds)]
+
     if pool is not None and n_chunks > 1:
-        return pool(tasks)
+        return pool(tasks(1))
     with shared_pool(workers, n_trials) as own:
         if own is not None:
-            return own(tasks)
-    return [_run_chunk(t) for t in tasks]
+            return own(tasks(1))
+    return [_run_chunk(t) for t in tasks(min(workers, _cpus()))]
 
 
 def default_workers() -> int:
@@ -553,7 +607,8 @@ def mc_sweep(
     them needs, or in window_radius_override, which must cover every cell.
     Returns one (outage, rate) pair per cell, in order; rate is None when
     fading_draws_per_trial is None.  ``pool`` (see ``shared_pool``) runs
-    the chunks in place of a pool of this call's own.
+    the chunks in place of a pool of this call's own.  When this process
+    runs every chunk, workers also caps the threads that draw the fading.
     """
     if not cells:
         raise ValueError("mc_sweep needs at least one cell")
@@ -569,7 +624,7 @@ def mc_sweep(
     radius = max(_window(coverage_radius(geometry, policy), window_radius_override) for policy in policies)
     m_fading = None if fading_draws_per_trial is None else int(fading_draws_per_trial)
     payload = (tuple(cells), m_fading)
-    chunks = _map_chunks(_chunk_cells, payload, radius, n_trials, rng, workers, pool)
+    chunks = _map_chunks(_chunk_cells, payload, radius, n_trials, rng, workers, pool, threaded=True)
     n, shift, offset, m2 = functools.reduce(_merge_moments, chunks)
     out = []
     for mean, sq in zip(shift + offset, m2):

@@ -45,6 +45,13 @@ class TestSampleZ:
         with pytest.raises(ValueError):
             sample_z(0, np.random.default_rng(0))
 
+    def test_one_term_matches_the_product_of_reference_exponentials(self):
+        # a term sqrt(E1 E2) with each E = -log(1 - U), against the same
+        # product of ziggurat exponentials
+        term = sample_z(1, np.random.default_rng(31), size=200_000)
+        ref = np.random.default_rng(32).standard_exponential((2, 200_000))
+        assert stats.ks_2samp(term, np.sqrt(ref[0] * ref[1])).pvalue > 0.01
+
     def test_smaller_counts_are_partial_sums_of_one_draw(self):
         z = sample_z_prefixes([16, 4, 9], np.random.default_rng(6), (5, 3))
         assert sorted(z) == [4, 9, 16]

@@ -278,20 +278,22 @@ output = unused.csv
 # newline-joined rows), recorded under the seed contract in which each
 # geometry group of a sweep is one pass seeded by SeedSequence([seed, group])
 # and every policy and point of the group reads the same realizations, with
-# points drawn by rejection from the bounding square and fading draws-major;
-# any change to a Monte Carlo CSV byte changes them
+# points drawn by rejection from the bounding square and fading draws-major
+# in blocks of 4096 trials, each block from a stream spawned from its
+# chunk's, every unit exponential -log(1 - U) of a uniform double U; any
+# change to a Monte Carlo CSV byte changes them
 GOLDEN = {
     "power-snr-all-policies": (
         dict(n=8, model="power", snr=0, var="avg_snr_db", lo=-10, hi=30, steps=3,
              policies="opt-product, min-min, min-max, mid-point", methods="analytic, montecarlo",
              metrics="outage, rate", trials=2000),
-        "2ff31498e5e6a792b7392d8d0196710f87d91eb8eb2d35bbf44929f7afe4cc57",
+        "e0034adc8cf8536288bbf65941d3902dc8d08e31d61bee5f4c830a193bd5a00b",
     ),
     "exp-threshold-feedback": (
         dict(n=16, model="exp", snr=10, var="threshold", lo=3, hi=9, steps=3,
              policies="opt-sum, min-min", methods="analytic, montecarlo",
              metrics="outage, rate", trials=2000),
-        "5ffe53456b1556736918a3e9f4d15be1ba23f18857932511ae0122d8e916c61d",
+        "5689b617748e6318065c51af4595198496e004c62e3ebb2a99bb1b43c43d049e",
     ),
     "outage-only": (
         dict(n=16, model="exp", snr=0, var="intensity", lo=0.2, hi=1.0, steps=2,
@@ -301,12 +303,12 @@ GOLDEN = {
     "rate-only": (
         dict(n=4, model="power", snr=5, var="n_elements", lo=4, hi=16, steps=2,
              policies="opt-product, min-max", methods="montecarlo", metrics="rate", trials=2000),
-        "48bc3b5d4525822a8c04e4c7b6699c6cf7f2d1d1dbe1d874f716791e91a65ea5",
+        "e1f6e16347ed469448e8c79f94a738e139f5984413c3741a7dcd6a22bb8d36af",
     ),
     "two-chunks": (
         dict(n=4, model="exp", snr=5, var="avg_snr_db", lo=0, hi=10, steps=2,
              policies="opt-sum, min-max", methods="montecarlo", metrics="outage, rate", trials=8193),
-        "08293d504a3c24a21fde3faad994af101268a21a521dc3d6cc797c7aeb0d3d30",
+        "73062f4f51f325e8d607b20fd50f301dddd3f04c6fb918d4f3d4e63ec415a0c7",
     ),
     # two full chunks and a 1-trial tail: at two workers a real pool child
     # runs the second chunk
@@ -314,7 +316,7 @@ GOLDEN = {
         dict(n=4, model="exp", snr=5, var="avg_snr_db", lo=0, hi=10, steps=2,
              policies="opt-sum, min-max", methods="montecarlo", metrics="outage, rate",
              trials=2 * 8192 + 1),
-        "289240f801599cac921a10ec450cf7847c7a67647f87e46962d52c3e00d5966b",
+        "a7e36c20a16bee573424cad299fb07e1e1b3437b64dce7c7d04af81f04a2f046",
     ),
 }
 
@@ -387,6 +389,24 @@ class TestGoldenRows:
             # share for a child, so two chunks and a tail fork one child
             assert sizes == want, name
             assert _digest(rows) == digest
+
+    def test_one_process_run_draws_fading_on_threads(self, tmp_path, monkeypatch):
+        mapped = []
+
+        class CountingThreads(montecarlo.ThreadPoolExecutor):
+            def map(self, fn, tasks):
+                mapped.append(len(tasks))
+                return super().map(fn, tasks)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", CountingThreads)
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(64)))
+        params, digest = GOLDEN["two-chunks"]
+        spec = load_spec(write_spec(tmp_path, GOLDEN_SPEC.format(**params)))
+        rows = run_experiment(spec, workers=2)
+        # one chunk and a 1-trial tail run in this process; the chunk's
+        # second fading block goes to one other thread
+        assert mapped == [1, 0]
+        assert _digest(rows) == digest
 
 
 class TestRunCost:

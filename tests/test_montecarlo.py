@@ -2,6 +2,8 @@
 
 import math
 import os
+import pickle
+import sys
 import tracemalloc
 from functools import reduce
 
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 from ris_select import analytic, montecarlo
 from ris_select.analytic import DistCdf
-from ris_select.channel import NetworkConfig, PathLossModel
+from ris_select.channel import NetworkConfig, PathLossModel, ez2, sample_z_prefixes
 from ris_select.errors import UnsupportedRegionError, WindowTooSmallError
 from ris_select.geometry import ScoreKind
 from ris_select.montecarlo import (
@@ -276,12 +278,113 @@ class TestSweepKernel:
         rng = np.random.default_rng(5)
         tracemalloc.start()
         try:
-            n, *_ = montecarlo._chunk_cells(((cfg, pol),), 8, radius, montecarlo._CHUNK_TRIALS, rng)
+            n, *_ = montecarlo._chunk_cells(((cfg, pol),), 8, 1, radius, montecarlo._CHUNK_TRIALS, rng)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert n == montecarlo._CHUNK_TRIALS
         assert peak < 64e6
+
+
+class TestFadingBlocks:
+    @pytest.mark.parametrize("n", [1, 16])
+    def test_blocked_draws_have_the_exact_moments(self, n):
+        # 25 draws of 8192 trials: 204,800 draws in two blocks on two threads
+        z2 = montecarlo._fading_power({n}, 25, montecarlo._CHUNK_TRIALS, np.random.default_rng(40 + n), 2)[n]
+        z = np.sqrt(z2)
+        for values, want in ((z, n * math.pi / 4), (z2, ez2(n))):
+            se = values.std(ddof=1) / math.sqrt(values.size)
+            assert abs(values.mean() - want) < 3 * se
+
+    def test_chunk_tasks_carry_seeds_not_generators(self):
+        # a task reaches a pool process pickled; before numpy 2.0 an
+        # unpickled Generator spawned from fresh entropy, so tasks carry
+        # seed sequences and each process builds its own Generator
+        def pickling_pool(tasks):
+            for task in tasks:
+                assert not any(isinstance(item, np.random.Generator) for item in task)
+            return [montecarlo._run_chunk(pickle.loads(pickle.dumps(task))) for task in tasks]
+
+        cells = [(exp_cfg(n_elements=16), SelectionPolicy(PolicyKind.MIN_MIN))]
+        n_trials = 2 * montecarlo._CHUNK_TRIALS + 1
+        assert mc_sweep(cells, n_trials, 2, 8, pool=pickling_pool) == mc_sweep(cells, n_trials, 2, 8)
+
+    def test_each_block_reads_its_own_stream(self):
+        block = montecarlo._FADING_BLOCK
+        n = block + 7  # one full block and a 7-trial one
+        z2 = montecarlo._fading_power({4, 16}, 3, n, np.random.default_rng(3), 1)
+        streams = np.random.default_rng(3).spawn(2)
+        for stream, cols in zip(streams, (slice(0, block), slice(block, n))):
+            z = sample_z_prefixes([4, 16], stream, (3, cols.stop - cols.start))
+            for size in (4, 16):
+                assert np.array_equal(z2[size][:, cols], z[size] * z[size])
+
+    def test_prefix_property_holds_across_a_block_boundary(self):
+        n = montecarlo._FADING_BLOCK + 100
+        both = montecarlo._fading_power({4, 16}, 3, n, np.random.default_rng(8), 2)
+        for size in (4, 16):
+            alone = montecarlo._fading_power({size}, 3, n, np.random.default_rng(8), 2)[size]
+            assert np.array_equal(both[size], alone)
+        assert np.all(both[16] > both[4])
+
+    def test_more_threads_than_cores_change_no_value(self):
+        # four blocks on four threads, with thread switches forced often:
+        # each thread writes its own columns of the shared arrays
+        n = 4 * montecarlo._FADING_BLOCK
+        want = montecarlo._fading_power({2, 5}, 2, n, np.random.default_rng(12), 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = montecarlo._fading_power({2, 5}, 2, n, np.random.default_rng(12), 4)
+        finally:
+            sys.setswitchinterval(interval)
+        for size in (2, 5):
+            assert np.array_equal(got[size], want[size])
+
+    @pytest.mark.parametrize("n", [montecarlo._CHUNK_TRIALS, montecarlo._FADING_BLOCK + 1234])
+    def test_chunk_moments_independent_of_fading_threads(self, n):
+        cells = ((pow_cfg(n_elements=4), SelectionPolicy(PolicyKind.OPT_PRODUCT)),
+                 (pow_cfg(n_elements=16), SelectionPolicy(PolicyKind.MIN_MAX)))
+        radius = max(coverage_radius(cfg, pol) for cfg, pol in cells)
+        one, two = (montecarlo._chunk_cells(cells, 8, threads, radius, n, np.random.default_rng(21))
+                    for threads in (1, 2))
+        assert one[0] == two[0] == n
+        for a, b in zip(one[1:], two[1:]):
+            assert np.array_equal(a, b)
+
+    def test_fading_threads_capped_by_cpus_and_blocks(self, monkeypatch):
+        sizes, mapped = [], []
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", _recording_pool(sizes, mapped))
+        monkeypatch.setenv("RIS_SELECT_THREADS", "1000000")
+        workers = montecarlo.default_workers()
+        cells = [(exp_cfg(n_elements=64), SelectionPolicy(PolicyKind.MIN_MIN))]
+        n_trials = montecarlo._CHUNK_TRIALS + 1  # one process runs both chunks
+        want = mc_sweep(cells, n_trials, 2, 8)
+        assert mc_sweep(cells, n_trials, 2, 8, workers=workers) == want
+        # a pool of one thread that is mapped nothing starts no thread
+        extra = min(len(os.sched_getaffinity(0)), 2) - 1
+        assert all(size <= max(1, extra) for size in sizes)
+        assert all(count <= extra for count in mapped)
+
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(64)))
+        sizes.clear()
+        mapped.clear()
+        assert mc_sweep(cells, n_trials, 2, 8, workers=workers) == want
+        # the full chunk's second block goes to one other thread; the
+        # 1-trial tail is one block and maps nothing
+        assert sizes == [1, 1]
+        assert mapped == [1, 0]
+
+    def test_no_fading_threads_beside_a_process_pool(self, monkeypatch):
+        threads, processes = [], []
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", _recording_pool([], threads))
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", _recording_pool(processes, []))
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(64)))
+        cells = [(exp_cfg(n_elements=64), SelectionPolicy(PolicyKind.MIN_MIN))]
+        n_trials = 2 * montecarlo._CHUNK_TRIALS + 1
+        assert mc_sweep(cells, n_trials, 2, 8, workers=2) == mc_sweep(cells, n_trials, 2, 8)
+        assert processes == [1]
+        assert set(threads) == {0}  # no chunk maps a fading block to a thread
 
 
 def _lexsort_argmin(crit, counts):
