@@ -21,17 +21,18 @@ rate_fading_closed) and its defining integral by adaptive quadrature
 The average rate over the point process (rate_pow, rate_exp) uses neither.
 It is one fixed tensor-product rule evaluated with numpy: score panels
 (tanh-sinh next to the log singularity at d^2, Gauss-Legendre on geometric
-panels elsewhere), times the score density, times a trapezoid rule in the
-log of the fading gain, which converges geometrically for every number of
-elements.  The path loss enters only through its logarithm, so no score
-overflows and no small-argument switch is needed.  The inner term
-log(1 + e^x) is a softplus, max(x, 0) + log1p(e^-|x|), computed in place
-in two reused block buffers: it is nearly all of the engine's work, and
-np.logaddexp evaluates the same form one element at a time, where np.exp
-over a whole block is vectorised.  The engine needs numpy
-only: K and E come from the array AGM kernel specfun.ellip_ke_m1, and
-scipy is imported only inside the quadrature oracle, so `ris-select run`
-never loads it.
+panels elsewhere), cached per score law and cap, times the score density,
+times a trapezoid rule in the log of the fading gain, which converges
+geometrically for every number of elements.  The path loss enters only
+through its logarithm, so no score overflows and no small-argument switch
+is needed.  The fading average h(t) = E log(1 + e^t Z^2) depends on t =
+log(avg_snr * y) and the element count only, so it is tabulated once per
+count on a lattice in t (one softplus pass and one correlation, since the
+fading nodes lie on a lattice in log Z^2) and read at each score node: a
+rate call costs a few array passes over its ~850 score nodes.  The engine
+needs numpy only: K and E come from the array AGM kernel
+specfun.ellip_ke_m1, and scipy is imported only inside the quadrature
+oracle, so `ris-select run` never loads it.
 
 All quantities are strictly linear-scale; dB conversion belongs to the CLI.
 """
@@ -420,7 +421,9 @@ _TS_HALF_WIDTH = 3.2  # tanh-sinh parameter range [-3.2, 3.2]: end nodes ~1e-17 
 _HALVINGS = 40  # geometric panels halving down towards g = 0 or u = 0
 _FADING_STEP = 0.25  # trapezoid step in the standardized log fading gain
 _FADING_PRUNE = 45.0  # drop fading nodes whose weight is below e^-45 of the largest
-_BLOCK = 16_384  # largest (score node x fading node) block evaluated at once
+_TABLE_STEP = 0.06  # largest lattice step of the fading-average table, in t = log(avg_snr * y)
+_TABLE_EDGE = 37.0  # softplus(x) is e^x below -37 and x above 37 to within e^-37 < 2^-53 relative
+_STENCIL = 10  # lattice values per local interpolant of the table (degree 9)
 _TAIL_EPS = 1.0e-14  # survival probability beyond which the score is truncated
 
 
@@ -499,31 +502,136 @@ def _softplus(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return x
 
 
+@functools.cache
+def _horner_rows() -> np.ndarray:
+    """Row k maps ten values v_j at u_j = j - 4.5 to the coefficient of u^k
+    of the degree-9 polynomial through them.
+
+    Column j holds the coefficients of the Lagrange basis polynomial of
+    u_j.  Its roots are half-integers, so polyfromroots forms them exactly
+    and the division rounds once (np.linalg.inv of the Vandermonde matrix,
+    condition ~1e7, is off by up to 4e-14).
+    """
+    nodes = np.arange(_STENCIL) - (_STENCIL - 1) / 2.0
+    rows = np.empty((_STENCIL, _STENCIL))
+    for j, node in enumerate(nodes):
+        others = np.delete(nodes, j)
+        rows[:, j] = np.polynomial.polynomial.polyfromroots(others) / np.prod(node - others)
+    rows.flags.writeable = False
+    return rows
+
+
+@dataclass(frozen=True, eq=False)
+class _FadingTable:
+    """h(t) = sum_j w_j log(1 + e^{t + x_j}) for a law given as nodes x_j =
+    log Z^2 on a lattice and weights w_j summing to 1.
+
+    Below `low` every argument t + x_j is under -37 and h = e^t E[Z^2];
+    above `high` every one is over 37 and h = t + E[log Z^2]; both hold to
+    double precision.  In between, h is the ratio q(t) = h(t) /
+    log(1 + e^t E[Z^2]) times that softplus.  q is bounded and tends to 1
+    as t -> -inf, so an absolute error in q is a relative error in h; it is
+    interpolated by the degree-9 polynomial through the ten lattice values
+    around t.  h and q are analytic in |Im t| < pi and the lattice step is
+    at most 0.06, so the interpolant is exact to rounding: h is within 1e-13
+    relative of the rule sum for every t and N = 1..1024 (2e-14 at most in
+    a scan).  What is left is the nodes' own rounding: the table sums over
+    an exact lattice, the rule's nodes lie on theirs to ~1e-14.
+    """
+
+    origin: float  # t of the first lattice value
+    step: float
+    windows: np.ndarray  # the ten q values from each lattice point on, read-only
+    low: float
+    high: float
+    ez2: float  # E[Z^2] and E[log Z^2] under the law
+    e_log: float
+
+    def average(self, t: np.ndarray) -> np.ndarray:
+        """h at each t."""
+        h = t + self.e_log
+        below = t < self.low
+        h[below] = np.exp(t[below]) * self.ez2
+        inside = ~below & (t <= self.high)
+        h[inside] = self._interpolate(t[inside])
+        return h
+
+    def _interpolate(self, t: np.ndarray) -> np.ndarray:
+        s = (t - self.origin) / self.step
+        cell = np.floor(s)
+        s -= cell
+        s -= 0.5  # u in [-1/2, 1/2) between the stencil's middle nodes
+        v = self.windows[cell.astype(np.intp) - (_STENCIL // 2 - 1)]
+        rows = _horner_rows()
+        # one matrix-vector product per power: a matrix-matrix product would
+        # be the run's first, and the BLAS library then maps ~0.25 MB of buffers
+        q = v @ rows[-1]
+        for row in rows[-2::-1]:
+            q *= s
+            q += v @ row
+        t = t + math.log(self.ez2)
+        return q * _softplus(t, np.empty_like(t))
+
+
+def _lattice_average(
+    nodes: np.ndarray, weight: np.ndarray, low: float, high: float
+) -> tuple[float, float, np.ndarray]:
+    """(origin, step, h): h[i] = sum_j weight_j softplus(origin + i step + nodes_j).
+
+    nodes are an ascending lattice of step Delta; the t lattice has step
+    Delta / r, r the least integer that makes it at most _TABLE_STEP, and
+    spans [low, high] with five more points on each side.  Every argument
+    t_i + x_j is then a point of one lattice of step Delta / r, so one
+    softplus pass S over it and one correlation of S with the weights,
+    r - 1 zeros between each, give h at every t_i: no 2-D array and no FFT.
+    """
+    node_step = (nodes[-1] - nodes[0]) / (nodes.size - 1)
+    r = math.ceil(node_step / _TABLE_STEP)
+    step = node_step / r
+    first = math.floor(low / step) - _STENCIL // 2
+    size = math.ceil(high / step) + _STENCIL // 2 - first + 1
+    taps = np.zeros(r * (nodes.size - 1) + 1)
+    taps[::r] = weight
+    x = nodes[0] + step * np.arange(first, first + size + taps.size - 1)
+    return first * step, step, np.correlate(_softplus(x, np.empty_like(x)), taps, "valid")
+
+
+def _average_table(nodes: np.ndarray, weight: np.ndarray) -> _FadingTable:
+    """The fading-average table of the law (nodes on a lattice in log Z^2, weights summing to 1)."""
+    low, high = -_TABLE_EDGE - nodes[-1], _TABLE_EDGE - nodes[0]
+    origin, step, h = _lattice_average(nodes, weight, low, high)
+    ez2 = float(weight @ np.exp(nodes))
+    t = origin + step * np.arange(h.size) + math.log(ez2)
+    ratio = h / _softplus(t, np.empty_like(t))
+    ratio.flags.writeable = False
+    windows = np.lib.stride_tricks.sliding_window_view(ratio, _STENCIL)
+    return _FadingTable(origin, step, windows, low, high, ez2, float(weight @ nodes))
+
+
+@functools.lru_cache(maxsize=64)
+def _fading_table(n_elements: int) -> _FadingTable:
+    """The fading-average table of the gamma-approximated gain, built on first use."""
+    return _average_table(*_fading_rule(n_elements))
+
+
 def _average_rate(
     log_y: np.ndarray, weight: np.ndarray, cfg: NetworkConfig, use_upper_bound: bool
 ) -> float:
     """sum_i weight_i * E[log2(1 + avg_snr * e^{log_y_i} * Z^2)] over the fading rule.
 
-    The inner term log(1 + e^x), x = log c + log Z^2, is a softplus computed
-    in place, block by block, in two buffers allocated once per call: it
-    is nearly all of the engine's work, and np.logaddexp takes it one
-    element at a time.  The Jensen bound replaces the fading rule by the
-    single node E[Z^2].
+    The inner average is read from the element count's table at each score
+    node's t = log(avg_snr) + log_y_i, so a call costs a few passes over
+    its score nodes.  The Jensen bound replaces the fading rule by the
+    single node E[Z^2]: one softplus per score node, no table.
     """
-    if use_upper_bound:
-        nodes, fading_weight = np.array([math.log(ez2(cfg.n_elements))]), np.ones(1)
-    else:
-        nodes, fading_weight = _fading_rule(cfg.n_elements)
     live = weight > 0.0
-    log_c, weight = log_y[live] + math.log(cfg.avg_snr), weight[live]
-    rows = max(1, min(_BLOCK // nodes.size, log_c.size))
-    block, scratch = np.empty((rows, nodes.size)), np.empty((rows, nodes.size))
-    total = 0.0
-    for i in range(0, log_c.size, rows):
-        x, s = block[: log_c.size - i], scratch[: log_c.size - i]
-        np.add(log_c[i : i + rows, None], nodes, out=x)
-        total += float(weight[i : i + rows] @ (_softplus(x, s) @ fading_weight))
-    return total / _LN2
+    t, weight = log_y[live] + math.log(cfg.avg_snr), weight[live]
+    if use_upper_bound:
+        t += math.log(ez2(cfg.n_elements))
+        inner = _softplus(t, np.empty_like(t))
+    else:
+        inner = _fading_table(cfg.n_elements).average(t)
+    return float(weight @ inner) / _LN2
 
 
 @functools.lru_cache(maxsize=64)
@@ -573,6 +681,33 @@ def _product_score_rule(dist: DistCdf, cap: float) -> tuple[np.ndarray, np.ndarr
     return g, weight
 
 
+@functools.lru_cache(maxsize=64)
+def _sum_score_rule(dist: DistCdf, alpha: float, cap: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes g and weights w (density of the best sum score included) with
+    sum_i w_i f(g_i) ~ integral of f against that density up to cap > 2d.
+
+    The density's inverse-square-root singularity at 2d is removed by the
+    substitution u = sqrt(g^2 - 4 d^2); Gauss-Legendre panels halve from
+    the truncation point U = min(cap, 1e-14 tail) down to u = 0, which
+    resolves the spike of width ~1/(pi lam d) that the density becomes when
+    lam d is large.  The rule depends on neither the SNR nor the element
+    count, so it is built once per (dist, alpha, cap) and returned read-only.
+    """
+    d, lam = dist.d, dist.intensity
+    g_tail = critical_score(ScoreKind.MIN_SUM, lam, d, _TAIL_EPS)
+    u_top = min(math.sqrt((g_tail - 2.0 * d) * (g_tail + 2.0 * d)),
+                math.sqrt((cap - 2.0 * d) * (cap + 2.0 * d)))
+    # panels no wider than 4 / alpha: log(1 + e^{-alpha g} ...) has complex
+    # singularities pi / alpha off the real axis where the rate bends over;
+    # the two edge sets are merged by hand, since np.union1d loads numpy.ma
+    edges = np.sort(np.concatenate([_halvings(u_top), np.arange(0.0, u_top, 4.0 / alpha)]))
+    u, u_w = _gl_panels(edges[np.concatenate([[True], edges[1:] != edges[:-1]])])
+    g = np.sqrt(u * u + 4.0 * d * d)
+    weight = u_w * math.pi * lam * (u * u + 2.0 * d * d) / (2.0 * g) * np.exp(-0.25 * math.pi * lam * g * u)
+    g.flags.writeable = weight.flags.writeable = False
+    return g, weight
+
+
 def rate_pow(
     cfg: NetworkConfig,
     t_threshold: float | None = None,
@@ -602,28 +737,16 @@ def rate_exp(
 ) -> float:
     """Average rate of the (optionally feedback-limited) sum policy.
 
-    The score density has an inverse-square-root singularity at 2d, removed
-    by the substitution u = sqrt(g^2 - 4 d^2); Gauss-Legendre panels halve
-    from the truncation point U down to u = 0, which resolves the spike of
-    width ~1/(pi lam d) that the density becomes when lam d is large.  A
-    threshold T <= 2d admits no feedback at all and yields rate 0.
+    Integrates the fading-averaged rate against the density of the best sum
+    score g, with log(y) = -alpha g.  A threshold T <= 2d admits no
+    feedback at all and yields rate 0.
     """
     if cfg.model is not PathLossModel.EXP_LAW:
         raise ValueError("rate_exp requires an exponential-law configuration")
     if t_threshold is not None and not t_threshold > 0.0:
         raise ValueError(f"threshold must be > 0, got {t_threshold}")
-    d, lam = cfg.d, cfg.intensity
-    if t_threshold is not None and t_threshold <= 2.0 * d:
+    if t_threshold is not None and t_threshold <= 2.0 * cfg.d:
         return 0.0
-    g_tail = critical_score(ScoreKind.MIN_SUM, lam, d, _TAIL_EPS)
-    u_top = math.sqrt((g_tail - 2.0 * d) * (g_tail + 2.0 * d))
-    if t_threshold is not None:
-        u_top = min(u_top, math.sqrt((t_threshold - 2.0 * d) * (t_threshold + 2.0 * d)))
-    # panels no wider than 4 / alpha: log(1 + e^{-alpha g} ...) has complex
-    # singularities pi / alpha off the real axis where the rate bends over;
-    # the two edge sets are merged by hand, since np.union1d loads numpy.ma
-    edges = np.sort(np.concatenate([_halvings(u_top), np.arange(0.0, u_top, 4.0 / cfg.alpha)]))
-    u, u_w = _gl_panels(edges[np.concatenate([[True], edges[1:] != edges[:-1]])])
-    g = np.sqrt(u * u + 4.0 * d * d)
-    weight = u_w * math.pi * lam * (u * u + 2.0 * d * d) / (2.0 * g) * np.exp(-0.25 * math.pi * lam * g * u)
+    cap = math.inf if t_threshold is None else t_threshold
+    g, weight = _sum_score_rule(_optimum_dist(cfg), cfg.alpha, cap)
     return _average_rate(-cfg.alpha * g, weight, cfg, use_upper_bound)

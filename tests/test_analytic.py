@@ -435,6 +435,16 @@ def logaddexp_average_rate(log_y, weight, cfg, use_upper_bound):
     return float(weight[live] @ inner) / math.log(2.0)
 
 
+# relative error bound of the fading-average table, as analytic._FadingTable states it
+TABLE_RTOL = 1e-13
+
+
+def rule_average(n, t):
+    """sum_j w_j log(1 + e^{t + x_j}) over the fading rule, by np.logaddexp."""
+    nodes, weight = analytic._fading_rule(n)
+    return np.logaddexp(0.0, np.asarray(t, dtype=float)[:, None] + nodes) @ weight
+
+
 def softplus(x):
     x = np.array(x, dtype=float)
     out = analytic._softplus(x, np.empty_like(x))
@@ -466,6 +476,90 @@ class TestSoftplus:
         assert got[2] == math.inf
         assert got[3] == 0.0
         assert math.isnan(got[4])
+
+
+@st.composite
+def table_points(draw):
+    """(N, t): t anywhere in [-300, 300], on a lattice point of N's table,
+    or at (or one double beside) an edge of its interpolated range."""
+    n = draw(st.integers(1, 1024))
+    table = analytic._fading_table(n)
+    size = table.windows.shape[0] + analytic._STENCIL - 1
+    edge = draw(st.sampled_from([table.low, table.high]))
+    t = draw(st.one_of(
+        st.floats(-300.0, 300.0),
+        st.integers(0, size - 1).map(lambda i: table.origin + i * table.step),
+        st.sampled_from([edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)]),
+    ))
+    return n, t
+
+
+class TestFadingTable:
+    @settings(max_examples=300, deadline=None)
+    @given(table_points())
+    def test_matches_rule_sum(self, point):
+        n, t = point
+        got = analytic._fading_table(n).average(np.array([t]))
+        assert got == pytest.approx(rule_average(n, [t]), rel=TABLE_RTOL, abs=0.0)
+
+    @pytest.mark.parametrize("n", [1, 16, 1024])
+    def test_whole_range_within_bound(self, n):
+        # both asymptotic regions, the interpolated range in between, and
+        # every lattice point (where u = -1/2 exactly)
+        table = analytic._fading_table(n)
+        size = table.windows.shape[0] + analytic._STENCIL - 1
+        t = np.concatenate([np.linspace(table.low - 5.0, table.high + 5.0, 20_001),
+                            table.origin + table.step * np.arange(size)])
+        assert t.min() < table.low and t.max() > table.high
+        want = rule_average(n, t)
+        assert np.all(np.abs(table.average(t) / want - 1.0) <= TABLE_RTOL)
+
+    @pytest.mark.parametrize("n", [1, 2, 16, 256, 1024])
+    def test_lattice_values_match_logaddexp(self, monkeypatch, n):
+        # the correlation indexes the one softplus pass right: h_i against
+        # the sum over the same arguments, each by np.logaddexp, summed
+        # exactly so that only the table's own rounding is measured
+        args, softplus_pass = [], analytic._softplus
+
+        def recording(x, scratch):
+            args.append(x.copy())
+            return softplus_pass(x, scratch)
+
+        monkeypatch.setattr(analytic, "_softplus", recording)
+        nodes, weight = analytic._fading_rule(n)
+        origin, step, h = analytic._lattice_average(nodes, weight, -40.0 - nodes[-1], 40.0 - nodes[0])
+        assert len(args) == 1 and step <= analytic._TABLE_STEP
+        r = round((nodes[-1] - nodes[0]) / (nodes.size - 1) / step)
+        assert args[0].size == h.size + r * (nodes.size - 1)
+        index = np.arange(h.size)[:, None] + r * np.arange(nodes.size)
+        want = [math.fsum(row) for row in np.logaddexp(0.0, args[0][index]) * weight]
+        assert h == pytest.approx(want, rel=1e-15, abs=0.0)
+        # and those arguments are t_i + x_j
+        assert args[0][index] == pytest.approx((origin + step * np.arange(h.size))[:, None] + nodes,
+                                               rel=0.0, abs=1e-12)
+
+    def test_cached_read_only(self):
+        table = analytic._fading_table(16)
+        assert analytic._fading_table(16) is table
+        assert not table.windows.flags.writeable
+        with pytest.raises(ValueError):
+            table.windows.setflags(write=True)  # nor can it be made writeable
+
+    @pytest.mark.parametrize("n", [1, 2, 16, 256, 1024])
+    def test_build_costs_less_softplus_than_one_direct_call(self, monkeypatch, n):
+        # so a sweep over N, which builds one table per point, never takes
+        # more softplus elements than the per-(score node, fading node) sum
+        counted, softplus_pass = [], analytic._softplus
+
+        def counting(x, scratch):
+            counted.append(x.size)
+            return softplus_pass(x, scratch)
+
+        nodes, weight = analytic._fading_rule(n)
+        monkeypatch.setattr(analytic, "_softplus", counting)
+        analytic._average_table(nodes, weight)
+        g, _ = analytic._product_score_rule(DIST_P, math.inf)
+        assert sum(counted) < g.size * nodes.size
 
 
 class TestAverageRate:
@@ -581,7 +675,9 @@ class TestAverageRate:
     @pytest.mark.parametrize("n", [1, 256])
     def test_average_rate_matches_logaddexp_reference(self, monkeypatch, law, lam, d, n):
         # the (log y, weight) pairs the real rules hand to the engine, with
-        # and without a threshold (both branches for the power law)
+        # and without a threshold (both branches for the power law); the
+        # fading average comes from the interpolated table, good to its
+        # stated bound, and the Jensen bound's single node is still exact
         calls, engine = [], analytic._average_rate
 
         def recording(*args):
@@ -601,7 +697,8 @@ class TestAverageRate:
         for args in calls:
             want = logaddexp_average_rate(*args)
             assert want > 0.0
-            assert engine(*args) == pytest.approx(want, rel=1e-15, abs=0.0)
+            rel = 1e-15 if args[-1] else TABLE_RTOL
+            assert engine(*args) == pytest.approx(want, rel=rel, abs=0.0)
 
     @pytest.mark.parametrize("cap", [0.3, 1.0, 1.44, 2.5, 5.0, math.inf])
     def test_score_rule_elliptic_nodes_match_scipy(self, monkeypatch, cap):

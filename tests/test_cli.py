@@ -428,10 +428,46 @@ class TestRunCost:
         assert len(rows) == 18
         assert len(calls) == 1
 
+    def test_exp_rate_sweep_solves_tail_once(self, tmp_path, monkeypatch):
+        # nor does the sum-score rule
+        calls = []
+        original = analytic.critical_score
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(analytic, "critical_score", counting)
+        analytic._sum_score_rule.cache_clear()
+        params = dict(n=16, model="exp", snr=0, var="avg_snr_db", lo=-10, hi=30, steps=17,
+                      policies="opt-sum", methods="analytic", metrics="rate", trials=1000)
+        rows = run_experiment(load_spec(write_spec(tmp_path, GOLDEN_SPEC.format(**params))))
+        assert len(rows) == 18
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("model, policy", [("power", "opt-product"), ("exp", "opt-sum")])
+    def test_rate_sweep_builds_fading_table_once(self, tmp_path, monkeypatch, model, policy):
+        # the fading average depends on t and N only, so a 17-point SNR sweep
+        # at one N tabulates it once
+        builds = []
+        original = analytic._average_table
+
+        def counting(*args):
+            builds.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(analytic, "_average_table", counting)
+        analytic._fading_table.cache_clear()
+        params = dict(n=16, model=model, snr=0, var="avg_snr_db", lo=-10, hi=30, steps=17,
+                      policies=policy, methods="analytic", metrics="rate", trials=1000)
+        rows = run_experiment(load_spec(write_spec(tmp_path, GOLDEN_SPEC.format(**params))))
+        assert len(rows) == 18
+        assert len(builds) == 1
+
     def test_run_imports_no_scipy(self, tmp_path):
         # a fresh interpreter: the run path loads numpy only (neither scipy,
-        # genhyp's decimal nor numpy.ma), and the oracles and `validate`
-        # still load scipy when they are called
+        # genhyp's decimal, numpy.ma nor numpy.fft), and the oracles and
+        # `validate` still load scipy when they are called
         specs = [
             dict(n=8, model="power", snr=0, var="avg_snr_db", lo=-10, hi=30, steps=3,
                  policies="opt-product, min-min"),
@@ -451,7 +487,7 @@ from ris_select.channel import NetworkConfig, PathLossModel
 for path in sys.argv[1:]:
     rows = cli.run_experiment(cli.load_spec(path))
     assert {r[2] for r in rows[1:]} == {"analytic", "montecarlo"}, rows
-loaded = sorted(m for m in sys.modules if m in ("scipy", "decimal", "numpy.ma") or m.startswith("scipy."))
+loaded = sorted(m for m in sys.modules if m in ("scipy", "decimal", "numpy.ma", "numpy.fft") or m.startswith("scipy."))
 assert not loaded, loaded
 cfg = NetworkConfig(d=1.2, intensity=0.5, n_elements=16, model=PathLossModel.POWER_LAW)
 assert abs(analytic.rate_fading_quad(1.0, cfg) / analytic.rate_fading_closed(1.0, cfg) - 1) < 1e-4
