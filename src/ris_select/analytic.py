@@ -582,18 +582,21 @@ def _lattice_average(
     Delta / r, r the least integer that makes it at most _TABLE_STEP, and
     spans [low, high] with five more points on each side.  Every argument
     t_i + x_j is then a point of one lattice of step Delta / r, so one
-    softplus pass S over it and one correlation of S with the weights,
-    r - 1 zeros between each, give h at every t_i: no 2-D array and no FFT.
+    softplus pass S over it gives h at every t_i: h[i] = sum_j weight_j
+    S[i + r j], one correlation of S's residue class i mod r with the
+    weights.  No 2-D array and no FFT.
     """
     node_step = (nodes[-1] - nodes[0]) / (nodes.size - 1)
     r = math.ceil(node_step / _TABLE_STEP)
     step = node_step / r
     first = math.floor(low / step) - _STENCIL // 2
     size = math.ceil(high / step) + _STENCIL // 2 - first + 1
-    taps = np.zeros(r * (nodes.size - 1) + 1)
-    taps[::r] = weight
-    x = nodes[0] + step * np.arange(first, first + size + taps.size - 1)
-    return first * step, step, np.correlate(_softplus(x, np.empty_like(x)), taps, "valid")
+    x = nodes[0] + step * np.arange(first, first + size + r * (nodes.size - 1))
+    s = _softplus(x, np.empty_like(x))
+    h = np.empty(size)
+    for c in range(r):
+        h[c::r] = np.correlate(s[c::r], weight, "valid")
+    return first * step, step, h
 
 
 def _average_table(nodes: np.ndarray, weight: np.ndarray) -> _FadingTable:

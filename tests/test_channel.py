@@ -1,6 +1,7 @@
 """Cascaded fading gain: moments, gamma approximation, averaged SNR and its score cap."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -46,8 +47,9 @@ class TestSampleZ:
             sample_z(0, np.random.default_rng(0))
 
     def test_one_term_matches_the_product_of_reference_exponentials(self):
-        # a term sqrt(E1 E2) with each E = -log(1 - U), against the same
-        # product of ziggurat exponentials
+        # a term sqrt(E1 E2) with each E = -log(1 - U) of a float32 uniform
+        # U, formed in float32, against the same product of double-precision
+        # ziggurat exponentials
         term = sample_z(1, np.random.default_rng(31), size=200_000)
         ref = np.random.default_rng(32).standard_exponential((2, 200_000))
         assert stats.ks_2samp(term, np.sqrt(ref[0] * ref[1])).pvalue > 0.01
@@ -59,6 +61,67 @@ class TestSampleZ:
             assert np.array_equal(z[n], sample_z(n, np.random.default_rng(6), size=(5, 3)))
         with pytest.raises(ValueError):
             sample_z_prefixes([0, 3], np.random.default_rng(0), (2,))
+
+
+def _words(random_raw):
+    """A stand-in Generator whose bit generator hands out random_raw(size)."""
+    return SimpleNamespace(bit_generator=SimpleNamespace(random_raw=random_raw))
+
+
+def _lattice_exponentials(q):
+    """The kernel's E = -log(1 - U) at U = q 2^-24, one per entry of q.
+
+    Both exponentials of an entry read the same U (the words' 32-bit halves,
+    low first, are q << 8 twice over), so the term sqrt(E E) is E itself: a
+    correctly rounded square root of a correctly rounded square.
+    """
+    halves = np.concatenate([q, q]).astype(np.uint64) << 8
+    words = halves[0::2] | halves[1::2] << 32
+    return sample_z_prefixes([1], _words(lambda size: words), q.shape)[1]
+
+
+class TestFloat32Kernel:
+    """One 64-bit generator word per entry and element: its two halves give
+    float32 uniforms U = (k >> 8) 2^-24 and E = -log(1 - U)."""
+
+    def test_uniforms_are_numpys_float32_uniforms(self):
+        z = sample_z_prefixes([3], np.random.default_rng(8), (5, 7))[3]
+        ref, want = np.random.default_rng(8), np.zeros((5, 7))
+        for _ in range(3):
+            log_pair = np.log(1 - ref.random((2, 5, 7), dtype=np.float32))
+            want += np.sqrt(log_pair[0] * log_pair[1])
+        assert np.array_equal(z, want)
+
+    def test_zero_words_give_zero_exponentials(self):
+        with np.errstate(all="raise"):
+            z = sample_z_prefixes([4], _words(lambda size: np.zeros(size, np.uint64)), (3,))[4]
+        assert np.array_equal(z, np.zeros(3))
+
+    def test_all_ones_words_give_the_largest_exponential(self):
+        # U = 1 - 2^-24, so every E is 24 log 2 = 16.6355 and so is every term
+        ones = _words(lambda size: np.full(size, 2**64 - 1, np.uint64))
+        with np.errstate(all="raise"):
+            z = sample_z_prefixes([4], ones, (3,))[4]
+        np.testing.assert_allclose(z, 4 * 24 * math.log(2), rtol=1e-6)
+
+    def test_big_endian_words_give_the_same_draw(self):
+        bits = np.random.PCG64(9)
+        big = _words(lambda size: bits.random_raw(size).astype(">u8"))
+        z = sample_z_prefixes([3], big, (4, 5))[3]
+        assert np.array_equal(z, sample_z_prefixes([3], np.random.default_rng(9), (4, 5))[3])
+
+    def test_exact_moments_over_the_whole_lattice(self):
+        # every float32 uniform once: E[E] = 1 - 5.5e-7 and E[sqrt E] =
+        # (sqrt(pi)/2)(1 - 1.4e-7), so for N = 1 E[ab] = E[sqrt E]^2 and
+        # E[(ab)^2] = E[E]^2 are off by -2.9e-7 and -1.1e-6 relative
+        sum_e = sum_root = 0.0
+        for start in range(0, 2**24, 2**21):
+            e = _lattice_exponentials(np.arange(start, start + 2**21, dtype=np.uint32))
+            sum_e += e.sum()
+            sum_root += np.sqrt(e.astype(np.float32)).sum(dtype=np.float64)
+        mean_e, mean_root = sum_e / 2**24, sum_root / 2**24
+        assert abs(mean_root**2 - math.pi / 4) < 5e-7
+        assert abs(mean_e**2 - 1.0) < 2e-6
 
 
 class TestMoments:

@@ -280,20 +280,23 @@ output = unused.csv
 # and every policy and point of the group reads the same realizations, with
 # points drawn by rejection from the bounding square and fading draws-major
 # in blocks of 4096 trials, each block from a stream spawned from its
-# chunk's, every unit exponential -log(1 - U) of a uniform double U; any
-# change to a Monte Carlo CSV byte changes them
+# chunk's, every unit exponential -log(1 - U) of a float32 uniform U, two
+# per 64-bit generator word, each term formed in float32 and Z summed in
+# float64; any change to a Monte Carlo CSV byte changes them.  numpy picks
+# its float32 and float64 log kernels per CPU: these were recorded on an
+# x86-64 Xeon with AVX-512 under numpy 2.4.6
 GOLDEN = {
     "power-snr-all-policies": (
         dict(n=8, model="power", snr=0, var="avg_snr_db", lo=-10, hi=30, steps=3,
              policies="opt-product, min-min, min-max, mid-point", methods="analytic, montecarlo",
              metrics="outage, rate", trials=2000),
-        "e0034adc8cf8536288bbf65941d3902dc8d08e31d61bee5f4c830a193bd5a00b",
+        "2b08ba9300e3283f253f60d3320204e2485890a0fb39c14c032adbe5620c3c47",
     ),
     "exp-threshold-feedback": (
         dict(n=16, model="exp", snr=10, var="threshold", lo=3, hi=9, steps=3,
              policies="opt-sum, min-min", methods="analytic, montecarlo",
              metrics="outage, rate", trials=2000),
-        "5689b617748e6318065c51af4595198496e004c62e3ebb2a99bb1b43c43d049e",
+        "afbe2bd5f46d91d3861f863868b7235d9bfc1f2cd278c767fff77268529d6b8d",
     ),
     "outage-only": (
         dict(n=16, model="exp", snr=0, var="intensity", lo=0.2, hi=1.0, steps=2,
@@ -303,12 +306,12 @@ GOLDEN = {
     "rate-only": (
         dict(n=4, model="power", snr=5, var="n_elements", lo=4, hi=16, steps=2,
              policies="opt-product, min-max", methods="montecarlo", metrics="rate", trials=2000),
-        "e1f6e16347ed469448e8c79f94a738e139f5984413c3741a7dcd6a22bb8d36af",
+        "539fbdd153eec715646f741f45568cc4d1d01faf545fe150c9af0fac2ef22985",
     ),
     "two-chunks": (
         dict(n=4, model="exp", snr=5, var="avg_snr_db", lo=0, hi=10, steps=2,
              policies="opt-sum, min-max", methods="montecarlo", metrics="outage, rate", trials=8193),
-        "73062f4f51f325e8d607b20fd50f301dddd3f04c6fb918d4f3d4e63ec415a0c7",
+        "bd0d05fe20b90c740c7bd5c282e70d004d90b3dfc19a1fa935de6163aabcd62b",
     ),
     # two full chunks and a 1-trial tail: at two workers a real pool child
     # runs the second chunk
@@ -316,7 +319,7 @@ GOLDEN = {
         dict(n=4, model="exp", snr=5, var="avg_snr_db", lo=0, hi=10, steps=2,
              policies="opt-sum, min-max", methods="montecarlo", metrics="outage, rate",
              trials=2 * 8192 + 1),
-        "a7e36c20a16bee573424cad299fb07e1e1b3437b64dce7c7d04af81f04a2f046",
+        "6384663e8e65778708dc017f6870e7bf57e6b9047817dad923ac6176f0fa7550",
     ),
 }
 
