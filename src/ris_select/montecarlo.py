@@ -55,6 +55,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+from collections import Counter
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import contextmanager
@@ -76,12 +77,17 @@ _MIN_SHARE = _CHUNK_TRIALS // 2
 # stream of its own, so the blocks may run on any number of threads.
 _FADING_BLOCK = _CHUNK_TRIALS // 2
 _WINDOW_EPS = 1e-6
-# Most points one chunk may expect to sample.  Sampling holds 24 bytes per
-# point (x, y^2 and a distance array; a block of candidate pairs is fixed
-# size) and selection about 48 at its peak, so this caps a chunk near 0.8 GB.
+# Most points one chunk may expect to sample.  Measured at 20 and 147 points
+# per trial, sampling peaks at about 25 bytes per point (x, y^2 and a
+# distance array; a block of candidate pairs is fixed size) and selection at
+# about 41 (both distance arrays, the score, one criterion buffer, the
+# repeated segment minima and a mask), so this caps a chunk near 0.7 GB.
 _POINT_BUDGET = 1 << 24
 # Candidate pairs the sampler draws at a time (256 KiB of doubles).
 _SAMPLE_BLOCK = 1 << 14
+# Cells whose rows one _moments call reduces: a chunk holds the rows of
+# this many cells at a time (1 MiB for outage and rate at 8192 trials).
+_REDUCE_CELLS = 8
 
 
 @dataclass(frozen=True)
@@ -293,15 +299,19 @@ def _segment_argmin(crit: np.ndarray, seg: _Segments) -> np.ndarray:
     return hits[np.searchsorted(hits, seg.starts)]
 
 
-def _criterion_values(kind: PolicyKind, ds: np.ndarray, dd: np.ndarray) -> np.ndarray:
+def _criterion_values(kind: PolicyKind, ds: np.ndarray, dd: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """What policy kind minimises; the baselines' criteria are written into out."""
     if kind in OPTIMUM_SCORE:
         return score(OPTIMUM_SCORE[kind], ds, dd)
     if kind is PolicyKind.MIN_MIN:
-        return np.minimum(ds, dd)
+        return np.minimum(ds, dd, out=out)
     if kind is PolicyKind.MIN_MAX:
-        return np.maximum(ds, dd)
+        return np.maximum(ds, dd, out=out)
     # MID_POINT: squared distance to origin, monotone equivalent to distance
-    return 0.5 * (ds * ds + dd * dd)
+    np.multiply(ds, ds, out=out)
+    out += dd * dd
+    out *= 0.5
+    return out
 
 
 def _picks(kinds, score_kind: ScoreKind, counts: np.ndarray, ds: np.ndarray, dd: np.ndarray) -> dict:
@@ -310,13 +320,15 @@ def _picks(kinds, score_kind: ScoreKind, counts: np.ndarray, ds: np.ndarray, dd:
     No feedback threshold applies here (see _threshold).  One score array
     and one segment layout serve every kind, and each kind takes one
     arg-min; an optimum policy's criterion is the score itself when its
-    kind is score_kind.  +inf marks trials with no node.
+    kind is score_kind, and the baselines share one criterion buffer.  +inf
+    marks trials with no node.
     """
     seg = _segments(counts)
     scores = score(score_kind, ds, dd)
+    crit_buffer = np.empty_like(scores) if any(kind not in OPTIMUM_SCORE for kind in kinds) else None
     out = {}
     for kind in kinds:
-        crit = scores if OPTIMUM_SCORE.get(kind) is score_kind else _criterion_values(kind, ds, dd)
+        crit = scores if OPTIMUM_SCORE.get(kind) is score_kind else _criterion_values(kind, ds, dd, crit_buffer)
         picked = np.full(counts.size, np.inf)
         picked[seg.nonempty] = scores[_segment_argmin(crit, seg)]
         out[kind] = picked
@@ -373,14 +385,17 @@ def _path_gain(cfg: NetworkConfig, picked: np.ndarray) -> np.ndarray:
     return np.exp(-cfg.alpha * s)
 
 
-def _rates(snr: np.ndarray, z2: np.ndarray) -> np.ndarray:
+def _rates(snr: np.ndarray, z2: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Per-trial log2(1 + snr Z^2) averaged over the fading draws in z2.
 
     z2 holds Z^2 draws-major, one row per draw and one column per trial,
-    so the average is a few contiguous row adds.
+    so the average is a few contiguous row adds.  The per-draw terms are
+    formed in out, a scratch array of z2's shape.
     """
-    inst = z2 * snr
-    return np.log1p(inst, out=inst).mean(axis=0) / math.log(2.0)
+    inst = np.multiply(z2, snr, out=out)
+    rate = np.log1p(inst, out=inst).mean(axis=0)
+    rate /= math.log(2.0)
+    return rate
 
 
 def _fading_power(sizes, m: int, n: int, rng: np.random.Generator, threads: int) -> dict:
@@ -417,36 +432,58 @@ def _chunk_cells(cells, m_fading, threads, radius, n, rng) -> tuple:
 
     One point-process sample serves all cells, and each distinct policy
     kind takes one arg-min; feedback thresholds are masks on that pick.  The
-    fading is drawn after the selection, from streams spawned from the
-    chunk's stream (see _fading_power, which runs it on up to ``threads``
-    threads), for every trial (selected or not) and once for all cells, so
-    neither the policies nor the other cells change what a cell reads.
-    The path gain is formed once per (policy kind, eta, alpha) and the rate
-    once per (policy kind, eta, alpha, avg_snr, N); a cell with a threshold
-    masks that rate to 0 where its pick is filtered out.
+    points are dropped once picked.  The fading is drawn after the
+    selection, from streams spawned from the chunk's stream (see
+    _fading_power, which runs it on up to ``threads`` threads), for every
+    trial (selected or not) and once for all cells, so neither the policies
+    nor the other cells change what a cell reads.  The path gain is formed
+    once per (policy kind, eta, alpha) and the rate once per (policy kind,
+    eta, alpha, avg_snr, N), in one reused (draws, trials) buffer; a rate
+    is kept past its cell only when more than one cell reads its key, and a
+    cell with a threshold masks it to 0 where its pick is filtered out.  The
+    cells' rows are formed _REDUCE_CELLS cells at a time in one buffer and
+    each group is reduced before the next is formed, so the chunk holds the
+    rows of one group, whatever the number of cells.  numpy reduces each
+    row on its own, so the moments are those of one reduction of every row.
+    At 8192 trials and 8 draws of one element count, the fading and the
+    rows take about 4 MiB (traced) for 36 cells and for 404, below the
+    7 MiB that selection takes at 20 points per trial; each further element
+    count adds its (draws, trials) Z^2 array, 0.5 MiB.
     """
     geometry = cells[0][0]
     counts, ds, dd = _sample_batch(geometry.intensity, geometry.d, radius, n, rng)
     kinds = dict.fromkeys(policy.kind for _, policy in cells)
     picks = _picks(kinds, OPTIMUM[geometry.model][0], counts, ds, dd)
+    del counts, ds, dd
     if m_fading is not None:
         z2 = _fading_power({cfg.n_elements for cfg, _ in cells}, m_fading, n, rng, threads)
+        inst = np.empty((m_fading, n))
+    rate_keys = [(policy.kind, cfg.eta, cfg.alpha, cfg.avg_snr, cfg.n_elements) for cfg, policy in cells]
+    shared = {key for key, readers in Counter(rate_keys).items() if readers > 1}
     gains, rates = {}, {}
-    values = np.empty((len(cells), 1 if m_fading is None else 2, n))
-    for row, (cfg, policy) in zip(values, cells):
-        picked = picks[policy.kind]
-        chosen = _threshold(picked, policy)
-        row[0] = ~(chosen < snr_score_cap(cfg))
-        if m_fading is None:
-            continue
-        gain_key = (policy.kind, cfg.eta, cfg.alpha)
-        rate_key = gain_key + (cfg.avg_snr, cfg.n_elements)
-        if rate_key not in rates:
-            if gain_key not in gains:
-                gains[gain_key] = _path_gain(cfg, picked)
-            rates[rate_key] = _rates(cfg.avg_snr * gains[gain_key], z2[cfg.n_elements])
-        row[1] = np.where(np.isfinite(chosen), rates[rate_key], 0.0)
-    return _moments(values)
+    metrics = 1 if m_fading is None else 2
+    buffer = np.empty((min(_REDUCE_CELLS, len(cells)), metrics, n))
+    shift, offset, m2 = (np.empty((len(cells), metrics)) for _ in range(3))
+    for start in range(0, len(cells), _REDUCE_CELLS):
+        group = slice(start, min(start + _REDUCE_CELLS, len(cells)))
+        rows = buffer[: group.stop - start]
+        for row, (cfg, policy), rate_key in zip(rows, cells[group], rate_keys[group]):
+            picked = picks[policy.kind]
+            chosen = _threshold(picked, policy)
+            row[0] = ~(chosen < snr_score_cap(cfg))
+            if m_fading is None:
+                continue
+            rate = rates.get(rate_key)
+            if rate is None:
+                gain_key = rate_key[:3]
+                if gain_key not in gains:
+                    gains[gain_key] = _path_gain(cfg, picked)
+                rate = _rates(cfg.avg_snr * gains[gain_key], z2[cfg.n_elements], inst)
+                if rate_key in shared:
+                    rates[rate_key] = rate
+            row[1] = np.where(np.isfinite(chosen), rate, 0.0)
+        _, shift[group], offset[group], m2[group] = _moments(rows)
+    return n, shift, offset, m2
 
 
 def _run_chunk(task) -> object:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from ris_select import analytic, montecarlo
 from ris_select.analytic import DistCdf
-from ris_select.channel import NetworkConfig, PathLossModel, ez2, sample_z_prefixes
+from ris_select.channel import NetworkConfig, PathLossModel, ez2, sample_z_prefixes, snr_score_cap
 from ris_select.errors import UnsupportedRegionError, WindowTooSmallError
 from ris_select.geometry import ScoreKind
 from ris_select.montecarlo import (
@@ -29,7 +29,7 @@ from ris_select.montecarlo import (
     poisson_gof,
     policy_scores,
 )
-from ris_select.policies import PolicyKind, SelectionPolicy
+from ris_select.policies import OPTIMUM, PolicyKind, SelectionPolicy
 
 LAM, D = 0.5, 1.2
 DIST_P = DistCdf(ScoreKind.MIN_PRODUCT, LAM, D)
@@ -48,6 +48,13 @@ def exp_cfg(**kw):
                 alpha=1.037, avg_snr=10.0 ** 0.5, target_snr=10.0 ** 0.5)
     base.update(kw)
     return NetworkConfig(**base)
+
+
+def _snr_cells(points):
+    """An avg-SNR sweep over -10..30 dB, point-major, of the four power-law policies."""
+    kinds = (PolicyKind.OPT_PRODUCT, PolicyKind.MIN_MIN, PolicyKind.MIN_MAX, PolicyKind.MID_POINT)
+    return [(pow_cfg(avg_snr=10.0 ** (db / 10.0)), SelectionPolicy(kind))
+            for db in np.linspace(-10.0, 30.0, points) for kind in kinds]
 
 
 class TestBasics:
@@ -260,7 +267,7 @@ class TestSweepKernel:
         rng = np.random.default_rng(6)
         snr, z2 = rng.exponential(10.0, 500), rng.exponential(5.0, (8, 500))
         want = [np.mean(np.log2(1.0 + s * z2[:, trial])) for trial, s in enumerate(snr)]
-        np.testing.assert_allclose(montecarlo._rates(snr, z2), want, rtol=1e-14)
+        np.testing.assert_allclose(montecarlo._rates(snr, z2, np.empty_like(z2)), want, rtol=1e-14)
 
     def test_cells_must_share_geometry(self):
         pol = SelectionPolicy(PolicyKind.MIN_MIN)
@@ -284,6 +291,63 @@ class TestSweepKernel:
             tracemalloc.stop()
         assert n == montecarlo._CHUNK_TRIALS
         assert peak < 64e6
+
+    def test_chunk_memory_does_not_grow_with_cells(self):
+        # one chunk of a 101-point SNR sweep of four policies (404 cells)
+        # against a 9-point one (36 cells): stacking every cell's rows for
+        # one reduction held 130 MiB against 16 MiB
+        peaks = []
+        for points in (9, 101):
+            cells = _snr_cells(points)
+            tracemalloc.start()
+            try:
+                mc_sweep(cells, montecarlo._CHUNK_TRIALS, 8, 3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
+
+    @pytest.mark.parametrize(
+        ("cells", "m_fading"),
+        [
+            pytest.param(_snr_cells(5)[: 2 * montecarlo._REDUCE_CELLS + 3], None, id="outage"),
+            pytest.param(_snr_cells(5)[: 2 * montecarlo._REDUCE_CELLS + 3], 4, id="outage-rate"),
+            pytest.param(_snr_cells(2)[: montecarlo._REDUCE_CELLS], 4, id="whole-groups"),
+            # the thresholds share one rate key, and min-min another
+            pytest.param([(exp_cfg(), SelectionPolicy(PolicyKind.OPT_SUM, feedback_threshold=t))
+                          for t in np.linspace(2.5, 12.0, montecarlo._REDUCE_CELLS + 1)]
+                         + [(exp_cfg(), SelectionPolicy(PolicyKind.MIN_MIN))], 4, id="thresholds"),
+        ],
+    )
+    def test_grouped_reduction_equals_one_stacked_reduction(self, cells, m_fading):
+        cells = tuple(cells)
+        radius = max(coverage_radius(cfg, pol) for cfg, pol in cells)
+        n = montecarlo._FADING_BLOCK + 904
+        got = montecarlo._chunk_cells(cells, m_fading, 1, radius, n, np.random.default_rng(31))
+        want = _stacked_moments(cells, m_fading, radius, n, np.random.default_rng(31))
+        assert got[0] == want[0] == n
+        for a, b in zip(got[1:], want[1:]):
+            assert a.shape == (len(cells), 1 if m_fading is None else 2)
+            assert np.array_equal(a, b)
+
+
+def _stacked_moments(cells, m_fading, radius, n, rng):
+    """What _chunk_cells returns, from every cell's rows stacked in one
+    array and reduced by one _moments call, with a rate formed per cell."""
+    geometry = cells[0][0]
+    counts, ds, dd = montecarlo._sample_batch(geometry.intensity, geometry.d, radius, n, rng)
+    picks = montecarlo._picks({pol.kind for _, pol in cells}, OPTIMUM[geometry.model][0], counts, ds, dd)
+    if m_fading is not None:
+        z2 = montecarlo._fading_power({cfg.n_elements for cfg, _ in cells}, m_fading, n, rng, 1)
+    values = np.empty((len(cells), 1 if m_fading is None else 2, n))
+    for row, (cfg, pol) in zip(values, cells):
+        chosen = montecarlo._threshold(picks[pol.kind], pol)
+        row[0] = ~(chosen < snr_score_cap(cfg))
+        if m_fading is not None:
+            gain = montecarlo._path_gain(cfg, picks[pol.kind])
+            rate = montecarlo._rates(cfg.avg_snr * gain, z2[cfg.n_elements], np.empty_like(z2[cfg.n_elements]))
+            row[1] = np.where(np.isfinite(chosen), rate, 0.0)
+    return montecarlo._moments(values)
 
 
 class TestFadingBlocks:
