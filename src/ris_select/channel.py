@@ -117,7 +117,7 @@ def sample_z_prefixes(n_elements, rng: np.random.Generator, shape) -> dict[int, 
     shape = tuple(shape)
     words = math.prod(shape)
     pair = np.empty((2,) + shape, np.float32)
-    term = np.empty(shape, np.float32)
+    term = pair[0, ...]  # the first half, a view also when shape is ()
     z = np.zeros(shape)
     out = {}
     for n in range(1, top + 1):
@@ -128,7 +128,7 @@ def sample_z_prefixes(n_elements, rng: np.random.Generator, shape) -> dict[int, 
         np.multiply(k, 2.0**-24, out=pair, dtype=np.float32)
         np.subtract(1, pair, out=pair)
         np.log(pair, out=pair)  # -E1 and -E2
-        np.multiply(pair[0], pair[1], out=term)
+        np.multiply(term, pair[1], out=term)
         z += np.sqrt(term, out=term)
         if n in wanted:
             out[n] = z if n == top else z.copy()

@@ -6,8 +6,9 @@ to the two anchors (``score`` is the one place that choice is evaluated);
 the sublevel sets of those scores (a Cassini oval and an ellipse with the
 anchors as foci) drive all the analytic results, so their areas, enclosing
 radii and void-probability levels live here too.  Node positions never
-reach this module: montecarlo._sample_batch samples them and forms their
-distances in one pass.  Everything here is pure.
+reach this module: montecarlo._sample_slices samples them a slice of
+trials at a time and forms their distances in one pass.  Everything here
+is pure.
 """
 
 from __future__ import annotations

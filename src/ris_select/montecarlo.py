@@ -1,16 +1,20 @@
 """Brute-force estimators for every analytic quantity.
 
-Each estimator draws realizations of the point process (``_sample_batch``,
+Each estimator draws realizations of the point process (``_sample_slices``,
 the package's one sampler) inside a finite window sized so the probability
 that the infinite process' winner falls outside is below a configurable
 epsilon, then evaluates the metric exactly on the sample.  The sampler
 draws each trial's Poisson count first and then takes points by rejection
-from the window's bounding square, so it needs no trigonometry.  A chunk expected
-to hold more points than a fixed budget is refused with
-UnsupportedRegionError before anything is drawn.  Trials are processed in
-fixed-size chunks (8192 trials), each with its own stream spawned from the
-caller's seed, so results are identical regardless of how many worker
-processes execute the chunks.
+from the window's bounding square, so it needs no trigonometry.  It yields
+a chunk's trials in consecutive slices of about 10,000 expected points,
+and each slice is selected before the next is drawn, so a chunk's
+geometry traces about 1.5 MiB at any number of points per trial and each
+slice's passes run in a 2 MiB L2 cache.  The points do not depend on the
+slice size.  A chunk expected to hold more points than a fixed budget
+is refused with UnsupportedRegionError before anything is drawn.  Trials
+are processed in fixed-size chunks (8192 trials), each with its own
+stream spawned from the caller's seed, so results are identical
+regardless of how many worker processes execute the chunks.
 Chunk results merge as (count, mean, sum of squared deviations) with the
 pairwise update of Chan, Golub & LeVeque (1979), never as raw sums of
 squares.
@@ -18,12 +22,13 @@ squares.
 Outage and rate come from one kernel, ``mc_sweep``, that estimates many
 (config, policy) cells at once when they share their geometry (intensity,
 d and path-loss model).  Per chunk it samples the point process once, in
-the largest window any cell needs.  It forms the model's score array and
-the layout of trials in the point arrays once, and takes one segmented
-arg-min (linear in the number of points) per distinct criterion, not per
-cell: an optimum policy's criterion is the score itself, and a feedback
-threshold filters on that same score, so a threshold is a mask on the
-unthresholded pick and a whole threshold sweep shares one arg-min.  It
+the largest window any cell needs.  Per slice it forms the model's score
+array and the layout of trials in the point arrays once, and takes one
+segmented arg-min (linear in the number of points) per distinct baseline
+criterion, not per cell.  The optimum policy's criterion is the score
+itself, so its pick is the segment minimum and needs no arg-min, and a
+feedback threshold filters on that same score, so a threshold is a mask on
+the unthresholded pick and a whole threshold sweep shares one pick.  It
 then draws the fading of every trial, draws-major (one row per draw, one
 column per trial) and accumulated element by element, so one draw serves
 every cell and the gain for N elements is the partial sum of the gain for
@@ -77,17 +82,29 @@ _MIN_SHARE = _CHUNK_TRIALS // 2
 # stream of its own, so the blocks may run on any number of threads.
 _FADING_BLOCK = _CHUNK_TRIALS // 2
 _WINDOW_EPS = 1e-6
-# Most points one chunk may expect to sample.  Measured at 20 and 147 points
-# per trial, sampling peaks at about 25 bytes per point (x, y^2 and a
-# distance array; a block of candidate pairs is fixed size) and selection at
-# about 41 (both distance arrays, the score, one criterion buffer, the
-# repeated segment minima and a mask), so this caps a chunk near 0.7 GB.
+# Most points one chunk may expect to sample.  A chunk's memory does not
+# grow with it (see _SLICE_POINTS), so this caps the work: sampling and four
+# policies' selection take about 65 ns per point at 147 points per trial
+# and more, so about 1.1 s per chunk at the budget.
 _POINT_BUDGET = 1 << 24
 # Candidate pairs the sampler draws at a time (256 KiB of doubles).
 _SAMPLE_BLOCK = 1 << 14
+# Points one slice of a chunk is expected to hold.  A slice samples at
+# about 32 bytes per point (x, y^2, a distance array and the indices of the
+# accepted pairs) beside 0.8 MiB of fixed size (the trials' counts, a block
+# of candidate pairs and its acceptance test), and, measured at 20 and 147
+# points per trial, selects at about 42 (both distance arrays, the score,
+# one criterion buffer, the repeated segment minima and a mask).  So a
+# slice's arrays fit in a 2 MiB L2 cache.  Slices of 10,000 and 20,000
+# points timed fastest of 2,500 to 200,000 (15 ms per 8192-trial chunk, 22
+# ms for the chunk as one slice), and the smaller holds less.
+_SLICE_POINTS = 10_000
 # Cells whose rows one _moments call reduces: a chunk holds the rows of
-# this many cells at a time (1 MiB for outage and rate at 8192 trials).
-_REDUCE_CELLS = 8
+# this many cells at a time (256 KiB for outage and rate at 8192 trials).
+# With the geometry sliced, 8 cells' rows (1 MiB) were the largest array of
+# a chunk of mc-sweep's SNR spec; 2 gave its lowest traced peak short of
+# reducing every cell on its own.
+_REDUCE_CELLS = 2
 
 
 @dataclass(frozen=True)
@@ -228,16 +245,20 @@ def coverage_radius(cfg: NetworkConfig, policy: SelectionPolicy, eps: float = _W
 # Chunk kernels (top level so worker processes can unpickle them)
 # ---------------------------------------------------------------------------
 
-def _sample_batch(lam: float, d: float, radius: float, n: int, rng: np.random.Generator):
-    """Vectorized batch of n realizations: anchor distances plus segment map.
+def _sample_slices(lam: float, d: float, radius: float, n: int, rng: np.random.Generator):
+    """Realizations of n trials, yielded as (t0, t1, counts, ds, dd) per slice.
 
-    The Poisson(lam pi radius^2) point counts come first, then the points,
-    uniform on the disc, in trial order.  Each point is the next pair
-    (u, v) of the stream, mapped to [-1, 1]^2, that falls in the unit disc,
-    times radius: rejection from the bounding square, with no trigonometry.
-    Pairs are drawn _SAMPLE_BLOCK at a time, and since a pair is two
-    consecutive doubles the points do not depend on the block size.  A
-    batch expected to hold more than _POINT_BUDGET points is refused before
+    The Poisson(lam pi radius^2) point counts of all n trials come first,
+    then the points, uniform on the disc, in trial order.  Each point is the
+    next pair (u, v) of the stream, mapped to [-1, 1]^2, that falls in the
+    unit disc, times radius: rejection from the bounding square, with no
+    trigonometry.  Trials [t0, t1) of a slice are expected to hold about
+    _SLICE_POINTS points; counts are theirs, and ds, dd the anchor
+    distances of their points, concatenated in trial order.  Pairs are
+    drawn _SAMPLE_BLOCK at a time, and the accepted pairs a slice does not
+    take are kept for the next, so every point is the same at any slice or
+    block size and no block is drawn beyond the last point.  A batch
+    expected to hold more than _POINT_BUDGET points is refused before
     anything is drawn.  The distances are sqrt((x +- d)^2 + y^2) with y^2
     formed once: within 2 ulp of np.hypot, at a fraction of its cost.
     """
@@ -248,28 +269,37 @@ def _sample_batch(lam: float, d: float, radius: float, n: int, rng: np.random.Ge
             f"budget of {_POINT_BUDGET} points per chunk"
         )
     counts = rng.poisson(mean, n)
-    total = int(counts.sum())
-    x, y2 = np.empty(total), np.empty(total)
-    filled = 0
-    while filled < total:
-        uv = rng.random((_SAMPLE_BLOCK, 2))
-        uv *= 2.0
-        uv -= 1.0
-        u, v = uv.T
-        inside = np.flatnonzero(u * u + v * v <= 1.0)[: total - filled]
-        end = filled + inside.size
-        x[filled:end] = u[inside]
-        y2[filled:end] = v[inside]
-        filled = end
-    x *= radius
-    y2 *= radius
-    np.square(y2, out=y2)
-    ds, dd = np.add(x, d), np.subtract(x, d, out=x)
-    for dist in (ds, dd):
-        np.square(dist, out=dist)
-        dist += y2
-        np.sqrt(dist, out=dist)
-    return counts, ds, dd
+    step = max(1, math.floor(_SLICE_POINTS / mean)) if mean * n > _SLICE_POINTS else n
+    block = np.empty((_SAMPLE_BLOCK, 2))
+    u, v = block.T
+    inside = np.empty(0, np.intp)  # accepted pairs of the current block, taken up to `used`
+    used = 0
+    for t0 in range(0, n, step):
+        t1 = min(t0 + step, n)
+        need = int(counts[t0:t1].sum())
+        x, y2 = np.empty(need), np.empty(need)
+        filled = 0
+        while filled < need:
+            if used == inside.size:
+                rng.random(out=block)
+                block *= 2.0
+                block -= 1.0
+                inside = np.flatnonzero(u * u + v * v <= 1.0)
+                used = 0
+            take = inside[used : used + need - filled]
+            end = filled + take.size
+            x[filled:end] = u[take]
+            y2[filled:end] = v[take]
+            filled, used = end, used + take.size
+        x *= radius
+        y2 *= radius
+        np.square(y2, out=y2)
+        ds, dd = np.add(x, d), np.subtract(x, d, out=x)
+        for dist in (ds, dd):
+            np.square(dist, out=dist)
+            dist += y2
+            np.sqrt(dist, out=dist)
+        yield t0, t1, counts[t0:t1], ds, dd
 
 
 class _Segments(NamedTuple):
@@ -314,24 +344,33 @@ def _criterion_values(kind: PolicyKind, ds: np.ndarray, dd: np.ndarray, out: np.
     return out
 
 
-def _picks(kinds, score_kind: ScoreKind, counts: np.ndarray, ds: np.ndarray, dd: np.ndarray) -> dict:
+def _picks(kinds, score_kind: ScoreKind, slices, n: int) -> dict:
     """Per-trial score (of kind score_kind) of the node each policy kind picks.
 
-    No feedback threshold applies here (see _threshold).  One score array
-    and one segment layout serve every kind, and each kind takes one
-    arg-min; an optimum policy's criterion is the score itself when its
-    kind is score_kind, and the baselines share one criterion buffer.  +inf
-    marks trials with no node.
+    slices are ``_sample_slices`` items covering trials 0..n-1; each is
+    picked on its own and written into one (n,) array per kind.  No
+    feedback threshold applies here (see _threshold).  One score array and
+    one segment layout serve every kind of a slice.  An optimum policy whose
+    criterion is the score itself takes the segment minimum, the very score
+    its first arg-min would pick; every other kind takes one arg-min, and
+    the baselines share one criterion buffer.  +inf marks trials with no
+    node.
     """
-    seg = _segments(counts)
-    scores = score(score_kind, ds, dd)
-    crit_buffer = np.empty_like(scores) if any(kind not in OPTIMUM_SCORE for kind in kinds) else None
-    out = {}
-    for kind in kinds:
-        crit = scores if OPTIMUM_SCORE.get(kind) is score_kind else _criterion_values(kind, ds, dd, crit_buffer)
-        picked = np.full(counts.size, np.inf)
-        picked[seg.nonempty] = scores[_segment_argmin(crit, seg)]
-        out[kind] = picked
+    out = {kind: np.full(n, np.inf) for kind in kinds}
+    baselines = any(kind not in OPTIMUM_SCORE for kind in kinds)
+    for t0, t1, counts, ds, dd in slices:
+        seg = _segments(counts)
+        if not seg.starts.size:  # no trial of the slice holds a point
+            continue
+        scores = score(score_kind, ds, dd)
+        crit_buffer = np.empty_like(scores) if baselines else None
+        for kind, column in out.items():
+            picked = column[t0:t1]
+            if OPTIMUM_SCORE.get(kind) is score_kind:
+                picked[seg.nonempty] = np.minimum.reduceat(scores, seg.starts)
+            else:
+                crit = _criterion_values(kind, ds, dd, crit_buffer)
+                picked[seg.nonempty] = scores[_segment_argmin(crit, seg)]
     return out
 
 
@@ -360,21 +399,27 @@ def _select(
     candidate (empty realization, or everything filtered out by the
     feedback threshold).
     """
-    return _threshold(_picks([policy.kind], score_kind, counts, ds, dd)[policy.kind], policy)
+    picks = _picks([policy.kind], score_kind, [(0, counts.size, counts, ds, dd)], counts.size)
+    return _threshold(picks[policy.kind], policy)
 
 
 def _chunk_scores(cfg: NetworkConfig, policy: SelectionPolicy, radius: float, n: int, rng) -> np.ndarray:
-    counts, ds, dd = _sample_batch(cfg.intensity, cfg.d, radius, n, rng)
-    return _select(policy, OPTIMUM[cfg.model][0], counts, ds, dd)
+    out = np.empty(n)
+    for t0, t1, counts, ds, dd in _sample_slices(cfg.intensity, cfg.d, radius, n, rng):
+        out[t0:t1] = _select(policy, OPTIMUM[cfg.model][0], counts, ds, dd)
+    return out
 
 
 def _chunk_feedback_counts(
     cfg: NetworkConfig, threshold: float, radius: float, n: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Per-trial number of nodes whose model score is <= threshold."""
-    counts, ds, dd = _sample_batch(cfg.intensity, cfg.d, radius, n, rng)
-    trial = np.repeat(np.arange(n), counts)
-    return np.bincount(trial[score(OPTIMUM[cfg.model][0], ds, dd) <= threshold], minlength=n)
+    score_kind = OPTIMUM[cfg.model][0]
+    out = np.empty(n, np.intp)
+    for t0, t1, counts, ds, dd in _sample_slices(cfg.intensity, cfg.d, radius, n, rng):
+        trial = np.repeat(np.arange(t1 - t0), counts)
+        out[t0:t1] = np.bincount(trial[score(score_kind, ds, dd) <= threshold], minlength=t1 - t0)
+    return out
 
 
 def _path_gain(cfg: NetworkConfig, picked: np.ndarray) -> np.ndarray:
@@ -430,10 +475,12 @@ def _fading_power(sizes, m: int, n: int, rng: np.random.Generator, threads: int)
 def _chunk_cells(cells, m_fading, threads, radius, n, rng) -> tuple:
     """``_moments`` of every cell's per-trial outage (and rate) in one chunk.
 
-    One point-process sample serves all cells, and each distinct policy
-    kind takes one arg-min; feedback thresholds are masks on that pick.  The
-    points are dropped once picked.  The fading is drawn after the
-    selection, from streams spawned from the chunk's stream (see
+    One point-process sample serves all cells.  It is drawn and picked a
+    slice at a time (see _sample_slices), and each distinct policy kind
+    takes one pick per slice (the segment minimum for the model's optimum,
+    an arg-min for any other kind); feedback thresholds are masks on that
+    pick.  A slice's points are dropped once picked.  The fading is drawn
+    after the selection, from streams spawned from the chunk's stream (see
     _fading_power, which runs it on up to ``threads`` threads), for every
     trial (selected or not) and once for all cells, so neither the policies
     nor the other cells change what a cell reads.  The path gain is formed
@@ -445,16 +492,16 @@ def _chunk_cells(cells, m_fading, threads, radius, n, rng) -> tuple:
     each group is reduced before the next is formed, so the chunk holds the
     rows of one group, whatever the number of cells.  numpy reduces each
     row on its own, so the moments are those of one reduction of every row.
-    At 8192 trials and 8 draws of one element count, the fading and the
-    rows take about 4 MiB (traced) for 36 cells and for 404, below the
-    7 MiB that selection takes at 20 points per trial; each further element
-    count adds its (draws, trials) Z^2 array, 0.5 MiB.
+    At 8192 trials and 8 draws of one element count, a chunk of four
+    policies traces 2.8 MiB at its peak for 36 cells and for 404, and at
+    20 points per trial as at 147; the fading is most of it, the sliced
+    geometry 1.5 MiB.  Each further element count adds its (draws, trials)
+    Z^2 array, 0.5 MiB.
     """
     geometry = cells[0][0]
-    counts, ds, dd = _sample_batch(geometry.intensity, geometry.d, radius, n, rng)
+    slices = _sample_slices(geometry.intensity, geometry.d, radius, n, rng)
     kinds = dict.fromkeys(policy.kind for _, policy in cells)
-    picks = _picks(kinds, OPTIMUM[geometry.model][0], counts, ds, dd)
-    del counts, ds, dd
+    picks = _picks(kinds, OPTIMUM[geometry.model][0], slices, n)
     if m_fading is not None:
         z2 = _fading_power({cfg.n_elements for cfg, _ in cells}, m_fading, n, rng, threads)
         inst = np.empty((m_fading, n))

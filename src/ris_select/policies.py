@@ -6,8 +6,8 @@ power law, distance sum for the exponential law); min-min, min-max and
 mid-point are conventional heuristics used as baselines.  OPTIMUM is the one
 table of that pairing: path-loss model -> (score kind, optimum policy), and
 OPTIMUM_SCORE its inverse: optimum policy -> the score it minimises.  The
-rules are applied, vectorized over whole chunks of trials, by the Monte
-Carlo engine (montecarlo._select).
+rules are applied, vectorized over slices of a chunk's trials, by the
+Monte Carlo engine (montecarlo._picks).
 
 A policy may carry a feedback threshold T: only nodes whose score is <= T
 report to the source, and selection happens among those.  An empty

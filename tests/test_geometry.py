@@ -1,4 +1,4 @@
-"""Geometry: PPP sampling (montecarlo._sample_batch), the two score
+"""Geometry: PPP sampling (montecarlo._sample_slices), the two score
 functionals, region areas, windows."""
 
 import math
@@ -19,12 +19,17 @@ from ris_select.geometry import (
     min_sum_region_area,
     score,
 )
-from ris_select.montecarlo import _sample_batch
 
 D = 1.2
 PRODUCT, SUM = ScoreKind.MIN_PRODUCT, ScoreKind.MIN_SUM
 
 coord = st.floats(min_value=-30.0, max_value=30.0, allow_nan=False)
+
+
+def sample_batch(lam, d, radius, n, rng):
+    """(counts, ds, dd) of n trials: every slice montecarlo._sample_slices yields, joined."""
+    _, _, counts, ds, dd = zip(*montecarlo._sample_slices(lam, d, radius, n, rng))
+    return np.concatenate(counts), np.concatenate(ds), np.concatenate(dd)
 
 
 def scores(kind, points, d=D):
@@ -57,25 +62,25 @@ def product_area_oracle(gamma, d):
 class TestSamplePpp:
     def test_mean_count(self):
         rng = np.random.default_rng(101)
-        counts = np.concatenate([_sample_batch(0.5, 1.2, 20.0, 1000, rng)[0] for _ in range(10)])
+        counts = np.concatenate([sample_batch(0.5, 1.2, 20.0, 1000, rng)[0] for _ in range(10)])
         expected = 0.5 * math.pi * 400.0  # 200 pi ~ 628.3
         se = math.sqrt(expected / 10_000)
         assert abs(counts.mean() - expected) < 3 * se
 
     def test_mostly_empty_when_tiny(self):
         radius = math.sqrt(0.01 / (0.5 * math.pi))  # intensity*pi*r^2 = 0.01
-        counts, ds, dd = _sample_batch(0.5, 1.2, radius, 10_000, np.random.default_rng(7))
+        counts, ds, dd = sample_batch(0.5, 1.2, radius, 10_000, np.random.default_rng(7))
         assert np.mean(counts == 0) >= 0.989 - 3 * math.sqrt(0.011 * 0.989 / 10_000)
         assert ds.size == dd.size == counts.sum()
 
     def test_determinism(self):
-        a = _sample_batch(1.0, 1.2, 5.0, 20, np.random.default_rng(42))
-        b = _sample_batch(1.0, 1.2, 5.0, 20, np.random.default_rng(42))
+        a = sample_batch(1.0, 1.2, 5.0, 20, np.random.default_rng(42))
+        b = sample_batch(1.0, 1.2, 5.0, 20, np.random.default_rng(42))
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_points_inside_window(self):
         d = 1.2
-        _, ds, dd = _sample_batch(2.0, d, 3.0, 50, np.random.default_rng(3))
+        _, ds, dd = sample_batch(2.0, d, 3.0, 50, np.random.default_rng(3))
         radius2 = 0.5 * (ds * ds + dd * dd) - d * d  # parallelogram law
         assert ds.size > 0 and np.all(radius2 <= 9.0 * (1.0 + 1e-12))
 
@@ -84,7 +89,7 @@ class TestSamplePpp:
         # Poisson counts, then consecutive (u, v) pairs mapped to [-1, 1]^2,
         # keeping those in the unit disc in order, measured with np.hypot
         d, radius, n = 1.2, 5.0, 2000
-        counts, ds, dd = _sample_batch(1.0, d, radius, n, np.random.default_rng(12))
+        counts, ds, dd = sample_batch(1.0, d, radius, n, np.random.default_rng(12))
         rng = np.random.default_rng(12)
         assert np.array_equal(counts, rng.poisson(1.0 * math.pi * radius * radius, n))
         u, v = 2.0 * rng.random((2 * ds.size, 2)).T - 1.0
@@ -95,9 +100,9 @@ class TestSamplePpp:
             assert np.all(np.abs(got - want) <= 2 * np.spacing(want))
 
     def test_points_do_not_depend_on_block_size(self, monkeypatch):
-        want = _sample_batch(1.0, 1.2, 5.0, 300, np.random.default_rng(4))
+        want = sample_batch(1.0, 1.2, 5.0, 300, np.random.default_rng(4))
         monkeypatch.setattr(montecarlo, "_SAMPLE_BLOCK", 97)  # many short blocks
-        got = _sample_batch(1.0, 1.2, 5.0, 300, np.random.default_rng(4))
+        got = sample_batch(1.0, 1.2, 5.0, 300, np.random.default_rng(4))
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     def test_uniform_on_the_disc(self):
@@ -106,7 +111,7 @@ class TestSamplePpp:
         # Kolmogorov-Smirnov test at alpha = 1e-6, which a correct sampler
         # fails on one seed in a million
         d, radius = 1.2, 5.0
-        _, ds, dd = _sample_batch(1.0, d, radius, 1 << 14, np.random.default_rng(2))
+        _, ds, dd = sample_batch(1.0, d, radius, 1 << 14, np.random.default_rng(2))
         assert ds.size >= 1_000_000
         s2, d2 = ds * ds, dd * dd
         r2 = 0.5 * (s2 + d2) - d * d  # parallelogram law
@@ -120,7 +125,7 @@ class TestSamplePpp:
         rng = np.random.default_rng(0)
         for lam in (math.nan, math.inf, 1e9):
             with pytest.raises(UnsupportedRegionError):
-                _sample_batch(lam, 1.2, 50.0, 8192, rng)
+                sample_batch(lam, 1.2, 50.0, 8192, rng)
         assert rng.random() == np.random.default_rng(0).random()
 
 

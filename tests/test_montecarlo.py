@@ -9,7 +9,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ris_select import analytic, montecarlo
@@ -36,6 +36,12 @@ DIST_P = DistCdf(ScoreKind.MIN_PRODUCT, LAM, D)
 DIST_S = DistCdf(ScoreKind.MIN_SUM, LAM, D)
 
 
+def sample_batch(lam, d, radius, n, rng):
+    """(counts, ds, dd) of n trials: every slice montecarlo._sample_slices yields, joined."""
+    _, _, counts, ds, dd = zip(*montecarlo._sample_slices(lam, d, radius, n, rng))
+    return np.concatenate(counts), np.concatenate(ds), np.concatenate(dd)
+
+
 def pow_cfg(**kw):
     base = dict(d=D, intensity=LAM, n_elements=16, model=PathLossModel.POWER_LAW,
                 eta=4.0, avg_snr=10.0 ** 0.5, target_snr=10.0 ** 0.5)
@@ -50,10 +56,10 @@ def exp_cfg(**kw):
     return NetworkConfig(**base)
 
 
-def _snr_cells(points):
+def _snr_cells(points, **kw):
     """An avg-SNR sweep over -10..30 dB, point-major, of the four power-law policies."""
     kinds = (PolicyKind.OPT_PRODUCT, PolicyKind.MIN_MIN, PolicyKind.MIN_MAX, PolicyKind.MID_POINT)
-    return [(pow_cfg(avg_snr=10.0 ** (db / 10.0)), SelectionPolicy(kind))
+    return [(pow_cfg(avg_snr=10.0 ** (db / 10.0), **kw), SelectionPolicy(kind))
             for db in np.linspace(-10.0, 30.0, points) for kind in kinds]
 
 
@@ -228,22 +234,30 @@ class TestSweepKernel:
         assert mc_sweep(cells, n_trials, None, 23) == [(outage, None) for outage, _ in got]
 
     def test_one_arg_min_per_criterion(self, monkeypatch):
-        # five thresholds of the optimum policy mask one pick, so a feedback
-        # sweep with a baseline takes two arg-mins per chunk, not six
-        calls = []
-        original = montecarlo._segment_argmin
+        # five thresholds of the optimum policy mask one pick, and that pick
+        # is the segment minimum, so a feedback sweep with a baseline takes
+        # one arg-min per slice that holds a point, the baseline's, not six
+        calls, nonempty = [], []
+        argmin, slices = montecarlo._segment_argmin, montecarlo._sample_slices
 
         def counting(crit, seg):
             calls.append(crit.size)
-            return original(crit, seg)
+            return argmin(crit, seg)
+
+        def recording(*args):
+            for item in slices(*args):
+                nonempty.append(item[2].sum() > 0)  # item[2] is the slice's counts
+                yield item
 
         monkeypatch.setattr(montecarlo, "_segment_argmin", counting)
+        monkeypatch.setattr(montecarlo, "_sample_slices", recording)
         cfg = exp_cfg()
         cells = [(cfg, SelectionPolicy(PolicyKind.OPT_SUM, feedback_threshold=t))
                  for t in (3.0, 4.5, 6.0, 7.5, 9.0)] + [(cfg, SelectionPolicy(PolicyKind.MIN_MIN))]
         n_trials = montecarlo._CHUNK_TRIALS + 1
         mc_sweep(cells, n_trials, 2, 29)
-        assert len(calls) == 2 * montecarlo._n_chunks(n_trials)
+        assert len(nonempty) > montecarlo._n_chunks(n_trials)  # the full chunk comes in many slices
+        assert len(calls) == sum(nonempty)
 
     def test_one_window_solve_per_policy(self, monkeypatch):
         # the window radius depends on the policy and the shared geometry,
@@ -307,6 +321,20 @@ class TestSweepKernel:
                 tracemalloc.stop()
         assert peaks[1] <= 1.5 * peaks[0]
 
+    def test_chunk_memory_does_not_grow_with_points(self):
+        # one chunk of the same 36 cells at ~20 and ~147 points per trial:
+        # sampling and picking a chunk as a whole held 48 MiB against 8 MiB
+        peaks = []
+        for intensity in (LAM, 20.0):
+            cells = _snr_cells(9, intensity=intensity)
+            tracemalloc.start()
+            try:
+                mc_sweep(cells, montecarlo._CHUNK_TRIALS, 8, 3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
+
     @pytest.mark.parametrize(
         ("cells", "m_fading"),
         [
@@ -335,8 +363,8 @@ def _stacked_moments(cells, m_fading, radius, n, rng):
     """What _chunk_cells returns, from every cell's rows stacked in one
     array and reduced by one _moments call, with a rate formed per cell."""
     geometry = cells[0][0]
-    counts, ds, dd = montecarlo._sample_batch(geometry.intensity, geometry.d, radius, n, rng)
-    picks = montecarlo._picks({pol.kind for _, pol in cells}, OPTIMUM[geometry.model][0], counts, ds, dd)
+    slices = montecarlo._sample_slices(geometry.intensity, geometry.d, radius, n, rng)
+    picks = montecarlo._picks({pol.kind for _, pol in cells}, OPTIMUM[geometry.model][0], slices, n)
     if m_fading is not None:
         z2 = montecarlo._fading_power({cfg.n_elements for cfg, _ in cells}, m_fading, n, rng, 1)
     values = np.empty((len(cells), 1 if m_fading is None else 2, n))
@@ -484,6 +512,88 @@ class TestSelectionKernel:
         assert np.array_equal(got, _lexsort_argmin(crit, counts))
 
 
+class _CountingRng:
+    """The two Generator methods the sampler calls, counting blocks of pairs."""
+
+    def __init__(self, seed):
+        self.rng, self.blocks = np.random.default_rng(seed), 0
+
+    def poisson(self, mean, size):
+        return self.rng.poisson(mean, size)
+
+    def random(self, out):
+        self.blocks += 1
+        return self.rng.random(out=out)
+
+
+def _geometry_outputs(lam, radius, threshold, n, seed):
+    """Picks of every policy kind in the given window, and policy_scores and
+    mc_feedback_dist counts of the optimum under threshold, at intensity lam."""
+    kinds = list(PolicyKind)
+    slices = montecarlo._sample_slices(lam, D, radius, n, np.random.default_rng(seed))
+    picks = montecarlo._picks(kinds, ScoreKind.MIN_PRODUCT, slices, n)
+    cfg = pow_cfg(intensity=lam)
+    scores = policy_scores(cfg, SelectionPolicy(PolicyKind.OPT_PRODUCT, feedback_threshold=threshold), n, seed)
+    counts = mc_feedback_dist(cfg, threshold, n, seed).values
+    return [*picks.values(), scores, counts]
+
+
+# (slice points, intensity, window radius, feedback threshold, trials) at
+# which the sampler yields each slice shape the slicing must not show in
+SLICE_SHAPES = {
+    "one trial per slice": (1e-9, LAM, 3.0, 3.0, 300),
+    "slices ending inside a pair block": (40.0, LAM, 3.0, 3.0, 600),
+    "slices of empty trials only": (0.5, 0.02, 1.3, 0.3, 400),
+}
+
+
+def _slice_shape(name):
+    slice_points, lam, radius, threshold, n = SLICE_SHAPES[name]
+    return example(slice_points=slice_points, block=montecarlo._SAMPLE_BLOCK, lam=lam, radius=radius,
+                   threshold=threshold, n=n, seed=4)
+
+
+class TestSlices:
+    @pytest.mark.parametrize("shape", SLICE_SHAPES)
+    def test_the_slice_shapes_occur(self, shape):
+        slice_points, lam, radius, _, n = SLICE_SHAPES[shape]
+        rng = _CountingRng(4)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(montecarlo, "_SLICE_POINTS", slice_points)
+            items = list(montecarlo._sample_slices(lam, D, radius, n, rng))
+        assert [item[0] for item in items[1:]] == [item[1] for item in items[:-1]]
+        assert items[0][0] == 0 and items[-1][1] == n
+        sizes = [item[1] - item[0] for item in items]
+        points = [int(item[2].sum()) for item in items]
+        if shape == "one trial per slice":
+            assert set(sizes) == {1}
+        elif shape == "slices ending inside a pair block":
+            assert 0 < rng.blocks < sum(p > 0 for p in points)  # some block serves two slices
+        else:
+            assert points.count(0) > len(points) // 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        slice_points=st.one_of(st.sampled_from([1e-9, 0.5, 40.0]), st.floats(1e-3, 3e4)),
+        block=st.sampled_from([97, montecarlo._SAMPLE_BLOCK]),
+        lam=st.sampled_from([0.02, LAM, 4.0]),
+        radius=st.floats(0.3, 6.0),
+        threshold=st.sampled_from([0.3, 1.44, 3.0]),
+        n=st.integers(1, 400),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @_slice_shape("one trial per slice")
+    @_slice_shape("slices ending inside a pair block")
+    @_slice_shape("slices of empty trials only")
+    def test_outputs_do_not_depend_on_the_slice_size(self, slice_points, block, lam, radius, threshold, n, seed):
+        want = _geometry_outputs(lam, radius, threshold, n, seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(montecarlo, "_SLICE_POINTS", slice_points)
+            patch.setattr(montecarlo, "_SAMPLE_BLOCK", block)
+            got = _geometry_outputs(lam, radius, threshold, n, seed)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 class TestWindowOverride:
     @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])
     @pytest.mark.parametrize("estimator", ["scores", "outage", "rate"])
@@ -535,7 +645,7 @@ class TestMinMinWindow:
         rng = np.random.default_rng(17)
         farthest, beyond_level, n = 0.0, 0, 100_000
         for _ in range(10):
-            counts, ds, dd = montecarlo._sample_batch(LAM, D, 1.5 * radius, n // 10, rng)
+            counts, ds, dd = sample_batch(LAM, D, 1.5 * radius, n // 10, rng)
             seg = montecarlo._segments(counts)
             assert seg.nonempty.all()
             best = montecarlo._segment_argmin(np.minimum(ds, dd), seg)
@@ -604,7 +714,7 @@ class TestDistanceDist:
         # single-node sanity for the sum functional: uniform points on a disc
         # land inside {ds + dd <= g} with probability area(g)/disc area
         tau = 5.0
-        _, ds, dd = montecarlo._sample_batch(2.0, D, tau, 1, np.random.default_rng(8))
+        _, ds, dd = sample_batch(2.0, D, tau, 1, np.random.default_rng(8))
         score = ds + dd
         n = score.size
         eps = math.sqrt(math.log(2 / 0.01) / (2 * n))

@@ -11,11 +11,17 @@ from hypothesis import strategies as st
 from ris_select import montecarlo
 from ris_select.channel import NetworkConfig, PathLossModel
 from ris_select.geometry import ScoreKind, score
-from ris_select.montecarlo import _chunk_feedback_counts, _sample_batch, _select, mc_feedback_dist
+from ris_select.montecarlo import _chunk_feedback_counts, _select, mc_feedback_dist
 from ris_select.policies import OPTIMUM, PolicyKind, SelectionPolicy, check_feedback_policy
 
 ALL_KINDS = list(PolicyKind)
 PRODUCT, SUM = ScoreKind.MIN_PRODUCT, ScoreKind.MIN_SUM
+
+
+def sample_batch(lam, d, radius, n, rng):
+    """(counts, ds, dd) of n trials: every slice montecarlo._sample_slices yields, joined."""
+    _, _, counts, ds, dd = zip(*montecarlo._sample_slices(lam, d, radius, n, rng))
+    return np.concatenate(counts), np.concatenate(ds), np.concatenate(dd)
 
 
 def anchor_distances(points, d=1.2):
@@ -52,7 +58,7 @@ def feedback_counts(model, threshold, points_per_trial, monkeypatch):
     """_chunk_feedback_counts on the given trials in place of sampled ones."""
     counts = np.array([len(p) for p in points_per_trial])
     pts = [xy for p in points_per_trial for xy in p]
-    monkeypatch.setattr(montecarlo, "_sample_batch", lambda *a: (counts, *anchor_distances(pts)))
+    monkeypatch.setattr(montecarlo, "_sample_slices", lambda *a: [(0, counts.size, counts, *anchor_distances(pts))])
     cfg = NetworkConfig(d=1.2, intensity=1.0, n_elements=1, model=model)
     return _chunk_feedback_counts(cfg, threshold, 50.0, counts.size, None)
 
@@ -123,7 +129,7 @@ class TestSelect:
         assert select(pol, [[0.0, 1.6], [0.0, 0.1]], SUM) == score(SUM, *anchor_distances([0.0, 0.1]))[0]
 
     def test_selection_stable_when_winner_feeds_back(self):
-        counts, ds, dd = _sample_batch(0.5, 1.2, 6.0, 500, np.random.default_rng(9))
+        counts, ds, dd = sample_batch(0.5, 1.2, 6.0, 500, np.random.default_rng(9))
         full = _select(SelectionPolicy(PolicyKind.OPT_PRODUCT), PRODUCT, counts, ds, dd)
         fb = _select(SelectionPolicy(PolicyKind.OPT_PRODUCT, feedback_threshold=3.0), PRODUCT, counts, ds, dd)
         assert np.any(full <= 3.0) and np.any(np.isfinite(full) & (full > 3.0))
@@ -131,7 +137,7 @@ class TestSelect:
 
     @pytest.mark.parametrize("threshold", [None, 2.0])
     def test_matches_per_trial_argmin(self, threshold):
-        counts, ds, dd = _sample_batch(0.5, 1.2, 4.0, 300, np.random.default_rng(5))
+        counts, ds, dd = sample_batch(0.5, 1.2, 4.0, 300, np.random.default_rng(5))
         for model, (kind, optimum) in OPTIMUM.items():
             for policy_kind in ALL_KINDS if threshold is None else [optimum]:
                 policy = SelectionPolicy(policy_kind, feedback_threshold=threshold)
@@ -166,7 +172,7 @@ class TestDominance:
     def test_optimum_beats_all_policies_pathwise(self, model):
         # the mean SNR falls as the model score grows, so the optimum's is the best
         kind, optimum = OPTIMUM[model]
-        counts, ds, dd = _sample_batch(0.5, 1.2, 8.0, 200, np.random.default_rng(31))
+        counts, ds, dd = sample_batch(0.5, 1.2, 8.0, 200, np.random.default_rng(31))
         best = _select(SelectionPolicy(optimum), kind, counts, ds, dd)
         for policy_kind in ALL_KINDS:
             assert np.all(best <= _select(SelectionPolicy(policy_kind), kind, counts, ds, dd))
@@ -181,7 +187,7 @@ class TestFeedbackFilter:
     def test_infinite_threshold_is_identity(self):
         cfg = NetworkConfig(d=1.2, intensity=1.0, n_elements=1, model=PathLossModel.POWER_LAW)
         got = _chunk_feedback_counts(cfg, math.inf, 5.0, 20, np.random.default_rng(18))
-        assert np.array_equal(got, _sample_batch(1.0, 1.2, 5.0, 20, np.random.default_rng(18))[0])
+        assert np.array_equal(got, sample_batch(1.0, 1.2, 5.0, 20, np.random.default_rng(18))[0])
 
     def test_removes_point_above_threshold(self, monkeypatch):
         # the sum score at (0, 1) is 2 sqrt(2.44) ~ 3.124
