@@ -124,9 +124,9 @@ def _config_kwargs(values: dict) -> dict:
     return kwargs
 
 
-def _count(name: str, value: int) -> int:
-    if value < 1:
-        raise SpecError(f"{name} must be >= 1, got {value}")
+def _count(name: str, value: int, least: int = 1) -> int:
+    if value < least:
+        raise SpecError(f"{name} must be >= {least}, got {value}")
     return value
 
 
@@ -181,7 +181,7 @@ def load_spec(path: str) -> ExperimentSpec:
         metrics=metrics,
         trials=_count("trials", _get(run, "trials", int, required=False, default=10_000)),
         fading_draws=_count("fading_draws", _get(run, "fading_draws", int, required=False, default=8)),
-        seed=_get(run, "seed", int, required=False, default=1),
+        seed=_count("seed", _get(run, "seed", int, required=False, default=1), 0),
         output=_get(run, "output", str, required=False, default="out.csv"),
     )
     for value in spec.sweep_values():
@@ -268,8 +268,6 @@ def _write_csv(rows: list[list[str]], path: str) -> None:
 
 
 def _scenario_config(args) -> NetworkConfig:
-    if args.threshold is not None and not args.threshold > 0.0:
-        raise SpecError(f"--threshold must be > 0, got {args.threshold}")
     values = {key: getattr(args, key) for key in _SCENARIO}
     values["model"] = _MODEL_NAMES[args.model]  # argparse has checked the name
     try:
@@ -289,8 +287,6 @@ def _add_scenario_args(p: argparse.ArgumentParser) -> None:
     # the point commands print the SNR in their CSV, so it has a value of its own
     p.add_argument("--snr-db", dest="avg_snr_db", type=float, default=0.0, help="average SNR in dB")
     p.add_argument("--target-snr-db", type=float, help="outage target in dB")
-    p.add_argument("--threshold", type=float, default=None, help="feedback threshold (linear score)")
-    p.add_argument("--policy", choices=sorted(_POLICY_NAMES), default=None)
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", default=None, help="CSV output path (default: stdout summary only)")
@@ -392,20 +388,19 @@ def main(argv=None) -> int:
     p_run.add_argument("--trials", type=int, default=None, help="override the spec trial count")
     p_run.add_argument("--out", default=None, help="override the spec output path")
 
-    for name, help_text in (
-        ("outage", "outage probability at one operating point"),
-        ("rate", "average rate at one operating point"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        _add_scenario_args(p)
-        p.add_argument("--fading-draws", type=int, default=8)
-
+    p_out = sub.add_parser("outage", help="outage probability at one operating point")
+    p_rate = sub.add_parser("rate", help="average rate at one operating point")
     p_dd = sub.add_parser("distance-dist", help="optimum-score CDF, analytic vs empirical")
-    _add_scenario_args(p_dd)
-    p_dd.add_argument("--grid-points", type=int, default=20)
-
     p_fb = sub.add_parser("feedback", help="feedback-count statistics at a threshold")
-    _add_scenario_args(p_fb)
+    # a flag goes only to the commands that read it, so argparse refuses it elsewhere
+    for p in (p_out, p_rate, p_dd, p_fb):
+        _add_scenario_args(p)
+    for p in (p_out, p_rate):
+        p.add_argument("--policy", choices=sorted(_POLICY_NAMES), default=None)
+    for p in (p_out, p_rate, p_fb):
+        p.add_argument("--threshold", type=float, default=None, help="feedback threshold (linear score)")
+    p_rate.add_argument("--fading-draws", type=int, default=8)
+    p_dd.add_argument("--grid-points", type=int, default=20)
 
     p_val = sub.add_parser("validate", help="run the invariant suite")
     p_val.add_argument("--seed", type=int, default=1)
@@ -414,9 +409,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     workers = default_workers()
     try:
-        for name in ("trials", "fading_draws", "grid_points"):
+        for name, least in (("trials", 1), ("fading_draws", 1), ("grid_points", 1), ("seed", 0)):
             if getattr(args, name, None) is not None:
-                _count("--" + name.replace("_", "-"), getattr(args, name))
+                _count("--" + name.replace("_", "-"), getattr(args, name), least)
+        threshold = getattr(args, "threshold", None)
+        if threshold is not None and not threshold > 0.0:
+            raise SpecError(f"--threshold must be > 0, got {threshold}")
         if args.command == "run":
             spec = load_spec(args.spec)
             if args.seed is not None:

@@ -5,8 +5,10 @@ node is scored either by the product or by the sum of its distances ds, dd
 to the two anchors (``score`` is the one place that choice is evaluated);
 the sublevel sets of those scores (a Cassini oval and an ellipse with the
 anchors as foci) drive all the analytic results, so their areas, enclosing
-radii and void-probability levels live here too.  Node positions never
-reach this module: montecarlo._sample_slices samples them a slice of
+radii and void-probability levels live here too.  So do the areas of the
+min-max and min-min sublevel sets (the lens and the union of two anchor
+discs), which size those baselines' Monte Carlo windows.  Node positions
+never reach this module: montecarlo._sample_slices samples them a slice of
 trials at a time and forms their distances in one pass.  Everything here
 is pure.
 """
@@ -67,6 +69,23 @@ def min_sum_region_area(gamma: float, d: float) -> float:
     if math.isinf(gamma):
         return math.inf
     return 0.25 * math.pi * gamma * math.sqrt(gamma * gamma - 4.0 * d * d)
+
+
+def min_max_region_area(c: float, d: float) -> float:
+    """Area of the lens {X : max(ds, dd) <= c} that the radius-c anchor discs share."""
+    if not c >= 0.0:
+        raise DomainError(f"distance must be >= 0, got {c}")
+    if c <= d:
+        return 0.0
+    if math.isinf(c):
+        return math.inf
+    return 2.0 * c * c * math.acos(d / c) - 2.0 * d * math.sqrt(c * c - d * d)
+
+
+def min_min_region_area(c: float, d: float) -> float:
+    """Area of the union {X : min(ds, dd) <= c} of the radius-c anchor discs: 2 pi c^2 less their lens."""
+    lens = min_max_region_area(c, d)
+    return math.inf if math.isinf(c) else 2.0 * math.pi * c * c - lens
 
 
 def enclosing_radius(kind: ScoreKind, gamma: float, d: float) -> float:

@@ -41,18 +41,14 @@ the group's window radius.  ``mc_outage`` and ``mc_rate`` are that
 one-cell case.
 
 Chunks run in the calling process, or in a pool in which the calling
-process is one of the workers.  A last chunk of less than half the chunk
-size is no share for a child of its own: the pool has min(workers, usable
-CPUs, chunks of at least half the chunk size) processes, the calling
-process runs the first share of those chunks and the small tail, and the
-children run the rest.  So 8193 trials run in one process, and 2 x 8192 + 1
-trials fork one child that runs the second chunk.  A sweep can open one
-such pool (``shared_pool``) and pass it to every kernel call.  When one
-process runs the whole estimate, the fading blocks of a chunk run on
-min(workers, usable CPUs, blocks) threads, the calling thread included;
-numpy releases the GIL while it fills and transforms those arrays.  In a
-pool each process draws its blocks in turn.  Since the block layout alone
-fixes the streams, neither processes nor threads change a result.
+process is one of the workers; a sweep can open one such pool
+(``shared_pool``) and pass it to every kernel call.  When one process runs
+the whole estimate, the fading blocks of a chunk run on threads, the
+calling thread included, as numpy releases the GIL while it fills and
+transforms those arrays; in a pool each process draws its blocks in turn.
+Processes and threads share the work by one rule (``_caller_runs``), and
+since the chunk and block layout alone fixes the streams, neither changes
+a result.
 """
 
 from __future__ import annotations
@@ -71,7 +67,8 @@ import numpy as np
 
 from .channel import NetworkConfig, PathLossModel, sample_z_prefixes, snr_score_cap
 from .errors import UnsupportedRegionError, WindowTooSmallError
-from .geometry import ScoreKind, _solve_increasing, critical_score, enclosing_radius, score
+from .geometry import (ScoreKind, _solve_increasing, critical_score, enclosing_radius,
+                       min_max_region_area, min_min_region_area, score)
 from .policies import OPTIMUM, OPTIMUM_SCORE, PolicyKind, SelectionPolicy, check_feedback_policy
 
 _CHUNK_TRIALS = 8192
@@ -194,13 +191,6 @@ class EmpiricalDist:
         return float(self.values.std(ddof=1) / math.sqrt(self.n))
 
 
-def _lens_area(c: float, d: float) -> float:
-    """Area common to the two radius-c discs about the anchors (centres 2d apart)."""
-    if c <= d:
-        return 0.0
-    return 2.0 * c * c * math.acos(d / c) - 2.0 * d * math.sqrt(c * c - d * d)
-
-
 def coverage_radius(cfg: NetworkConfig, policy: SelectionPolicy, eps: float = _WINDOW_EPS) -> float:
     """Window radius so the policy's true winner escapes with prob <= eps.
 
@@ -222,13 +212,13 @@ def coverage_radius(cfg: NetworkConfig, policy: SelectionPolicy, eps: float = _W
         return math.sqrt(need / math.pi)
     if kind is PolicyKind.MIN_MIN:
         # {min distance <= c} is the union of two radius-c anchor discs, of
-        # area 2 pi c^2 - lens(c) >= pi c^2; it lies in the origin disc of
-        # radius d + c.  Bisect for the c at which it holds a point with
-        # probability 1 - eps, down to adjacent doubles.
+        # area >= pi c^2; it lies in the origin disc of radius d + c.  Bisect
+        # for the c at which it holds a point with probability 1 - eps, down
+        # to adjacent doubles.
         lo, hi = 0.0, math.sqrt(need / math.pi)
         mid = 0.5 * hi
         while lo < mid < hi:
-            if 2.0 * math.pi * mid * mid - _lens_area(mid, d) < need:
+            if min_min_region_area(mid, d) < need:
                 lo = mid
             else:
                 hi = mid
@@ -237,7 +227,7 @@ def coverage_radius(cfg: NetworkConfig, policy: SelectionPolicy, eps: float = _W
     # MIN_MAX: {max distance <= c} is the lens of two radius-c anchor discs,
     # contained in the origin disc of radius sqrt(c^2 - d^2).  The lens at
     # c >= 2d + sqrt(need) has area >= (2 pi / 3 - 1) c^2 >= need.
-    c = _solve_increasing(lambda c: _lens_area(c, d), need, d, d + math.sqrt(need) + d)
+    c = _solve_increasing(lambda c: min_max_region_area(c, d), need, d, d + math.sqrt(need) + d)
     return math.sqrt(c * c - d * d)
 
 
@@ -386,28 +376,11 @@ def _threshold(picked: np.ndarray, policy: SelectionPolicy) -> np.ndarray:
     return picked if t is None else np.where(picked <= t, picked, np.inf)
 
 
-def _select(
-    policy: SelectionPolicy,
-    score_kind: ScoreKind,
-    counts: np.ndarray,
-    ds: np.ndarray,
-    dd: np.ndarray,
-) -> np.ndarray:
-    """Per-trial score (of kind score_kind) of the node the policy selects.
-
-    Ties go to the earlier node in sampling order; +inf marks trials with no
-    candidate (empty realization, or everything filtered out by the
-    feedback threshold).
-    """
-    picks = _picks([policy.kind], score_kind, [(0, counts.size, counts, ds, dd)], counts.size)
-    return _threshold(picks[policy.kind], policy)
-
-
 def _chunk_scores(cfg: NetworkConfig, policy: SelectionPolicy, radius: float, n: int, rng) -> np.ndarray:
-    out = np.empty(n)
-    for t0, t1, counts, ds, dd in _sample_slices(cfg.intensity, cfg.d, radius, n, rng):
-        out[t0:t1] = _select(policy, OPTIMUM[cfg.model][0], counts, ds, dd)
-    return out
+    """Per-trial model score of the node the policy selects (+inf when none)."""
+    slices = _sample_slices(cfg.intensity, cfg.d, radius, n, rng)
+    picks = _picks([policy.kind], OPTIMUM[cfg.model][0], slices, n)
+    return _threshold(picks[policy.kind], policy)
 
 
 def _chunk_feedback_counts(
@@ -448,8 +421,8 @@ def _fading_power(sizes, m: int, n: int, rng: np.random.Generator, threads: int)
 
     Columns come in blocks of _FADING_BLOCK trials.  Block b is drawn by
     ``sample_z_prefixes`` from the b-th stream spawned from rng, so the
-    block layout alone fixes every value.  The blocks run on min(threads,
-    blocks) threads, this one included, which runs the first share.
+    block layout alone fixes every value.  The blocks run as shares (see
+    _caller_runs) on at most ``threads`` threads, this one included.
     """
     starts = range(0, n, _FADING_BLOCK)
     blocks = list(zip(starts, rng.spawn(len(starts))))
@@ -461,14 +434,10 @@ def _fading_power(sizes, m: int, n: int, rng: np.random.Generator, threads: int)
         for size, gain in sample_z_prefixes(sizes, stream, (m, width)).items():
             np.multiply(gain, gain, out=z2[size][:, start : start + width])
 
-    threads = min(threads, len(blocks))
-    head = -(-len(blocks) // threads)
+    threads = _team(threads, len(blocks))
     # on one thread nothing is mapped, and the executor starts no thread
     with ThreadPoolExecutor(max_workers=max(1, threads - 1)) as executor:
-        rest = executor.map(draw, blocks[head:])
-        for block in blocks[:head]:
-            draw(block)
-        list(rest)  # waits for the other threads and raises what they raised
+        _caller_runs(executor, threads, draw, blocks, len(blocks))
     return z2
 
 
@@ -538,8 +507,12 @@ def _run_chunk(task) -> object:
     return kernel(*payload, radius, n, np.random.Generator(bit_generator(seed)))
 
 
-def _n_chunks(n_trials: int) -> int:
-    return (n_trials + _CHUNK_TRIALS - 1) // _CHUNK_TRIALS
+def _chunk_sizes(n_trials: int) -> list:
+    """Trial counts of an estimate's chunks: full chunks, then what is left."""
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    full, rest = divmod(n_trials, _CHUNK_TRIALS)
+    return [_CHUNK_TRIALS] * full + [rest] * (rest > 0)
 
 
 def _cpus() -> int:
@@ -550,72 +523,75 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _processes(workers: int, n_trials: int) -> int:
-    """Processes worth running chunks in, this one included: no more than
-    workers, usable CPUs, or chunks of at least _MIN_SHARE trials."""
-    full, tail = divmod(n_trials, _CHUNK_TRIALS)
-    return max(1, min(workers, full + (tail >= _MIN_SHARE), _cpus()))
+def _shares(sizes: list) -> int:
+    """How many chunks of these trial counts are worth a pool process of
+    their own: all but a last chunk of fewer than _MIN_SHARE trials."""
+    return len(sizes) - (sizes[-1] < _MIN_SHARE)
 
 
-def _caller_runs(executor: ProcessPoolExecutor, processes: int, tasks: list) -> list:
-    """Every task's result, in order, with this process as one of the workers.
+def _team(workers: int, shares: int) -> int:
+    """Workers worth running this many shares, this one included: no more
+    than workers, usable CPUs or shares."""
+    return max(1, min(workers, _cpus(), shares))
 
-    A last task of fewer than _MIN_SHARE trials runs in this process.  Of
-    the others, this process runs the first ceil(count / processes) while
-    the executor's processes - 1 workers share the rest, so two full chunks
-    and a 1-trial tail make one child run the second chunk.
+
+def _caller_runs(executor, team: int, run: Callable, tasks: list, shares: int) -> list:
+    """[run(task) for task in tasks], with this thread one of team workers.
+
+    Of the first ``shares`` tasks, this thread runs the first ceil(shares /
+    team) while the executor's team - 1 workers share the rest.  This thread
+    then runs the tasks that are no share (a small last chunk, see _shares),
+    and only then waits on the executor.  So 8193 trials run in one process,
+    and 2 x 8192 + 1 trials at two workers make one child run the second
+    chunk.
     """
-    small_tail = tasks[-1][3] < _MIN_SHARE  # a task's trial count is its item 3
-    shared = tasks[:-1] if small_tail else tasks
-    head = -(-len(shared) // processes)
-    rest = executor.map(_run_chunk, shared[head:])
-    mine = [_run_chunk(task) for task in shared[:head]]
-    tail = [_run_chunk(tasks[-1])] if small_tail else []
-    return mine + list(rest) + tail
+    head = -(-shares // team)
+    rest = executor.map(run, tasks[head:shares])
+    mine = [run(task) for task in tasks[:head] + tasks[shares:]]
+    # list(rest) waits on the executor and raises what its workers raised
+    return mine[:head] + list(rest) + mine[head:]
 
 
 @contextmanager
 def shared_pool(workers: int, n_trials: int):
     """Chunk runner for many estimator calls of n_trials each, or None.
 
-    The runner is a process pool with this process as one of its workers,
-    so it starts ``_processes(workers, n_trials)`` - 1 children.  Yields
-    None when the calls would run their chunks in this process anyway.
+    The runner is a process pool with this process as one of its workers
+    (see _caller_runs).  Yields None when the calls would run their chunks
+    in this process anyway.
     """
-    processes = _processes(workers, n_trials)
+    processes = _team(workers, _shares(_chunk_sizes(n_trials)))
     if processes < 2:
         yield None
         return
     with ProcessPoolExecutor(max_workers=processes - 1) as executor:
-        yield functools.partial(_caller_runs, executor, processes)
+        # a task's trial count is its item 3
+        yield lambda tasks: _caller_runs(executor, processes, _run_chunk, tasks, _shares([t[3] for t in tasks]))
 
 
 def _map_chunks(kernel, payload, radius, n_trials, rng, workers, pool=None, threaded=False):
     """kernel(*payload, radius, n, stream) for each chunk, in chunk order.
 
     A ``threaded`` kernel takes one more payload item, the threads it may
-    run on: min(workers, usable CPUs) when this process runs every chunk,
-    and 1 when pool processes keep the other CPUs busy.
+    run on: ``workers`` when this process runs every chunk, and 1 when pool
+    processes keep the other CPUs busy.
     """
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    n_chunks = _n_chunks(n_trials)
+    sizes = _chunk_sizes(n_trials)
     # a task carries its stream's seed, not a Generator: before numpy 2.0 an
     # unpickled Generator lost its SeedSequence, and so what it spawns
     bit_generator = np.random.default_rng(rng).bit_generator  # a Generator is used as it is
-    seeds = [(type(bit_generator), seed) for seed in bit_generator.seed_seq.spawn(n_chunks)]
-    sizes = [_CHUNK_TRIALS] * (n_chunks - 1) + [n_trials - _CHUNK_TRIALS * (n_chunks - 1)]
+    seeds = [(type(bit_generator), seed) for seed in bit_generator.seed_seq.spawn(len(sizes))]
 
     def tasks(threads):
         head = payload + (threads,) if threaded else payload
         return [(kernel, head, radius, sz, seed) for sz, seed in zip(sizes, seeds)]
 
-    if pool is not None and n_chunks > 1:
+    if pool is not None and len(sizes) > 1:
         return pool(tasks(1))
     with shared_pool(workers, n_trials) as own:
         if own is not None:
             return own(tasks(1))
-    return [_run_chunk(t) for t in tasks(min(workers, _cpus()))]
+    return [_run_chunk(t) for t in tasks(workers)]
 
 
 def default_workers() -> int:

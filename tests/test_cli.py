@@ -99,6 +99,12 @@ class TestSpecParsing:
         assert main(["run", "--spec", spec, *extra]) == 2
         assert "must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("new, extra", [("seed = -1", []), ("seed = 42", ["--seed", "-2"])])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, new, extra):
+        spec = write_spec(tmp_path, GOOD_SPEC.format(out=tmp_path / "o.csv").replace("seed = 42", new))
+        assert main(["run", "--spec", spec, *extra]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "old, new, match",
         [
@@ -675,6 +681,42 @@ class TestSubcommands:
     def test_counts_below_one_exit_2(self, capsys, argv):
         assert main(argv) == 2
         assert "must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["outage", "--seed", "-1"],
+            ["rate", "--seed", "-1"],
+            ["distance-dist", "--seed", "-1"],
+            ["feedback", "--threshold", "5", "--seed", "-1"],
+            ["validate", "--seed", "-1"],
+        ],
+    )
+    def test_negative_seed_exits_2(self, capsys, argv):
+        assert main(argv + ["--trials", "100"]) == 2
+        assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_seed_zero_runs(self, capsys):
+        assert main(["outage", "--seed", "0", "--trials", "100"]) == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["distance-dist", "--policy", "min-min"],
+            ["distance-dist", "--threshold", "0.5"],
+            ["distance-dist", "--fading-draws", "4"],
+            ["feedback", "--threshold", "5", "--policy", "min-min"],
+            ["feedback", "--threshold", "5", "--fading-draws", "4"],
+            ["outage", "--fading-draws", "4"],
+            ["outage", "--grid-points", "4"],
+        ],
+    )
+    def test_flag_the_command_does_not_read_exits_2(self, capsys, argv):
+        # a flag that would change nothing is refused, not silently ignored
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--trials", "100"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + argv[-2] in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv, match",

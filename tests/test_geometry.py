@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from ris_select import montecarlo
-from ris_select.errors import UnsupportedRegionError
+from ris_select.errors import DomainError, UnsupportedRegionError
 from ris_select.geometry import (
     ScoreKind,
     critical_score,
     enclosing_radius,
+    min_max_region_area,
+    min_min_region_area,
     min_product_region_area,
     min_sum_region_area,
     score,
@@ -57,6 +59,36 @@ def product_area_oracle(gamma, d):
     val, _ = integrate.quad(radial_extent, -math.pi, math.pi, limit=400,
                             epsabs=1e-11, epsrel=1e-11)
     return val
+
+
+def disc_pair_area_oracle(c, d, union):
+    """Polar quadrature of the area of the union (or of the lens) of the two
+    radius-c discs about the anchors, independent of the closed forms.
+
+    On the ray at angle t the disc about (+-d, 0) covers the radii r >= 0
+    between the roots +-d cos(t) -+ sqrt(c^2 - d^2 sin(t)^2), and a covered
+    span [a, b] adds (b^2 - a^2) / 2.  Both regions are symmetric about both
+    axes, so the quadrant t in [0, pi/2] holds a quarter of the area.
+    """
+
+    def covered(t):
+        disc = c * c - (d * math.sin(t)) ** 2
+        if disc <= 0.0:
+            return 0.0
+        q, u = math.sqrt(disc), d * math.cos(t)
+        (a1, b1), (a2, b2) = spans = [(max(x - q, 0.0), max(x + q, 0.0)) for x in (u, -u)]
+        lo, hi = max(a1, a2), min(b1, b2)
+        if not union:
+            spans = [(lo, max(lo, hi))]
+        elif lo <= hi:  # the spans overlap
+            spans = [(min(a1, a2), max(b1, b2))]
+        return sum(0.5 * (b * b - a * a) for a, b in spans)
+
+    # below c = d the discs are apart, and a ray meets them up to |sin t| = c / d
+    kinks = [math.asin(c / d)] if c < d else None
+    val, _ = integrate.quad(covered, 0.0, 0.5 * math.pi, points=kinks, limit=400,
+                            epsabs=1e-13, epsrel=1e-12)
+    return 4.0 * val
 
 
 class TestSamplePpp:
@@ -180,6 +212,26 @@ class TestRegionAreas:
         gamma = 4.0
         a, b = gamma / 2, math.sqrt((gamma / 2) ** 2 - d * d)
         assert min_sum_region_area(gamma, d) == pytest.approx(math.pi * a * b, rel=1e-12)
+
+    @pytest.mark.parametrize("c", [0.3, 0.6, 1.2, 1.2 * (1 + 1e-4), 1.5, 3.0, 1.2e3])
+    def test_lens_and_union_areas_against_polar_oracle(self, c):
+        # c below d, at d, just above d, and far above it.  Just above d the
+        # lens formula cancels: it is 3.2e-10 off at c = d (1 + 1e-4)
+        d = 1.2
+        lens, union = min_max_region_area(c, d), min_min_region_area(c, d)
+        assert lens == pytest.approx(disc_pair_area_oracle(c, d, union=False), rel=1e-9, abs=1e-15)
+        assert union == pytest.approx(disc_pair_area_oracle(c, d, union=True), rel=1e-9)
+        if c <= d:  # the discs meet in one point at most
+            assert lens == 0.0
+            assert union == 2.0 * math.pi * c * c
+
+    def test_lens_and_union_areas_at_the_edges(self):
+        for area in (min_max_region_area, min_min_region_area):
+            assert area(0.0, D) == 0.0
+            assert area(math.inf, D) == math.inf
+            for bad in (-1.0, math.nan):
+                with pytest.raises(DomainError):
+                    area(bad, D)
 
     def test_enclosing_radius_contains_region(self):
         d = 1.2

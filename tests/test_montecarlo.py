@@ -16,7 +16,7 @@ from ris_select import analytic, montecarlo
 from ris_select.analytic import DistCdf
 from ris_select.channel import NetworkConfig, PathLossModel, ez2, sample_z_prefixes, snr_score_cap
 from ris_select.errors import UnsupportedRegionError, WindowTooSmallError
-from ris_select.geometry import ScoreKind
+from ris_select.geometry import ScoreKind, min_min_region_area
 from ris_select.montecarlo import (
     EmpiricalDist,
     Estimate,
@@ -164,6 +164,26 @@ class TestBasics:
                 # a small tail; the children run the rest
                 assert mapped == [pool_chunks], (tail, workers)
 
+    @pytest.mark.parametrize("shares, mapped, mine", [(4, [2, 3], [0, 1, 4]), (5, [2, 3, 4], [0, 1])])
+    def test_caller_runs_its_head_and_what_is_no_share_before_it_waits(self, shares, mapped, mine):
+        log = []
+
+        class LoggingExecutor:
+            def map(self, fn, tasks):
+                log.append(("mapped", list(tasks)))
+
+                def results():
+                    log.append("wait")
+                    yield from (fn(task) for task in tasks)
+                return results()
+
+        def run(task):
+            log.append(task)
+            return -task
+
+        assert montecarlo._caller_runs(LoggingExecutor(), 3, run, list(range(5)), shares) == [0, -1, -2, -3, -4]
+        assert log == [("mapped", mapped), *mine, "wait", *mapped]
+
 
 def _recording_pool(sizes, mapped):
     """Stand-in for ProcessPoolExecutor that runs the chunks in this process,
@@ -256,7 +276,7 @@ class TestSweepKernel:
                  for t in (3.0, 4.5, 6.0, 7.5, 9.0)] + [(cfg, SelectionPolicy(PolicyKind.MIN_MIN))]
         n_trials = montecarlo._CHUNK_TRIALS + 1
         mc_sweep(cells, n_trials, 2, 29)
-        assert len(nonempty) > montecarlo._n_chunks(n_trials)  # the full chunk comes in many slices
+        assert len(nonempty) > len(montecarlo._chunk_sizes(n_trials))  # the full chunk comes in many slices
         assert len(calls) == sum(nonempty)
 
     def test_one_window_solve_per_policy(self, monkeypatch):
@@ -618,21 +638,14 @@ def _estimate(estimator, radius):
     return mc_rate(cfg, pol, 200, 2, 1, window_radius_override=radius)
 
 
-def _union_area(c, d):
-    """Area of the union of two radius-c discs whose centres are 2d apart."""
-    if c <= d:
-        return 2.0 * math.pi * c * c
-    lens = 2.0 * c * c * math.acos(2.0 * d / (2.0 * c)) - d * math.sqrt(4.0 * c * c - 4.0 * d * d)
-    return 2.0 * math.pi * c * c - lens
-
-
 class TestMinMinWindow:
     @pytest.mark.parametrize("lam, d, eps", [(0.5, 1.2, 1e-6), (0.01, 1.2, 1e-6), (0.5, 30.0, 1e-9),
                                              (2.0, 0.1, 0.5), (50.0, 1.2, 1e-3)])
     def test_union_of_anchor_discs_holds_the_winner_with_prob_1_minus_eps(self, lam, d, eps):
         radius = coverage_radius(pow_cfg(intensity=lam, d=d), SelectionPolicy(PolicyKind.MIN_MIN), eps)
         need = math.log(1.0 / eps)
-        assert lam * _union_area(radius - d, d) == pytest.approx(need, rel=1e-12)
+        # the union's area is checked against a polar quadrature in test_geometry
+        assert lam * min_min_region_area(radius - d, d) == pytest.approx(need, rel=1e-12)
         assert radius <= d + math.sqrt(need / (lam * math.pi))  # the one-disc bound it replaces
 
     def test_no_winner_beyond_the_window(self):

@@ -1,5 +1,6 @@
 """Selection policies and the feedback filter, as the Monte Carlo engine
-applies them: montecarlo._select and montecarlo._chunk_feedback_counts."""
+applies them: montecarlo._picks, montecarlo._threshold and
+montecarlo._chunk_feedback_counts."""
 
 import math
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from ris_select import montecarlo
 from ris_select.channel import NetworkConfig, PathLossModel
 from ris_select.geometry import ScoreKind, score
-from ris_select.montecarlo import _chunk_feedback_counts, _select, mc_feedback_dist
+from ris_select.montecarlo import _chunk_feedback_counts, _picks, _threshold, mc_feedback_dist
 from ris_select.policies import OPTIMUM, PolicyKind, SelectionPolicy, check_feedback_policy
 
 ALL_KINDS = list(PolicyKind)
@@ -22,6 +23,14 @@ def sample_batch(lam, d, radius, n, rng):
     """(counts, ds, dd) of n trials: every slice montecarlo._sample_slices yields, joined."""
     _, _, counts, ds, dd = zip(*montecarlo._sample_slices(lam, d, radius, n, rng))
     return np.concatenate(counts), np.concatenate(ds), np.concatenate(dd)
+
+
+def _select(policy, kind, counts, ds, dd):
+    """Per-trial score (of the given kind) of the node the policy picks from
+    trials of the given point counts, +inf where there is none: the engine's
+    pick (_picks, on the trials as one slice) under the policy's threshold."""
+    picks = _picks([policy.kind], kind, [(0, counts.size, counts, ds, dd)], counts.size)
+    return _threshold(picks[policy.kind], policy)
 
 
 def anchor_distances(points, d=1.2):
