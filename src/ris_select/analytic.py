@@ -123,6 +123,17 @@ def _optimum_dist(cfg: NetworkConfig) -> DistCdf:
     return DistCdf.from_config(cfg, OPTIMUM[cfg.model][0])
 
 
+def _threshold_cap(cfg: NetworkConfig, model: PathLossModel, threshold: float | None) -> float:
+    """Score cap of an optimum-law formula: T, or +inf without one; refuses the other law and T <= 0."""
+    if cfg.model is not model:
+        raise ValueError(f"this formula needs a {model.value}-law configuration, got {cfg.model.value}")
+    if threshold is None:
+        return math.inf
+    if not threshold > 0.0:
+        raise ValueError(f"threshold must be > 0, got {threshold}")
+    return threshold
+
+
 # ---------------------------------------------------------------------------
 # Feedback means (Poisson intensities of the sublevel regions)
 # ---------------------------------------------------------------------------
@@ -229,13 +240,7 @@ def _outage(cfg: NetworkConfig, model: PathLossModel, threshold: float | None) -
     limited to scores <= T, when no node feeds back.  A cap below every
     possible score (an exponential-law target out of reach) gives 1.
     """
-    if cfg.model is not model:
-        raise ValueError(f"this outage needs a {model.value}-law configuration, got {cfg.model.value}")
-    level = snr_score_cap(cfg)
-    if threshold is not None:
-        if not threshold > 0.0:
-            raise ValueError(f"threshold must be > 0, got {threshold}")
-        level = min(level, threshold)
+    level = min(snr_score_cap(cfg), _threshold_cap(cfg, model, threshold))
     cdf = cdf_upsilon_opt if model is PathLossModel.POWER_LAW else cdf_lambda_opt
     return 1.0 - cdf(max(level, 0.0), _optimum_dist(cfg))
 
@@ -724,11 +729,7 @@ def rate_pow(
     transmission beyond it), which for T < d^2 simply empties the
     large-score branch.
     """
-    if cfg.model is not PathLossModel.POWER_LAW:
-        raise ValueError("rate_pow requires a power-law configuration")
-    if t_threshold is not None and not t_threshold > 0.0:
-        raise ValueError(f"threshold must be > 0, got {t_threshold}")
-    cap = math.inf if t_threshold is None else t_threshold
+    cap = _threshold_cap(cfg, PathLossModel.POWER_LAW, t_threshold)
     g, weight = _product_score_rule(_optimum_dist(cfg), cap)
     return _average_rate(-cfg.eta * np.log(g), weight, cfg, use_upper_bound)
 
@@ -744,12 +745,8 @@ def rate_exp(
     score g, with log(y) = -alpha g.  A threshold T <= 2d admits no
     feedback at all and yields rate 0.
     """
-    if cfg.model is not PathLossModel.EXP_LAW:
-        raise ValueError("rate_exp requires an exponential-law configuration")
-    if t_threshold is not None and not t_threshold > 0.0:
-        raise ValueError(f"threshold must be > 0, got {t_threshold}")
-    if t_threshold is not None and t_threshold <= 2.0 * cfg.d:
+    cap = _threshold_cap(cfg, PathLossModel.EXP_LAW, t_threshold)
+    if cap <= 2.0 * cfg.d:
         return 0.0
-    cap = math.inf if t_threshold is None else t_threshold
     g, weight = _sum_score_rule(_optimum_dist(cfg), cfg.alpha, cap)
     return _average_rate(-cfg.alpha * g, weight, cfg, use_upper_bound)

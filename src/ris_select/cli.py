@@ -35,6 +35,9 @@ from .policies import OPTIMUM, OPTIMUM_SCORE, PolicyKind, SelectionPolicy, check
 _POLICY_NAMES = {p.value: p for p in PolicyKind}
 _MODEL_NAMES = {"power": PathLossModel.POWER_LAW, "exp": PathLossModel.EXP_LAW}
 _SWEEP_VARS = ("avg_snr_db", "intensity", "n_elements", "threshold")
+_METHODS = ("analytic", "montecarlo")
+_METRICS = ("outage", "rate")
+_HEADER = ("sweep_var", "policy", "method", "metric", "value", "std_error")
 
 
 class SpecError(ValueError):
@@ -130,10 +133,16 @@ def _count(name: str, value: int, least: int = 1) -> int:
     return value
 
 
-def _parse_policy(text: str) -> PolicyKind:
-    if text not in _POLICY_NAMES:
-        raise ValueError(f"unknown policy '{text}' (expected one of {sorted(_POLICY_NAMES)})")
-    return _POLICY_NAMES[text]
+def _names(section, key: str, allowed, required: bool = False) -> list[str]:
+    """A [run] comma list of at least one name, each in allowed and none twice (unset: all of allowed)."""
+    text = _get(section, key, str, required=required, default=", ".join(allowed))
+    names = [name.strip() for name in text.split(",") if name.strip()]
+    for name in names:
+        if name not in allowed:
+            raise SpecError(f"unknown name '{name}' in {key} (expected {', '.join(allowed)})")
+    if not names or len(set(names)) < len(names):
+        raise SpecError(f"{key} must name at least one of {', '.join(allowed)}, each once; got '{text}'")
+    return names
 
 
 def load_spec(path: str) -> ExperimentSpec:
@@ -156,17 +165,7 @@ def load_spec(path: str) -> ExperimentSpec:
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise SpecError("sweep bounds must be finite")
 
-    policies = [_parse_policy(p.strip()) for p in _get(run, "policies", str).split(",") if p.strip()]
-    if not policies:
-        raise SpecError("at least one policy is required")
-    methods = [m.strip() for m in _get(run, "methods", str, required=False, default="analytic, montecarlo").split(",") if m.strip()]
-    for m in methods:
-        if m not in ("analytic", "montecarlo"):
-            raise SpecError(f"unknown method '{m}'")
-    metrics = [m.strip() for m in _get(run, "metrics", str, required=False, default="outage, rate").split(",") if m.strip()]
-    for m in metrics:
-        if m not in ("outage", "rate"):
-            raise SpecError(f"unknown metric '{m}'")
+    policies = [_POLICY_NAMES[name] for name in _names(run, "policies", tuple(_POLICY_NAMES), required=True)]
     values = {key: _get(sc, key, parse, required=field in _REQUIRED)
               for key, (field, parse, _) in _SCENARIO.items()}
     spec = ExperimentSpec(
@@ -177,8 +176,8 @@ def load_spec(path: str) -> ExperimentSpec:
         sweep_max=hi,
         sweep_steps=steps,
         policies=policies,
-        methods=methods,
-        metrics=metrics,
+        methods=_names(run, "methods", _METHODS),
+        metrics=_names(run, "metrics", _METRICS),
         trials=_count("trials", _get(run, "trials", int, required=False, default=10_000)),
         fading_draws=_count("fading_draws", _get(run, "fading_draws", int, required=False, default=8)),
         seed=_count("seed", _get(run, "seed", int, required=False, default=1), 0),
@@ -217,24 +216,28 @@ def _analytic_metric(metric: str, cfg: NetworkConfig, kind: PolicyKind, threshol
     return (analytic.outage_pow_fb if power else analytic.outage_exp_fb)(cfg, threshold)
 
 
+def _rows(label: float, kind: PolicyKind, metric: str, closed, est) -> list[list[str]]:
+    """The CSV rows of one cell and metric: the closed form, then the estimate, each if not None."""
+    rows = []
+    if closed is not None:
+        rows.append([_fmt(label), kind.value, "analytic", metric, _fmt(closed), ""])
+    if est is not None:
+        rows.append([_fmt(label), kind.value, "montecarlo", metric, _fmt(est.mean), _fmt(est.std_error)])
+    return rows
+
+
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[list[str]]:
     """All CSV rows (header included) for a sweep experiment."""
-    rows = [["sweep_var", "policy", "method", "metric", "value", "std_error"]]
+    rows = [list(_HEADER)]
     points = [(value, *spec.config_at(value)) for value in spec.sweep_values()]
     mc = _monte_carlo_cells(spec, points, workers) if "montecarlo" in spec.methods else {}
+    closed_form = "analytic" in spec.methods
     for idx, (value, cfg, threshold) in enumerate(points):
         for kind in spec.policies:
             policy = _policy_obj(kind, threshold)
             for metric in spec.metrics:
-                if "analytic" in spec.methods:
-                    closed = _analytic_metric(metric, cfg, kind, policy.feedback_threshold)
-                    if closed is not None:
-                        rows.append([_fmt(value), kind.value, "analytic", metric, _fmt(closed), ""])
-                if mc:
-                    est = mc[idx, kind][metric]
-                    rows.append(
-                        [_fmt(value), kind.value, "montecarlo", metric, _fmt(est.mean), _fmt(est.std_error)]
-                    )
+                closed = _analytic_metric(metric, cfg, kind, policy.feedback_threshold) if closed_form else None
+                rows += _rows(value, kind, metric, closed, mc[idx, kind][metric] if mc else None)
     return rows
 
 
@@ -295,8 +298,8 @@ def _add_scenario_args(p: argparse.ArgumentParser) -> None:
 def _cmd_point_metric(args, metric: str, workers: int) -> int:
     cfg = _scenario_config(args)
     kind = OPTIMUM[cfg.model][1] if args.policy is None else _POLICY_NAMES[args.policy]
-    policy = _policy_obj(kind, args.threshold)
     try:
+        policy = SelectionPolicy(kind, feedback_threshold=args.threshold)
         check_feedback_policy(policy, cfg.model)
     except ValueError as exc:
         raise SpecError(str(exc)) from exc
@@ -306,14 +309,11 @@ def _cmd_point_metric(args, metric: str, workers: int) -> int:
         est = montecarlo.mc_outage(cfg, policy, args.trials, rng, workers=workers)
     else:
         est = montecarlo.mc_rate(cfg, policy, args.trials, args.fading_draws, rng, workers=workers)
-    rows = [["sweep_var", "policy", "method", "metric", "value", "std_error"]]
     if closed is not None:
         print(f"analytic   {metric} = {_fmt(closed)}")
-        rows.append([_fmt(args.avg_snr_db), kind.value, "analytic", metric, _fmt(closed), ""])
     print(f"montecarlo {metric} = {_fmt(est.mean)} +/- {_fmt(est.std_error)} ({est.n_trials} trials)")
-    rows.append([_fmt(args.avg_snr_db), kind.value, "montecarlo", metric, _fmt(est.mean), _fmt(est.std_error)])
     if args.out:
-        _write_csv(rows, args.out)
+        _write_csv([_HEADER, *_rows(args.avg_snr_db, kind, metric, closed, est)], args.out)
     return 0
 
 

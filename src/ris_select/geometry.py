@@ -72,14 +72,28 @@ def min_sum_region_area(gamma: float, d: float) -> float:
 
 
 def min_max_region_area(c: float, d: float) -> float:
-    """Area of the lens {X : max(ds, dd) <= c} that the radius-c anchor discs share."""
+    """Area of the lens {X : max(ds, dd) <= c} that the radius-c anchor discs share.
+
+    With h = sqrt(c^2 - d^2) the half-chord and x = 2 atan2(h, d) the angle
+    of each disc's arc, the lens is c^2 x - 2 d h = c^2 (x - sin x).  Below
+    x = 1 that difference cancels, so it is summed as a series there.
+    """
     if not c >= 0.0:
         raise DomainError(f"distance must be >= 0, got {c}")
     if c <= d:
         return 0.0
     if math.isinf(c):
         return math.inf
-    return 2.0 * c * c * math.acos(d / c) - 2.0 * d * math.sqrt(c * c - d * d)
+    half_chord = math.sqrt((c - d) * (c + d))  # a product, so it does not cancel near c = d
+    x = 2.0 * math.atan2(half_chord, d)
+    if x >= 1.0:
+        return c * c * x - 2.0 * d * half_chord
+    term, total, k = x**3 / 6.0, 0.0, 3
+    while total + term != total:  # x - sin x = x^3/3! - x^5/5! + ...
+        total += term
+        term *= -x * x / ((k + 1) * (k + 2))
+        k += 2
+    return c * c * total
 
 
 def min_min_region_area(c: float, d: float) -> float:

@@ -96,12 +96,6 @@ _SAMPLE_BLOCK = 1 << 14
 # points timed fastest of 2,500 to 200,000 (15 ms per 8192-trial chunk, 22
 # ms for the chunk as one slice), and the smaller holds less.
 _SLICE_POINTS = 10_000
-# Cells whose rows one _moments call reduces: a chunk holds the rows of
-# this many cells at a time (256 KiB for outage and rate at 8192 trials).
-# With the geometry sliced, 8 cells' rows (1 MiB) were the largest array of
-# a chunk of mc-sweep's SNR spec; 2 gave its lowest traced peak short of
-# reducing every cell on its own.
-_REDUCE_CELLS = 2
 
 
 @dataclass(frozen=True)
@@ -456,16 +450,14 @@ def _chunk_cells(cells, m_fading, threads, radius, n, rng) -> tuple:
     once per (policy kind, eta, alpha) and the rate once per (policy kind,
     eta, alpha, avg_snr, N), in one reused (draws, trials) buffer; a rate
     is kept past its cell only when more than one cell reads its key, and a
-    cell with a threshold masks it to 0 where its pick is filtered out.  The
-    cells' rows are formed _REDUCE_CELLS cells at a time in one buffer and
-    each group is reduced before the next is formed, so the chunk holds the
-    rows of one group, whatever the number of cells.  numpy reduces each
-    row on its own, so the moments are those of one reduction of every row.
-    At 8192 trials and 8 draws of one element count, a chunk of four
-    policies traces 2.8 MiB at its peak for 36 cells and for 404, and at
-    20 points per trial as at 147; the fading is most of it, the sliced
-    geometry 1.5 MiB.  Each further element count adds its (draws, trials)
-    Z^2 array, 0.5 MiB.
+    cell with a threshold masks it to 0 where its pick is filtered out.  Each
+    cell's rows are reduced as soon as they are formed, in one reused
+    buffer, so the chunk holds the rows of one cell, whatever the number of
+    cells.  numpy reduces each row on its own, so the moments are those of
+    one reduction of every row.  At 8192 trials and 8 draws of one element
+    count, a chunk of four policies traces 1.8 MiB at its peak for 36 cells
+    and 2.0 MiB for 404, mostly the fading; each further element count
+    adds its (draws, trials) Z^2 array, 0.5 MiB.
     """
     geometry = cells[0][0]
     slices = _sample_slices(geometry.intensity, geometry.d, radius, n, rng)
@@ -477,18 +469,13 @@ def _chunk_cells(cells, m_fading, threads, radius, n, rng) -> tuple:
     rate_keys = [(policy.kind, cfg.eta, cfg.alpha, cfg.avg_snr, cfg.n_elements) for cfg, policy in cells]
     shared = {key for key, readers in Counter(rate_keys).items() if readers > 1}
     gains, rates = {}, {}
-    metrics = 1 if m_fading is None else 2
-    buffer = np.empty((min(_REDUCE_CELLS, len(cells)), metrics, n))
-    shift, offset, m2 = (np.empty((len(cells), metrics)) for _ in range(3))
-    for start in range(0, len(cells), _REDUCE_CELLS):
-        group = slice(start, min(start + _REDUCE_CELLS, len(cells)))
-        rows = buffer[: group.stop - start]
-        for row, (cfg, policy), rate_key in zip(rows, cells[group], rate_keys[group]):
-            picked = picks[policy.kind]
-            chosen = _threshold(picked, policy)
-            row[0] = ~(chosen < snr_score_cap(cfg))
-            if m_fading is None:
-                continue
+    row = np.empty((1 if m_fading is None else 2, n))
+    shift, offset, m2 = (np.empty((len(cells), len(row))) for _ in range(3))
+    for i, ((cfg, policy), rate_key) in enumerate(zip(cells, rate_keys)):
+        picked = picks[policy.kind]
+        chosen = _threshold(picked, policy)
+        row[0] = ~(chosen < snr_score_cap(cfg))
+        if m_fading is not None:
             rate = rates.get(rate_key)
             if rate is None:
                 gain_key = rate_key[:3]
@@ -498,7 +485,7 @@ def _chunk_cells(cells, m_fading, threads, radius, n, rng) -> tuple:
                 if rate_key in shared:
                     rates[rate_key] = rate
             row[1] = np.where(np.isfinite(chosen), rate, 0.0)
-        _, shift[group], offset[group], m2[group] = _moments(rows)
+        _, shift[i], offset[i], m2[i] = _moments(row)
     return n, shift, offset, m2
 
 

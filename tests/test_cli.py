@@ -129,6 +129,27 @@ class TestSpecParsing:
         assert match in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            pytest.param("metrics = outage", "metrics = outage\nmethods = ,", "methods", id="no-method"),
+            pytest.param("metrics = outage", "metrics = ,", "metrics", id="no-metric"),
+            pytest.param("opt-product, min-min", "opt-product, opt-product", "policies", id="policy-twice"),
+            pytest.param("metrics = outage", "metrics = rate, rate", "metrics", id="metric-twice"),
+            pytest.param("opt-product, min-min", "opt-product, best", "policies", id="unknown-policy"),
+            pytest.param("metrics = outage", "metrics = outage\nmethods = oracle", "methods", id="unknown-method"),
+            pytest.param("metrics = outage", "metrics = outage, snr", "metrics", id="unknown-metric"),
+        ],
+    )
+    def test_bad_run_list_exits_2(self, tmp_path, capsys, old, new, key):
+        # an empty list would write a header-only CSV, a repeated name every row twice
+        spec = write_spec(tmp_path, GOOD_SPEC.format(out=tmp_path / "o.csv").replace(old, new))
+        with pytest.raises(SpecError, match=key):
+            load_spec(spec)
+        assert main(["run", "--spec", spec]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize(
         "old, new",
         [
             ("variable = avg_snr_db\nmin = -10\nmax = 30", "variable = threshold\nmin = 1\nmax = 5"),
@@ -731,6 +752,9 @@ class TestSubcommands:
             (["outage", "--d", "nan"], "d must be > 0 and finite"),
             (["outage", "--intensity", "nan"], "intensity must be > 0 and finite"),
             (["outage", "--target-snr-db", "nan"], "target_snr must be >= 0"),
+            # a baseline reads no threshold: the flag is refused, not dropped
+            (["outage", "--policy", "min-min", "--threshold", "3"], "apply only to optimum policies"),
+            (["rate", "--policy", "mid-point", "--threshold", "3"], "apply only to optimum policies"),
         ],
     )
     def test_scenario_flag_out_of_range_exits_2(self, capsys, argv, match):

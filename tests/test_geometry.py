@@ -215,8 +215,7 @@ class TestRegionAreas:
 
     @pytest.mark.parametrize("c", [0.3, 0.6, 1.2, 1.2 * (1 + 1e-4), 1.5, 3.0, 1.2e3])
     def test_lens_and_union_areas_against_polar_oracle(self, c):
-        # c below d, at d, just above d, and far above it.  Just above d the
-        # lens formula cancels: it is 3.2e-10 off at c = d (1 + 1e-4)
+        # c below d, at d, just above d, and far above it
         d = 1.2
         lens, union = min_max_region_area(c, d), min_min_region_area(c, d)
         assert lens == pytest.approx(disc_pair_area_oracle(c, d, union=False), rel=1e-9, abs=1e-15)
@@ -224,6 +223,18 @@ class TestRegionAreas:
         if c <= d:  # the discs meet in one point at most
             assert lens == 0.0
             assert union == 2.0 * math.pi * c * c
+
+    @pytest.mark.parametrize("gap", [1e-4, 1e-8])
+    def test_lens_just_above_d_against_mpmath(self, gap):
+        # 2 c^2 acos(d/c) - 2 d sqrt(c^2 - d^2) cancels here: 3.2e-10 off at
+        # gap 1e-4 and 0.28 at 1e-8
+        import mpmath as mp
+
+        c = D * (1.0 + gap)
+        with mp.workdps(60):
+            cm, dm = mp.mpf(c), mp.mpf(D)
+            want = 2 * cm * cm * mp.acos(dm / cm) - 2 * dm * mp.sqrt(cm * cm - dm * dm)
+        assert min_max_region_area(c, D) == pytest.approx(float(want), rel=1e-12, abs=0.0)
 
     def test_lens_and_union_areas_at_the_edges(self):
         for area in (min_max_region_area, min_min_region_area):

@@ -358,12 +358,12 @@ class TestSweepKernel:
     @pytest.mark.parametrize(
         ("cells", "m_fading"),
         [
-            pytest.param(_snr_cells(5)[: 2 * montecarlo._REDUCE_CELLS + 3], None, id="outage"),
-            pytest.param(_snr_cells(5)[: 2 * montecarlo._REDUCE_CELLS + 3], 4, id="outage-rate"),
-            pytest.param(_snr_cells(2)[: montecarlo._REDUCE_CELLS], 4, id="whole-groups"),
+            pytest.param(_snr_cells(5)[:7], None, id="outage"),
+            pytest.param(_snr_cells(5)[:7], 4, id="outage-rate"),
+            pytest.param(_snr_cells(2)[:2], 4, id="whole-groups"),
             # the thresholds share one rate key, and min-min another
             pytest.param([(exp_cfg(), SelectionPolicy(PolicyKind.OPT_SUM, feedback_threshold=t))
-                          for t in np.linspace(2.5, 12.0, montecarlo._REDUCE_CELLS + 1)]
+                          for t in np.linspace(2.5, 12.0, 3)]
                          + [(exp_cfg(), SelectionPolicy(PolicyKind.MIN_MIN))], 4, id="thresholds"),
         ],
     )
