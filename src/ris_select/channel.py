@@ -84,8 +84,6 @@ def sample_z(n_elements: int, rng: np.random.Generator, size=None):
 
     Returns a float when ``size`` is None, otherwise an array of that shape.
     """
-    if n_elements < 1:
-        raise ValueError(f"n_elements must be >= 1, got {n_elements}")
     shape = () if size is None else tuple(np.atleast_1d(size))
     z = sample_z_prefixes([n_elements], rng, shape)[n_elements]
     return float(z) if size is None else z

@@ -147,7 +147,10 @@ def _names(section, key: str, allowed, required: bool = False) -> list[str]:
 
 def load_spec(path: str) -> ExperimentSpec:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise SpecError(f"malformed spec file '{path}': {exc}") from exc
     if not read:
         raise SpecError(f"cannot read spec file '{path}'")
     for name in ("scenario", "sweep", "run"):
@@ -186,7 +189,8 @@ def load_spec(path: str) -> ExperimentSpec:
     for value in spec.sweep_values():
         try:
             cfg, point_threshold = spec.config_at(value)
-            for kind in policies:
+            # the optimum too, so that a threshold no policy of the spec reads is checked
+            for kind in dict.fromkeys((OPTIMUM[cfg.model][1], *policies)):
                 check_feedback_policy(_policy_obj(kind, point_threshold), cfg.model)
         except ValueError as exc:
             raise SpecError(f"invalid scenario at {variable} = {_fmt(value)}: {exc}") from exc
@@ -295,7 +299,7 @@ def _add_scenario_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="CSV output path (default: stdout summary only)")
 
 
-def _cmd_point_metric(args, metric: str, workers: int) -> int:
+def _cmd_point_metric(args, metric: str, workers: int) -> list:
     cfg = _scenario_config(args)
     kind = OPTIMUM[cfg.model][1] if args.policy is None else _POLICY_NAMES[args.policy]
     try:
@@ -312,12 +316,10 @@ def _cmd_point_metric(args, metric: str, workers: int) -> int:
     if closed is not None:
         print(f"analytic   {metric} = {_fmt(closed)}")
     print(f"montecarlo {metric} = {_fmt(est.mean)} +/- {_fmt(est.std_error)} ({est.n_trials} trials)")
-    if args.out:
-        _write_csv([_HEADER, *_rows(args.avg_snr_db, kind, metric, closed, est)], args.out)
-    return 0
+    return [_HEADER, *_rows(args.avg_snr_db, kind, metric, closed, est)]
 
 
-def _cmd_distance_dist(args, workers: int) -> int:
+def _cmd_distance_dist(args, workers: int) -> list:
     cfg = _scenario_config(args)
     score_kind = OPTIMUM[cfg.model][0]
     dist = analytic.DistCdf.from_config(cfg, score_kind)
@@ -334,16 +336,11 @@ def _cmd_distance_dist(args, workers: int) -> int:
         worst = max(worst, abs(a - e))
         rows.append([_fmt(g), _fmt(a), _fmt(e), _fmt(max(0.0, e - eps)), _fmt(min(1.0, e + eps))])
     print(f"max |analytic - empirical| = {_fmt(worst)} vs 99% DKW half-width {_fmt(eps)}")
-    if args.out:
-        _write_csv(rows, args.out)
-    return 0
+    return rows
 
 
-def _cmd_feedback(args, workers: int) -> int:
+def _cmd_feedback(args, workers: int) -> list:
     cfg = _scenario_config(args)
-    if args.threshold is None:
-        print("feedback requires --threshold", file=sys.stderr)
-        return 2
     score_kind, _ = OPTIMUM[cfg.model]
     dist = analytic.DistCdf.from_config(cfg, score_kind)
     xi = (analytic.xi_pow if score_kind is ScoreKind.MIN_PRODUCT else analytic.xi_exp)(args.threshold, dist)
@@ -356,11 +353,8 @@ def _cmd_feedback(args, workers: int) -> int:
     print(f"analytic mean feedback = {_fmt(xi)}")
     print(f"simulated mean         = {_fmt(emp.mean())} +/- {_fmt(emp.std_error())}")
     print(f"poisson chi-square     = {_fmt(stat)} (dof {dof}), p = {_fmt(p)}")
-    if args.out:
-        rows = [["threshold", "analytic_mean", "mc_mean", "mc_std_error", "gof_p"]]
-        rows.append([_fmt(args.threshold), _fmt(xi), _fmt(emp.mean()), _fmt(emp.std_error()), _fmt(p)])
-        _write_csv(rows, args.out)
-    return 0
+    return [["threshold", "analytic_mean", "mc_mean", "mc_std_error", "gof_p"],
+            [_fmt(args.threshold), _fmt(xi), _fmt(emp.mean()), _fmt(emp.std_error()), _fmt(p)]]
 
 
 def _cmd_validate(args, workers: int) -> int:
@@ -398,7 +392,7 @@ def main(argv=None) -> int:
     for p in (p_out, p_rate):
         p.add_argument("--policy", choices=sorted(_POLICY_NAMES), default=None)
     for p in (p_out, p_rate, p_fb):
-        p.add_argument("--threshold", type=float, default=None, help="feedback threshold (linear score)")
+        p.add_argument("--threshold", type=float, required=p is p_fb, help="feedback threshold (linear score)")
     p_rate.add_argument("--fading-draws", type=int, default=8)
     p_dd.add_argument("--grid-points", type=int, default=20)
 
@@ -417,25 +411,26 @@ def main(argv=None) -> int:
             raise SpecError(f"--threshold must be > 0, got {threshold}")
         if args.command == "run":
             spec = load_spec(args.spec)
-            if args.seed is not None:
-                spec.seed = args.seed
-            if args.trials is not None:
-                spec.trials = args.trials
-            if args.out is not None:
-                spec.output = args.out
+            spec.seed = spec.seed if args.seed is None else args.seed
+            spec.trials = spec.trials if args.trials is None else args.trials
+            args.out = spec.output if args.out is None else args.out
             rows = run_experiment(spec, workers=workers)
-            _write_csv(rows, spec.output)
-            print(f"wrote {len(rows) - 1} rows to {spec.output}")
-            return 0
-        if args.command == "outage":
-            return _cmd_point_metric(args, "outage", workers)
-        if args.command == "rate":
-            return _cmd_point_metric(args, "rate", workers)
-        if args.command == "distance-dist":
-            return _cmd_distance_dist(args, workers)
-        if args.command == "feedback":
-            return _cmd_feedback(args, workers)
-        return _cmd_validate(args, workers)
+        elif args.command in _METRICS:
+            rows = _cmd_point_metric(args, args.command, workers)
+        elif args.command == "distance-dist":
+            rows = _cmd_distance_dist(args, workers)
+        elif args.command == "feedback":
+            rows = _cmd_feedback(args, workers)
+        else:
+            return _cmd_validate(args, workers)
+        if args.out is not None:
+            try:
+                _write_csv(rows, args.out)
+            except OSError as exc:
+                raise SpecError(f"cannot write '{args.out}': {exc.strerror or exc}") from exc
+        if args.command == "run":
+            print(f"wrote {len(rows) - 1} rows to {args.out}")
+        return 0
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 2

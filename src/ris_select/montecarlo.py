@@ -10,14 +10,14 @@ a chunk's trials in consecutive slices of about 10,000 expected points,
 and each slice is selected before the next is drawn, so a chunk's
 geometry traces about 1.5 MiB at any number of points per trial and each
 slice's passes run in a 2 MiB L2 cache.  The points do not depend on the
-slice size.  A chunk expected to hold more points than a fixed budget
-is refused with UnsupportedRegionError before anything is drawn.  Trials
-are processed in fixed-size chunks (8192 trials), each with its own
-stream spawned from the caller's seed, so results are identical
-regardless of how many worker processes execute the chunks.
-Chunk results merge as (count, mean, sum of squared deviations) with the
-pairwise update of Chan, Golub & LeVeque (1979), never as raw sums of
-squares.
+slice size.  A chunk that would hold more points, or more fading draws,
+than its budget allows is refused with UnsupportedRegionError before
+anything is drawn.  Trials are processed in fixed-size chunks (8192
+trials), each with its own stream spawned from the caller's seed, so
+results are identical regardless of how many worker processes execute
+the chunks.  Chunk results merge as (count, mean, sum of squared
+deviations) with the pairwise update of Chan, Golub & LeVeque (1979),
+never as raw sums of squares.
 
 Outage and rate come from one kernel, ``mc_sweep``, that estimates many
 (config, policy) cells at once when they share their geometry (intensity,
@@ -56,7 +56,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-from collections import Counter
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import contextmanager
@@ -96,6 +95,9 @@ _SAMPLE_BLOCK = 1 << 14
 # points timed fastest of 2,500 to 200,000 (15 ms per 8192-trial chunk, 22
 # ms for the chunk as one slice), and the smaller holds less.
 _SLICE_POINTS = 10_000
+# Most fading draws (per trial, times trials) one chunk may hold: at about 25
+# bytes each (Z^2, the rate scratch, the block buffers), about 100 MiB.
+_FADING_BUDGET = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -382,10 +384,11 @@ def _chunk_feedback_counts(
 ) -> np.ndarray:
     """Per-trial number of nodes whose model score is <= threshold."""
     score_kind = OPTIMUM[cfg.model][0]
-    out = np.empty(n, np.intp)
+    out = np.zeros(n, np.intp)
     for t0, t1, counts, ds, dd in _sample_slices(cfg.intensity, cfg.d, radius, n, rng):
-        trial = np.repeat(np.arange(t1 - t0), counts)
-        out[t0:t1] = np.bincount(trial[score(score_kind, ds, dd) <= threshold], minlength=t1 - t0)
+        seg = _segments(counts)
+        below = score(score_kind, ds, dd) <= threshold
+        out[t0:t1][seg.nonempty] = np.add.reduceat(below, seg.starts)
     return out
 
 
@@ -446,18 +449,17 @@ def _chunk_cells(cells, m_fading, threads, radius, n, rng) -> tuple:
     after the selection, from streams spawned from the chunk's stream (see
     _fading_power, which runs it on up to ``threads`` threads), for every
     trial (selected or not) and once for all cells, so neither the policies
-    nor the other cells change what a cell reads.  The path gain is formed
-    once per (policy kind, eta, alpha) and the rate once per (policy kind,
-    eta, alpha, avg_snr, N), in one reused (draws, trials) buffer; a rate
-    is kept past its cell only when more than one cell reads its key, and a
-    cell with a threshold masks it to 0 where its pick is filtered out.  Each
-    cell's rows are reduced as soon as they are formed, in one reused
-    buffer, so the chunk holds the rows of one cell, whatever the number of
-    cells.  numpy reduces each row on its own, so the moments are those of
-    one reduction of every row.  At 8192 trials and 8 draws of one element
-    count, a chunk of four policies traces 1.8 MiB at its peak for 36 cells
-    and 2.0 MiB for 404, mostly the fading; each further element count
-    adds its (draws, trials) Z^2 array, 0.5 MiB.
+    nor the other cells change what a cell reads.  The cells are grouped
+    by (policy kind, eta, alpha), then by (avg_snr, N), in order of first
+    appearance: each group forms one path gain, and each inner group one
+    rate in one reused (draws, trials) buffer, which a cell with a
+    threshold masks to 0 where its pick is filtered out.  Each cell's rows
+    are reduced as soon as they are formed, in one reused buffer, and numpy
+    reduces each row on its own, so the moments are those of one reduction
+    of every row.  At 8192 trials and 8 draws of one element count, a chunk
+    of four policies traces 1.8 MiB at its peak for 36 cells as for 404,
+    mostly the fading; each further element count adds its (draws, trials)
+    Z^2 array, 0.5 MiB.
     """
     geometry = cells[0][0]
     slices = _sample_slices(geometry.intensity, geometry.d, radius, n, rng)
@@ -466,26 +468,26 @@ def _chunk_cells(cells, m_fading, threads, radius, n, rng) -> tuple:
     if m_fading is not None:
         z2 = _fading_power({cfg.n_elements for cfg, _ in cells}, m_fading, n, rng, threads)
         inst = np.empty((m_fading, n))
-    rate_keys = [(policy.kind, cfg.eta, cfg.alpha, cfg.avg_snr, cfg.n_elements) for cfg, policy in cells]
-    shared = {key for key, readers in Counter(rate_keys).items() if readers > 1}
-    gains, rates = {}, {}
+    groups = {}  # (kind, eta, alpha) -> (avg_snr, N) -> indices of the cells
+    for i, (cfg, policy) in enumerate(cells):
+        by_rate = groups.setdefault((policy.kind, cfg.eta, cfg.alpha), {})
+        by_rate.setdefault((cfg.avg_snr, cfg.n_elements), []).append(i)
     row = np.empty((1 if m_fading is None else 2, n))
     shift, offset, m2 = (np.empty((len(cells), len(row))) for _ in range(3))
-    for i, ((cfg, policy), rate_key) in enumerate(zip(cells, rate_keys)):
-        picked = picks[policy.kind]
-        chosen = _threshold(picked, policy)
-        row[0] = ~(chosen < snr_score_cap(cfg))
-        if m_fading is not None:
-            rate = rates.get(rate_key)
-            if rate is None:
-                gain_key = rate_key[:3]
-                if gain_key not in gains:
-                    gains[gain_key] = _path_gain(cfg, picked)
-                rate = _rates(cfg.avg_snr * gains[gain_key], z2[cfg.n_elements], inst)
-                if rate_key in shared:
-                    rates[rate_key] = rate
-            row[1] = np.where(np.isfinite(chosen), rate, 0.0)
-        _, shift[i], offset[i], m2[i] = _moments(row)
+    for (kind, _, _), by_rate in groups.items():
+        picked = picks[kind]
+        for j, members in enumerate(by_rate.values()):
+            if m_fading is not None:
+                cfg = cells[members[0]][0]
+                gain = _path_gain(cfg, picked) if j == 0 else gain
+                rate = _rates(cfg.avg_snr * gain, z2[cfg.n_elements], inst)
+            for i in members:
+                cfg, policy = cells[i]
+                chosen = _threshold(picked, policy)
+                row[0] = ~(chosen < snr_score_cap(cfg))
+                if m_fading is not None:
+                    row[1] = np.where(np.isfinite(chosen), rate, 0.0)
+                _, shift[i], offset[i], m2[i] = _moments(row)
     return n, shift, offset, m2
 
 
@@ -544,16 +546,16 @@ def shared_pool(workers: int, n_trials: int):
     """Chunk runner for many estimator calls of n_trials each, or None.
 
     The runner is a process pool with this process as one of its workers
-    (see _caller_runs).  Yields None when the calls would run their chunks
-    in this process anyway.
+    (see _caller_runs); n_trials fixes which chunks are shares.  Yields
+    None when the calls would run their chunks in this process anyway.
     """
-    processes = _team(workers, _shares(_chunk_sizes(n_trials)))
+    shares = _shares(_chunk_sizes(n_trials))
+    processes = _team(workers, shares)
     if processes < 2:
         yield None
         return
     with ProcessPoolExecutor(max_workers=processes - 1) as executor:
-        # a task's trial count is its item 3
-        yield lambda tasks: _caller_runs(executor, processes, _run_chunk, tasks, _shares([t[3] for t in tasks]))
+        yield lambda tasks: _caller_runs(executor, processes, _run_chunk, tasks, shares)
 
 
 def _map_chunks(kernel, payload, radius, n_trials, rng, workers, pool=None, threaded=False):
@@ -661,6 +663,10 @@ def mc_sweep(
         raise ValueError("mc_sweep needs at least one cell")
     if fading_draws_per_trial is not None and fading_draws_per_trial < 1:
         raise ValueError(f"fading_draws_per_trial must be >= 1, got {fading_draws_per_trial}")
+    m_fading = None if fading_draws_per_trial is None else int(fading_draws_per_trial)
+    if m_fading is not None and m_fading * min(n_trials, _CHUNK_TRIALS) > _FADING_BUDGET:
+        raise UnsupportedRegionError(
+            f"{m_fading} fading draws per trial exceed the Monte Carlo budget of {_FADING_BUDGET} draws per chunk")
     geometry = cells[0][0]
     for cfg, policy in cells:
         if sample_key(cfg) != sample_key(geometry):
@@ -669,7 +675,6 @@ def mc_sweep(
     # the window depends on the policy and the shared geometry only
     policies = dict.fromkeys(policy for _, policy in cells)
     radius = max(_window(coverage_radius(geometry, policy), window_radius_override) for policy in policies)
-    m_fading = None if fading_draws_per_trial is None else int(fading_draws_per_trial)
     payload = (tuple(cells), m_fading)
     chunks = _map_chunks(_chunk_cells, payload, radius, n_trials, rng, workers, pool, threaded=True)
     n, shift, offset, m2 = functools.reduce(_merge_moments, chunks)

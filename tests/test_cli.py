@@ -166,6 +166,44 @@ class TestSpecParsing:
         assert main(["run", "--spec", bad]) == 2
         assert "opt-sum" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "old, new, policies",
+        [
+            ("target_snr_db = 5", "target_snr_db = 5\nthreshold = nan", "min-min"),
+            ("target_snr_db = 5", "target_snr_db = 5\nthreshold = -3", "min-min"),
+            ("variable = avg_snr_db\nmin = -10\nmax = 30", "variable = threshold\nmin = -1\nmax = 2",
+             "min-min, mid-point"),
+        ],
+    )
+    def test_threshold_is_checked_whatever_the_policies(self, tmp_path, capsys, old, new, policies):
+        # baselines read no threshold, but one that no optimum could take is refused all the same
+        text = GOOD_SPEC.format(out=tmp_path / "o.csv").replace(old, new)
+        spec = write_spec(tmp_path, text.replace("opt-product, min-min", policies))
+        with pytest.raises(SpecError, match="feedback_threshold must be > 0"):
+            load_spec(spec)
+        assert main(["run", "--spec", spec]) == 2
+        assert "feedback_threshold must be > 0" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_baselines_ignore_a_valid_threshold(self, tmp_path):
+        text = GOOD_SPEC.format(out=tmp_path / "o.csv").replace("target_snr_db = 5", "target_snr_db = 5\nthreshold = 3")
+        assert load_spec(write_spec(tmp_path, text.replace("opt-product, min-min", "min-min"))).threshold == 3.0
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            pytest.param("d = 1.2\n", "d = 1.2\nd = 1.3\n", id="repeated-key"),
+            pytest.param("[scenario]\n", "", id="no-section-header"),
+            pytest.param("[sweep]\n", "[sweep]\na line with no separator\n", id="unparsable-line"),
+        ],
+    )
+    def test_malformed_spec_file_exits_2(self, tmp_path, capsys, old, new):
+        spec = write_spec(tmp_path, GOOD_SPEC.format(out=tmp_path / "o.csv").replace(old, new))
+        with pytest.raises(SpecError, match="malformed spec file"):
+            load_spec(spec)
+        assert main(["run", "--spec", spec]) == 2
+        assert f"malformed spec file '{spec}'" in capsys.readouterr().err
+
 
     def test_unset_optional_keys_take_network_config_defaults(self, tmp_path):
         text = GOOD_SPEC.format(out=tmp_path / "o.csv")
@@ -667,7 +705,10 @@ class TestSubcommands:
         assert seen == [NetworkConfig(d=1.2, intensity=0.5, n_elements=16, model=PathLossModel.EXP_LAW)]
 
     def test_feedback_requires_threshold(self, capsys):
-        assert main(["feedback", "--model", "exp", "--trials", "500"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["feedback", "--model", "exp", "--trials", "500"])
+        assert exc.value.code == 2
+        assert "--threshold" in capsys.readouterr().err
 
     def test_feedback_reports_mean(self, capsys):
         assert main(["feedback", "--model", "exp", "--threshold", "20", "--trials", "800", "--seed", "3"]) == 0
@@ -760,6 +801,19 @@ class TestSubcommands:
     def test_scenario_flag_out_of_range_exits_2(self, capsys, argv, match):
         assert main(argv + ["--trials", "100"]) == 2
         assert match in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "outage"])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, command):
+        # the write comes after the whole estimate, and its OSError is an argument error
+        out = tmp_path / "missing" / "x.csv"
+        argv = ["run", "--spec", write_spec(tmp_path, GOOD_SPEC.format(out="o.csv"))] if command == "run" else [command]
+        assert main(argv + ["--trials", "100", "--out", str(out)]) == 2
+        assert f"cannot write '{out}'" in capsys.readouterr().err
+
+    def test_fading_draws_beyond_the_budget_exit_3(self, capsys):
+        draws = montecarlo._FADING_BUDGET // montecarlo._CHUNK_TRIALS + 1
+        assert main(["rate", "--fading-draws", str(draws), "--trials", "10000"]) == 3
+        assert "budget" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["outage", "rate"])
     def test_threshold_with_the_other_models_optimum_exits_2(self, capsys, command):

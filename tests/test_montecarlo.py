@@ -365,6 +365,11 @@ class TestSweepKernel:
             pytest.param([(exp_cfg(), SelectionPolicy(PolicyKind.OPT_SUM, feedback_threshold=t))
                           for t in np.linspace(2.5, 12.0, 3)]
                          + [(exp_cfg(), SelectionPolicy(PolicyKind.MIN_MIN))], 4, id="thresholds"),
+            # two element counts, a repeated SNR, the optimum with and without a threshold, a baseline
+            pytest.param([(pow_cfg(n_elements=n, avg_snr=snr), SelectionPolicy(kind, feedback_threshold=t))
+                          for n in (4, 16) for snr in (1.0, 10.0, 1.0)
+                          for kind, t in ((PolicyKind.OPT_PRODUCT, 3.0), (PolicyKind.MIN_MIN, None),
+                                          (PolicyKind.OPT_PRODUCT, None))], 4, id="elements-snrs"),
         ],
     )
     def test_grouped_reduction_equals_one_stacked_reduction(self, cells, m_fading):
@@ -830,6 +835,18 @@ class TestRate:
             tracemalloc.stop()
         assert peak < 1e6
 
+    @pytest.mark.parametrize("n_trials", [montecarlo._CHUNK_TRIALS, 2 * montecarlo._CHUNK_TRIALS + 1])
+    def test_fading_draws_beyond_the_budget_refused_before_drawing(self, n_trials):
+        draws = montecarlo._FADING_BUDGET // montecarlo._CHUNK_TRIALS + 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(UnsupportedRegionError, match="budget"):
+                mc_rate(pow_cfg(), SelectionPolicy(PolicyKind.OPT_PRODUCT), n_trials, draws, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
     @pytest.mark.parametrize("threshold", [None, 3.0])
     def test_one_pass_equals_separate_estimators(self, threshold):
         cfg = pow_cfg()
@@ -878,6 +895,18 @@ class TestFeedbackDist:
     def test_threshold_must_be_positive(self, threshold):
         with pytest.raises(ValueError, match="threshold must be > 0"):
             mc_feedback_dist(exp_cfg(), threshold, 100, 0)
+
+    def test_chunk_counts_equal_an_independent_count(self, monkeypatch):
+        # one-trial slices at ~2 points per trial: many slices hold no point
+        monkeypatch.setattr(montecarlo, "_SLICE_POINTS", 1)
+        cfg, radius, threshold, n = exp_cfg(intensity=0.07), 3.0, 4.0, 500
+        got = montecarlo._chunk_feedback_counts(cfg, threshold, radius, n, np.random.default_rng(9))
+        counts, ds, dd = sample_batch(cfg.intensity, cfg.d, radius, n, np.random.default_rng(9))
+        assert (counts == 0).any()
+        trial = np.repeat(np.arange(n), counts)
+        want = np.bincount(trial[ds + dd <= threshold], minlength=n)
+        assert 0 < want.sum() < counts.sum()
+        assert np.array_equal(got, want)
 
     def test_infinite_threshold_refused_by_point_budget(self):
         with pytest.raises(UnsupportedRegionError, match="budget"):
