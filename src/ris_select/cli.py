@@ -146,7 +146,7 @@ def _names(section, key: str, allowed, required: bool = False) -> list[str]:
 
 
 def load_spec(path: str) -> ExperimentSpec:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         read = parser.read(path)
     except configparser.Error as exc:

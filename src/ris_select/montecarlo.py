@@ -48,7 +48,10 @@ calling thread included, as numpy releases the GIL while it fills and
 transforms those arrays; in a pool each process draws its blocks in turn.
 Processes and threads share the work by one rule (``_caller_runs``), and
 since the chunk and block layout alone fixes the streams, neither changes
-a result.
+a result.  The executors (``ProcessPoolExecutor``, ``ThreadPoolExecutor``)
+are imported only when a run starts a pool or a second fading thread, so
+a one-worker run loads neither ``concurrent.futures`` nor
+``multiprocessing``.
 """
 
 from __future__ import annotations
@@ -57,7 +60,6 @@ import functools
 import math
 import os
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -98,6 +100,24 @@ _SLICE_POINTS = 10_000
 # Most fading draws (per trial, times trials) one chunk may hold: at about 25
 # bytes each (Z^2, the rate scratch, the block buffers), about 100 MiB.
 _FADING_BUDGET = 1 << 22
+
+
+def __getattr__(name: str):
+    """ProcessPoolExecutor and ThreadPoolExecutor, imported from
+    concurrent.futures on first access (PEP 562), so that a run which starts
+    no pool and no second thread never loads them."""
+    if name not in ("ProcessPoolExecutor", "ThreadPoolExecutor"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import concurrent.futures
+
+    executor = globals()[name] = getattr(concurrent.futures, name)
+    return executor
+
+
+def _executor(name: str):
+    """The executor class the module attribute holds now, which a caller
+    (a test, a tracer) may have replaced."""
+    return globals()[name] if name in globals() else __getattr__(name)
 
 
 @dataclass(frozen=True)
@@ -419,7 +439,8 @@ def _fading_power(sizes, m: int, n: int, rng: np.random.Generator, threads: int)
     Columns come in blocks of _FADING_BLOCK trials.  Block b is drawn by
     ``sample_z_prefixes`` from the b-th stream spawned from rng, so the
     block layout alone fixes every value.  The blocks run as shares (see
-    _caller_runs) on at most ``threads`` threads, this one included.
+    _caller_runs) on at most ``threads`` threads, this one included; on one
+    thread they are drawn here in turn, with no executor.
     """
     starts = range(0, n, _FADING_BLOCK)
     blocks = list(zip(starts, rng.spawn(len(starts))))
@@ -432,8 +453,11 @@ def _fading_power(sizes, m: int, n: int, rng: np.random.Generator, threads: int)
             np.multiply(gain, gain, out=z2[size][:, start : start + width])
 
     threads = _team(threads, len(blocks))
-    # on one thread nothing is mapped, and the executor starts no thread
-    with ThreadPoolExecutor(max_workers=max(1, threads - 1)) as executor:
+    if threads < 2:
+        for block in blocks:
+            draw(block)
+        return z2
+    with _executor("ThreadPoolExecutor")(max_workers=threads - 1) as executor:
         _caller_runs(executor, threads, draw, blocks, len(blocks))
     return z2
 
@@ -554,7 +578,7 @@ def shared_pool(workers: int, n_trials: int):
     if processes < 2:
         yield None
         return
-    with ProcessPoolExecutor(max_workers=processes - 1) as executor:
+    with _executor("ProcessPoolExecutor")(max_workers=processes - 1) as executor:
         yield lambda tasks: _caller_runs(executor, processes, _run_chunk, tasks, shares)
 
 

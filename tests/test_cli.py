@@ -204,6 +204,11 @@ class TestSpecParsing:
         assert main(["run", "--spec", spec]) == 2
         assert f"malformed spec file '{spec}'" in capsys.readouterr().err
 
+    def test_percent_sign_in_a_value_is_literal(self, tmp_path):
+        # no interpolation: a '%' is part of the value, not a syntax error
+        out = tmp_path / "o%.csv"
+        assert main(["run", "--spec", write_spec(tmp_path, GOOD_SPEC.format(out=out))]) == 0
+        assert out.read_text().startswith("sweep_var,")
 
     def test_unset_optional_keys_take_network_config_defaults(self, tmp_path):
         text = GOOD_SPEC.format(out=tmp_path / "o.csv")
@@ -472,8 +477,9 @@ class TestGoldenRows:
         spec = load_spec(write_spec(tmp_path, GOLDEN_SPEC.format(**params)))
         rows = run_experiment(spec, workers=2)
         # one chunk and a 1-trial tail run in this process; the chunk's
-        # second fading block goes to one other thread
-        assert mapped == [1, 0]
+        # second fading block goes to one other thread, and the tail's one
+        # block is drawn with no executor
+        assert mapped == [1]
         assert _digest(rows) == digest
 
 
@@ -533,9 +539,10 @@ class TestRunCost:
         assert len(builds) == 1
 
     def test_run_imports_no_scipy(self, tmp_path):
-        # a fresh interpreter: the run path loads numpy only (neither scipy,
-        # genhyp's decimal, numpy.ma nor numpy.fft), and the oracles and
-        # `validate` still load scipy when they are called
+        # a fresh interpreter: a one-worker run loads numpy only (neither
+        # scipy, genhyp's decimal, numpy.ma, numpy.fft nor the executor
+        # stack), and the oracles and `validate` still load scipy when they
+        # are called
         specs = [
             dict(n=8, model="power", snr=0, var="avg_snr_db", lo=-10, hi=30, steps=3,
                  policies="opt-product, min-min"),
@@ -555,7 +562,9 @@ from ris_select.channel import NetworkConfig, PathLossModel
 for path in sys.argv[1:]:
     rows = cli.run_experiment(cli.load_spec(path))
     assert {r[2] for r in rows[1:]} == {"analytic", "montecarlo"}, rows
-loaded = sorted(m for m in sys.modules if m in ("scipy", "decimal", "numpy.ma", "numpy.fft") or m.startswith("scipy."))
+forbidden = ("scipy", "decimal", "numpy.ma", "numpy.fft",
+             "concurrent.futures", "multiprocessing", "socket", "subprocess", "logging")
+loaded = sorted(m for m in sys.modules if m in forbidden or m.startswith("scipy."))
 assert not loaded, loaded
 cfg = NetworkConfig(d=1.2, intensity=0.5, n_elements=16, model=PathLossModel.POWER_LAW)
 assert abs(analytic.rate_fading_quad(1.0, cfg) / analytic.rate_fading_closed(1.0, cfg) - 1) < 1e-4

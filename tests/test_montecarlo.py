@@ -478,9 +478,9 @@ class TestFadingBlocks:
         n_trials = montecarlo._CHUNK_TRIALS + 1  # one process runs both chunks
         want = mc_sweep(cells, n_trials, 2, 8)
         assert mc_sweep(cells, n_trials, 2, 8, workers=workers) == want
-        # a pool of one thread that is mapped nothing starts no thread
+        # a team of one thread draws its blocks with no executor
         extra = min(len(os.sched_getaffinity(0)), 2) - 1
-        assert all(size <= max(1, extra) for size in sizes)
+        assert all(size <= extra for size in sizes)
         assert all(count <= extra for count in mapped)
 
         monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(64)))
@@ -488,9 +488,9 @@ class TestFadingBlocks:
         mapped.clear()
         assert mc_sweep(cells, n_trials, 2, 8, workers=workers) == want
         # the full chunk's second block goes to one other thread; the
-        # 1-trial tail is one block and maps nothing
-        assert sizes == [1, 1]
-        assert mapped == [1, 0]
+        # 1-trial tail is one block, drawn with no executor
+        assert sizes == [1]
+        assert mapped == [1]
 
     def test_no_fading_threads_beside_a_process_pool(self, monkeypatch):
         threads, processes = [], []
@@ -501,7 +501,7 @@ class TestFadingBlocks:
         n_trials = 2 * montecarlo._CHUNK_TRIALS + 1
         assert mc_sweep(cells, n_trials, 2, 8, workers=2) == mc_sweep(cells, n_trials, 2, 8)
         assert processes == [1]
-        assert set(threads) == {0}  # no chunk maps a fading block to a thread
+        assert threads == []  # no chunk builds a thread pool for its fading blocks
 
 
 def _lexsort_argmin(crit, counts):
