@@ -84,16 +84,24 @@ def sample_z(n_elements: int, rng: np.random.Generator, size=None):
 
     Returns a float when ``size`` is None, otherwise an array of that shape.
     """
-    shape = () if size is None else tuple(np.atleast_1d(size))
-    z = sample_z_prefixes([n_elements], rng, shape)[n_elements]
+    z = np.empty(() if size is None else tuple(np.atleast_1d(size)))
+    for _ in sample_z_prefixes([n_elements], rng, z):
+        pass
     return float(z) if size is None else z
 
 
-def sample_z_prefixes(n_elements, rng: np.random.Generator, shape) -> dict[int, np.ndarray]:
+def sample_z_prefixes(n_elements, rng: np.random.Generator, out: np.ndarray):
     """Z over the first N elements of one draw, for every N in n_elements.
 
+    Returns an iterator of (N, Z) in ascending N, Z being ``out`` itself:
+    it is overwritten with Z over the first N elements, and each next step
+    adds the elements up to the next N to it in place.  So the Z of a
+    smaller N is bit for bit the partial sum of the Z of a larger one, and
+    the same stream gives the same Z_N whichever other element counts are
+    asked for with it.
+
     Elements are drawn one at a time: two unit exponentials E1, E2 per
-    element and entry of ``shape``, with a*b = sqrt(E1*E2) (a Rayleigh
+    element and entry of ``out``, with a*b = sqrt(E1*E2) (a Rayleigh
     amplitude of scale 1/sqrt(2) is sqrt(E)).  One 64-bit word of
     ``rng.bit_generator.random_raw`` per entry gives both: its two 32-bit
     halves k, low half first, each give the float32 uniform U = (k >> 8)
@@ -103,34 +111,44 @@ def sample_z_prefixes(n_elements, rng: np.random.Generator, shape) -> dict[int, 
     in their product.  The term is formed in float32, Z is summed in
     float64.  Over all 2^24 values of U, E[E] = 1 - 5.5e-7 and E[sqrt E]
     = (sqrt(pi)/2)(1 - 1.4e-7), so E[a*b] is off by -2.9e-7 relative and
-    E[(a*b)^2] by -1.1e-6.  Memory is a few arrays of ``shape`` whatever
-    N, and the Z for a smaller N is bit for bit the partial sum of the Z
-    for a larger one, so the same stream gives the same Z_N whichever
-    other element counts are asked for with it.
+    E[(a*b)^2] by -1.1e-6.  Beside ``out``, memory is two float32 arrays
+    of its shape and one word per entry, whatever N, while an element is
+    drawn, and nothing between two steps.
     """
-    wanted = {int(n) for n in n_elements}
-    if not wanted or min(wanted) < 1:
-        raise ValueError(f"element counts must be >= 1, got {sorted(wanted)}")
-    top = max(wanted)
-    shape = tuple(shape)
-    words = math.prod(shape)
+    wanted = sorted({int(n) for n in n_elements})
+    if not wanted or wanted[0] < 1:
+        raise ValueError(f"element counts must be >= 1, got {wanted}")
+    return _z_prefixes(wanted, rng, out)
+
+
+def _z_prefixes(wanted: list, rng: np.random.Generator, z: np.ndarray):
+    z[...] = 0.0
+    n = 0
+    for size in wanted:
+        for n in range(n + 1, size + 1):
+            z += _element_terms(rng, z.shape)
+        yield size, z
+
+
+def _element_terms(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """One element's terms a*b, as doubles, one per entry of shape (see
+    sample_z_prefixes); its buffers are freed once the caller drops it."""
     pair = np.empty((2,) + shape, np.float32)
+    # as little-endian words, so the low half comes first on any host
+    raw = rng.bit_generator.random_raw(math.prod(shape)).astype("<u8", copy=False)
+    k = raw.view("<u4").reshape(pair.shape)
+    np.right_shift(k, 8, out=k)
+    np.multiply(k, 2.0**-24, out=pair, dtype=np.float32)
+    np.subtract(1, pair, out=pair)
+    np.log(pair, out=pair)  # -E1 and -E2
     term = pair[0, ...]  # the first half, a view also when shape is ()
-    z = np.zeros(shape)
-    out = {}
-    for n in range(1, top + 1):
-        # as little-endian words, so the low half comes first on any host
-        raw = rng.bit_generator.random_raw(words).astype("<u8", copy=False)
-        k = raw.view("<u4").reshape(pair.shape)
-        np.right_shift(k, 8, out=k)
-        np.multiply(k, 2.0**-24, out=pair, dtype=np.float32)
-        np.subtract(1, pair, out=pair)
-        np.log(pair, out=pair)  # -E1 and -E2
-        np.multiply(term, pair[1], out=term)
-        z += np.sqrt(term, out=term)
-        if n in wanted:
-            out[n] = z if n == top else z.copy()
-    return out
+    np.multiply(term, pair[1], out=term)
+    # the words are spent, and their memory takes the terms as doubles: the
+    # caller's z may be a block's columns of a wider array, where numpy adds
+    # float32 to float64 at half the speed at which it adds float64
+    wide = raw.view(np.float64).reshape(shape)
+    np.copyto(wide, np.sqrt(term, out=term))
+    return wide
 
 
 def ez2(n_elements: int) -> float:

@@ -29,15 +29,18 @@ criterion, not per cell.  The optimum policy's criterion is the score
 itself, so its pick is the segment minimum and needs no arg-min, and a
 feedback threshold filters on that same score, so a threshold is a mask on
 the unthresholded pick and a whole threshold sweep shares one pick.  It
-then draws the fading of every trial, draws-major (one row per draw, one
-column per trial) and accumulated element by element, so one draw serves
-every cell and the gain for N elements is the partial sum of the gain for
-more.  The fading comes in fixed blocks of 4096 trials, each drawn from a
-stream of its own spawned from the chunk's stream.  Path gain and rate are
-formed once per distinct (policy, law parameter, SNR, N).  Every cell
-thus reads the same realizations (common random numbers), and each
-equals what a one-cell ``mc_sweep`` returns for it with the same seed and
-the group's window radius.  ``mc_outage`` and ``mc_rate`` are that
+then draws the fading of every trial into one Z array, draws-major (one
+row per draw, one column per trial) and accumulated element by element, so
+one draw serves every cell and the gain for N elements is the partial sum
+of the gain for more.  It draws up to one wanted N at a time, in ascending
+order, and reduces that N's cells before it draws further elements, so a
+sweep over N holds one Z array (and one Z^2 scratch) at any number of
+element counts.  The fading comes in fixed blocks of 4096 trials, each
+drawn from a stream of its own spawned from the chunk's stream.  Path gain
+and rate are formed once per distinct (policy, law parameter, SNR, N).
+Every cell thus reads the same realizations (common random numbers), and
+each equals what a one-cell ``mc_sweep`` returns for it with the same seed
+and the group's window radius.  ``mc_outage`` and ``mc_rate`` are that
 one-cell case.
 
 Chunks run in the calling process, or in a pool in which the calling
@@ -60,7 +63,7 @@ import functools
 import math
 import os
 from collections.abc import Callable
-from contextlib import contextmanager
+from contextlib import closing, contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -85,20 +88,25 @@ _WINDOW_EPS = 1e-6
 # policies' selection take about 65 ns per point at 147 points per trial
 # and more, so about 1.1 s per chunk at the budget.
 _POINT_BUDGET = 1 << 24
-# Candidate pairs the sampler draws at a time (256 KiB of doubles).
+# Candidate pairs the sampler draws at a time (256 KiB of doubles), or
+# fewer for the last points of a batch (see _pairs_wanted).
 _SAMPLE_BLOCK = 1 << 14
 # Points one slice of a chunk is expected to hold.  A slice samples at
 # about 32 bytes per point (x, y^2, a distance array and the indices of the
-# accepted pairs) beside 0.8 MiB of fixed size (the trials' counts, a block
-# of candidate pairs and its acceptance test), and, measured at 20 and 147
-# points per trial, selects at about 42 (both distance arrays, the score,
+# accepted pairs) beside 0.7 MiB of fixed size: the trials' counts, a block
+# of candidate pairs, the three buffers of its acceptance test (allocated
+# once per chunk) and the accepted indices.  Measured at 20 and 147
+# points per trial, it selects at about 42 (both distance arrays, the score,
 # one criterion buffer, the repeated segment minima and a mask).  So a
 # slice's arrays fit in a 2 MiB L2 cache.  Slices of 10,000 and 20,000
 # points timed fastest of 2,500 to 200,000 (15 ms per 8192-trial chunk, 22
 # ms for the chunk as one slice), and the smaller holds less.
 _SLICE_POINTS = 10_000
-# Most fading draws (per trial, times trials) one chunk may hold: at about 25
-# bytes each (Z^2, the rate scratch, the block buffers), about 100 MiB.
+# Most fading draws (per trial, times trials) one chunk may hold: at 16 to 32
+# bytes each, at most 128 MiB.  Z takes 8, the Z^2 scratch of a chunk of
+# more than one element count 8, and the element a block is drawing 16 per
+# draw of the block's trials (its words and its float32 pair), so 8 on one
+# thread and 16 when a chunk's two blocks draw at once on two.
 _FADING_BUDGET = 1 << 22
 
 
@@ -261,7 +269,8 @@ def _sample_slices(lam: float, d: float, radius: float, n: int, rng: np.random.G
     trigonometry.  Trials [t0, t1) of a slice are expected to hold about
     _SLICE_POINTS points; counts are theirs, and ds, dd the anchor
     distances of their points, concatenated in trial order.  Pairs are
-    drawn _SAMPLE_BLOCK at a time, and the accepted pairs a slice does not
+    drawn _SAMPLE_BLOCK at a time, or fewer when the batch needs fewer
+    points (see _pairs_wanted), and the accepted pairs a slice does not
     take are kept for the next, so every point is the same at any slice or
     block size and no block is drawn beyond the last point.  A batch
     expected to hold more than _POINT_BUDGET points is refused before
@@ -276,8 +285,9 @@ def _sample_slices(lam: float, d: float, radius: float, n: int, rng: np.random.G
         )
     counts = rng.poisson(mean, n)
     step = max(1, math.floor(_SLICE_POINTS / mean)) if mean * n > _SLICE_POINTS else n
-    block = np.empty((_SAMPLE_BLOCK, 2))
-    u, v = block.T
+    left = int(counts.sum())  # points the batch has yet to take, this slice's included
+    size = _pairs_wanted(left)
+    block, r2, v2, accept = np.empty((size, 2)), np.empty(size), np.empty(size), np.empty(size, bool)
     inside = np.empty(0, np.intp)  # accepted pairs of the current block, taken up to `used`
     used = 0
     for t0 in range(0, n, step):
@@ -287,16 +297,22 @@ def _sample_slices(lam: float, d: float, radius: float, n: int, rng: np.random.G
         filled = 0
         while filled < need:
             if used == inside.size:
-                rng.random(out=block)
-                block *= 2.0
-                block -= 1.0
-                inside = np.flatnonzero(u * u + v * v <= 1.0)
+                size = _pairs_wanted(left - filled)  # no more than the buffers hold
+                pairs = block[:size]
+                rng.random(out=pairs)
+                pairs *= 2.0
+                pairs -= 1.0
+                u, v = pairs.T
+                np.multiply(u, u, out=r2[:size])
+                r2[:size] += np.multiply(v, v, out=v2[:size])
+                inside = np.flatnonzero(np.less_equal(r2[:size], 1.0, out=accept[:size]))
                 used = 0
             take = inside[used : used + need - filled]
             end = filled + take.size
             x[filled:end] = u[take]
             y2[filled:end] = v[take]
             filled, used = end, used + take.size
+        left -= need
         x *= radius
         y2 *= radius
         np.square(y2, out=y2)
@@ -306,6 +322,14 @@ def _sample_slices(lam: float, d: float, radius: float, n: int, rng: np.random.G
             dist += y2
             np.sqrt(dist, out=dist)
         yield t0, t1, counts[t0:t1], ds, dd
+
+
+def _pairs_wanted(points: int) -> int:
+    """Candidate pairs to draw at once for this many more points: a full
+    block, or about twice the points (a pair is accepted with probability
+    pi/4) and 64 more, so that the last block of a batch seldom needs
+    another after it."""
+    return min(_SAMPLE_BLOCK, 64 + 2 * points)
 
 
 class _Segments(NamedTuple):
@@ -423,43 +447,49 @@ def _path_gain(cfg: NetworkConfig, picked: np.ndarray) -> np.ndarray:
 def _rates(snr: np.ndarray, z2: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Per-trial log2(1 + snr Z^2) averaged over the fading draws in z2.
 
-    z2 holds Z^2 draws-major, one row per draw and one column per trial,
-    so the average is a few contiguous row adds.  The per-draw terms are
-    formed in out, a scratch array of z2's shape.
+    z2 holds Z^2 draws-major, one row per draw and one column per trial.
+    The draws are summed row by row in out, a (2, trials) scratch, which is
+    the order in which numpy's mean over axis 0 sums rows, so the rate is
+    np.log1p(z2 * snr).mean(axis=0) / log(2) bit for bit.  numpy sums a
+    single column pairwise instead, so one trial's rate is that mean itself.
     """
-    inst = np.multiply(z2, snr, out=out)
-    rate = np.log1p(inst, out=inst).mean(axis=0)
+    if z2.shape[1] == 1:
+        return np.log1p(z2 * snr).mean(axis=0) / math.log(2.0)
+    rate, term = out
+    np.log1p(np.multiply(z2[0], snr, out=rate), out=rate)
+    for draw in z2[1:]:
+        rate += np.log1p(np.multiply(draw, snr, out=term), out=term)
+    rate /= len(z2)
     rate /= math.log(2.0)
     return rate
 
 
-def _fading_power(sizes, m: int, n: int, rng: np.random.Generator, threads: int) -> dict:
-    """Z^2 of m draws for each of n trials, as one (m, n) array per N in sizes.
+def _fading_power(sizes, m: int, n: int, rng: np.random.Generator, threads: int):
+    """Z^2 of m draws for each of n trials, for every N in sizes.
 
-    Columns come in blocks of _FADING_BLOCK trials.  Block b is drawn by
-    ``sample_z_prefixes`` from the b-th stream spawned from rng, so the
-    block layout alone fixes every value.  The blocks run as shares (see
-    _caller_runs) on at most ``threads`` threads, this one included; on one
-    thread they are drawn here in turn, with no executor.
+    Yields (N, Z^2) in ascending N, Z^2 an (m, n) array that holds until
+    the next step.  One (m, n) Z array serves every N.  Its columns come in
+    blocks of _FADING_BLOCK trials, and block b accumulates its own columns
+    with ``sample_z_prefixes`` from the b-th stream spawned from rng, so the
+    block layout alone fixes every value.  Each step is one round in which
+    every block draws its elements up to the next N.  The blocks run as
+    shares (see _caller_runs) on at most ``threads`` threads, this one
+    included, with one executor for all rounds; on one thread they are
+    drawn here in turn, with no executor.  Z^2 is formed in one reused
+    (m, n) array for every N but the largest, and in Z itself for that.
     """
+    sizes = sorted(set(sizes))
     starts = range(0, n, _FADING_BLOCK)
-    blocks = list(zip(starts, rng.spawn(len(starts))))
-    z2 = {size: np.empty((m, n)) for size in sizes}
-
-    def draw(block):
-        start, stream = block
-        width = min(_FADING_BLOCK, n - start)
-        for size, gain in sample_z_prefixes(sizes, stream, (m, width)).items():
-            np.multiply(gain, gain, out=z2[size][:, start : start + width])
-
+    z = np.empty((m, n))
+    blocks = [sample_z_prefixes(sizes, stream, z[:, start : start + _FADING_BLOCK])
+              for start, stream in zip(starts, rng.spawn(len(starts)))]
+    scratch = np.empty_like(z) if len(sizes) > 1 else None
     threads = _team(threads, len(blocks))
-    if threads < 2:
-        for block in blocks:
-            draw(block)
-        return z2
-    with _executor("ThreadPoolExecutor")(max_workers=threads - 1) as executor:
-        _caller_runs(executor, threads, draw, blocks, len(blocks))
-    return z2
+    executor = _executor("ThreadPoolExecutor")(max_workers=threads - 1) if threads > 1 else None
+    with executor or nullcontext():
+        for size in sizes:
+            _caller_runs(executor, threads, next, blocks, len(blocks))
+            yield size, np.square(z, out=z if size == sizes[-1] else scratch)
 
 
 def _chunk_cells(cells, m_fading, threads, radius, n, rng) -> tuple:
@@ -470,48 +500,57 @@ def _chunk_cells(cells, m_fading, threads, radius, n, rng) -> tuple:
     takes one pick per slice (the segment minimum for the model's optimum,
     an arg-min for any other kind); feedback thresholds are masks on that
     pick.  A slice's points are dropped once picked.  The fading is drawn
-    after the selection, from streams spawned from the chunk's stream (see
-    _fading_power, which runs it on up to ``threads`` threads), for every
-    trial (selected or not) and once for all cells, so neither the policies
-    nor the other cells change what a cell reads.  The cells are grouped
-    by (policy kind, eta, alpha), then by (avg_snr, N), in order of first
-    appearance: each group forms one path gain, and each inner group one
-    rate in one reused (draws, trials) buffer, which a cell with a
-    threshold masks to 0 where its pick is filtered out.  Each cell's rows
-    are reduced as soon as they are formed, in one reused buffer, and numpy
-    reduces each row on its own, so the moments are those of one reduction
-    of every row.  At 8192 trials and 8 draws of one element count, a chunk
-    of four policies traces 1.8 MiB at its peak for 36 cells as for 404,
-    mostly the fading; each further element count adds its (draws, trials)
-    Z^2 array, 0.5 MiB.
+    after the selection, from streams spawned from the chunk's stream, for
+    every trial (selected or not) and once for all cells, so neither the
+    policies nor the other cells change what a cell reads.  It is drawn one
+    element count at a time (see _fading_power, which runs it on up to
+    ``threads`` threads), and each count's cells are reduced before any
+    further element is drawn.  The cells are grouped by N, then by (policy
+    kind, eta, alpha), then by avg_snr, in order of first appearance: each
+    middle group forms one path gain, and each inner group one rate in one
+    reused (2, trials) scratch (see _rates), which a cell with a threshold
+    masks to 0 where its pick is filtered out.  Each cell's rows are reduced
+    as soon as they are formed, in one reused buffer, and numpy reduces
+    each row on its own, so the moments are those of one reduction of every
+    row.  At 8192 trials and 8 draws on one thread, a chunk of four policies
+    traces 1.6 MiB at its peak for 36 cells of one element count and 1.7
+    MiB for 404; a second count adds the (draws, trials) Z^2 scratch, 0.5
+    MiB, and further counts add nothing (2.5 MiB for 21 counts).
     """
     geometry = cells[0][0]
     slices = _sample_slices(geometry.intensity, geometry.d, radius, n, rng)
     kinds = dict.fromkeys(policy.kind for _, policy in cells)
     picks = _picks(kinds, OPTIMUM[geometry.model][0], slices, n)
-    if m_fading is not None:
-        z2 = _fading_power({cfg.n_elements for cfg, _ in cells}, m_fading, n, rng, threads)
-        inst = np.empty((m_fading, n))
-    groups = {}  # (kind, eta, alpha) -> (avg_snr, N) -> indices of the cells
-    for i, (cfg, policy) in enumerate(cells):
-        by_rate = groups.setdefault((policy.kind, cfg.eta, cfg.alpha), {})
-        by_rate.setdefault((cfg.avg_snr, cfg.n_elements), []).append(i)
     row = np.empty((1 if m_fading is None else 2, n))
     shift, offset, m2 = (np.empty((len(cells), len(row))) for _ in range(3))
-    for (kind, _, _), by_rate in groups.items():
-        picked = picks[kind]
-        for j, members in enumerate(by_rate.values()):
-            if m_fading is not None:
-                cfg = cells[members[0]][0]
-                gain = _path_gain(cfg, picked) if j == 0 else gain
-                rate = _rates(cfg.avg_snr * gain, z2[cfg.n_elements], inst)
-            for i in members:
-                cfg, policy = cells[i]
-                chosen = _threshold(picked, policy)
-                row[0] = ~(chosen < snr_score_cap(cfg))
-                if m_fading is not None:
-                    row[1] = np.where(np.isfinite(chosen), rate, 0.0)
-                _, shift[i], offset[i], m2[i] = _moments(row)
+
+    def reduce_cell(i, rate=None):
+        cfg, policy = cells[i]
+        chosen = _threshold(picks[policy.kind], policy)
+        row[0] = ~(chosen < snr_score_cap(cfg))
+        if rate is not None:
+            row[1] = np.where(np.isfinite(chosen), rate, 0.0)
+        _, shift[i], offset[i], m2[i] = _moments(row)
+
+    if m_fading is None:
+        for i in range(len(cells)):
+            reduce_cell(i)
+        return n, shift, offset, m2
+    groups = {}  # N -> (kind, eta, alpha) -> avg_snr -> indices of the cells
+    for i, (cfg, policy) in enumerate(cells):
+        by_law = groups.setdefault(cfg.n_elements, {})
+        by_law.setdefault((policy.kind, cfg.eta, cfg.alpha), {}).setdefault(cfg.avg_snr, []).append(i)
+    scratch = np.empty((2, n))
+    # closing() shuts the fading threads down also when a reduction raises
+    with closing(_fading_power(groups, m_fading, n, rng, threads)) as powers:
+        for size, z2 in powers:
+            for (kind, _, _), by_snr in groups[size].items():
+                first, *_ = by_snr.values()
+                gain = _path_gain(cells[first[0]][0], picks[kind])
+                for avg_snr, members in by_snr.items():
+                    rate = _rates(avg_snr * gain, z2, scratch)
+                    for i in members:
+                        reduce_cell(i, rate)
     return n, shift, offset, m2
 
 
@@ -556,10 +595,10 @@ def _caller_runs(executor, team: int, run: Callable, tasks: list, shares: int) -
     then runs the tasks that are no share (a small last chunk, see _shares),
     and only then waits on the executor.  So 8193 trials run in one process,
     and 2 x 8192 + 1 trials at two workers make one child run the second
-    chunk.
+    chunk.  A team of one is this thread alone, with no executor (None).
     """
     head = -(-shares // team)
-    rest = executor.map(run, tasks[head:shares])
+    rest = executor.map(run, tasks[head:shares]) if team > 1 else []
     mine = [run(task) for task in tasks[:head] + tasks[shares:]]
     # list(rest) waits on the executor and raises what its workers raised
     return mine[:head] + list(rest) + mine[head:]

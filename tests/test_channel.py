@@ -21,6 +21,11 @@ from ris_select.channel import (
 PI2 = math.pi**2
 
 
+def _prefixes(n_elements, rng, shape) -> dict:
+    """{N: Z} of sample_z_prefixes, each Z copied out of the accumulator."""
+    return {n: z.copy() for n, z in sample_z_prefixes(n_elements, rng, np.empty(shape))}
+
+
 class TestSampleZ:
     def test_single_element_mean(self):
         z = sample_z(1, np.random.default_rng(11), size=200_000)
@@ -55,12 +60,24 @@ class TestSampleZ:
         assert stats.ks_2samp(term, np.sqrt(ref[0] * ref[1])).pvalue > 0.01
 
     def test_smaller_counts_are_partial_sums_of_one_draw(self):
-        z = sample_z_prefixes([16, 4, 9], np.random.default_rng(6), (5, 3))
-        assert sorted(z) == [4, 9, 16]
+        out = np.full((5, 3), np.nan)  # overwritten, not added to
+        steps = list(sample_z_prefixes([16, 4, 9, 4], np.random.default_rng(6), out))
+        assert [n for n, _ in steps] == [4, 9, 16]
+        assert all(z is out for _, z in steps)
+        z = _prefixes([16, 4, 9], np.random.default_rng(6), (5, 3))
         for n in (4, 9, 16):
             assert np.array_equal(z[n], sample_z(n, np.random.default_rng(6), size=(5, 3)))
-        with pytest.raises(ValueError):
-            sample_z_prefixes([0, 3], np.random.default_rng(0), (2,))
+        assert np.array_equal(out, z[16])
+        with pytest.raises(ValueError):  # refused at the call, before any step
+            sample_z_prefixes([0, 3], np.random.default_rng(0), np.empty(2))
+
+    def test_a_strided_accumulator_gets_the_same_draw(self):
+        # the Monte Carlo blocks accumulate into columns of one wider array
+        wide = np.zeros((4, 9))
+        for _ in sample_z_prefixes([5], np.random.default_rng(2), wide[:, 3:7]):
+            pass
+        assert np.array_equal(wide[:, 3:7], _prefixes([5], np.random.default_rng(2), (4, 4))[5])
+        assert not wide[:, :3].any() and not wide[:, 7:].any()
 
 
 def _words(random_raw):
@@ -77,7 +94,7 @@ def _lattice_exponentials(q):
     """
     halves = np.concatenate([q, q]).astype(np.uint64) << 8
     words = halves[0::2] | halves[1::2] << 32
-    return sample_z_prefixes([1], _words(lambda size: words), q.shape)[1]
+    return _prefixes([1], _words(lambda size: words), q.shape)[1]
 
 
 class TestFloat32Kernel:
@@ -85,7 +102,7 @@ class TestFloat32Kernel:
     float32 uniforms U = (k >> 8) 2^-24 and E = -log(1 - U)."""
 
     def test_uniforms_are_numpys_float32_uniforms(self):
-        z = sample_z_prefixes([3], np.random.default_rng(8), (5, 7))[3]
+        z = _prefixes([3], np.random.default_rng(8), (5, 7))[3]
         ref, want = np.random.default_rng(8), np.zeros((5, 7))
         for _ in range(3):
             log_pair = np.log(1 - ref.random((2, 5, 7), dtype=np.float32))
@@ -94,21 +111,21 @@ class TestFloat32Kernel:
 
     def test_zero_words_give_zero_exponentials(self):
         with np.errstate(all="raise"):
-            z = sample_z_prefixes([4], _words(lambda size: np.zeros(size, np.uint64)), (3,))[4]
+            z = _prefixes([4], _words(lambda size: np.zeros(size, np.uint64)), (3,))[4]
         assert np.array_equal(z, np.zeros(3))
 
     def test_all_ones_words_give_the_largest_exponential(self):
         # U = 1 - 2^-24, so every E is 24 log 2 = 16.6355 and so is every term
         ones = _words(lambda size: np.full(size, 2**64 - 1, np.uint64))
         with np.errstate(all="raise"):
-            z = sample_z_prefixes([4], ones, (3,))[4]
+            z = _prefixes([4], ones, (3,))[4]
         np.testing.assert_allclose(z, 4 * 24 * math.log(2), rtol=1e-6)
 
     def test_big_endian_words_give_the_same_draw(self):
         bits = np.random.PCG64(9)
         big = _words(lambda size: bits.random_raw(size).astype(">u8"))
-        z = sample_z_prefixes([3], big, (4, 5))[3]
-        assert np.array_equal(z, sample_z_prefixes([3], np.random.default_rng(9), (4, 5))[3])
+        z = _prefixes([3], big, (4, 5))[3]
+        assert np.array_equal(z, _prefixes([3], np.random.default_rng(9), (4, 5))[3])
 
     def test_exact_moments_over_the_whole_lattice(self):
         # every float32 uniform once: E[E] = 1 - 5.5e-7 and E[sqrt E] =

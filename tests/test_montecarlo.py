@@ -42,6 +42,11 @@ def sample_batch(lam, d, radius, n, rng):
     return np.concatenate(counts), np.concatenate(ds), np.concatenate(dd)
 
 
+def fading_powers(sizes, m, n, rng, threads) -> dict:
+    """{N: Z^2} of every step of montecarlo._fading_power, each copied out."""
+    return {size: z2.copy() for size, z2 in montecarlo._fading_power(sizes, m, n, rng, threads)}
+
+
 def pow_cfg(**kw):
     base = dict(d=D, intensity=LAM, n_elements=16, model=PathLossModel.POWER_LAW,
                 eta=4.0, avg_snr=10.0 ** 0.5, target_snr=10.0 ** 0.5)
@@ -301,7 +306,18 @@ class TestSweepKernel:
         rng = np.random.default_rng(6)
         snr, z2 = rng.exponential(10.0, 500), rng.exponential(5.0, (8, 500))
         want = [np.mean(np.log2(1.0 + s * z2[:, trial])) for trial, s in enumerate(snr)]
-        np.testing.assert_allclose(montecarlo._rates(snr, z2, np.empty_like(z2)), want, rtol=1e-14)
+        np.testing.assert_allclose(montecarlo._rates(snr, z2, np.empty((2, 500))), want, rtol=1e-14)
+
+    @pytest.mark.parametrize("trials", [1, 2, 500, montecarlo._CHUNK_TRIALS])
+    @pytest.mark.parametrize("draws", [1, 2, 8])
+    def test_rates_are_numpys_mean_over_draws_bit_for_bit(self, draws, trials):
+        # the recorded GOLDEN digests rest on this identity: the rows summed
+        # one at a time in a (2, trials) scratch, and a single trial's
+        # column summed as numpy sums it
+        rng = np.random.default_rng(draws * trials)
+        snr, z2 = rng.exponential(10.0, trials), rng.exponential(5.0, (draws, trials))
+        want = np.log1p(z2 * snr).mean(axis=0) / math.log(2.0)
+        assert np.array_equal(montecarlo._rates(snr, z2, np.empty((2, trials))), want)
 
     def test_cells_must_share_geometry(self):
         pol = SelectionPolicy(PolicyKind.MIN_MIN)
@@ -325,6 +341,42 @@ class TestSweepKernel:
             tracemalloc.stop()
         assert n == montecarlo._CHUNK_TRIALS
         assert peak < 64e6
+
+    def test_chunk_memory_does_not_grow_with_element_counts(self):
+        # one chunk of an N sweep over 21 counts from 1 to 64 against one of
+        # two counts: a (draws, trials) Z^2 array per count held 16.6 MiB
+        # against 2.3 MiB; one Z array and one Z^2 scratch serve every count
+        pol = SelectionPolicy(PolicyKind.OPT_PRODUCT)
+        radius = coverage_radius(pow_cfg(), pol)
+        peaks = []
+        for counts in ((1, 64), sorted({round(x) for x in np.linspace(1, 64, 21)})):
+            cells = tuple((pow_cfg(n_elements=n), pol) for n in counts)
+            rng = np.random.default_rng(5)
+            tracemalloc.start()
+            try:
+                montecarlo._chunk_cells(cells, 8, 1, radius, montecarlo._CHUNK_TRIALS, rng)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert len(cells) == 21
+        assert peaks[1] <= 1.5 * peaks[0]
+
+    def test_each_count_is_reduced_before_more_elements_are_drawn(self, monkeypatch):
+        events = []
+        prefixes, rates = montecarlo.sample_z_prefixes, montecarlo._rates
+
+        def recording_prefixes(sizes, stream, out):
+            for size, z in prefixes(sizes, stream, out):
+                events.append(size)
+                yield size, z
+
+        monkeypatch.setattr(montecarlo, "sample_z_prefixes", recording_prefixes)
+        monkeypatch.setattr(montecarlo, "_rates", lambda *args: events.append("rate") or rates(*args))
+        cells = tuple((pow_cfg(n_elements=n), SelectionPolicy(PolicyKind.OPT_PRODUCT)) for n in (16, 4, 9))
+        radius = coverage_radius(*cells[0])
+        n = montecarlo._FADING_BLOCK + 5  # two blocks
+        montecarlo._chunk_cells(cells, 2, 1, radius, n, np.random.default_rng(3))
+        assert events == [4, 4, "rate", 9, 9, "rate", 16, 16, "rate"]
 
     def test_chunk_memory_does_not_grow_with_cells(self):
         # one chunk of a 101-point SNR sweep of four policies (404 cells)
@@ -391,14 +443,14 @@ def _stacked_moments(cells, m_fading, radius, n, rng):
     slices = montecarlo._sample_slices(geometry.intensity, geometry.d, radius, n, rng)
     picks = montecarlo._picks({pol.kind for _, pol in cells}, OPTIMUM[geometry.model][0], slices, n)
     if m_fading is not None:
-        z2 = montecarlo._fading_power({cfg.n_elements for cfg, _ in cells}, m_fading, n, rng, 1)
+        z2 = fading_powers({cfg.n_elements for cfg, _ in cells}, m_fading, n, rng, 1)
     values = np.empty((len(cells), 1 if m_fading is None else 2, n))
     for row, (cfg, pol) in zip(values, cells):
         chosen = montecarlo._threshold(picks[pol.kind], pol)
         row[0] = ~(chosen < snr_score_cap(cfg))
         if m_fading is not None:
             gain = montecarlo._path_gain(cfg, picks[pol.kind])
-            rate = montecarlo._rates(cfg.avg_snr * gain, z2[cfg.n_elements], np.empty_like(z2[cfg.n_elements]))
+            rate = montecarlo._rates(cfg.avg_snr * gain, z2[cfg.n_elements], np.empty((2, n)))
             row[1] = np.where(np.isfinite(chosen), rate, 0.0)
     return montecarlo._moments(values)
 
@@ -407,7 +459,7 @@ class TestFadingBlocks:
     @pytest.mark.parametrize("n", [1, 16])
     def test_blocked_draws_have_the_exact_moments(self, n):
         # 25 draws of 8192 trials: 204,800 draws in two blocks on two threads
-        z2 = montecarlo._fading_power({n}, 25, montecarlo._CHUNK_TRIALS, np.random.default_rng(40 + n), 2)[n]
+        z2 = fading_powers({n}, 25, montecarlo._CHUNK_TRIALS, np.random.default_rng(40 + n), 2)[n]
         z = np.sqrt(z2)
         for values, want in ((z, n * math.pi / 4), (z2, ez2(n))):
             se = values.std(ddof=1) / math.sqrt(values.size)
@@ -429,18 +481,17 @@ class TestFadingBlocks:
     def test_each_block_reads_its_own_stream(self):
         block = montecarlo._FADING_BLOCK
         n = block + 7  # one full block and a 7-trial one
-        z2 = montecarlo._fading_power({4, 16}, 3, n, np.random.default_rng(3), 1)
+        z2 = fading_powers({4, 16}, 3, n, np.random.default_rng(3), 1)
         streams = np.random.default_rng(3).spawn(2)
         for stream, cols in zip(streams, (slice(0, block), slice(block, n))):
-            z = sample_z_prefixes([4, 16], stream, (3, cols.stop - cols.start))
-            for size in (4, 16):
-                assert np.array_equal(z2[size][:, cols], z[size] * z[size])
+            for size, z in sample_z_prefixes([4, 16], stream, np.empty((3, cols.stop - cols.start))):
+                assert np.array_equal(z2[size][:, cols], z * z)
 
     def test_prefix_property_holds_across_a_block_boundary(self):
         n = montecarlo._FADING_BLOCK + 100
-        both = montecarlo._fading_power({4, 16}, 3, n, np.random.default_rng(8), 2)
+        both = fading_powers({4, 16}, 3, n, np.random.default_rng(8), 2)
         for size in (4, 16):
-            alone = montecarlo._fading_power({size}, 3, n, np.random.default_rng(8), 2)[size]
+            alone = fading_powers({size}, 3, n, np.random.default_rng(8), 2)[size]
             assert np.array_equal(both[size], alone)
         assert np.all(both[16] > both[4])
 
@@ -448,11 +499,11 @@ class TestFadingBlocks:
         # four blocks on four threads, with thread switches forced often:
         # each thread writes its own columns of the shared arrays
         n = 4 * montecarlo._FADING_BLOCK
-        want = montecarlo._fading_power({2, 5}, 2, n, np.random.default_rng(12), 1)
+        want = fading_powers({2, 5}, 2, n, np.random.default_rng(12), 1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = montecarlo._fading_power({2, 5}, 2, n, np.random.default_rng(12), 4)
+            got = fading_powers({2, 5}, 2, n, np.random.default_rng(12), 4)
         finally:
             sys.setswitchinterval(interval)
         for size in (2, 5):
@@ -468,6 +519,33 @@ class TestFadingBlocks:
         assert one[0] == two[0] == n
         for a, b in zip(one[1:], two[1:]):
             assert np.array_equal(a, b)
+
+    def test_fading_threads_stop_when_a_reduction_raises(self, monkeypatch):
+        # the rounds keep one executor across the reductions between them
+        stopped = []
+
+        class RecordingThreads(montecarlo.ThreadPoolExecutor):
+            def shutdown(self, *args, **kwargs):
+                stopped.append(True)
+                super().shutdown(*args, **kwargs)
+
+        def failing(*args):
+            raise RuntimeError("reduction failed")
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingThreads)
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(montecarlo, "_rates", failing)
+        cells = ((pow_cfg(n_elements=4), SelectionPolicy(PolicyKind.OPT_PRODUCT)),
+                 (pow_cfg(n_elements=9), SelectionPolicy(PolicyKind.OPT_PRODUCT)))
+        radius = coverage_radius(*cells[0])
+        try:
+            montecarlo._chunk_cells(cells, 2, 2, radius, 2 * montecarlo._FADING_BLOCK, np.random.default_rng(4))
+        except RuntimeError:
+            # the traceback still holds the chunk's frame, so its fading
+            # generator has not been collected: it was closed on the way out
+            assert stopped == [True]
+        else:
+            pytest.fail("the reduction did not raise")
 
     def test_fading_threads_capped_by_cpus_and_blocks(self, monkeypatch):
         sizes, mapped = [], []
@@ -538,16 +616,18 @@ class TestSelectionKernel:
 
 
 class _CountingRng:
-    """The two Generator methods the sampler calls, counting blocks of pairs."""
+    """The two Generator methods the sampler calls, counting blocks of pairs
+    and the pairs in each."""
 
     def __init__(self, seed):
-        self.rng, self.blocks = np.random.default_rng(seed), 0
+        self.rng, self.blocks, self.pairs = np.random.default_rng(seed), 0, []
 
     def poisson(self, mean, size):
         return self.rng.poisson(mean, size)
 
     def random(self, out):
         self.blocks += 1
+        self.pairs.append(len(out))
         return self.rng.random(out=out)
 
 
@@ -596,6 +676,24 @@ class TestSlices:
             assert 0 < rng.blocks < sum(p > 0 for p in points)  # some block serves two slices
         else:
             assert points.count(0) > len(points) // 2
+
+    def test_a_one_trial_batch_draws_only_the_pairs_it_needs(self):
+        # a chunk's last block holds about twice the points still missing,
+        # not _SAMPLE_BLOCK pairs, and the points are those a full block gives
+        radius = 3.0
+        rng = _CountingRng(4)
+        [(_, _, counts, ds, dd)] = montecarlo._sample_slices(LAM, D, radius, 1, rng)
+        assert 0 < counts[0] < sum(rng.pairs) < montecarlo._SAMPLE_BLOCK
+        ref = np.random.default_rng(4)
+        assert np.array_equal(ref.poisson(LAM * math.pi * radius * radius, 1), counts)
+        block = ref.random((montecarlo._SAMPLE_BLOCK, 2))
+        block *= 2.0
+        block -= 1.0
+        u, v = block.T
+        take = np.flatnonzero(u * u + v * v <= 1.0)[: counts[0]]
+        x, y2 = u[take] * radius, np.square(v[take] * radius)
+        assert np.array_equal(ds, np.sqrt(np.square(x + D) + y2))
+        assert np.array_equal(dd, np.sqrt(np.square(x - D) + y2))
 
     @settings(max_examples=40, deadline=None)
     @given(
