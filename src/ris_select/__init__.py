@@ -43,7 +43,6 @@ from .errors import (
     QuadratureError,
     SingularityError,
     UnsupportedRegionError,
-    WindowTooSmallError,
 )
 from .geometry import (
     ScoreKind,

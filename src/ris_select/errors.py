@@ -24,7 +24,3 @@ class QuadratureError(RuntimeError):
 class UnsupportedRegionError(ValueError):
     """Argument falls outside the region a method supports: no closed form
     there, or more Monte Carlo work than the point budget allows."""
-
-
-class WindowTooSmallError(ValueError):
-    """Simulation window does not cover the region an estimator needs."""

@@ -39,9 +39,10 @@ element counts.  The fading comes in fixed blocks of 4096 trials, each
 drawn from a stream of its own spawned from the chunk's stream.  Path gain
 and rate are formed once per distinct (policy, law parameter, SNR, N).
 Every cell thus reads the same realizations (common random numbers), and
-each equals what a one-cell ``mc_sweep`` returns for it with the same seed
-and the group's window radius.  ``mc_outage`` and ``mc_rate`` are that
-one-cell case.
+each equals what any sweep of its group with the same seed and widest
+window returns for it.  ``mc_outage`` and ``mc_rate`` are the one-cell
+case, and ``policy_scores`` shares one sample among policies in the same
+way.
 
 Chunks run in the calling process, or in a pool in which the calling
 process is one of the workers; a sweep can open one such pool
@@ -70,7 +71,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import NetworkConfig, PathLossModel, sample_z_prefixes, snr_score_cap
-from .errors import UnsupportedRegionError, WindowTooSmallError
+from .errors import UnsupportedRegionError
 from .geometry import (ScoreKind, _solve_increasing, critical_score, enclosing_radius,
                        min_max_region_area, min_min_region_area, score)
 from .policies import OPTIMUM, OPTIMUM_SCORE, PolicyKind, SelectionPolicy, check_feedback_policy
@@ -416,11 +417,11 @@ def _threshold(picked: np.ndarray, policy: SelectionPolicy) -> np.ndarray:
     return picked if t is None else np.where(picked <= t, picked, np.inf)
 
 
-def _chunk_scores(cfg: NetworkConfig, policy: SelectionPolicy, radius: float, n: int, rng) -> np.ndarray:
-    """Per-trial model score of the node the policy selects (+inf when none)."""
+def _chunk_scores(cfg: NetworkConfig, policies: tuple, radius: float, n: int, rng) -> list:
+    """Per-trial model score of the node each policy selects (+inf when none)."""
     slices = _sample_slices(cfg.intensity, cfg.d, radius, n, rng)
-    picks = _picks([policy.kind], OPTIMUM[cfg.model][0], slices, n)
-    return _threshold(picks[policy.kind], policy)
+    picks = _picks(dict.fromkeys(policy.kind for policy in policies), OPTIMUM[cfg.model][0], slices, n)
+    return [_threshold(picks[policy.kind], policy) for policy in policies]
 
 
 def _chunk_feedback_counts(
@@ -659,34 +660,28 @@ def default_workers() -> int:
 # Public estimators
 # ---------------------------------------------------------------------------
 
-def policy_scores(
-    cfg: NetworkConfig,
-    policy: SelectionPolicy,
-    n_trials: int,
-    rng,
-    window_radius_override: float | None = None,
-    workers: int = 1,
-) -> np.ndarray:
-    """Model score of the selected node for each trial (+inf when none).
+def policy_scores(cfg: NetworkConfig, policies, n_trials: int, rng, workers: int = 1) -> list[np.ndarray]:
+    """Model score of the node each policy selects, per trial (+inf when none).
 
-    Passing the same rng seed and the same window radius to several calls
-    gives common random numbers: every policy then sees identical
-    realizations, making pathwise comparisons exact.
+    Returns one array per policy, in order.  Every policy reads the same
+    realizations (common random numbers), sampled in the widest window any
+    of them needs, so pathwise comparisons between them are exact.
     """
-    check_feedback_policy(policy, cfg.model)
-    radius = _window(coverage_radius(cfg, policy), window_radius_override)
-    return np.concatenate(_map_chunks(_chunk_scores, (cfg, policy), radius, n_trials, rng, workers))
+    policies = tuple(policies)
+    if not policies:
+        raise ValueError("policy_scores needs at least one policy")
+    for policy in policies:
+        check_feedback_policy(policy, cfg.model)
+    radius = _shared_radius(cfg, policies)
+    chunks = _map_chunks(_chunk_scores, (cfg, policies), radius, n_trials, rng, workers)
+    return [np.concatenate(scores) for scores in zip(*chunks)]
 
 
-def _window(needed: float, override: float | None) -> float:
-    """The radius an estimator needs, or the override if it is at least that."""
-    if override is None:
-        return needed
-    if not override > 0.0:
-        raise ValueError(f"window_radius_override must be > 0, got {override}")
-    if override < needed * (1.0 - 1e-12):
-        raise WindowTooSmallError(f"window radius {override} is below the radius {needed} the estimate needs")
-    return override
+def _shared_radius(cfg: NetworkConfig, policies) -> float:
+    """The widest window any of the policies needs on cfg's geometry, in
+    which they all read one sample.  The window depends on the policy and
+    the geometry only, so it is solved once per distinct policy."""
+    return max(coverage_radius(cfg, policy) for policy in dict.fromkeys(policies))
 
 
 def sample_key(cfg: NetworkConfig) -> tuple:
@@ -697,8 +692,8 @@ def sample_key(cfg: NetworkConfig) -> tuple:
 
 def mc_distance_dist(cfg: NetworkConfig, n_trials: int, rng, workers: int = 1) -> EmpiricalDist:
     """Empirical distribution of the optimum score of cfg.model (min product or min sum)."""
-    policy = SelectionPolicy(OPTIMUM[cfg.model][1])
-    return EmpiricalDist(policy_scores(cfg, policy, n_trials, rng, workers=workers))
+    [scores] = policy_scores(cfg, [SelectionPolicy(OPTIMUM[cfg.model][1])], n_trials, rng, workers)
+    return EmpiricalDist(scores)
 
 
 def mc_sweep(
@@ -706,7 +701,6 @@ def mc_sweep(
     n_trials: int,
     fading_draws_per_trial: int | None,
     rng,
-    window_radius_override: float | None = None,
     workers: int = 1,
     pool: Callable[[list], list] | None = None,
 ) -> list[tuple[Estimate, Estimate | None]]:
@@ -715,8 +709,9 @@ def mc_sweep(
     cells is a sequence of (NetworkConfig, SelectionPolicy) pairs that share
     their sample_key (intensity, d and path-loss model); they may differ in
     everything else (SNRs, element count, policy, feedback threshold).  All
-    cells read the same realizations, sampled in the largest window any of
-    them needs, or in window_radius_override, which must cover every cell.
+    cells read the same realizations, sampled in the widest window any of
+    them needs, so each cell's result is the same in any sweep of its group
+    with the same widest window.
     Returns one (outage, rate) pair per cell, in order; rate is None when
     fading_draws_per_trial is None.  ``pool`` (see ``shared_pool``) runs
     the chunks in place of a pool of this call's own.  When this process
@@ -735,9 +730,7 @@ def mc_sweep(
         if sample_key(cfg) != sample_key(geometry):
             raise ValueError("cells of one sweep must share intensity, d and path-loss model")
         check_feedback_policy(policy, cfg.model)
-    # the window depends on the policy and the shared geometry only
-    policies = dict.fromkeys(policy for _, policy in cells)
-    radius = max(_window(coverage_radius(geometry, policy), window_radius_override) for policy in policies)
+    radius = _shared_radius(geometry, (policy for _, policy in cells))
     payload = (tuple(cells), m_fading)
     chunks = _map_chunks(_chunk_cells, payload, radius, n_trials, rng, workers, pool, threaded=True)
     n, shift, offset, m2 = functools.reduce(_merge_moments, chunks)
@@ -754,7 +747,6 @@ def mc_outage(
     policy: SelectionPolicy,
     n_trials: int,
     rng,
-    window_radius_override: float | None = None,
     workers: int = 1,
 ) -> Estimate:
     """Fraction of realizations whose fading-averaged SNR is <= target.
@@ -762,7 +754,7 @@ def mc_outage(
     Randomness is over node locations only (the SNR is already averaged
     over fading); an empty selection counts as an outage.
     """
-    [(outage, _)] = mc_sweep([(cfg, policy)], n_trials, None, rng, window_radius_override, workers)
+    [(outage, _)] = mc_sweep([(cfg, policy)], n_trials, None, rng, workers)
     return outage
 
 
@@ -772,7 +764,6 @@ def mc_rate(
     n_trials: int,
     fading_draws_per_trial: int,
     rng,
-    window_radius_override: float | None = None,
     workers: int = 1,
 ) -> Estimate:
     """Joint average of log2(1 + snr) over node locations and fading draws.
@@ -785,9 +776,7 @@ def mc_rate(
     """
     if fading_draws_per_trial is None:
         raise ValueError("fading_draws_per_trial must be >= 1, got None")
-    [(_, rate)] = mc_sweep(
-        [(cfg, policy)], n_trials, fading_draws_per_trial, rng, window_radius_override, workers
-    )
+    [(_, rate)] = mc_sweep([(cfg, policy)], n_trials, fading_draws_per_trial, rng, workers)
     return rate
 
 

@@ -51,7 +51,7 @@ class SelectionPolicy:
             if not self.feedback_threshold > 0.0:  # NaN included; +inf is every node
                 raise ValueError(f"feedback_threshold must be > 0, got {self.feedback_threshold}")
             if self.kind not in OPTIMUM_SCORE:
-                raise ValueError(f"feedback thresholds apply only to optimum policies, got {self.kind}")
+                raise ValueError(f"feedback thresholds apply only to optimum policies, got {self.kind.value}")
 
 
 def check_feedback_policy(policy: SelectionPolicy, model: PathLossModel) -> None:

@@ -84,17 +84,9 @@ def run_validation(seed: int = 1, trials: int = 4000, workers: int = 1) -> list[
 
     baselines = (PolicyKind.MIN_MIN, PolicyKind.MIN_MAX, PolicyKind.MID_POINT)
     for cfg, name in ((pow_cfg, "power"), (exp_cfg, "exp")):
-        opt_kind = OPTIMUM[cfg.model][1]
-        radius = max(
-            montecarlo.coverage_radius(cfg, SelectionPolicy(k)) for k in (opt_kind,) + baselines
-        )
-        opt = montecarlo.policy_scores(cfg, SelectionPolicy(opt_kind), trials, seed,
-                                       window_radius_override=radius, workers=workers)
-        bad = 0
-        for k in baselines:
-            other = montecarlo.policy_scores(cfg, SelectionPolicy(k), trials, seed,
-                                             window_radius_override=radius, workers=workers)
-            bad += int(np.sum(opt > other + 1e-12))
+        policies = [SelectionPolicy(k) for k in (OPTIMUM[cfg.model][1],) + baselines]
+        opt, *others = montecarlo.policy_scores(cfg, policies, trials, seed, workers)
+        bad = sum(int(np.sum(opt > other + 1e-12)) for other in others)
         checks.append((f"pathwise dominance ({name})", bad == 0, f"{bad} violations"))
 
     emp = montecarlo.mc_feedback_dist(exp_cfg, 20.0, trials, np.random.default_rng(seed), workers=workers)

@@ -18,11 +18,10 @@ from ris_select.analytic import DistCdf
 from ris_select.channel import NetworkConfig, PathLossModel, ez2, gamma_params, sample_z
 from ris_select.geometry import ScoreKind
 from ris_select.montecarlo import (
-    coverage_radius,
     mc_distance_dist,
     mc_feedback_dist,
     mc_outage,
-    mc_rate,
+    mc_sweep,
     poisson_gof,
     policy_scores,
 )
@@ -142,7 +141,7 @@ def _outage_sweep_check(cfg_fn, opt_kind, seed):
     bad = []
     for lam, n in ((0.5, 8), (0.5, 32), (0.1, 16), (2.0, 16)):
         cfg = cfg_fn(lam, n)
-        scores = policy_scores(cfg, SelectionPolicy(opt_kind), n_trials, seed)
+        [scores] = policy_scores(cfg, [SelectionPolicy(opt_kind)], n_trials, seed)
         for db in snr_grid_db:
             cfg_pt = cfg_fn(lam, n, avg_snr=10.0 ** (db / 10.0))
             a = (analytic.outage_pow(cfg_pt) if cfg.model is PathLossModel.POWER_LAW
@@ -169,17 +168,15 @@ def test_criterion_4_outage_reproduction():
     violations = 0
     for cfg, opt_kind in ((cfg_pow(0.5, 16), PolicyKind.OPT_PRODUCT),
                           (cfg_exp(0.5, 16), PolicyKind.OPT_SUM)):
-        kinds = (opt_kind,) + BASELINES
-        radius = max(coverage_radius(cfg, SelectionPolicy(k)) for k in kinds)
-        shared = {k: policy_scores(cfg, SelectionPolicy(k), 10_000, 500,
-                                   window_radius_override=radius) for k in kinds}
-        for k in BASELINES:
-            violations += int(np.sum(shared[opt_kind] > shared[k] + 1e-12))
+        policies = [SelectionPolicy(k) for k in (opt_kind,) + BASELINES]
+        opt, *others = policy_scores(cfg, policies, 10_000, 500)
+        for other in others:
+            violations += int(np.sum(opt > other + 1e-12))
 
     # average-snr gap between 8 and 32 elements at 1e-3 outage (power law):
     # same score distribution, so the gap is the second-moment ratio ~15.1
-    s8 = policy_scores(cfg_pow(0.5, 8), SelectionPolicy(PolicyKind.OPT_PRODUCT), 100_000, 600)
-    s32 = policy_scores(cfg_pow(0.5, 32), SelectionPolicy(PolicyKind.OPT_PRODUCT), 100_000, 601)
+    [s8] = policy_scores(cfg_pow(0.5, 8), [SelectionPolicy(PolicyKind.OPT_PRODUCT)], 100_000, 600)
+    [s32] = policy_scores(cfg_pow(0.5, 32), [SelectionPolicy(PolicyKind.OPT_PRODUCT)], 100_000, 601)
     q8, q32 = np.quantile(s8, 0.999), np.quantile(s32, 0.999)
     snr8 = RHO_5DB * q8**4 / ez2(8)
     snr32 = RHO_5DB * q32**4 / ez2(32)
@@ -199,35 +196,30 @@ def test_criterion_5_rate_reproduction():
 
     cfgp = cfg_pow(0.5, 16, avg_snr=RHO_5DB)
     want = analytic.rate_pow(cfgp)
-    radius = max(coverage_radius(cfgp, SelectionPolicy(k))
-                 for k in (PolicyKind.OPT_PRODUCT, PolicyKind.MIN_MIN))
-    est_opt = mc_rate(cfgp, SelectionPolicy(PolicyKind.OPT_PRODUCT), n_trials, m_fading, 700,
-                      window_radius_override=radius)
+    # one sweep of the optimum and a baseline: common random numbers
+    (_, est_opt), (_, est_minmin) = mc_sweep(
+        [(cfgp, SelectionPolicy(PolicyKind.OPT_PRODUCT)), (cfgp, SelectionPolicy(PolicyKind.MIN_MIN))],
+        n_trials, m_fading, 700)
     tol = max(3 * est_opt.std_error, 0.01 * want)
     if abs(est_opt.mean - want) > tol:
         ok = False
     details.append(f"power rate gap {abs(est_opt.mean - want):.4f} (tol {tol:.4f})")
 
-    est_minmin = mc_rate(cfgp, SelectionPolicy(PolicyKind.MIN_MIN), n_trials, m_fading, 700,
-                         window_radius_override=radius)
-    diff = est_opt.mean - est_minmin.mean  # common random numbers
+    diff = est_opt.mean - est_minmin.mean
     if not 0.2 <= diff <= 0.4:
         ok = False
     details.append(f"opt vs min-min gap {diff:.3f} (expect 0.3 +/- 0.1)")
 
     cfge = cfg_exp(0.5, 16, avg_snr=RHO_5DB)
     want_e = analytic.rate_exp(cfge)
-    radius_e = max(coverage_radius(cfge, SelectionPolicy(k))
-                   for k in (PolicyKind.OPT_SUM, PolicyKind.MID_POINT))
-    est_opt_e = mc_rate(cfge, SelectionPolicy(PolicyKind.OPT_SUM), n_trials, m_fading, 701,
-                        window_radius_override=radius_e)
+    (_, est_opt_e), (_, est_mid) = mc_sweep(
+        [(cfge, SelectionPolicy(PolicyKind.OPT_SUM)), (cfge, SelectionPolicy(PolicyKind.MID_POINT))],
+        n_trials, m_fading, 701)
     tol_e = max(3 * est_opt_e.std_error, 0.01 * want_e)
     if abs(est_opt_e.mean - want_e) > tol_e:
         ok = False
     details.append(f"exp rate gap {abs(est_opt_e.mean - want_e):.4f} (tol {tol_e:.4f})")
 
-    est_mid = mc_rate(cfge, SelectionPolicy(PolicyKind.MID_POINT), n_trials, m_fading, 701,
-                      window_radius_override=radius_e)
     diff_e = est_opt_e.mean - est_mid.mean
     if not 0.02 <= diff_e <= 0.12:
         ok = False

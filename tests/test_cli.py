@@ -606,7 +606,8 @@ class TestSharedRealizations:
         rows = run_experiment(spec, workers=workers)
 
         # the seed contract: geometry group g draws from SeedSequence([seed, g])
-        # in the largest window any of its (point, policy) cells needs
+        # in the widest window any of its (point, policy) cells needs, so each
+        # cell equals its result in a two-cell sweep beside the widest one
         points = [(value, *spec.config_at(value)) for value in spec.sweep_values()]
         groups = [[i] for i in range(len(points))] if name == "intensity" else [range(len(points))]
         want = {}
@@ -615,12 +616,10 @@ class TestSharedRealizations:
                 (i, kind): (points[i][1], _policy_obj(kind, points[i][2]))
                 for i in members for kind in spec.policies
             }
-            radius = max(montecarlo.coverage_radius(cfg, pol) for cfg, pol in cells.values())
-            for (i, kind), (cfg, pol) in cells.items():
+            widest = max(cells.values(), key=lambda cell: montecarlo.coverage_radius(*cell))
+            for key, cell in cells.items():
                 rng = np.random.default_rng(np.random.SeedSequence([spec.seed, g]))
-                [want[i, kind]] = montecarlo.mc_sweep(
-                    [(cfg, pol)], trials, spec.fading_draws, rng, window_radius_override=radius
-                )
+                want[key], _ = montecarlo.mc_sweep([cell, widest], trials, spec.fading_draws, rng)
         expected = [rows[0]]
         for i, (value, _, _) in enumerate(points):
             for kind in spec.policies:
@@ -803,8 +802,8 @@ class TestSubcommands:
             (["outage", "--intensity", "nan"], "intensity must be > 0 and finite"),
             (["outage", "--target-snr-db", "nan"], "target_snr must be >= 0"),
             # a baseline reads no threshold: the flag is refused, not dropped
-            (["outage", "--policy", "min-min", "--threshold", "3"], "apply only to optimum policies"),
-            (["rate", "--policy", "mid-point", "--threshold", "3"], "apply only to optimum policies"),
+            (["outage", "--policy", "min-min", "--threshold", "3"], "apply only to optimum policies, got min-min"),
+            (["rate", "--policy", "mid-point", "--threshold", "3"], "apply only to optimum policies, got mid-point"),
         ],
     )
     def test_scenario_flag_out_of_range_exits_2(self, capsys, argv, match):

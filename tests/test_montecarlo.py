@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from ris_select import analytic, montecarlo
 from ris_select.analytic import DistCdf
 from ris_select.channel import NetworkConfig, PathLossModel, ez2, sample_z_prefixes, snr_score_cap
-from ris_select.errors import UnsupportedRegionError, WindowTooSmallError
+from ris_select.errors import UnsupportedRegionError
 from ris_select.geometry import ScoreKind, min_min_region_area
 from ris_select.montecarlo import (
     EmpiricalDist,
@@ -94,11 +94,16 @@ class TestBasics:
         assert one == two
 
     def test_scores_independent_of_worker_count(self):
+        # at two workers a pool child unpickles the policy tuple and runs
+        # the second chunk, also at two full chunks and a 1-trial tail
         cfg = exp_cfg()
-        pol = SelectionPolicy(PolicyKind.OPT_SUM)
-        s1 = policy_scores(cfg, pol, 20_000, 9, workers=1)
-        s2 = policy_scores(cfg, pol, 20_000, 9, workers=2)
-        assert np.array_equal(s1, s2)
+        pols = [SelectionPolicy(PolicyKind.OPT_SUM), SelectionPolicy(PolicyKind.MIN_MIN),
+                SelectionPolicy(PolicyKind.OPT_SUM, feedback_threshold=4.0)]
+        for n_trials in (20_000, 2 * montecarlo._CHUNK_TRIALS + 1):
+            s1 = policy_scores(cfg, pols, n_trials, 9, workers=1)
+            s2 = policy_scores(cfg, pols, n_trials, 9, workers=2)
+            assert len(s1) == len(s2) == len(pols)
+            assert all(np.array_equal(a, b) for a, b in zip(s1, s2))
 
     def test_independent_seeds_agree_within_combined_se(self):
         cfg = pow_cfg()
@@ -251,11 +256,13 @@ class TestSweepKernel:
             for kind, t in ((PolicyKind.OPT_PRODUCT, None), (PolicyKind.OPT_PRODUCT, 2.0),
                             (PolicyKind.MIN_MAX, None))
         ]
-        radius = max(coverage_radius(cfg, pol) for cfg, pol in cells)
+        # each cell's result is the same in a two-cell sweep beside the
+        # cell that needs the group's widest window
+        widest = max(cells, key=lambda cell: coverage_radius(*cell))
         n_trials = montecarlo._CHUNK_TRIALS + 1
         got = mc_sweep(cells, n_trials, 3, 23)
-        for (cfg, pol), pair in zip(cells, got):
-            assert [pair] == mc_sweep([(cfg, pol)], n_trials, 3, 23, window_radius_override=radius)
+        for cell, pair in zip(cells, got):
+            assert pair == mc_sweep([cell, widest], n_trials, 3, 23)[0]
         assert mc_sweep(cells, n_trials, None, 23) == [(outage, None) for outage, _ in got]
 
     def test_one_arg_min_per_criterion(self, monkeypatch):
@@ -325,6 +332,8 @@ class TestSweepKernel:
             mc_sweep([(pow_cfg(), pol), (pow_cfg(intensity=2 * LAM), pol)], 100, None, 1)
         with pytest.raises(ValueError, match="at least one"):
             mc_sweep([], 100, None, 1)
+        with pytest.raises(ValueError, match="at least one"):
+            policy_scores(pow_cfg(), [], 100, 1)
 
     def test_chunk_memory_is_bounded_in_elements(self):
         # the fading of a chunk is accumulated element by element, so a
@@ -638,7 +647,7 @@ def _geometry_outputs(lam, radius, threshold, n, seed):
     slices = montecarlo._sample_slices(lam, D, radius, n, np.random.default_rng(seed))
     picks = montecarlo._picks(kinds, ScoreKind.MIN_PRODUCT, slices, n)
     cfg = pow_cfg(intensity=lam)
-    scores = policy_scores(cfg, SelectionPolicy(PolicyKind.OPT_PRODUCT, feedback_threshold=threshold), n, seed)
+    [scores] = policy_scores(cfg, [SelectionPolicy(PolicyKind.OPT_PRODUCT, threshold)], n, seed)
     counts = mc_feedback_dist(cfg, threshold, n, seed).values
     return [*picks.values(), scores, counts]
 
@@ -715,30 +724,6 @@ class TestSlices:
             patch.setattr(montecarlo, "_SAMPLE_BLOCK", block)
             got = _geometry_outputs(lam, radius, threshold, n, seed)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
-
-
-class TestWindowOverride:
-    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])
-    @pytest.mark.parametrize("estimator", ["scores", "outage", "rate"])
-    def test_non_positive_override_rejected(self, estimator, radius):
-        with pytest.raises(ValueError, match="must be > 0"):
-            _estimate(estimator, radius)
-
-    @pytest.mark.parametrize("estimator", ["scores", "outage", "rate"])
-    def test_override_below_coverage_rejected(self, estimator):
-        needed = coverage_radius(pow_cfg(), SelectionPolicy(PolicyKind.MIN_MAX))
-        with pytest.raises(WindowTooSmallError):
-            _estimate(estimator, 0.9 * needed)
-        _estimate(estimator, needed)  # the coverage radius itself is accepted
-
-
-def _estimate(estimator, radius):
-    cfg, pol = pow_cfg(), SelectionPolicy(PolicyKind.MIN_MAX)
-    if estimator == "scores":
-        return policy_scores(cfg, pol, 200, 1, window_radius_override=radius)
-    if estimator == "outage":
-        return mc_outage(cfg, pol, 200, 1, window_radius_override=radius)
-    return mc_rate(cfg, pol, 200, 2, 1, window_radius_override=radius)
 
 
 class TestMinMinWindow:
@@ -862,15 +847,24 @@ class TestOutage:
         assert abs(est.mean - want) <= 3 * se
 
     def test_shared_realization_dominance(self):
+        # one call: each array, in input order and a repeated policy
+        # included, is that policy's pick on one sample drawn in the widest
+        # window any of the policies needs
         cfg = pow_cfg()
-        kinds = [PolicyKind.OPT_PRODUCT, PolicyKind.MIN_MIN, PolicyKind.MIN_MAX, PolicyKind.MID_POINT]
-        radius = max(coverage_radius(cfg, SelectionPolicy(k)) for k in kinds)
-        scores = {
-            k: policy_scores(cfg, SelectionPolicy(k), 5000, 77, window_radius_override=radius)
-            for k in kinds
-        }
-        for k in kinds[1:]:
-            assert np.all(scores[PolicyKind.OPT_PRODUCT] <= scores[k] + 1e-12)
+        kinds = [PolicyKind.OPT_PRODUCT, PolicyKind.MID_POINT, PolicyKind.MIN_MAX, PolicyKind.MIN_MIN]
+        pols = [SelectionPolicy(k) for k in kinds] + [
+            SelectionPolicy(PolicyKind.OPT_PRODUCT, feedback_threshold=2.0), SelectionPolicy(PolicyKind.MID_POINT)]
+        opt, *others = scores = policy_scores(cfg, pols, 5000, 77)
+        for other in others:
+            assert np.all(opt <= other + 1e-12)
+        radius = max(coverage_radius(cfg, pol) for pol in pols)
+        [stream] = np.random.default_rng(77).spawn(1)  # the stream of a one-chunk estimate
+        slices = montecarlo._sample_slices(LAM, D, radius, 5000, stream)
+        picks = montecarlo._picks(kinds, ScoreKind.MIN_PRODUCT, slices, 5000)
+        assert len(scores) == len(pols)
+        for got, pol in zip(scores, pols):
+            assert np.array_equal(got, montecarlo._threshold(picks[pol.kind], pol))
+        assert np.array_equal(scores[1], scores[-1])
 
     def test_feedback_policy_model_pairing(self):
         with pytest.raises(ValueError, match="applies to opt-sum under the exp model"):
@@ -898,14 +892,8 @@ class TestRate:
 
     def test_pathwise_rate_dominance_exp(self):
         cfg = exp_cfg()
-        radius = max(
-            coverage_radius(cfg, SelectionPolicy(PolicyKind.OPT_SUM)),
-            coverage_radius(cfg, SelectionPolicy(PolicyKind.MID_POINT)),
-        )
-        opt = mc_rate(cfg, SelectionPolicy(PolicyKind.OPT_SUM), 5000, 4, 13,
-                      window_radius_override=radius)
-        mid = mc_rate(cfg, SelectionPolicy(PolicyKind.MID_POINT), 5000, 4, 13,
-                      window_radius_override=radius)
+        cells = [(cfg, SelectionPolicy(PolicyKind.OPT_SUM)), (cfg, SelectionPolicy(PolicyKind.MID_POINT))]
+        (_, opt), (_, mid) = mc_sweep(cells, 5000, 4, 13)
         assert opt.mean >= mid.mean  # exact under common random numbers
 
     def test_small_threshold_rate_matches_analytic_convention(self):
