@@ -420,7 +420,6 @@ def pdf_y_exp(y: float, cfg: NetworkConfig) -> float:
 # Average rate over the point process: fixed-rule tensor-product quadrature
 # ---------------------------------------------------------------------------
 
-_GL_NODES = 16
 _TS_NODES = 64
 _TS_HALF_WIDTH = 3.2  # tanh-sinh parameter range [-3.2, 3.2]: end nodes ~1e-17 from the ends
 _HALVINGS = 40  # geometric panels halving down towards g = 0 or u = 0
@@ -432,10 +431,28 @@ _STENCIL = 10  # lattice values per local interpolant of the table (degree 9)
 _TAIL_EPS = 1.0e-14  # survival probability beyond which the score is truncated
 
 
+# The positive nodes of the 16-point Gauss-Legendre rule on [-1, 1] and
+# their weights, the doubles np.polynomial.legendre.leggauss(16) returns
+# (numpy 2.4.6, OpenBLAS 0.3.31): nodes within 1 ulp of the exact rule,
+# weights within 1e-13 relative.  As literals, a run needs neither
+# numpy.polynomial nor its eigenvalue solver, the run's only LAPACK call.
+_GL_HALF = (
+    (0.09501250983763744, 0.18945061045506864),
+    (0.2816035507792589, 0.18260341504492364),
+    (0.45801677765722737, 0.16915651939500265),
+    (0.6178762444026438, 0.1495959888165767),
+    (0.755404408355003, 0.12462897125553407),
+    (0.8656312023878318, 0.0951585116824926),
+    (0.9445750230732326, 0.062253523938647456),
+    (0.9894009349916499, 0.027152459411754176),
+)
+
+
 @functools.cache
 def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(_GL_NODES)
+    x, w = np.array(_GL_HALF).T
+    x, w = np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
     x, w = 0.5 * (x + 1.0), 0.5 * w
     x.flags.writeable = w.flags.writeable = False
     return x, w
@@ -513,15 +530,16 @@ def _horner_rows() -> np.ndarray:
     of the degree-9 polynomial through them.
 
     Column j holds the coefficients of the Lagrange basis polynomial of
-    u_j.  Its roots are half-integers, so polyfromroots forms them exactly
-    and the division rounds once (np.linalg.inv of the Vandermonde matrix,
-    condition ~1e7, is off by up to 4e-14).
+    u_j.  Its roots are half-integers, so np.poly forms them exactly (as
+    numpy.polynomial's polyfromroots does) and the division rounds once
+    (np.linalg.inv of the Vandermonde matrix, condition ~1e7, is off by up
+    to 4e-14).
     """
     nodes = np.arange(_STENCIL) - (_STENCIL - 1) / 2.0
     rows = np.empty((_STENCIL, _STENCIL))
     for j, node in enumerate(nodes):
         others = np.delete(nodes, j)
-        rows[:, j] = np.polynomial.polynomial.polyfromroots(others) / np.prod(node - others)
+        rows[:, j] = np.poly(others)[::-1] / np.prod(node - others)
     rows.flags.writeable = False
     return rows
 
@@ -569,7 +587,8 @@ class _FadingTable:
         v = self.windows[cell.astype(np.intp) - (_STENCIL // 2 - 1)]
         rows = _horner_rows()
         # one matrix-vector product per power: a matrix-matrix product would
-        # be the run's first, and the BLAS library then maps ~0.25 MB of buffers
+        # be the run's first, and the BLAS library then maps ~0.25 MB of
+        # buffers; a run makes no LAPACK call either (see _GL_HALF)
         q = v @ rows[-1]
         for row in rows[-2::-1]:
             q *= s

@@ -138,7 +138,9 @@ def _element_terms(rng: np.random.Generator, shape: tuple) -> np.ndarray:
     raw = rng.bit_generator.random_raw(math.prod(shape)).astype("<u8", copy=False)
     k = raw.view("<u4").reshape(pair.shape)
     np.right_shift(k, 8, out=k)
-    np.multiply(k, 2.0**-24, out=pair, dtype=np.float32)
+    # k < 2^24 reads the same as int32, which numpy converts to float32
+    # faster than uint32; either way U = k 2^-24 is exact
+    np.multiply(k.view(np.int32), np.float32(2**-24), out=pair, dtype=np.float32)
     np.subtract(1, pair, out=pair)
     np.log(pair, out=pair)  # -E1 and -E2
     term = pair[0, ...]  # the first half, a view also when shape is ()

@@ -52,10 +52,12 @@ calling thread included, as numpy releases the GIL while it fills and
 transforms those arrays; in a pool each process draws its blocks in turn.
 Processes and threads share the work by one rule (``_caller_runs``), and
 since the chunk and block layout alone fixes the streams, neither changes
-a result.  The executors (``ProcessPoolExecutor``, ``ThreadPoolExecutor``)
-are imported only when a run starts a pool or a second fading thread, so
-a one-worker run loads neither ``concurrent.futures`` nor
-``multiprocessing``.
+a result.  The fading threads are a ``_ThreadTeam`` on ``threading``
+(which ``numpy.random`` loads anyway) that starts its threads for one
+round and joins them before the round returns or raises.
+``ProcessPoolExecutor`` is imported only when a run starts a process pool,
+so a run in one process, on one thread or more, loads neither
+``concurrent.futures`` nor ``multiprocessing``.
 """
 
 from __future__ import annotations
@@ -63,8 +65,9 @@ from __future__ import annotations
 import functools
 import math
 import os
+import threading
 from collections.abc import Callable
-from contextlib import closing, contextmanager, nullcontext
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -112,21 +115,20 @@ _FADING_BUDGET = 1 << 22
 
 
 def __getattr__(name: str):
-    """ProcessPoolExecutor and ThreadPoolExecutor, imported from
-    concurrent.futures on first access (PEP 562), so that a run which starts
-    no pool and no second thread never loads them."""
-    if name not in ("ProcessPoolExecutor", "ThreadPoolExecutor"):
+    """ProcessPoolExecutor, imported from concurrent.futures on first access
+    (PEP 562), so that a run which starts no process pool never loads it."""
+    if name != "ProcessPoolExecutor":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import concurrent.futures
+    from concurrent.futures import ProcessPoolExecutor
 
-    executor = globals()[name] = getattr(concurrent.futures, name)
-    return executor
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
 
 
-def _executor(name: str):
-    """The executor class the module attribute holds now, which a caller
+def _process_pool():
+    """The process pool class the module attribute holds now, which a caller
     (a test, a tracer) may have replaced."""
-    return globals()[name] if name in globals() else __getattr__(name)
+    return globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
 
 
 @dataclass(frozen=True)
@@ -475,9 +477,11 @@ def _fading_power(sizes, m: int, n: int, rng: np.random.Generator, threads: int)
     block layout alone fixes every value.  Each step is one round in which
     every block draws its elements up to the next N.  The blocks run as
     shares (see _caller_runs) on at most ``threads`` threads, this one
-    included, with one executor for all rounds; on one thread they are
-    drawn here in turn, with no executor.  Z^2 is formed in one reused
-    (m, n) array for every N but the largest, and in Z itself for that.
+    included: a round starts the others and joins them before it returns
+    or raises (see _ThreadTeam), so no thread is alive between rounds.  On
+    one thread they are drawn here in turn, with no team.  Z^2 is formed in
+    one reused (m, n) array for every N but the largest, and in Z itself
+    for that.
     """
     sizes = sorted(set(sizes))
     starts = range(0, n, _FADING_BLOCK)
@@ -486,11 +490,10 @@ def _fading_power(sizes, m: int, n: int, rng: np.random.Generator, threads: int)
               for start, stream in zip(starts, rng.spawn(len(starts)))]
     scratch = np.empty_like(z) if len(sizes) > 1 else None
     threads = _team(threads, len(blocks))
-    executor = _executor("ThreadPoolExecutor")(max_workers=threads - 1) if threads > 1 else None
-    with executor or nullcontext():
-        for size in sizes:
-            _caller_runs(executor, threads, next, blocks, len(blocks))
-            yield size, np.square(z, out=z if size == sizes[-1] else scratch)
+    team = _ThreadTeam(max_workers=threads - 1) if threads > 1 else None
+    for size in sizes:
+        _caller_runs(team, threads, next, blocks, len(blocks))
+        yield size, np.square(z, out=z if size == sizes[-1] else scratch)
 
 
 def _chunk_cells(cells, m_fading, threads, radius, n, rng) -> tuple:
@@ -542,16 +545,14 @@ def _chunk_cells(cells, m_fading, threads, radius, n, rng) -> tuple:
         by_law = groups.setdefault(cfg.n_elements, {})
         by_law.setdefault((policy.kind, cfg.eta, cfg.alpha), {}).setdefault(cfg.avg_snr, []).append(i)
     scratch = np.empty((2, n))
-    # closing() shuts the fading threads down also when a reduction raises
-    with closing(_fading_power(groups, m_fading, n, rng, threads)) as powers:
-        for size, z2 in powers:
-            for (kind, _, _), by_snr in groups[size].items():
-                first, *_ = by_snr.values()
-                gain = _path_gain(cells[first[0]][0], picks[kind])
-                for avg_snr, members in by_snr.items():
-                    rate = _rates(avg_snr * gain, z2, scratch)
-                    for i in members:
-                        reduce_cell(i, rate)
+    for size, z2 in _fading_power(groups, m_fading, n, rng, threads):
+        for (kind, _, _), by_snr in groups[size].items():
+            first, *_ = by_snr.values()
+            gain = _path_gain(cells[first[0]][0], picks[kind])
+            for avg_snr, members in by_snr.items():
+                rate = _rates(avg_snr * gain, z2, scratch)
+                for i in members:
+                    reduce_cell(i, rate)
     return n, shift, offset, m2
 
 
@@ -597,12 +598,58 @@ def _caller_runs(executor, team: int, run: Callable, tasks: list, shares: int) -
     and only then waits on the executor.  So 8193 trials run in one process,
     and 2 x 8192 + 1 trials at two workers make one child run the second
     chunk.  A team of one is this thread alone, with no executor (None).
+    When this thread's own tasks raise, it still waits on the executor
+    before the error leaves, and what the workers raised is dropped.
     """
     head = -(-shares // team)
     rest = executor.map(run, tasks[head:shares]) if team > 1 else []
-    mine = [run(task) for task in tasks[:head] + tasks[shares:]]
+    try:
+        mine = [run(task) for task in tasks[:head] + tasks[shares:]]
+    except BaseException:
+        with suppress(Exception):
+            list(rest)
+        raise
     # list(rest) waits on the executor and raises what its workers raised
     return mine[:head] + list(rest) + mine[head:]
+
+
+class _ThreadTeam:
+    """Threads beside the calling one, for one round of tasks at a time.
+
+    ``map`` starts at most max_workers threads at once, each running every
+    max_workers-th task, and returns an iterator.  Reading it joins every
+    thread, then yields the results in task order, or raises the error of
+    the first thread that met one.  _caller_runs reads it also when its own
+    tasks raise, so no thread outlives its round.  The team holds no
+    thread between rounds and needs no shutdown.
+    """
+
+    def __init__(self, max_workers: int):
+        self.max_workers = max_workers
+
+    def map(self, fn: Callable, tasks: list):
+        results, errors = [None] * len(tasks), {}
+        count = min(self.max_workers, len(tasks))
+
+        def work(first):
+            try:
+                for i in range(first, len(tasks), count):
+                    results[i] = fn(tasks[i])
+            except BaseException as error:
+                errors[first] = error
+
+        threads = [threading.Thread(target=work, args=(first,)) for first in range(count)]
+        for thread in threads:
+            thread.start()
+        return self._joined(threads, results, errors)
+
+    @staticmethod
+    def _joined(threads: list, results: list, errors: dict):
+        for thread in threads:
+            thread.join()
+        if errors:
+            raise errors[min(errors)]
+        yield from results
 
 
 @contextmanager
@@ -618,7 +665,7 @@ def shared_pool(workers: int, n_trials: int):
     if processes < 2:
         yield None
         return
-    with _executor("ProcessPoolExecutor")(max_workers=processes - 1) as executor:
+    with _process_pool()(max_workers=processes - 1) as executor:
         yield lambda tasks: _caller_runs(executor, processes, _run_chunk, tasks, shares)
 
 

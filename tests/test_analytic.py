@@ -478,6 +478,62 @@ class TestSoftplus:
         assert math.isnan(got[4])
 
 
+def _mpmath_gauss_legendre(n, digits=40):
+    """Positive nodes and their weights of the n-point Gauss-Legendre rule on
+    [-1, 1] at `digits` digits: Newton on P_n from the Chebyshev guesses."""
+    import mpmath as mp
+
+    with mp.workdps(digits):
+        rule = []
+        for k in range(n // 2):
+            x = mp.cos(mp.pi * (k + mp.mpf(3) / 4) / (n + mp.mpf(1) / 2))
+            for _ in range(100):
+                slope = n * (x * mp.legendre(n, x) - mp.legendre(n - 1, x)) / (x * x - 1)
+                step = mp.legendre(n, x) / slope
+                x -= step
+                if abs(step) < mp.mpf(10) ** -(digits + 5):
+                    break
+            slope = n * (x * mp.legendre(n, x) - mp.legendre(n - 1, x)) / (x * x - 1)
+            rule.append((x, 2 / ((1 - x * x) * slope**2)))
+        return rule[::-1]
+
+
+class TestGaussLegendreRule:
+    """The 16-point rule is read from literals (analytic._GL_HALF)."""
+
+    def test_nodes_within_1_ulp_and_weights_within_1e13_of_the_exact_rule(self):
+        exact = _mpmath_gauss_legendre(16)
+        assert len(exact) == len(analytic._GL_HALF) == 8
+        for (x, w), (x_exact, w_exact) in zip(analytic._GL_HALF, exact):
+            assert abs(x - x_exact) <= np.spacing(x)
+            assert abs(w / w_exact - 1) <= 1e-13
+
+    def test_within_2_ulp_of_leggauss(self):
+        # on any LAPACK build; the tests may import numpy.polynomial
+        x, w = np.polynomial.legendre.leggauss(16)
+        half_x, half_w = np.array(analytic._GL_HALF).T
+        assert np.all(ulps_apart(half_x, x[8:]) <= 2)
+        assert np.all(ulps_apart(half_w, w[8:]) <= 2)
+
+    def test_rule_on_the_unit_interval_is_exactly_symmetric(self):
+        x, w = analytic._gauss_legendre()
+        half_x, half_w = np.array(analytic._GL_HALF).T
+        assert np.array_equal(w, w[::-1])
+        assert np.array_equal(w[8:], 0.5 * half_w)
+        assert np.array_equal(x[8:], 0.5 * (half_x + 1.0))
+        assert np.array_equal(x[7::-1], 0.5 * (-half_x + 1.0))
+        assert np.all(np.diff(x) > 0) and 0 < x[0] and x[-1] < 1
+        assert not x.flags.writeable and not w.flags.writeable
+
+    def test_horner_rows_equal_the_polyfromroots_construction(self):
+        nodes = np.arange(analytic._STENCIL) - (analytic._STENCIL - 1) / 2.0
+        want = np.empty((analytic._STENCIL, analytic._STENCIL))
+        for j, node in enumerate(nodes):
+            others = np.delete(nodes, j)
+            want[:, j] = np.polynomial.polynomial.polyfromroots(others) / np.prod(node - others)
+        assert np.array_equal(analytic._horner_rows(), want)
+
+
 @st.composite
 def table_points(draw):
     """(N, t): t anywhere in [-300, 300], on a lattice point of N's table,

@@ -127,6 +127,17 @@ class TestFloat32Kernel:
         z = _prefixes([3], big, (4, 5))[3]
         assert np.array_equal(z, _prefixes([3], np.random.default_rng(9), (4, 5))[3])
 
+    def test_every_uniform_is_exact(self):
+        # all 2^24 uniforms: the kernel scales k = word half >> 8 as int32,
+        # and must give exactly U = k 2^-24, so E = -log(1 - U) is numpy's
+        # float32 log at that U (squared and rooted as the kernel does)
+        for start in range(0, 2**24, 2**21):
+            q = np.arange(start, start + 2**21, dtype=np.uint32)
+            u = (q * 2.0**-24).astype(np.float32)  # exact in float64 and float32
+            log = np.log(np.float32(1) - u)
+            want = np.sqrt(log * log).astype(np.float64)
+            assert np.array_equal(_lattice_exponentials(q), want)
+
     def test_exact_moments_over_the_whole_lattice(self):
         # every float32 uniform once: E[E] = 1 - 5.5e-7 and E[sqrt E] =
         # (sqrt(pi)/2)(1 - 1.4e-7), so for N = 1 E[ab] = E[sqrt E]^2 and

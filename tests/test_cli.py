@@ -466,19 +466,19 @@ class TestGoldenRows:
     def test_one_process_run_draws_fading_on_threads(self, tmp_path, monkeypatch):
         mapped = []
 
-        class CountingThreads(montecarlo.ThreadPoolExecutor):
+        class CountingThreads(montecarlo._ThreadTeam):
             def map(self, fn, tasks):
                 mapped.append(len(tasks))
                 return super().map(fn, tasks)
 
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", CountingThreads)
+        monkeypatch.setattr(montecarlo, "_ThreadTeam", CountingThreads)
         monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(64)))
         params, digest = GOLDEN["two-chunks"]
         spec = load_spec(write_spec(tmp_path, GOLDEN_SPEC.format(**params)))
         rows = run_experiment(spec, workers=2)
         # one chunk and a 1-trial tail run in this process; the chunk's
         # second fading block goes to one other thread, and the tail's one
-        # block is drawn with no executor
+        # block is drawn with no team
         assert mapped == [1]
         assert _digest(rows) == digest
 
@@ -540,9 +540,9 @@ class TestRunCost:
 
     def test_run_imports_no_scipy(self, tmp_path):
         # a fresh interpreter: a one-worker run loads numpy only (neither
-        # scipy, genhyp's decimal, numpy.ma, numpy.fft nor the executor
-        # stack), and the oracles and `validate` still load scipy when they
-        # are called
+        # scipy, genhyp's decimal, numpy.ma, numpy.fft, numpy.polynomial nor
+        # the executor stack), and the oracles and `validate` still load
+        # scipy when they are called
         specs = [
             dict(n=8, model="power", snr=0, var="avg_snr_db", lo=-10, hi=30, steps=3,
                  policies="opt-product, min-min"),
@@ -562,7 +562,7 @@ from ris_select.channel import NetworkConfig, PathLossModel
 for path in sys.argv[1:]:
     rows = cli.run_experiment(cli.load_spec(path))
     assert {r[2] for r in rows[1:]} == {"analytic", "montecarlo"}, rows
-forbidden = ("scipy", "decimal", "numpy.ma", "numpy.fft",
+forbidden = ("scipy", "decimal", "numpy.ma", "numpy.fft", "numpy.polynomial",
              "concurrent.futures", "multiprocessing", "socket", "subprocess", "logging")
 loaded = sorted(m for m in sys.modules if m in forbidden or m.startswith("scipy."))
 assert not loaded, loaded
@@ -577,6 +577,37 @@ assert "scipy.integrate" in sys.modules and "scipy.stats" in sys.modules
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
         assert "13/13 checks passed" in done.stdout
+
+    def test_one_process_run_on_two_threads_imports_no_executor(self, tmp_path):
+        # a fresh interpreter with two usable CPUs: at two workers one chunk
+        # and a 1-trial tail run in this process, whose fading team starts
+        # a second thread with neither concurrent.futures nor logging, and
+        # the rows are the one-worker rows
+        params = dict(n=16, model="exp", snr=10, var="threshold", lo=3, hi=9, steps=3,
+                      policies="opt-sum, min-min", methods="analytic, montecarlo",
+                      metrics="outage, rate", trials=8193)
+        path = write_spec(tmp_path, GOLDEN_SPEC.format(**params))
+        script = """
+import sys
+from ris_select import cli, montecarlo
+
+montecarlo.os.sched_getaffinity = lambda pid: {0, 1}
+rounds = []
+team_map = montecarlo._ThreadTeam.map
+montecarlo._ThreadTeam.map = lambda self, fn, tasks: rounds.append(len(tasks)) or team_map(self, fn, tasks)
+spec = cli.load_spec(sys.argv[1])
+two = cli.run_experiment(spec, workers=2)
+assert rounds == [1], rounds
+forbidden = ("concurrent.futures", "logging", "queue", "numpy.polynomial")
+loaded = sorted(m for m in sys.modules if m in forbidden)
+assert not loaded, loaded
+assert two == cli.run_experiment(spec, workers=1)
+"""
+        src = str(Path(ris_select.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script, path], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
 
 
 # one spec per sweep variable; only the intensity sweep moves the geometry

@@ -4,6 +4,8 @@ import math
 import os
 import pickle
 import sys
+import threading
+import time
 import tracemalloc
 from functools import reduce
 
@@ -196,8 +198,9 @@ class TestBasics:
 
 
 def _recording_pool(sizes, mapped):
-    """Stand-in for ProcessPoolExecutor that runs the chunks in this process,
-    recording each pool's size and the number of chunks it is given."""
+    """Stand-in for ProcessPoolExecutor (or _ThreadTeam) that runs the chunks
+    (or fading blocks) in this thread, recording each pool's size and the
+    number of tasks it is given."""
 
     class RecordingPool:
         def __init__(self, max_workers):
@@ -530,42 +533,78 @@ class TestFadingBlocks:
             assert np.array_equal(a, b)
 
     def test_fading_threads_stop_when_a_reduction_raises(self, monkeypatch):
-        # the rounds keep one executor across the reductions between them
-        stopped = []
+        # a round joins its threads before it returns, so none is left
+        # running while the reductions between rounds run, or raise
+        rounds = []
 
-        class RecordingThreads(montecarlo.ThreadPoolExecutor):
-            def shutdown(self, *args, **kwargs):
-                stopped.append(True)
-                super().shutdown(*args, **kwargs)
+        class RecordingThreads(montecarlo._ThreadTeam):
+            def map(self, fn, tasks):
+                rounds.append(len(tasks))
+                return super().map(fn, tasks)
 
         def failing(*args):
             raise RuntimeError("reduction failed")
 
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingThreads)
+        monkeypatch.setattr(montecarlo, "_ThreadTeam", RecordingThreads)
         monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(montecarlo, "_rates", failing)
         cells = ((pow_cfg(n_elements=4), SelectionPolicy(PolicyKind.OPT_PRODUCT)),
                  (pow_cfg(n_elements=9), SelectionPolicy(PolicyKind.OPT_PRODUCT)))
         radius = coverage_radius(*cells[0])
+        before = threading.active_count()
         try:
             montecarlo._chunk_cells(cells, 2, 2, radius, 2 * montecarlo._FADING_BLOCK, np.random.default_rng(4))
         except RuntimeError:
-            # the traceback still holds the chunk's frame, so its fading
-            # generator has not been collected: it was closed on the way out
-            assert stopped == [True]
+            # the traceback still holds the chunk's frame and its suspended
+            # fading generator, which holds no thread
+            assert rounds == [1]
+            assert threading.active_count() == before
         else:
             pytest.fail("the reduction did not raise")
 
+    def test_a_worker_error_reaches_the_caller_after_every_thread_joined(self):
+        done = []
+
+        def run(task):
+            if task == 1:
+                raise RuntimeError("worker failed")
+            time.sleep(0.2 * (task == 2))
+            done.append(task)
+            return task
+
+        before = threading.active_count()
+        # this thread runs task 0; two team threads run tasks 1 (which
+        # fails at once) and 2 (which takes longest)
+        with pytest.raises(RuntimeError, match="worker failed"):
+            montecarlo._caller_runs(montecarlo._ThreadTeam(max_workers=2), 3, run, [0, 1, 2], 3)
+        assert sorted(done) == [0, 2]
+        assert threading.active_count() == before
+
+    def test_the_caller_error_leaves_after_the_worker_thread_joined(self):
+        done = []
+
+        def run(task):
+            if task == 0:
+                raise RuntimeError("caller failed")
+            time.sleep(0.2)
+            done.append(task)
+
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="caller failed"):
+            montecarlo._caller_runs(montecarlo._ThreadTeam(max_workers=1), 2, run, [0, 1], 2)
+        assert done == [1]
+        assert threading.active_count() == before
+
     def test_fading_threads_capped_by_cpus_and_blocks(self, monkeypatch):
         sizes, mapped = [], []
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", _recording_pool(sizes, mapped))
+        monkeypatch.setattr(montecarlo, "_ThreadTeam", _recording_pool(sizes, mapped))
         monkeypatch.setenv("RIS_SELECT_THREADS", "1000000")
         workers = montecarlo.default_workers()
         cells = [(exp_cfg(n_elements=64), SelectionPolicy(PolicyKind.MIN_MIN))]
         n_trials = montecarlo._CHUNK_TRIALS + 1  # one process runs both chunks
         want = mc_sweep(cells, n_trials, 2, 8)
         assert mc_sweep(cells, n_trials, 2, 8, workers=workers) == want
-        # a team of one thread draws its blocks with no executor
+        # a team of one thread draws its blocks with no _ThreadTeam
         extra = min(len(os.sched_getaffinity(0)), 2) - 1
         assert all(size <= extra for size in sizes)
         assert all(count <= extra for count in mapped)
@@ -575,16 +614,20 @@ class TestFadingBlocks:
         mapped.clear()
         assert mc_sweep(cells, n_trials, 2, 8, workers=workers) == want
         # the full chunk's second block goes to one other thread; the
-        # 1-trial tail is one block, drawn with no executor
+        # 1-trial tail is one block, drawn with no _ThreadTeam
         assert sizes == [1]
         assert mapped == [1]
 
     def test_no_fading_threads_beside_a_process_pool(self, monkeypatch):
         threads, processes = [], []
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", _recording_pool([], threads))
+        monkeypatch.setattr(montecarlo, "_ThreadTeam", _recording_pool([], threads))
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", _recording_pool(processes, []))
         monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(64)))
         cells = [(exp_cfg(n_elements=64), SelectionPolicy(PolicyKind.MIN_MIN))]
+        # the stand-in sees the threads of one process running every chunk
+        mc_sweep(cells, montecarlo._CHUNK_TRIALS + 1, 2, 8, workers=2)
+        assert processes == [] and threads == [1]
+        threads.clear()
         n_trials = 2 * montecarlo._CHUNK_TRIALS + 1
         assert mc_sweep(cells, n_trials, 2, 8, workers=2) == mc_sweep(cells, n_trials, 2, 8)
         assert processes == [1]
