@@ -18,7 +18,8 @@ rate_fading_closed) and its defining integral by adaptive quadrature
 (rate_fading_quad); both are kept as oracles for each other, for
 `validate` and for the tests.
 
-The average rate over the point process (rate_pow, rate_exp) uses neither.
+The average rate over the point process (rate_pow, rate_exp, rate_sweep)
+uses neither.
 It is one fixed tensor-product rule evaluated with numpy: score panels
 (tanh-sinh next to the log singularity at d^2, Gauss-Legendre on geometric
 panels elsewhere), cached per score law and cap, times the score density,
@@ -28,8 +29,11 @@ through its logarithm, so no score overflows and no small-argument switch
 is needed.  The fading average h(t) = E log(1 + e^t Z^2) depends on t =
 log(avg_snr * y) and the element count only, so it is tabulated once per
 count on a lattice in t (one softplus pass and one correlation, since the
-fading nodes lie on a lattice in log Z^2) and read at each score node: a
-rate call costs a few array passes over its ~850 score nodes.  The engine
+fading nodes lie on a lattice in log Z^2) and read at each score node.
+rate_sweep reads it once for all the cells of a sweep that differ only in
+avg_snr, in batches of 1024 (SNR, score node) pairs, each one matrix
+product and a Horner pass (~45 ns per pair): a warm 17-point SNR sweep of
+rate and outage, 688-832 score nodes per cell, takes 0.7-0.9 ms.  The engine
 needs numpy only: K and E come from the array AGM kernel
 specfun.ellip_ke_m1, and scipy is imported only inside the quadrature
 oracle, so `ris-select run` never loads it.
@@ -428,6 +432,7 @@ _FADING_PRUNE = 45.0  # drop fading nodes whose weight is below e^-45 of the lar
 _TABLE_STEP = 0.06  # largest lattice step of the fading-average table, in t = log(avg_snr * y)
 _TABLE_EDGE = 37.0  # softplus(x) is e^x below -37 and x above 37 to within e^-37 < 2^-53 relative
 _STENCIL = 10  # lattice values per local interpolant of the table (degree 9)
+_BATCH = 1024  # most score nodes per matrix product of a table read (see _FadingTable._interpolate)
 _TAIL_EPS = 1.0e-14  # survival probability beyond which the score is truncated
 
 
@@ -560,6 +565,11 @@ class _FadingTable:
     relative of the rule sum for every t and N = 1..1024 (2e-14 at most in
     a scan).  What is left is the nodes' own rounding: the table sums over
     an exact lattice, the rule's nodes lie on theirs to ~1e-14.
+
+    A read takes the interpolated values _BATCH at a time: one matrix
+    product with _horner_rows() gives the ten coefficients of each value's
+    interpolant, and Horner runs over those ten rows.  How a value rounds
+    can depend on its place in the product, by an ulp or so.
     """
 
     origin: float  # t of the first lattice value
@@ -571,12 +581,16 @@ class _FadingTable:
     e_log: float
 
     def average(self, t: np.ndarray) -> np.ndarray:
-        """h at each t."""
+        """h at each t of a 1-D array, interpolated _BATCH values at a time."""
         h = t + self.e_log
         below = t < self.low
         h[below] = np.exp(t[below]) * self.ez2
         inside = ~below & (t <= self.high)
-        h[inside] = self._interpolate(t[inside])
+        t = t[inside]
+        q = np.empty_like(t)
+        for start in range(0, t.size, _BATCH):
+            q[start:start + _BATCH] = self._interpolate(t[start:start + _BATCH])
+        h[inside] = q
         return h
 
     def _interpolate(self, t: np.ndarray) -> np.ndarray:
@@ -585,14 +599,21 @@ class _FadingTable:
         s -= cell
         s -= 0.5  # u in [-1/2, 1/2) between the stencil's middle nodes
         v = self.windows[cell.astype(np.intp) - (_STENCIL // 2 - 1)]
-        rows = _horner_rows()
-        # one matrix-vector product per power: a matrix-matrix product would
-        # be the run's first, and the BLAS library then maps ~0.25 MB of
-        # buffers; a run makes no LAPACK call either (see _GL_HALF)
-        q = v @ rows[-1]
-        for row in rows[-2::-1]:
+        # row k of c holds every node's coefficient of u^k: one (10 x 10) by
+        # (10 x n) product and Horner over its rows take 18 us at n = 850,
+        # against 43 us for one matrix-vector product per power.  The first
+        # such product maps the BLAS library's buffers (+0.28 MiB VmRSS; a
+        # warm analytic sweep's peak RSS rose 35.05 -> 35.28 MiB).  n is at
+        # most _BATCH = 1024: a read costs 45 ns per node at n = 1024, 70 at
+        # 2700 and 4096, and 470 at 16384 on OpenBLAS's threads; at 2048 a
+        # process ran at 36 or at 70, as v and c (160 KiB each) came from
+        # reused or from fresh pages, and 1024 keeps them under glibc's
+        # 128 KiB mmap threshold (Xeon, AVX-512, OpenBLAS 0.3.31)
+        c = _horner_rows() @ v.T
+        q = c[-1]
+        for row in c[-2::-1]:
             q *= s
-            q += v @ row
+            q += row
         t = t + math.log(self.ez2)
         return q * _softplus(t, np.empty_like(t))
 
@@ -641,24 +662,26 @@ def _fading_table(n_elements: int) -> _FadingTable:
     return _average_table(*_fading_rule(n_elements))
 
 
-def _average_rate(
-    log_y: np.ndarray, weight: np.ndarray, cfg: NetworkConfig, use_upper_bound: bool
-) -> float:
-    """sum_i weight_i * E[log2(1 + avg_snr * e^{log_y_i} * Z^2)] over the fading rule.
+def _average_rates(
+    log_y: np.ndarray, weight: np.ndarray, avg_snrs: list[float], n_elements: int, use_upper_bound: bool
+) -> list[float]:
+    """sum_i weight_i * E[log2(1 + s * e^{log_y_i} * Z^2)] over the fading rule, for each s in avg_snrs.
 
-    The inner average is read from the element count's table at each score
-    node's t = log(avg_snr) + log_y_i, so a call costs a few passes over
-    its score nodes.  The Jensen bound replaces the fading rule by the
-    single node E[Z^2]: one softplus per score node, no table.
+    The inner average is read from the element count's table at every
+    (SNR, score node) pair's t = log(s) + log_y_i, all in one `average`
+    call, so a group costs a few array passes over its SNRs times its
+    score nodes.  The Jensen bound replaces the fading rule by the single
+    node E[Z^2]: one softplus per pair, no table.
     """
     live = weight > 0.0
-    t, weight = log_y[live] + math.log(cfg.avg_snr), weight[live]
+    log_y, weight = log_y[live], weight[live]
+    t = (log_y + np.array([[math.log(s)] for s in avg_snrs])).ravel()
     if use_upper_bound:
-        t += math.log(ez2(cfg.n_elements))
+        t += math.log(ez2(n_elements))
         inner = _softplus(t, np.empty_like(t))
     else:
-        inner = _fading_table(cfg.n_elements).average(t)
-    return float(weight @ inner) / _LN2
+        inner = _fading_table(n_elements).average(t)
+    return [float(weight @ row) / _LN2 for row in inner.reshape(len(avg_snrs), log_y.size)]
 
 
 @functools.lru_cache(maxsize=64)
@@ -735,6 +758,53 @@ def _sum_score_rule(dist: DistCdf, alpha: float, cap: float) -> tuple[np.ndarray
     return g, weight
 
 
+def _score_nodes(cfg: NetworkConfig, cap: float) -> tuple[np.ndarray, np.ndarray]:
+    """log y and weight at the nodes of the optimum score rule of cfg's law up
+    to cap: log y = -eta log g under the power law, -alpha g under the other."""
+    if cfg.model is PathLossModel.POWER_LAW:
+        g, weight = _product_score_rule(_optimum_dist(cfg), cap)
+        return -cfg.eta * np.log(g), weight
+    g, weight = _sum_score_rule(_optimum_dist(cfg), cfg.alpha, cap)
+    return -cfg.alpha * g, weight
+
+
+def _rates(cells, use_upper_bound: bool) -> list[float]:
+    """The average rate of each (cfg, law, threshold) cell, in order.
+
+    Cells whose configurations differ only in avg_snr and that share their
+    threshold form a group: one score rule, one set of log y, and one
+    table read over all their SNRs (_average_rates).
+    """
+    groups = {}
+    for i, (cfg, law, threshold) in enumerate(cells):
+        cap = _threshold_cap(cfg, law, threshold)
+        key = (tuple({**vars(cfg), "avg_snr": None}.values()), cap)
+        groups.setdefault(key, []).append(i)
+    out = [0.0] * len(cells)
+    for (_, cap), members in groups.items():
+        cfg = cells[members[0]][0]
+        if cfg.model is PathLossModel.EXP_LAW and cap <= 2.0 * cfg.d:
+            continue  # no sum score is <= cap: no node feeds back, rate 0
+        snrs = [cells[i][0].avg_snr for i in members]
+        rates = _average_rates(*_score_nodes(cfg, cap), snrs, cfg.n_elements, use_upper_bound)
+        for i, rate in zip(members, rates):
+            out[i] = rate
+    return out
+
+
+def rate_sweep(cells, use_upper_bound: bool = False) -> list[float]:
+    """rate_pow or rate_exp, by each configuration's law, at every (cfg,
+    threshold) cell, in order.
+
+    The analytic counterpart of montecarlo.mc_sweep: the cells of a sweep
+    over avg_snr share one score rule and one read of the fading table, so
+    a sweep costs little more than one cell.  Each value is the one-cell
+    call's to within a few ulp, since a table value's rounding can depend on
+    its place in a batch.
+    """
+    return _rates([(cfg, cfg.model, threshold) for cfg, threshold in cells], use_upper_bound)
+
+
 def rate_pow(
     cfg: NetworkConfig,
     t_threshold: float | None = None,
@@ -746,11 +816,9 @@ def rate_pow(
     product score g, with the inverse path loss entering only as log(y) =
     -eta log g.  A feedback threshold T truncates the score at T (no
     transmission beyond it), which for T < d^2 simply empties the
-    large-score branch.
+    large-score branch.  The one-cell case of rate_sweep.
     """
-    cap = _threshold_cap(cfg, PathLossModel.POWER_LAW, t_threshold)
-    g, weight = _product_score_rule(_optimum_dist(cfg), cap)
-    return _average_rate(-cfg.eta * np.log(g), weight, cfg, use_upper_bound)
+    return _rates([(cfg, PathLossModel.POWER_LAW, t_threshold)], use_upper_bound)[0]
 
 
 def rate_exp(
@@ -762,10 +830,6 @@ def rate_exp(
 
     Integrates the fading-averaged rate against the density of the best sum
     score g, with log(y) = -alpha g.  A threshold T <= 2d admits no
-    feedback at all and yields rate 0.
+    feedback at all and yields rate 0.  The one-cell case of rate_sweep.
     """
-    cap = _threshold_cap(cfg, PathLossModel.EXP_LAW, t_threshold)
-    if cap <= 2.0 * cfg.d:
-        return 0.0
-    g, weight = _sum_score_rule(_optimum_dist(cfg), cfg.alpha, cap)
-    return _average_rate(-cfg.alpha * g, weight, cfg, use_upper_bound)
+    return _rates([(cfg, PathLossModel.EXP_LAW, t_threshold)], use_upper_bound)[0]

@@ -209,7 +209,11 @@ def _policy_obj(kind: PolicyKind, threshold: float | None) -> SelectionPolicy:
 
 
 def _analytic_metric(metric: str, cfg: NetworkConfig, kind: PolicyKind, threshold: float | None):
-    """Closed-form value for the optimum policy of the model, else None."""
+    """Closed-form value for the optimum policy of the model, else None.
+
+    One cell: the point commands' rate, and run's outage.  run takes its
+    rates from one analytic.rate_sweep call per spec (_analytic_cells).
+    """
     if kind is not OPTIMUM[cfg.model][1]:
         return None
     power = cfg.model is PathLossModel.POWER_LAW
@@ -231,18 +235,42 @@ def _rows(label: float, kind: PolicyKind, metric: str, closed, est) -> list[list
 
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[list[str]]:
-    """All CSV rows (header included) for a sweep experiment."""
+    """All CSV rows (header included) for a sweep experiment.
+
+    The closed forms come from _analytic_cells (all rates in one
+    analytic.rate_sweep call) and the estimates from _monte_carlo_cells
+    (one montecarlo.mc_sweep call per sample group).
+    """
     rows = [list(_HEADER)]
     points = [(value, *spec.config_at(value)) for value in spec.sweep_values()]
     mc = _monte_carlo_cells(spec, points, workers) if "montecarlo" in spec.methods else {}
-    closed_form = "analytic" in spec.methods
-    for idx, (value, cfg, threshold) in enumerate(points):
+    closed = _analytic_cells(spec, points) if "analytic" in spec.methods else {}
+    for idx, (value, _, _) in enumerate(points):
         for kind in spec.policies:
-            policy = _policy_obj(kind, threshold)
             for metric in spec.metrics:
-                closed = _analytic_metric(metric, cfg, kind, policy.feedback_threshold) if closed_form else None
-                rows += _rows(value, kind, metric, closed, mc[idx, kind][metric] if mc else None)
+                rows += _rows(value, kind, metric, closed.get((idx, kind), {}).get(metric),
+                              mc[idx, kind][metric] if mc else None)
     return rows
+
+
+def _analytic_cells(spec: ExperimentSpec, points) -> dict:
+    """(point index, optimum policy) -> {metric: closed form}.
+
+    Only the optimum policy of each point's law has closed forms.  All
+    rates come from one analytic.rate_sweep call, which reads the fading
+    table once for the points that differ only in avg_snr.
+    """
+    keys = [(i, kind) for i, (_, cfg, _) in enumerate(points) for kind in spec.policies
+            if kind is OPTIMUM[cfg.model][1]]
+    out = {key: {} for key in keys}
+    if "rate" in spec.metrics:
+        rates = analytic.rate_sweep([(points[i][1], points[i][2]) for i, _ in keys])
+        for key, rate in zip(keys, rates):
+            out[key]["rate"] = rate
+    if "outage" in spec.metrics:
+        for i, kind in keys:
+            out[i, kind]["outage"] = _analytic_metric("outage", points[i][1], kind, points[i][2])
+    return out
 
 
 def _monte_carlo_cells(spec: ExperimentSpec, points, workers: int) -> dict:

@@ -423,14 +423,14 @@ class TestTransformedDensities:
         assert mass == pytest.approx(1.0, abs=1e-5)
 
 
-def logaddexp_average_rate(log_y, weight, cfg, use_upper_bound):
-    """The rate engine's sum with the inner term taken by np.logaddexp."""
+def logaddexp_average_rate(log_y, weight, avg_snr, n_elements, use_upper_bound):
+    """The rate engine's sum at one SNR with the inner term taken by np.logaddexp."""
     if use_upper_bound:
-        nodes, fading_weight = np.array([math.log(ez2(cfg.n_elements))]), np.ones(1)
+        nodes, fading_weight = np.array([math.log(ez2(n_elements))]), np.ones(1)
     else:
-        nodes, fading_weight = analytic._fading_rule(cfg.n_elements)
+        nodes, fading_weight = analytic._fading_rule(n_elements)
     live = weight > 0.0
-    log_c = log_y[live] + math.log(cfg.avg_snr)
+    log_c = log_y[live] + math.log(avg_snr)
     inner = np.logaddexp(0.0, log_c[:, None] + nodes) @ fading_weight
     return float(weight[live] @ inner) / math.log(2.0)
 
@@ -734,13 +734,13 @@ class TestAverageRate:
         # and without a threshold (both branches for the power law); the
         # fading average comes from the interpolated table, good to its
         # stated bound, and the Jensen bound's single node is still exact
-        calls, engine = [], analytic._average_rate
+        calls, engine = [], analytic._average_rates
 
         def recording(*args):
             calls.append(args)
             return engine(*args)
 
-        monkeypatch.setattr(analytic, "_average_rate", recording)
+        monkeypatch.setattr(analytic, "_average_rates", recording)
         build = pow_cfg if law == "power" else exp_cfg
         cfg = build(d=d, intensity=lam, n_elements=n, avg_snr=10.0)
         for t in (None, 1.5 * d * d if law == "power" else 3.0 * d):
@@ -750,11 +750,13 @@ class TestAverageRate:
                 else:
                     rate_exp(cfg, t_threshold=t, use_upper_bound=bound)
         assert len(calls) == 4
-        for args in calls:
-            want = logaddexp_average_rate(*args)
+        for log_y, weight, snrs, n_elements, bound in calls:
+            assert snrs == [10.0] and n_elements == n
+            want = logaddexp_average_rate(log_y, weight, 10.0, n, bound)
             assert want > 0.0
-            rel = 1e-15 if args[-1] else TABLE_RTOL
-            assert engine(*args) == pytest.approx(want, rel=rel, abs=0.0)
+            rel = 1e-15 if bound else TABLE_RTOL
+            (got,) = engine(log_y, weight, snrs, n, bound)
+            assert got == pytest.approx(want, rel=rel, abs=0.0)
 
     @pytest.mark.parametrize("cap", [0.3, 1.0, 1.44, 2.5, 5.0, math.inf])
     def test_score_rule_elliptic_nodes_match_scipy(self, monkeypatch, cap):
@@ -786,3 +788,104 @@ class TestAverageRate:
             RateQuadrature(abs_tol=0.5)
         with pytest.raises(ValueError):
             RateQuadrature(max_subdivisions=10)
+
+
+# a table value may round differently in another place of a batch's matrix
+# product, so a cell of a group and its one-cell call may differ by an ulp or so
+SWEEP_ULPS = 4
+
+# (law, threshold): all feedback; the power law's T < d^2 (low branch only)
+# and T > d^2; the exponential law's T = 2d and T < 2d (rate 0) and T > 2d
+SWEEP_CASES = [
+    ("power", None), ("power", 0.7), ("power", 3.0),
+    ("exp", None), ("exp", 2 * D), ("exp", 1.2), ("exp", 3.0),
+]
+
+
+def snr_cells(law, threshold, steps, **kw):
+    build = pow_cfg if law == "power" else exp_cfg
+    return [(build(avg_snr=10.0 ** (db / 10.0), **kw), threshold) for db in np.linspace(-10.0, 30.0, steps)]
+
+
+def one_cell(cfg, threshold, use_upper_bound=False):
+    rate = rate_pow if cfg.model is PathLossModel.POWER_LAW else rate_exp
+    return rate(cfg, t_threshold=threshold, use_upper_bound=use_upper_bound)
+
+
+class TestRateSweep:
+    """analytic.rate_sweep, the group read behind `run`'s analytic rates."""
+
+    @pytest.mark.parametrize("steps", [1, 2, 17])
+    @pytest.mark.parametrize("law, threshold", SWEEP_CASES)
+    def test_each_cell_matches_its_one_cell_call(self, law, threshold, steps):
+        cells = snr_cells(law, threshold, steps)
+        got = np.array(analytic.rate_sweep(cells))
+        want = np.array([one_cell(cfg, t) for cfg, t in cells])
+        assert got.shape == (steps,)
+        assert np.all(ulps_apart(got, want) <= SWEEP_ULPS)
+        if law == "exp" and threshold is not None and threshold <= 2 * D:
+            assert np.all(got == 0.0)
+        else:
+            assert np.all(got > 0.0)
+
+    @pytest.mark.parametrize("law", ["power", "exp"])
+    def test_upper_bound_matches_its_one_cell_call(self, law):
+        cells = snr_cells(law, None, 17)
+        got = np.array(analytic.rate_sweep(cells, use_upper_bound=True))
+        want = np.array([one_cell(cfg, t, use_upper_bound=True) for cfg, t in cells])
+        assert np.all(ulps_apart(got, want) <= SWEEP_ULPS)
+
+    def test_mixed_cells_keep_their_order(self):
+        # two laws, two element counts and two thresholds, interleaved: each
+        # (configuration but SNR, threshold) is its own group, and the values
+        # come back in the cells' order
+        cells = []
+        for db in (-10.0, 0.0, 20.0):
+            snr = 10.0 ** (db / 10.0)
+            cells += [(pow_cfg(avg_snr=snr), None), (exp_cfg(avg_snr=snr), 3.0),
+                      (pow_cfg(avg_snr=snr, n_elements=4), 0.7), (exp_cfg(avg_snr=snr), 2 * D)]
+        got = np.array(analytic.rate_sweep(cells))
+        want = np.array([one_cell(cfg, t) for cfg, t in cells])
+        assert np.all(ulps_apart(got, want) <= SWEEP_ULPS)
+        assert analytic.rate_sweep([]) == []
+
+    def test_group_reads_its_table_once_in_capped_batches(self, monkeypatch):
+        # one group of 17 SNRs: one table read, whose interpolated nodes
+        # fill more than two batches and reach _interpolate at most _BATCH
+        # at a time
+        sizes, averages = [], []
+        interpolate, average = analytic._FadingTable._interpolate, analytic._FadingTable.average
+
+        def recording_interpolate(table, t):
+            sizes.append(t.size)
+            return interpolate(table, t)
+
+        def recording_average(table, t):
+            averages.append(t.size)
+            return average(table, t)
+
+        monkeypatch.setattr(analytic._FadingTable, "_interpolate", recording_interpolate)
+        monkeypatch.setattr(analytic._FadingTable, "average", recording_average)
+        cells = snr_cells("power", None, 17)
+        got = np.array(analytic.rate_sweep(cells))
+        assert len(averages) == 1
+        assert sum(sizes) > 2 * analytic._BATCH and len(sizes) > 2
+        assert max(sizes) <= analytic._BATCH
+        sizes.clear()
+        want = np.array([one_cell(cfg, t) for cfg, t in cells])
+        assert max(sizes) <= analytic._BATCH
+        assert np.all(ulps_apart(got, want) <= SWEEP_ULPS)
+
+    def test_batches_cover_every_interpolated_node_once(self):
+        # a read of more than two batches, against one value at a time
+        table = analytic._fading_table(16)
+        t = np.linspace(table.low, table.high, 2 * analytic._BATCH + 77)
+        got = table.average(t.copy())
+        one = np.concatenate([table.average(t[i:i + 1].copy()) for i in range(t.size)])
+        assert np.all(ulps_apart(got, one) <= SWEEP_ULPS)
+        assert got == pytest.approx(rule_average(16, t), rel=TABLE_RTOL, abs=0.0)
+
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, math.nan])
+    def test_refuses_a_threshold_not_above_zero(self, threshold):
+        with pytest.raises(ValueError):
+            analytic.rate_sweep([(pow_cfg(), None), (pow_cfg(), threshold)])

@@ -538,6 +538,47 @@ class TestRunCost:
         assert len(rows) == 18
         assert len(builds) == 1
 
+    @pytest.mark.parametrize("model, policy", [("power", "opt-product"), ("exp", "opt-sum")])
+    def test_rate_sweep_reads_fading_table_once(self, tmp_path, monkeypatch, model, policy):
+        # one analytic.rate_sweep call per spec, and its 17 SNRs share one
+        # table read; no cell goes through the one-cell rate_pow or rate_exp
+        sweeps, reads = [], []
+        rate_sweep, average = analytic.rate_sweep, analytic._FadingTable.average
+
+        def recording_sweep(cells, *args):
+            sweeps.append(len(cells))
+            return rate_sweep(cells, *args)
+
+        def recording_average(table, t):
+            reads.append(t.size)
+            return average(table, t)
+
+        def boom(*args, **kwargs):
+            raise AssertionError("run reads its rates through rate_sweep")
+
+        monkeypatch.setattr(analytic, "rate_sweep", recording_sweep)
+        monkeypatch.setattr(analytic._FadingTable, "average", recording_average)
+        monkeypatch.setattr(analytic, "rate_pow", boom)
+        monkeypatch.setattr(analytic, "rate_exp", boom)
+        params = dict(n=16, model=model, snr=0, var="avg_snr_db", lo=-10, hi=30, steps=17,
+                      policies=f"{policy}, min-min", methods="analytic", metrics="outage, rate", trials=1000)
+        rows = run_experiment(load_spec(write_spec(tmp_path, GOLDEN_SPEC.format(**params))))
+        assert len(rows) == 35
+        assert sweeps == [17]
+        assert len(reads) == 1
+
+    @pytest.mark.parametrize("model, policy", [("power", "opt-product"), ("exp", "opt-sum")])
+    def test_rows_do_not_depend_on_the_sweep_around_them(self, tmp_path, model, policy):
+        # the 17-point sweep reads the table for 17 SNRs at once, its 9 odd
+        # points (-10, -5, ..., 30 dB) for 9: the same rows
+        params = dict(n=16, model=model, snr=0, var="avg_snr_db", lo=-10, hi=30, policies=policy,
+                      methods="analytic", metrics="outage, rate", trials=1000)
+        full = run_experiment(load_spec(write_spec(tmp_path, GOLDEN_SPEC.format(**params, steps=17), "full.ini")))
+        odd = run_experiment(load_spec(write_spec(tmp_path, GOLDEN_SPEC.format(**params, steps=9), "odd.ini")))
+        labels = [row[0] for row in full[1::2]]
+        assert len(full) == 35 and len(odd) == 19
+        assert full[:1] + [row for row in full[1:] if row[0] in labels[::2]] == odd
+
     def test_run_imports_no_scipy(self, tmp_path):
         # a fresh interpreter: a one-worker run loads numpy only (neither
         # scipy, genhyp's decimal, numpy.ma, numpy.fft, numpy.polynomial nor
