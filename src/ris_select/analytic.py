@@ -431,6 +431,10 @@ _FADING_STEP = 0.25  # trapezoid step in the standardized log fading gain
 _FADING_PRUNE = 45.0  # drop fading nodes whose weight is below e^-45 of the largest
 _TABLE_STEP = 0.06  # largest lattice step of the fading-average table, in t = log(avg_snr * y)
 _TABLE_EDGE = 37.0  # softplus(x) is e^x below -37 and x above 37 to within e^-37 < 2^-53 relative
+# The fading nodes (log Z^2) and the table's lattice points are multiples of
+# this: their sums below 2^11 in magnitude are exact, so the table's
+# arguments t_i + x_j carry no rounding.
+_LATTICE_ULP = 2.0**-42
 _STENCIL = 10  # lattice values per local interpolant of the table (degree 9)
 _BATCH = 1024  # most score nodes per matrix product of a table read (see _FadingTable._interpolate)
 _TAIL_EPS = 1.0e-14  # survival probability beyond which the score is truncated
@@ -498,17 +502,22 @@ def _fading_rule(n_elements: int) -> tuple[np.ndarray, np.ndarray]:
     Trapezoid rule in w = log(Z / theta), whose density exp(k w - e^w) /
     Gamma(k) is entire; log(1 + c Z^2) is analytic in the strip |Im w| <
     pi/2 for every c > 0, so the rule converges geometrically for any shape
-    k.  Returns the nodes as log Z^2 and weights summing to 1.
+    k.  Returns the nodes as log Z^2 and weights summing to 1.  The nodes
+    are points of the fading table's lattice (r table steps apart, from a
+    multiple of _LATTICE_ULP; see _table_step), so the table sums over the
+    rule's own nodes with exact arguments.
     """
     ga = gamma_params(n_elements)
     k = ga.k
-    h = _FADING_STEP / math.sqrt(k)
+    r, step = _table_step(2.0 * _FADING_STEP / math.sqrt(k))
     reach = math.ceil((_FADING_PRUNE / math.sqrt(k) + 10.0) / _FADING_STEP)
-    w = math.log(k) + h * np.arange(-reach, reach + 1)
+    centre = round(2.0 * (math.log(ga.theta) + math.log(k)) / _LATTICE_ULP) * _LATTICE_ULP
+    nodes = centre + r * step * np.arange(-reach, reach + 1)
+    w = 0.5 * nodes - math.log(ga.theta)
     log_weight = k * w - np.exp(w)
     keep = log_weight >= log_weight.max() - _FADING_PRUNE
     weight = np.exp(log_weight[keep] - log_weight.max())
-    nodes = 2.0 * (math.log(ga.theta) + w[keep])
+    nodes = nodes[keep]
     weight /= weight.sum()
     nodes.flags.writeable = weight.flags.writeable = False
     return nodes, weight
@@ -618,6 +627,13 @@ class _FadingTable:
         return q * _softplus(t, np.empty_like(t))
 
 
+def _table_step(node_step: float) -> tuple[int, float]:
+    """(r, step): step is node_step / r rounded down to a multiple of
+    _LATTICE_ULP, r the least integer that makes it at most _TABLE_STEP."""
+    r = math.ceil(node_step / _TABLE_STEP)
+    return r, math.floor(node_step / r / _LATTICE_ULP) * _LATTICE_ULP
+
+
 def _lattice_average(
     nodes: np.ndarray, weight: np.ndarray, low: float, high: float
 ) -> tuple[float, float, np.ndarray]:
@@ -631,9 +647,7 @@ def _lattice_average(
     S[i + r j], one correlation of S's residue class i mod r with the
     weights.  No 2-D array and no FFT.
     """
-    node_step = (nodes[-1] - nodes[0]) / (nodes.size - 1)
-    r = math.ceil(node_step / _TABLE_STEP)
-    step = node_step / r
+    r, step = _table_step((nodes[-1] - nodes[0]) / (nodes.size - 1))
     first = math.floor(low / step) - _STENCIL // 2
     size = math.ceil(high / step) + _STENCIL // 2 - first + 1
     x = nodes[0] + step * np.arange(first, first + size + r * (nodes.size - 1))

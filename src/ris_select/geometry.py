@@ -7,10 +7,10 @@ the sublevel sets of those scores (a Cassini oval and an ellipse with the
 anchors as foci) drive all the analytic results, so their areas, enclosing
 radii and void-probability levels live here too.  So do the areas of the
 min-max and min-min sublevel sets (the lens and the union of two anchor
-discs), which size those baselines' Monte Carlo windows.  Node positions
-never reach this module: montecarlo._sample_slices samples them a slice of
-trials at a time and forms their distances in one pass.  Everything here
-is pure.
+discs), which sized those baselines' Monte Carlo windows.  Node positions
+never reach this module: montecarlo._nearest_first samples them in order
+of distance from the anchors' midpoint and forms their distances in one
+pass.  Everything here is pure.
 """
 
 from __future__ import annotations

@@ -1,48 +1,50 @@
 """Brute-force estimators for every analytic quantity.
 
-Each estimator draws realizations of the point process (``_sample_slices``,
-the package's one sampler) inside a finite window sized so the probability
-that the infinite process' winner falls outside is below a configurable
-epsilon, then evaluates the metric exactly on the sample.  The sampler
-draws each trial's Poisson count first and then takes points by rejection
-from the window's bounding square, so it needs no trigonometry.  It yields
-a chunk's trials in consecutive slices of about 10,000 expected points,
-and each slice is selected before the next is drawn, so a chunk's
-geometry traces about 1.5 MiB at any number of points per trial and each
-slice's passes run in a 2 MiB L2 cache.  The points do not depend on the
-slice size.  A chunk that would hold more points, or more fading draws,
-than its budget allows is refused with UnsupportedRegionError before
-anything is drawn.  Trials are processed in fixed-size chunks (8192
-trials), each with its own stream spawned from the caller's seed, so
-results are identical regardless of how many worker processes execute
-the chunks.  Chunk results merge as (count, mean, sum of squared
-deviations) with the pairwise update of Chan, Golub & LeVeque (1979),
-never as raw sums of squares.
+Each estimator runs the package's one sampler, ``_nearest_first``, which
+gives each trial's nodes in increasing distance r from the anchors'
+midpoint: lambda pi r_k^2 is the k-th arrival of a unit-rate Poisson
+process (Haenggi 2012, ch. 2).  The spacings are unit exponentials from
+the chunk's stream jumped ahead, and each direction comes from the next
+point that rejection from the square puts in the unit disc, with no
+trigonometry.  Round k takes the k-th arrival of every trial still
+running.  A trial stops once the bound at its next
+arrival exceeds the best so far of every criterion: a node at distance r
+has ds dd >= r^2 - d^2, ds + dd >= 2r, min(ds, dd) >= r - d and max(ds,
+dd) >= sqrt(r^2 + d^2), and mid-point's criterion is r itself.  A feedback
+count stops past ``enclosing_radius(T)``.  So every pick is the pick over
+the infinite process: no window truncates it, and no estimator reads a
+sublevel area (``critical_score``) or a window radius
+(``coverage_radius``, which remains for the benchmark's point count
+alone).  The stopping rule reads every criterion whichever policies are
+asked for, and each arrival is fixed by the stream, its trial and its
+index, so a cell's estimate is the same whichever cells share its call.
+A chunk that must draw more arrivals, or fading draws, than its budget
+allows is refused with UnsupportedRegionError before anything is drawn.
+Trials are processed in fixed-size chunks (8192 trials), each with its own
+stream spawned from the caller's seed, so results are identical regardless
+of how many worker processes execute the chunks.  Chunk results merge as
+(count, mean, sum of squared deviations) with the pairwise update of Chan,
+Golub & LeVeque (1979), never as raw sums of squares.
 
 Outage and rate come from one kernel, ``mc_sweep``, that estimates many
 (config, policy) cells at once when they share their geometry (intensity,
-d and path-loss model).  Per chunk it samples the point process once, in
-the largest window any cell needs.  Per slice it forms the model's score
-array and the layout of trials in the point arrays once, and takes one
-segmented arg-min (linear in the number of points) per distinct baseline
-criterion, not per cell.  The optimum policy's criterion is the score
-itself, so its pick is the segment minimum and needs no arg-min, and a
-feedback threshold filters on that same score, so a threshold is a mask on
-the unthresholded pick and a whole threshold sweep shares one pick.  It
-then draws the fading of every trial into one Z array, draws-major (one
-row per draw, one column per trial) and accumulated element by element, so
-one draw serves every cell and the gain for N elements is the partial sum
-of the gain for more.  It draws up to one wanted N at a time, in ascending
-order, and reduces that N's cells before it draws further elements, so a
-sweep over N holds one Z array (and one Z^2 scratch) at any number of
-element counts.  The fading comes in fixed blocks of 4096 trials, each
-drawn from a stream of its own spawned from the chunk's stream.  Path gain
-and rate are formed once per distinct (policy, law parameter, SNR, N).
-Every cell thus reads the same realizations (common random numbers), and
-each equals what any sweep of its group with the same seed and widest
-window returns for it.  ``mc_outage`` and ``mc_rate`` are the one-cell
-case, and ``policy_scores`` shares one sample among policies in the same
-way.
+d and path-loss model).  Per chunk it runs the sampler once, keeping the
+pick of every policy kind.  The optimum policy's criterion is its score,
+and a feedback threshold filters on that same score, so a threshold is a
+mask on the unthresholded pick and a whole threshold sweep shares one
+pick.  It then draws the fading of every trial into one Z array,
+draws-major (one row per draw, one column per trial) and accumulated
+element by element, so one draw serves every cell and the gain for N
+elements is the partial sum of the gain for more.  It draws up to one
+wanted N at a time, in ascending order, and reduces that N's cells before
+it draws further elements, so a sweep over N holds one Z array (and one
+Z^2 scratch) at any number of element counts.  The fading comes in fixed
+blocks of 4096 trials, each drawn from a stream of its own spawned from
+the chunk's stream.  Path gain and rate are formed once per distinct
+(policy, law parameter, SNR, N).  Every cell thus reads the same
+realizations (common random numbers).  ``mc_outage`` and ``mc_rate`` are
+the one-cell case, and ``policy_scores`` shares one sample among policies
+in the same way.
 
 Chunks run in the calling process, or in a pool in which the calling
 process is one of the workers; a sweep can open one such pool
@@ -69,14 +71,13 @@ import threading
 from collections.abc import Callable
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from .channel import NetworkConfig, PathLossModel, sample_z_prefixes, snr_score_cap
 from .errors import UnsupportedRegionError
-from .geometry import (ScoreKind, _solve_increasing, critical_score, enclosing_radius,
-                       min_max_region_area, min_min_region_area, score)
+from .geometry import (_solve_increasing, critical_score, enclosing_radius, min_max_region_area,
+                       min_min_region_area, score)
 from .policies import OPTIMUM, OPTIMUM_SCORE, PolicyKind, SelectionPolicy, check_feedback_policy
 
 _CHUNK_TRIALS = 8192
@@ -86,26 +87,14 @@ _MIN_SHARE = _CHUNK_TRIALS // 2
 # Trials per fading block: each block of a chunk draws its fading from a
 # stream of its own, so the blocks may run on any number of threads.
 _FADING_BLOCK = _CHUNK_TRIALS // 2
+# Window escape probability of coverage_radius, which no estimator calls.
 _WINDOW_EPS = 1e-6
-# Most points one chunk may expect to sample.  A chunk's memory does not
-# grow with it (see _SLICE_POINTS), so this caps the work: sampling and four
-# policies' selection take about 65 ns per point at 147 points per trial
-# and more, so about 1.1 s per chunk at the budget.
+# Most arrivals one chunk may expect to draw (see _nearest_first): picking
+# takes about 55 ns per arrival at 500 arrivals per trial, so about 0.9 s
+# per chunk at the budget.
 _POINT_BUDGET = 1 << 24
-# Candidate pairs the sampler draws at a time (256 KiB of doubles), or
-# fewer for the last points of a batch (see _pairs_wanted).
-_SAMPLE_BLOCK = 1 << 14
-# Points one slice of a chunk is expected to hold.  A slice samples at
-# about 32 bytes per point (x, y^2, a distance array and the indices of the
-# accepted pairs) beside 0.7 MiB of fixed size: the trials' counts, a block
-# of candidate pairs, the three buffers of its acceptance test (allocated
-# once per chunk) and the accepted indices.  Measured at 20 and 147
-# points per trial, it selects at about 42 (both distance arrays, the score,
-# one criterion buffer, the repeated segment minima and a mask).  So a
-# slice's arrays fit in a 2 MiB L2 cache.  Slices of 10,000 and 20,000
-# points timed fastest of 2,500 to 200,000 (15 ms per 8192-trial chunk, 22
-# ms for the chunk as one slice), and the smaller holds less.
-_SLICE_POINTS = 10_000
+# Candidate pairs the sampler draws at a time (64 KiB of doubles).
+_PAIR_BLOCK = 1 << 12
 # Most fading draws (per trial, times trials) one chunk may hold: at 16 to 32
 # bytes each, at most 128 MiB.  Z takes 8, the Z^2 scratch of a chunk of
 # more than one element count 8, and the element a block is drawing 16 per
@@ -221,10 +210,12 @@ class EmpiricalDist:
 def coverage_radius(cfg: NetworkConfig, policy: SelectionPolicy, eps: float = _WINDOW_EPS) -> float:
     """Window radius so the policy's true winner escapes with prob <= eps.
 
-    Optimum policies and min-min use the exact void probability of the
-    region where their criterion is below its eps-quantile level; min-max
-    and mid-point use conservative disc bounds on that region.  A feedback
-    threshold can only shrink the region that matters.
+    No estimator samples in a window; the benchmark's worker (perfbench)
+    reads this to report points per trial.  Optimum policies and min-min
+    use the exact void probability of the region where their criterion is
+    below its eps-quantile level; min-max and mid-point use conservative
+    disc bounds on that region.  A feedback threshold can only shrink the
+    region that matters.
     """
     lam, d = cfg.intensity, cfg.d
     need = math.log(1.0 / eps) / lam
@@ -262,149 +253,153 @@ def coverage_radius(cfg: NetworkConfig, policy: SelectionPolicy, eps: float = _W
 # Chunk kernels (top level so worker processes can unpickle them)
 # ---------------------------------------------------------------------------
 
-def _sample_slices(lam: float, d: float, radius: float, n: int, rng: np.random.Generator):
-    """Realizations of n trials, yielded as (t0, t1, counts, ds, dd) per slice.
+def _disc_points(rng: np.random.Generator, n: int):
+    """Points uniform on the unit disc, n at a time, as rows u and v.
 
-    The Poisson(lam pi radius^2) point counts of all n trials come first,
-    then the points, uniform on the disc, in trial order.  Each point is the
-    next pair (u, v) of the stream, mapped to [-1, 1]^2, that falls in the
-    unit disc, times radius: rejection from the bounding square, with no
-    trigonometry.  Trials [t0, t1) of a slice are expected to hold about
-    _SLICE_POINTS points; counts are theirs, and ds, dd the anchor
-    distances of their points, concatenated in trial order.  Pairs are
-    drawn _SAMPLE_BLOCK at a time, or fewer when the batch needs fewer
-    points (see _pairs_wanted), and the accepted pairs a slice does not
-    take are kept for the next, so every point is the same at any slice or
-    block size and no block is drawn beyond the last point.  A batch
-    expected to hold more than _POINT_BUDGET points is refused before
-    anything is drawn.  The distances are sqrt((x +- d)^2 + y^2) with y^2
-    formed once: within 2 ulp of np.hypot, at a fraction of its cost.
+    Each point is the next pair (u, v) of the stream, mapped to [-1, 1]^2,
+    that falls in the disc: rejection from the bounding square.  Pairs are
+    drawn _PAIR_BLOCK at a time, and the accepted pairs a yield does not
+    take are left to the next, so every point is the same at any block size.
+    Every yield fills the same (2, n) array.
     """
-    mean = lam * math.pi * radius * radius
-    if not mean * n <= _POINT_BUDGET:
+    points, left = np.empty((2, n)), np.empty((2, 0))
+    pairs, r2 = np.empty((_PAIR_BLOCK, 2)), np.empty(_PAIR_BLOCK)
+    a, b = pairs.T
+    while True:
+        filled = min(n, left.shape[1])
+        points[:, :filled], left = left[:, :filled], left[:, filled:]
+        while filled < n:
+            rng.random(out=pairs)
+            pairs *= 2.0
+            pairs -= 1.0
+            np.multiply(a, a, out=r2)
+            r2 += b * b
+            inside = np.flatnonzero(r2 <= 1.0)
+            take, rest = inside[: n - filled], inside[n - filled :]
+            for row, values in zip(points, (a, b)):
+                row[filled : filled + take.size] = values[take]
+            filled += take.size
+            left = np.stack((a[rest], b[rest]))
+        yield points
+
+
+def _nearest_first(lam: float, d: float, rng: np.random.Generator, visit: Callable, inner: float,
+                   live: np.ndarray) -> None:
+    """Runs visit over the nodes of live.shape[1] trials in increasing distance
+    from the anchors' midpoint.
+
+    Round k visits the k-th node (arrival) of every trial still running:
+    visit(trials, live, s, ds, dd) gets those trials' indices, their columns
+    of live (per-trial state it updates in place), the squared distances s
+    of their k-th arrivals from the midpoint and the distances ds, dd to
+    the anchors at (-d, 0) and (d, 0).  It returns the squared distance
+    beyond which no further node can change what it records, per trial or
+    one for all, and a trial stops at its first arrival beyond it.  Every
+    trial's first arrival is visited.
+
+    lam pi s_k is the k-th arrival of a unit-rate Poisson process, a sum of
+    k unit exponentials (Haenggi 2012, ch. 2): numpy's ziggurat on the
+    chunk's stream jumped ahead (2.1e38 draws on, for PCG64).  A direction
+    is (u, v) / |(u, v)| for the next point of _disc_points: no
+    trigonometry, and no transcendental ufunc, whose last bits vary with
+    numpy's SIMD level.  Round k takes the k-th n exponentials and points,
+    the i-th for trial i, whether or not trial i still runs, so an arrival
+    depends on the stream, its trial and its index alone.  A chunk that
+    must draw more than _POINT_BUDGET arrivals on average before its trials
+    can stop (all pass the squared distance inner) is refused before
+    anything is drawn.  The distances are sqrt((x +- d)^2 + y^2): within 2
+    ulp of np.hypot, at a fraction of its cost.
+    """
+    n = live.shape[1]
+    arrivals = lam * math.pi * inner + 1.0  # per trial, the one beyond inner included
+    if not arrivals * n <= _POINT_BUDGET:
         raise UnsupportedRegionError(
-            f"{mean:.3g} expected points per trial: {n} trials exceed the Monte Carlo "
-            f"budget of {_POINT_BUDGET} points per chunk"
+            f"{arrivals:.3g} arrivals per trial: {n} trials exceed the Monte Carlo "
+            f"budget of {_POINT_BUDGET} arrivals per chunk"
         )
-    counts = rng.poisson(mean, n)
-    step = max(1, math.floor(_SLICE_POINTS / mean)) if mean * n > _SLICE_POINTS else n
-    left = int(counts.sum())  # points the batch has yet to take, this slice's included
-    size = _pairs_wanted(left)
-    block, r2, v2, accept = np.empty((size, 2)), np.empty(size), np.empty(size), np.empty(size, bool)
-    inside = np.empty(0, np.intp)  # accepted pairs of the current block, taken up to `used`
-    used = 0
-    for t0 in range(0, n, step):
-        t1 = min(t0 + step, n)
-        need = int(counts[t0:t1].sum())
-        x, y2 = np.empty(need), np.empty(need)
-        filled = 0
-        while filled < need:
-            if used == inside.size:
-                size = _pairs_wanted(left - filled)  # no more than the buffers hold
-                pairs = block[:size]
-                rng.random(out=pairs)
-                pairs *= 2.0
-                pairs -= 1.0
-                u, v = pairs.T
-                np.multiply(u, u, out=r2[:size])
-                r2[:size] += np.multiply(v, v, out=v2[:size])
-                inside = np.flatnonzero(np.less_equal(r2[:size], 1.0, out=accept[:size]))
-                used = 0
-            take = inside[used : used + need - filled]
-            end = filled + take.size
-            x[filled:end] = u[take]
-            y2[filled:end] = v[take]
-            filled, used = end, used + take.size
-        left -= need
-        x *= radius
-        y2 *= radius
-        np.square(y2, out=y2)
-        ds, dd = np.add(x, d), np.subtract(x, d, out=x)
+    per_area = 1.0 / (lam * math.pi)
+    spacings = np.random.Generator(rng.bit_generator.jumped())
+    trials, total, reach = np.arange(n), np.zeros(n), math.inf
+    work = np.empty((3, n))  # a round's spacings (then scales), squared distances and ds
+    for points in _disc_points(rng, n):
+        gaps, s, ds = work
+        spacings.standard_exponential(out=gaps)
+        m = trials.size
+        if m < n:  # in place, a row at a time, so no row is held twice
+            for row in (gaps, *points):
+                row[:m] = row[trials]
+        u, v = points[:, :m]
+        total += gaps[:m]
+        s = np.multiply(total, per_area, out=s[:m])
+        go = s <= reach
+        if not go.all():
+            keep = np.flatnonzero(go)
+            m = keep.size
+            if not m:
+                return
+            for row in (trials, total, s, u, v, *live):
+                row[:m] = row[keep]
+            trials, total, s, u, v, live = (a[..., :m] for a in (trials, total, s, u, v, live))
+        scale = np.square(u, out=gaps[:m])
+        scale += v * v
+        np.sqrt(np.divide(s, scale, out=scale), out=scale)
+        x = np.multiply(u, scale, out=u)
+        y2 = np.square(np.multiply(v, scale, out=v), out=v)
+        ds, dd = np.add(x, d, out=ds[:m]), np.subtract(x, d, out=x)
         for dist in (ds, dd):
             np.square(dist, out=dist)
             dist += y2
             np.sqrt(dist, out=dist)
-        yield t0, t1, counts[t0:t1], ds, dd
+        reach = visit(trials, live, s, ds, dd)
 
 
-def _pairs_wanted(points: int) -> int:
-    """Candidate pairs to draw at once for this many more points: a full
-    block, or about twice the points (a pair is accepted with probability
-    pi/4) and 64 more, so that the last block of a batch seldom needs
-    another after it."""
-    return min(_SAMPLE_BLOCK, 64 + 2 * points)
+# The policy kinds in the row order of _picks, and the criterion each
+# minimises as a ufunc of (ds, dd).  Mid-point minimises the distance to the
+# anchors' midpoint (None: the arrival's own s), and so picks the first arrival.
+_KINDS = (PolicyKind.OPT_PRODUCT, PolicyKind.OPT_SUM, PolicyKind.MIN_MIN, PolicyKind.MIN_MAX,
+          PolicyKind.MID_POINT)
+_CRITERIA = (np.multiply, np.add, np.minimum, np.maximum, None)
 
 
-class _Segments(NamedTuple):
-    """Where each trial's points sit in a chunk's concatenated point arrays."""
+def _picks(cfg: NetworkConfig, kinds, n: int, rng: np.random.Generator) -> dict:
+    """Per-trial model score of the node each of the (distinct) policy kinds
+    picks from n trials.
 
-    nonempty: np.ndarray  # trials with at least one point
-    starts: np.ndarray  # index of the first point of each non-empty trial
-    lengths: np.ndarray  # point count of each non-empty trial
-
-
-def _segments(counts: np.ndarray) -> _Segments:
-    nonempty = counts > 0
-    return _Segments(nonempty, (np.cumsum(counts) - counts)[nonempty], counts[nonempty])
-
-
-def _segment_argmin(crit: np.ndarray, seg: _Segments) -> np.ndarray:
-    """Index of the first minimum of crit in each non-empty segment.
-
-    crit is the concatenation of the segments and holds no NaN.  Ties go to
-    the lowest index, and a segment that is all +inf yields its first
-    element, as a stable sort by (segment, crit) would.  Every segment holds
-    a point equal to its minimum, so the first such point at or after a
-    segment's start is that segment's.
+    The nodes are ``_nearest_first``'s.  Five criteria keep their running
+    minima whichever kinds are asked for: the distance product and sum,
+    min(ds, dd), max(ds, dd) and the squared distance s from the midpoint;
+    each asked-for kind keeps the model score at its criterion's minimum,
+    the first of equal minima.  A node at distance r from the midpoint has
+    ds dd >= r^2 - d^2, ds + dd >= 2r, min(ds, dd) >= r - d and max(ds, dd)
+    >= sqrt(r^2 + d^2) (the triangle inequality and ds^2 + dd^2 = 2 (r^2 +
+    d^2)), so a trial stops at its first node beyond max(P + d^2, S^2 / 4,
+    (m + d)^2, M^2 - d^2), where P, S, m and M are the first four running
+    minima: no node beyond it can lower any of them.  Each pick is then
+    the pick over all of the trial's nodes, and no trial stops within d of
+    the midpoint.  No feedback threshold applies here (see _threshold); a
+    trial no node reaches keeps +inf.
     """
-    segmin = np.minimum.reduceat(crit, seg.starts)
-    hits = np.flatnonzero(crit == np.repeat(segmin, seg.lengths))
-    return hits[np.searchsorted(hits, seg.starts)]
+    d2 = cfg.d * cfg.d
+    score_kind = OPTIMUM[cfg.model][0]
+    wanted = {_KINDS.index(kind): i for i, kind in enumerate(kinds)}  # criterion row -> row of picked
+    picked, work = [np.full(n, np.inf) for _ in wanted], np.empty(n)
 
+    def visit(trials, mins, s, ds, dd):
+        scores, crit = score(score_kind, ds, dd), work[: s.size]
+        for row, criterion in enumerate(_CRITERIA):
+            value = s if criterion is None else criterion(ds, dd, out=crit)
+            if row in wanted:
+                lower = np.flatnonzero(value < mins[row])
+                picked[wanted[row]][trials[lower]] = scores[lower]
+            np.minimum(mins[row], value, out=mins[row])
+        product, total, near, far, _ = mins
+        reach = np.add(product, d2)
+        np.maximum(reach, np.multiply(np.square(total, out=crit), 0.25, out=crit), out=reach)
+        np.maximum(reach, np.square(np.add(near, cfg.d, out=crit), out=crit), out=reach)
+        return np.maximum(reach, np.subtract(np.square(far, out=crit), d2, out=crit), out=reach)
 
-def _criterion_values(kind: PolicyKind, ds: np.ndarray, dd: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """What policy kind minimises; the baselines' criteria are written into out."""
-    if kind in OPTIMUM_SCORE:
-        return score(OPTIMUM_SCORE[kind], ds, dd)
-    if kind is PolicyKind.MIN_MIN:
-        return np.minimum(ds, dd, out=out)
-    if kind is PolicyKind.MIN_MAX:
-        return np.maximum(ds, dd, out=out)
-    # MID_POINT: squared distance to origin, monotone equivalent to distance
-    np.multiply(ds, ds, out=out)
-    out += dd * dd
-    out *= 0.5
-    return out
-
-
-def _picks(kinds, score_kind: ScoreKind, slices, n: int) -> dict:
-    """Per-trial score (of kind score_kind) of the node each policy kind picks.
-
-    slices are ``_sample_slices`` items covering trials 0..n-1; each is
-    picked on its own and written into one (n,) array per kind.  No
-    feedback threshold applies here (see _threshold).  One score array and
-    one segment layout serve every kind of a slice.  An optimum policy whose
-    criterion is the score itself takes the segment minimum, the very score
-    its first arg-min would pick; every other kind takes one arg-min, and
-    the baselines share one criterion buffer.  +inf marks trials with no
-    node.
-    """
-    out = {kind: np.full(n, np.inf) for kind in kinds}
-    baselines = any(kind not in OPTIMUM_SCORE for kind in kinds)
-    for t0, t1, counts, ds, dd in slices:
-        seg = _segments(counts)
-        if not seg.starts.size:  # no trial of the slice holds a point
-            continue
-        scores = score(score_kind, ds, dd)
-        crit_buffer = np.empty_like(scores) if baselines else None
-        for kind, column in out.items():
-            picked = column[t0:t1]
-            if OPTIMUM_SCORE.get(kind) is score_kind:
-                picked[seg.nonempty] = np.minimum.reduceat(scores, seg.starts)
-            else:
-                crit = _criterion_values(kind, ds, dd, crit_buffer)
-                picked[seg.nonempty] = scores[_segment_argmin(crit, seg)]
-    return out
+    _nearest_first(cfg.intensity, cfg.d, rng, visit, d2, np.full((len(_KINDS), n), np.inf))
+    return dict(zip(kinds, picked))
 
 
 def _threshold(picked: np.ndarray, policy: SelectionPolicy) -> np.ndarray:
@@ -419,24 +414,28 @@ def _threshold(picked: np.ndarray, policy: SelectionPolicy) -> np.ndarray:
     return picked if t is None else np.where(picked <= t, picked, np.inf)
 
 
-def _chunk_scores(cfg: NetworkConfig, policies: tuple, radius: float, n: int, rng) -> list:
+def _chunk_scores(cfg: NetworkConfig, policies: tuple, n: int, rng) -> list:
     """Per-trial model score of the node each policy selects (+inf when none)."""
-    slices = _sample_slices(cfg.intensity, cfg.d, radius, n, rng)
-    picks = _picks(dict.fromkeys(policy.kind for policy in policies), OPTIMUM[cfg.model][0], slices, n)
+    picks = _picks(cfg, dict.fromkeys(policy.kind for policy in policies), n, rng)
     return [_threshold(picks[policy.kind], policy) for policy in policies]
 
 
-def _chunk_feedback_counts(
-    cfg: NetworkConfig, threshold: float, radius: float, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Per-trial number of nodes whose model score is <= threshold."""
+def _chunk_feedback_counts(cfg: NetworkConfig, threshold: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Per-trial number of nodes whose model score is <= threshold.
+
+    No node beyond enclosing_radius(threshold) scores <= threshold, so each
+    trial stops at its first arrival beyond it and every count is exact.
+    """
     score_kind = OPTIMUM[cfg.model][0]
-    out = np.zeros(n, np.intp)
-    for t0, t1, counts, ds, dd in _sample_slices(cfg.intensity, cfg.d, radius, n, rng):
-        seg = _segments(counts)
-        below = score(score_kind, ds, dd) <= threshold
-        out[t0:t1][seg.nonempty] = np.add.reduceat(below, seg.starts)
-    return out
+    reach = enclosing_radius(score_kind, threshold, cfg.d) ** 2
+    counts = np.zeros(n, np.intp)
+
+    def visit(trials, live, s, ds, dd):
+        counts[trials] += score(score_kind, ds, dd) <= threshold
+        return reach
+
+    _nearest_first(cfg.intensity, cfg.d, rng, visit, reach, np.empty((0, n)))
+    return counts
 
 
 def _path_gain(cfg: NetworkConfig, picked: np.ndarray) -> np.ndarray:
@@ -496,35 +495,28 @@ def _fading_power(sizes, m: int, n: int, rng: np.random.Generator, threads: int)
         yield size, np.square(z, out=z if size == sizes[-1] else scratch)
 
 
-def _chunk_cells(cells, m_fading, threads, radius, n, rng) -> tuple:
+def _chunk_cells(cells, m_fading, threads, n, rng) -> tuple:
     """``_moments`` of every cell's per-trial outage (and rate) in one chunk.
 
-    One point-process sample serves all cells.  It is drawn and picked a
-    slice at a time (see _sample_slices), and each distinct policy kind
-    takes one pick per slice (the segment minimum for the model's optimum,
-    an arg-min for any other kind); feedback thresholds are masks on that
-    pick.  A slice's points are dropped once picked.  The fading is drawn
-    after the selection, from streams spawned from the chunk's stream, for
-    every trial (selected or not) and once for all cells, so neither the
-    policies nor the other cells change what a cell reads.  It is drawn one
-    element count at a time (see _fading_power, which runs it on up to
-    ``threads`` threads), and each count's cells are reduced before any
-    further element is drawn.  The cells are grouped by N, then by (policy
-    kind, eta, alpha), then by avg_snr, in order of first appearance: each
-    middle group forms one path gain, and each inner group one rate in one
-    reused (2, trials) scratch (see _rates), which a cell with a threshold
-    masks to 0 where its pick is filtered out.  Each cell's rows are reduced
-    as soon as they are formed, in one reused buffer, and numpy reduces
-    each row on its own, so the moments are those of one reduction of every
-    row.  At 8192 trials and 8 draws on one thread, a chunk of four policies
-    traces 1.6 MiB at its peak for 36 cells of one element count and 1.7
-    MiB for 404; a second count adds the (draws, trials) Z^2 scratch, 0.5
-    MiB, and further counts add nothing (2.5 MiB for 21 counts).
+    One pass of the sampler serves all cells: _picks keeps every policy
+    kind's pick, and feedback thresholds are masks on the optimum's pick.
+    The fading is drawn after the selection, from streams spawned from the
+    chunk's stream, for every trial (selected or not) and once for all
+    cells, so neither the policies nor the other cells change what a cell
+    reads.  It is drawn one element count at a time (see _fading_power,
+    which runs it on up to ``threads`` threads), and each count's cells are
+    reduced before any further element is drawn.  The cells are grouped by
+    N, then by (policy kind, eta, alpha), then by avg_snr, in order of first
+    appearance: each middle group forms one path gain, and each inner group
+    one rate in one reused (2, trials) scratch (see _rates), which a cell
+    with a threshold masks to 0 where its pick is filtered out.  Each
+    cell's rows are reduced as soon as they are formed, in one reused
+    buffer, and numpy reduces each row on its own, so the moments are
+    those of one reduction of every row.  At 8192 trials the sampler
+    traces 1.4-1.5 MiB at its peak; the fading adds the (draws, trials) Z^2
+    scratch for a second element count (0.5 MiB at 8 draws), no more.
     """
-    geometry = cells[0][0]
-    slices = _sample_slices(geometry.intensity, geometry.d, radius, n, rng)
-    kinds = dict.fromkeys(policy.kind for _, policy in cells)
-    picks = _picks(kinds, OPTIMUM[geometry.model][0], slices, n)
+    picks = _picks(cells[0][0], dict.fromkeys(policy.kind for _, policy in cells), n, rng)
     row = np.empty((1 if m_fading is None else 2, n))
     shift, offset, m2 = (np.empty((len(cells), len(row))) for _ in range(3))
 
@@ -557,8 +549,8 @@ def _chunk_cells(cells, m_fading, threads, radius, n, rng) -> tuple:
 
 
 def _run_chunk(task) -> object:
-    kernel, payload, radius, n, (bit_generator, seed) = task
-    return kernel(*payload, radius, n, np.random.Generator(bit_generator(seed)))
+    kernel, payload, n, (bit_generator, seed) = task
+    return kernel(*payload, n, np.random.Generator(bit_generator(seed)))
 
 
 def _chunk_sizes(n_trials: int) -> list:
@@ -669,8 +661,8 @@ def shared_pool(workers: int, n_trials: int):
         yield lambda tasks: _caller_runs(executor, processes, _run_chunk, tasks, shares)
 
 
-def _map_chunks(kernel, payload, radius, n_trials, rng, workers, pool=None, threaded=False):
-    """kernel(*payload, radius, n, stream) for each chunk, in chunk order.
+def _map_chunks(kernel, payload, n_trials, rng, workers, pool=None, threaded=False):
+    """kernel(*payload, n, stream) for each chunk, in chunk order.
 
     A ``threaded`` kernel takes one more payload item, the threads it may
     run on: ``workers`` when this process runs every chunk, and 1 when pool
@@ -684,7 +676,7 @@ def _map_chunks(kernel, payload, radius, n_trials, rng, workers, pool=None, thre
 
     def tasks(threads):
         head = payload + (threads,) if threaded else payload
-        return [(kernel, head, radius, sz, seed) for sz, seed in zip(sizes, seeds)]
+        return [(kernel, head, sz, seed) for sz, seed in zip(sizes, seeds)]
 
     if pool is not None and len(sizes) > 1:
         return pool(tasks(1))
@@ -711,24 +703,16 @@ def policy_scores(cfg: NetworkConfig, policies, n_trials: int, rng, workers: int
     """Model score of the node each policy selects, per trial (+inf when none).
 
     Returns one array per policy, in order.  Every policy reads the same
-    realizations (common random numbers), sampled in the widest window any
-    of them needs, so pathwise comparisons between them are exact.
+    realizations (common random numbers), so pathwise comparisons between
+    them are exact, and each array is the same in any call with that seed.
     """
     policies = tuple(policies)
     if not policies:
         raise ValueError("policy_scores needs at least one policy")
     for policy in policies:
         check_feedback_policy(policy, cfg.model)
-    radius = _shared_radius(cfg, policies)
-    chunks = _map_chunks(_chunk_scores, (cfg, policies), radius, n_trials, rng, workers)
+    chunks = _map_chunks(_chunk_scores, (cfg, policies), n_trials, rng, workers)
     return [np.concatenate(scores) for scores in zip(*chunks)]
-
-
-def _shared_radius(cfg: NetworkConfig, policies) -> float:
-    """The widest window any of the policies needs on cfg's geometry, in
-    which they all read one sample.  The window depends on the policy and
-    the geometry only, so it is solved once per distinct policy."""
-    return max(coverage_radius(cfg, policy) for policy in dict.fromkeys(policies))
 
 
 def sample_key(cfg: NetworkConfig) -> tuple:
@@ -756,9 +740,8 @@ def mc_sweep(
     cells is a sequence of (NetworkConfig, SelectionPolicy) pairs that share
     their sample_key (intensity, d and path-loss model); they may differ in
     everything else (SNRs, element count, policy, feedback threshold).  All
-    cells read the same realizations, sampled in the widest window any of
-    them needs, so each cell's result is the same in any sweep of its group
-    with the same widest window.
+    cells read the same realizations, and each cell's result is the same in
+    any sweep of its group with that seed.
     Returns one (outage, rate) pair per cell, in order; rate is None when
     fading_draws_per_trial is None.  ``pool`` (see ``shared_pool``) runs
     the chunks in place of a pool of this call's own.  When this process
@@ -777,9 +760,8 @@ def mc_sweep(
         if sample_key(cfg) != sample_key(geometry):
             raise ValueError("cells of one sweep must share intensity, d and path-loss model")
         check_feedback_policy(policy, cfg.model)
-    radius = _shared_radius(geometry, (policy for _, policy in cells))
     payload = (tuple(cells), m_fading)
-    chunks = _map_chunks(_chunk_cells, payload, radius, n_trials, rng, workers, pool, threaded=True)
+    chunks = _map_chunks(_chunk_cells, payload, n_trials, rng, workers, pool, threaded=True)
     n, shift, offset, m2 = functools.reduce(_merge_moments, chunks)
     out = []
     for mean, sq in zip(shift + offset, m2):
@@ -836,13 +818,12 @@ def mc_feedback_dist(
 ) -> EmpiricalDist:
     """Distribution of the number of nodes whose model score is <= threshold.
 
-    The window is the smallest origin-centred disc containing the whole
-    threshold region, so counts are exact.
+    Each trial counts its nodes up to the smallest origin-centred disc
+    containing the whole threshold region, so counts are exact.
     """
-    if not threshold > 0.0:  # NaN included; +inf is refused by the point budget
+    if not threshold > 0.0:  # NaN included; +inf is refused by the arrival budget
         raise ValueError(f"threshold must be > 0, got {threshold}")
-    radius = enclosing_radius(OPTIMUM[cfg.model][0], threshold, cfg.d)
-    chunks = _map_chunks(_chunk_feedback_counts, (cfg, threshold), radius, n_trials, rng, workers)
+    chunks = _map_chunks(_chunk_feedback_counts, (cfg, threshold), n_trials, rng, workers)
     return EmpiricalDist(np.concatenate(chunks))
 
 

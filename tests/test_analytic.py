@@ -594,6 +594,17 @@ class TestFadingTable:
         assert args[0][index] == pytest.approx((origin + step * np.arange(h.size))[:, None] + nodes,
                                                rel=0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 16, 1024])
+    def test_lattice_values_are_the_rules_own_sums(self, n):
+        # the rule's nodes and the table's lattice are multiples of one
+        # power of two, so every argument t_i + x_j is exact and each
+        # lattice value is the rule's sum at t_i to the softplus's rounding
+        nodes, weight = analytic._fading_rule(n)
+        origin, step, h = analytic._lattice_average(nodes, weight, -40.0 - nodes[-1], 40.0 - nodes[0])
+        t = (origin + step * np.arange(h.size)).astype(np.longdouble)
+        want = np.logaddexp(np.longdouble(0.0), t[:, None] + nodes) @ weight.astype(np.longdouble)
+        assert np.all(np.abs(h / want - 1.0) <= 1e-15)
+
     def test_cached_read_only(self):
         table = analytic._fading_table(16)
         assert analytic._fading_table(16) is table

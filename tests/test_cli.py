@@ -348,7 +348,10 @@ output = unused.csv
 # newline-joined rows), recorded under the seed contract in which each
 # geometry group of a sweep is one pass seeded by SeedSequence([seed, group])
 # and every policy and point of the group reads the same realizations, with
-# points drawn by rejection from the bounding square and fading draws-major
+# each trial's nodes in increasing distance from the anchors' midpoint, the
+# k-th of every trial from the k-th n unit exponentials of the chunk's stream
+# jumped ahead and the k-th n points of the chunk's stream that rejection
+# from the bounding square keeps, and fading draws-major
 # in blocks of 4096 trials, each block from a stream spawned from its
 # chunk's, every unit exponential -log(1 - U) of a float32 uniform U, two
 # per 64-bit generator word, each term formed in float32 and Z summed in
@@ -360,28 +363,28 @@ GOLDEN = {
         dict(n=8, model="power", snr=0, var="avg_snr_db", lo=-10, hi=30, steps=3,
              policies="opt-product, min-min, min-max, mid-point", methods="analytic, montecarlo",
              metrics="outage, rate", trials=2000),
-        "2b08ba9300e3283f253f60d3320204e2485890a0fb39c14c032adbe5620c3c47",
+        "71cb9116db41c3dae7e337431307cbc193206ed0ab0ae975bfa639cbbf657f70",
     ),
     "exp-threshold-feedback": (
         dict(n=16, model="exp", snr=10, var="threshold", lo=3, hi=9, steps=3,
              policies="opt-sum, min-min", methods="analytic, montecarlo",
              metrics="outage, rate", trials=2000),
-        "afbe2bd5f46d91d3861f863868b7235d9bfc1f2cd278c767fff77268529d6b8d",
+        "26d72741da6d05a12f286a57c2e5cdcf9f9e886ee60a5bd40b919421e789b1ed",
     ),
     "outage-only": (
         dict(n=16, model="exp", snr=0, var="intensity", lo=0.2, hi=1.0, steps=2,
              policies="opt-sum, mid-point", methods="montecarlo", metrics="outage", trials=2000),
-        "cb506025132ac64416f3bf90109eda299151a65d1a64a5d1f2db494b9cfb089b",
+        "3548876209e6fcd49f439e1edfd53f0c6d4a3488b812f35b6bcaae311cebde8d",
     ),
     "rate-only": (
         dict(n=4, model="power", snr=5, var="n_elements", lo=4, hi=16, steps=2,
              policies="opt-product, min-max", methods="montecarlo", metrics="rate", trials=2000),
-        "539fbdd153eec715646f741f45568cc4d1d01faf545fe150c9af0fac2ef22985",
+        "7de2c699f9993c29ff33947399226164f9d16c35b07de49a7594e703e3fb25b4",
     ),
     "two-chunks": (
         dict(n=4, model="exp", snr=5, var="avg_snr_db", lo=0, hi=10, steps=2,
              policies="opt-sum, min-max", methods="montecarlo", metrics="outage, rate", trials=8193),
-        "bd0d05fe20b90c740c7bd5c282e70d004d90b3dfc19a1fa935de6163aabcd62b",
+        "5d03f8eabff5c7c0ba36422d5f98668880b9ab7b8eb9aa22f5d9be228b144c64",
     ),
     # two full chunks and a 1-trial tail: at two workers a real pool child
     # runs the second chunk
@@ -389,7 +392,7 @@ GOLDEN = {
         dict(n=4, model="exp", snr=5, var="avg_snr_db", lo=0, hi=10, steps=2,
              policies="opt-sum, min-max", methods="montecarlo", metrics="outage, rate",
              trials=2 * 8192 + 1),
-        "6384663e8e65778708dc017f6870e7bf57e6b9047817dad923ac6176f0fa7550",
+        "f87cbbc0f495d4063e5f588f7555571f9a4bad88370ba736cf4e803f428f9937",
     ),
 }
 
@@ -677,9 +680,8 @@ class TestSharedRealizations:
         spec = load_spec(write_spec(tmp_path, GOLDEN_SPEC.format(**params)))
         rows = run_experiment(spec, workers=workers)
 
-        # the seed contract: geometry group g draws from SeedSequence([seed, g])
-        # in the widest window any of its (point, policy) cells needs, so each
-        # cell equals its result in a two-cell sweep beside the widest one
+        # the seed contract: geometry group g draws from SeedSequence([seed, g]),
+        # and each cell equals its result in a sweep of that cell alone
         points = [(value, *spec.config_at(value)) for value in spec.sweep_values()]
         groups = [[i] for i in range(len(points))] if name == "intensity" else [range(len(points))]
         want = {}
@@ -688,10 +690,9 @@ class TestSharedRealizations:
                 (i, kind): (points[i][1], _policy_obj(kind, points[i][2]))
                 for i in members for kind in spec.policies
             }
-            widest = max(cells.values(), key=lambda cell: montecarlo.coverage_radius(*cell))
             for key, cell in cells.items():
                 rng = np.random.default_rng(np.random.SeedSequence([spec.seed, g]))
-                want[key], _ = montecarlo.mc_sweep([cell, widest], trials, spec.fading_draws, rng)
+                [want[key]] = montecarlo.mc_sweep([cell], trials, spec.fading_draws, rng)
         expected = [rows[0]]
         for i, (value, _, _) in enumerate(points):
             for kind in spec.policies:

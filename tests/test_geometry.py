@@ -1,4 +1,4 @@
-"""Geometry: PPP sampling (montecarlo._sample_slices), the two score
+"""Geometry: PPP sampling (montecarlo._nearest_first), the two score
 functionals, region areas, windows."""
 
 import math
@@ -29,9 +29,19 @@ coord = st.floats(min_value=-30.0, max_value=30.0, allow_nan=False)
 
 
 def sample_batch(lam, d, radius, n, rng):
-    """(counts, ds, dd) of n trials: every slice montecarlo._sample_slices yields, joined."""
-    _, _, counts, ds, dd = zip(*montecarlo._sample_slices(lam, d, radius, n, rng))
-    return np.concatenate(counts), np.concatenate(ds), np.concatenate(dd)
+    """(counts, ds, dd) of n trials: the nodes montecarlo._nearest_first
+    visits within the given distance of the anchors' midpoint, in trial order."""
+    seen = []
+
+    def visit(trials, live, s, ds, dd):
+        inside = s <= radius * radius
+        seen.append((trials[inside], ds[inside], dd[inside]))
+        return radius * radius
+
+    montecarlo._nearest_first(lam, d, rng, visit, radius * radius, np.empty((0, n)))
+    trials, ds, dd = map(np.concatenate, zip(*seen))
+    order = np.argsort(trials, kind="stable")
+    return np.bincount(trials, minlength=n), ds[order], dd[order]
 
 
 def scores(kind, points, d=D):
@@ -117,23 +127,31 @@ class TestSamplePpp:
         assert ds.size > 0 and np.all(radius2 <= 9.0 * (1.0 + 1e-12))
 
     def test_distances_within_2_ulp_of_hypot(self):
-        # the sampler's draws replayed in one shot, not in its blocks: the
-        # Poisson counts, then consecutive (u, v) pairs mapped to [-1, 1]^2,
-        # keeping those in the unit disc in order, measured with np.hypot
-        d, radius, n = 1.2, 5.0, 2000
-        counts, ds, dd = sample_batch(1.0, d, radius, n, np.random.default_rng(12))
+        # the sampler's draws replayed in one shot, not in its blocks: round
+        # k adds the k-th n unit exponentials of the stream jumped ahead to
+        # lam pi r^2, and points along the k-th n of the consecutive (u, v)
+        # pairs mapped to [-1, 1]^2 that fall in the unit disc; measured
+        # with np.hypot
+        lam, d, radius, n = 1.0, 1.2, 5.0, 2000
+        counts, ds, dd = sample_batch(lam, d, radius, n, np.random.default_rng(12))
+        rounds = counts.max() + 1  # the arrival beyond the radius too
         rng = np.random.default_rng(12)
-        assert np.array_equal(counts, rng.poisson(1.0 * math.pi * radius * radius, n))
-        u, v = 2.0 * rng.random((2 * ds.size, 2)).T - 1.0
+        gaps = np.random.Generator(rng.bit_generator.jumped()).standard_exponential((rounds, n))
+        u, v = 2.0 * rng.random((2 * rounds * n, 2)).T - 1.0
         inside = u * u + v * v <= 1.0
-        assert inside.sum() >= ds.size
-        x, y = radius * u[inside][: ds.size], radius * v[inside][: ds.size]
+        assert inside.sum() >= rounds * n
+        u, v = (w[inside][: rounds * n].reshape(rounds, n) for w in (u, v))
+        r2 = np.cumsum(gaps, axis=0) * (1.0 / (lam * math.pi))
+        x, y = (w * np.sqrt(r2 / (u * u + v * v)) for w in (u, v))
+        within = (r2 <= radius * radius).T  # trial-major, as sample_batch orders the nodes
+        assert np.array_equal(within.sum(axis=1), counts)
+        x, y = x.T[within], y.T[within]
         for got, want in ((ds, np.hypot(x + d, y)), (dd, np.hypot(x - d, y))):
             assert np.all(np.abs(got - want) <= 2 * np.spacing(want))
 
     def test_points_do_not_depend_on_block_size(self, monkeypatch):
         want = sample_batch(1.0, 1.2, 5.0, 300, np.random.default_rng(4))
-        monkeypatch.setattr(montecarlo, "_SAMPLE_BLOCK", 97)  # many short blocks
+        monkeypatch.setattr(montecarlo, "_PAIR_BLOCK", 97)  # many short blocks
         got = sample_batch(1.0, 1.2, 5.0, 300, np.random.default_rng(4))
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 

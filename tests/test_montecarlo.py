@@ -39,9 +39,41 @@ DIST_S = DistCdf(ScoreKind.MIN_SUM, LAM, D)
 
 
 def sample_batch(lam, d, radius, n, rng):
-    """(counts, ds, dd) of n trials: every slice montecarlo._sample_slices yields, joined."""
-    _, _, counts, ds, dd = zip(*montecarlo._sample_slices(lam, d, radius, n, rng))
-    return np.concatenate(counts), np.concatenate(ds), np.concatenate(dd)
+    """(counts, ds, dd) of n trials: the nodes montecarlo._nearest_first
+    visits within the given distance of the anchors' midpoint, in trial order."""
+    seen = []
+
+    def visit(trials, live, s, ds, dd):
+        inside = s <= radius * radius
+        seen.append((trials[inside], ds[inside], dd[inside]))
+        return radius * radius
+
+    montecarlo._nearest_first(lam, d, rng, visit, radius * radius, np.empty((0, n)))
+    trials, ds, dd = map(np.concatenate, zip(*seen))
+    order = np.argsort(trials, kind="stable")
+    return np.bincount(trials, minlength=n), ds[order], dd[order]
+
+
+def replayed_arrivals(lam, d, n, rng, rounds, block=10_007):
+    """(s, ds, dd) of the first `rounds` arrivals of each of n trials, round
+    by round, with no trial stopping: round k adds the k-th n unit
+    exponentials of the stream jumped ahead to lam pi s, and takes its
+    directions from the k-th n pairs of the stream, mapped to [-1, 1]^2,
+    that fall in the unit disc, drawn `block` pairs at a time."""
+    gaps = np.random.Generator(rng.bit_generator.jumped()).standard_exponential((rounds, n))
+    u = v = np.empty(0)
+    total = np.zeros(n)
+    for gap in gaps:
+        while u.size < n:
+            pairs = 2.0 * rng.random((block, 2)) - 1.0
+            inside = pairs[:, 0] ** 2 + pairs[:, 1] ** 2 <= 1.0
+            u, v = np.concatenate((u, pairs[inside, 0])), np.concatenate((v, pairs[inside, 1]))
+        a, b, u, v = u[:n], v[:n], u[n:], v[n:]
+        total += gap
+        s = total * (1.0 / (lam * math.pi))
+        scale = np.sqrt(s / (a * a + b * b))
+        x, y2 = a * scale, np.square(b * scale)
+        yield s, np.sqrt(np.square(x + d) + y2), np.sqrt(np.square(x - d) + y2)
 
 
 def fading_powers(sizes, m, n, rng, threads) -> dict:
@@ -259,56 +291,50 @@ class TestSweepKernel:
             for kind, t in ((PolicyKind.OPT_PRODUCT, None), (PolicyKind.OPT_PRODUCT, 2.0),
                             (PolicyKind.MIN_MAX, None))
         ]
-        # each cell's result is the same in a two-cell sweep beside the
-        # cell that needs the group's widest window
-        widest = max(cells, key=lambda cell: coverage_radius(*cell))
+        # each cell's result is the same in a sweep of that cell alone
         n_trials = montecarlo._CHUNK_TRIALS + 1
         got = mc_sweep(cells, n_trials, 3, 23)
         for cell, pair in zip(cells, got):
-            assert pair == mc_sweep([cell, widest], n_trials, 3, 23)[0]
+            assert pair == mc_sweep([cell], n_trials, 3, 23)[0]
         assert mc_sweep(cells, n_trials, None, 23) == [(outage, None) for outage, _ in got]
 
     def test_one_arg_min_per_criterion(self, monkeypatch):
-        # five thresholds of the optimum policy mask one pick, and that pick
-        # is the segment minimum, so a feedback sweep with a baseline takes
-        # one arg-min per slice that holds a point, the baseline's, not six
-        calls, nonempty = [], []
-        argmin, slices = montecarlo._segment_argmin, montecarlo._sample_slices
+        # five thresholds of the optimum policy mask one pick, the running
+        # minimum of its criterion, so a feedback sweep with a baseline runs
+        # the sampler once per chunk, each trial keeping one minimum per
+        # criterion, not six passes
+        calls = []
+        nearest_first = montecarlo._nearest_first
 
-        def counting(crit, seg):
-            calls.append(crit.size)
-            return argmin(crit, seg)
+        def counting(*args):
+            calls.append(args[-1].shape)  # live: one column per trial
+            return nearest_first(*args)
 
-        def recording(*args):
-            for item in slices(*args):
-                nonempty.append(item[2].sum() > 0)  # item[2] is the slice's counts
-                yield item
-
-        monkeypatch.setattr(montecarlo, "_segment_argmin", counting)
-        monkeypatch.setattr(montecarlo, "_sample_slices", recording)
+        monkeypatch.setattr(montecarlo, "_nearest_first", counting)
         cfg = exp_cfg()
         cells = [(cfg, SelectionPolicy(PolicyKind.OPT_SUM, feedback_threshold=t))
                  for t in (3.0, 4.5, 6.0, 7.5, 9.0)] + [(cfg, SelectionPolicy(PolicyKind.MIN_MIN))]
         n_trials = montecarlo._CHUNK_TRIALS + 1
         mc_sweep(cells, n_trials, 2, 29)
-        assert len(nonempty) > len(montecarlo._chunk_sizes(n_trials))  # the full chunk comes in many slices
-        assert len(calls) == sum(nonempty)
+        criteria = len(montecarlo._KINDS)
+        assert calls == [(criteria, size) for size in montecarlo._chunk_sizes(n_trials)]
 
-    def test_one_window_solve_per_policy(self, monkeypatch):
-        # the window radius depends on the policy and the shared geometry,
-        # not on the SNR or N: three points of two policies solve it twice
-        calls = []
-        original = montecarlo.coverage_radius
+    def test_estimators_solve_no_window(self, monkeypatch):
+        # no estimator sizes a window or inverts a sublevel area: the
+        # sampler's stopping rule needs neither, so the Monte Carlo check of
+        # the analytic outage does not read the areas that outage integrates
+        def refuse(*args):
+            raise AssertionError("an estimator solved a window")
 
-        def counting(cfg, policy, *args):
-            calls.append(policy)
-            return original(cfg, policy, *args)
-
-        monkeypatch.setattr(montecarlo, "coverage_radius", counting)
-        cells = [(pow_cfg(avg_snr=snr), SelectionPolicy(kind))
-                 for snr in (0.1, 1.0, 10.0) for kind in (PolicyKind.OPT_PRODUCT, PolicyKind.MIN_MIN)]
-        mc_sweep(cells, 100, 2, 5)
-        assert sorted(p.kind.value for p in calls) == ["min-min", "opt-product"]
+        monkeypatch.setattr(montecarlo, "coverage_radius", refuse)
+        monkeypatch.setattr(montecarlo, "critical_score", refuse)
+        for cfg, optimum in ((pow_cfg(), PolicyKind.OPT_PRODUCT), (exp_cfg(), PolicyKind.OPT_SUM)):
+            cells = [(cfg, SelectionPolicy(kind)) for kind in PolicyKind]
+            cells.append((cfg, SelectionPolicy(optimum, feedback_threshold=3.0)))
+            assert len(mc_sweep(cells, 300, 2, 5)) == len(cells)
+            assert len(policy_scores(cfg, [policy for _, policy in cells], 300, 5)) == len(cells)
+            assert mc_feedback_dist(cfg, 3.0, 300, 5).n == 300
+            assert mc_distance_dist(cfg, 300, 5).n == 300
 
     def test_rates_average_each_trials_draws(self):
         # draws-major z2 (draw, trial) against a per-trial reference; the
@@ -343,11 +369,10 @@ class TestSweepKernel:
         # full chunk at N = 1024, 8 draws stays far below the 2 x 0.5 GB
         # that holding every element's draws would take
         cfg, pol = pow_cfg(n_elements=1024), SelectionPolicy(PolicyKind.OPT_PRODUCT)
-        radius = coverage_radius(cfg, pol)
         rng = np.random.default_rng(5)
         tracemalloc.start()
         try:
-            n, *_ = montecarlo._chunk_cells(((cfg, pol),), 8, 1, radius, montecarlo._CHUNK_TRIALS, rng)
+            n, *_ = montecarlo._chunk_cells(((cfg, pol),), 8, 1, montecarlo._CHUNK_TRIALS, rng)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -359,14 +384,13 @@ class TestSweepKernel:
         # two counts: a (draws, trials) Z^2 array per count held 16.6 MiB
         # against 2.3 MiB; one Z array and one Z^2 scratch serve every count
         pol = SelectionPolicy(PolicyKind.OPT_PRODUCT)
-        radius = coverage_radius(pow_cfg(), pol)
         peaks = []
         for counts in ((1, 64), sorted({round(x) for x in np.linspace(1, 64, 21)})):
             cells = tuple((pow_cfg(n_elements=n), pol) for n in counts)
             rng = np.random.default_rng(5)
             tracemalloc.start()
             try:
-                montecarlo._chunk_cells(cells, 8, 1, radius, montecarlo._CHUNK_TRIALS, rng)
+                montecarlo._chunk_cells(cells, 8, 1, montecarlo._CHUNK_TRIALS, rng)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -385,9 +409,8 @@ class TestSweepKernel:
         monkeypatch.setattr(montecarlo, "sample_z_prefixes", recording_prefixes)
         monkeypatch.setattr(montecarlo, "_rates", lambda *args: events.append("rate") or rates(*args))
         cells = tuple((pow_cfg(n_elements=n), SelectionPolicy(PolicyKind.OPT_PRODUCT)) for n in (16, 4, 9))
-        radius = coverage_radius(*cells[0])
         n = montecarlo._FADING_BLOCK + 5  # two blocks
-        montecarlo._chunk_cells(cells, 2, 1, radius, n, np.random.default_rng(3))
+        montecarlo._chunk_cells(cells, 2, 1, n, np.random.default_rng(3))
         assert events == [4, 4, "rate", 9, 9, "rate", 16, 16, "rate"]
 
     def test_chunk_memory_does_not_grow_with_cells(self):
@@ -406,7 +429,7 @@ class TestSweepKernel:
         assert peaks[1] <= 1.5 * peaks[0]
 
     def test_chunk_memory_does_not_grow_with_points(self):
-        # one chunk of the same 36 cells at ~20 and ~147 points per trial:
+        # one chunk of the same 36 cells at ~6 and ~100 arrivals per trial:
         # sampling and picking a chunk as a whole held 48 MiB against 8 MiB
         peaks = []
         for intensity in (LAM, 20.0):
@@ -438,22 +461,19 @@ class TestSweepKernel:
     )
     def test_grouped_reduction_equals_one_stacked_reduction(self, cells, m_fading):
         cells = tuple(cells)
-        radius = max(coverage_radius(cfg, pol) for cfg, pol in cells)
         n = montecarlo._FADING_BLOCK + 904
-        got = montecarlo._chunk_cells(cells, m_fading, 1, radius, n, np.random.default_rng(31))
-        want = _stacked_moments(cells, m_fading, radius, n, np.random.default_rng(31))
+        got = montecarlo._chunk_cells(cells, m_fading, 1, n, np.random.default_rng(31))
+        want = _stacked_moments(cells, m_fading, n, np.random.default_rng(31))
         assert got[0] == want[0] == n
         for a, b in zip(got[1:], want[1:]):
             assert a.shape == (len(cells), 1 if m_fading is None else 2)
             assert np.array_equal(a, b)
 
 
-def _stacked_moments(cells, m_fading, radius, n, rng):
+def _stacked_moments(cells, m_fading, n, rng):
     """What _chunk_cells returns, from every cell's rows stacked in one
     array and reduced by one _moments call, with a rate formed per cell."""
-    geometry = cells[0][0]
-    slices = montecarlo._sample_slices(geometry.intensity, geometry.d, radius, n, rng)
-    picks = montecarlo._picks({pol.kind for _, pol in cells}, OPTIMUM[geometry.model][0], slices, n)
+    picks = montecarlo._picks(cells[0][0], dict.fromkeys(pol.kind for _, pol in cells), n, rng)
     if m_fading is not None:
         z2 = fading_powers({cfg.n_elements for cfg, _ in cells}, m_fading, n, rng, 1)
     values = np.empty((len(cells), 1 if m_fading is None else 2, n))
@@ -525,8 +545,7 @@ class TestFadingBlocks:
     def test_chunk_moments_independent_of_fading_threads(self, n):
         cells = ((pow_cfg(n_elements=4), SelectionPolicy(PolicyKind.OPT_PRODUCT)),
                  (pow_cfg(n_elements=16), SelectionPolicy(PolicyKind.MIN_MAX)))
-        radius = max(coverage_radius(cfg, pol) for cfg, pol in cells)
-        one, two = (montecarlo._chunk_cells(cells, 8, threads, radius, n, np.random.default_rng(21))
+        one, two = (montecarlo._chunk_cells(cells, 8, threads, n, np.random.default_rng(21))
                     for threads in (1, 2))
         assert one[0] == two[0] == n
         for a, b in zip(one[1:], two[1:]):
@@ -550,10 +569,9 @@ class TestFadingBlocks:
         monkeypatch.setattr(montecarlo, "_rates", failing)
         cells = ((pow_cfg(n_elements=4), SelectionPolicy(PolicyKind.OPT_PRODUCT)),
                  (pow_cfg(n_elements=9), SelectionPolicy(PolicyKind.OPT_PRODUCT)))
-        radius = coverage_radius(*cells[0])
         before = threading.active_count()
         try:
-            montecarlo._chunk_cells(cells, 2, 2, radius, 2 * montecarlo._FADING_BLOCK, np.random.default_rng(4))
+            montecarlo._chunk_cells(cells, 2, 2, 2 * montecarlo._FADING_BLOCK, np.random.default_rng(4))
         except RuntimeError:
             # the traceback still holds the chunk's frame and its suspended
             # fading generator, which holds no thread
@@ -635,137 +653,98 @@ class TestFadingBlocks:
 
 
 def _lexsort_argmin(crit, counts):
-    """Reference selection: stable sort by (segment, criterion), take each
-    non-empty segment's first element."""
+    """Stable sort by (segment, criterion), then each non-empty segment's
+    first element: the index of its first minimum."""
     seg = np.repeat(np.arange(counts.size), counts)
     order = np.lexsort((crit, seg))
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
     return order[starts[counts > 0]]
 
 
-_CRITERION = st.one_of(
-    st.sampled_from([0.5, 1.0, 2.0, math.inf]),  # exact ties and filtered-out nodes
-    st.floats(min_value=0.0, max_value=1e6),
-)
+def _reference_picks(cfg, threshold, n, seed, rounds=400):
+    """Per-trial picks of every policy kind, the optimum's pick under
+    threshold and the count of nodes scoring <= threshold, each over the
+    trial's first `rounds` arrivals (replayed_arrivals)."""
+    score_of = {PolicyKind.OPT_PRODUCT: 0, PolicyKind.OPT_SUM: 1}[OPTIMUM[cfg.model][1]]
+    best, picks = np.full((6, n), np.inf), np.full((6, n), np.inf)
+    count = np.zeros(n, np.intp)
+    for s, ds, dd in replayed_arrivals(cfg.intensity, cfg.d, n, np.random.default_rng(seed), rounds):
+        scores = (ds * dd, ds + dd)[score_of]
+        below = scores <= threshold
+        count += below
+        crit = np.stack((ds * dd, ds + dd, np.minimum(ds, dd), np.maximum(ds, dd), s,
+                         np.where(below, scores, np.inf)))
+        lower = crit < best
+        picks = np.where(lower, scores, picks)
+        best = np.where(lower, crit, best)
+    return dict(zip(montecarlo._KINDS, picks)), picks[5], count
 
 
-class TestSelectionKernel:
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.lists(_CRITERION, max_size=6), max_size=12))
-    def test_segment_argmin_matches_lexsort(self, segments):
-        counts = np.array([len(seg) for seg in segments], dtype=np.int64)
-        crit = np.array([c for seg in segments for c in seg], dtype=float)
-        got = montecarlo._segment_argmin(crit, montecarlo._segments(counts))
-        assert np.array_equal(got, _lexsort_argmin(crit, counts))
-
-    def test_ties_empty_and_filtered_segments(self):
-        inf = math.inf
-        counts = np.array([3, 0, 2, 4, 0, 1])
-        crit = np.array([2.0, 1.0, 1.0, inf, inf, 5.0, 3.0, 3.0, inf, inf])
-        got = montecarlo._segment_argmin(crit, montecarlo._segments(counts))
-        assert got.tolist() == [1, 3, 6, 9]
-        assert np.array_equal(got, _lexsort_argmin(crit, counts))
-
-
-class _CountingRng:
-    """The two Generator methods the sampler calls, counting blocks of pairs
-    and the pairs in each."""
-
-    def __init__(self, seed):
-        self.rng, self.blocks, self.pairs = np.random.default_rng(seed), 0, []
-
-    def poisson(self, mean, size):
-        return self.rng.poisson(mean, size)
-
-    def random(self, out):
-        self.blocks += 1
-        self.pairs.append(len(out))
-        return self.rng.random(out=out)
-
-
-def _geometry_outputs(lam, radius, threshold, n, seed):
-    """Picks of every policy kind in the given window, and policy_scores and
-    mc_feedback_dist counts of the optimum under threshold, at intensity lam."""
-    kinds = list(PolicyKind)
-    slices = montecarlo._sample_slices(lam, D, radius, n, np.random.default_rng(seed))
-    picks = montecarlo._picks(kinds, ScoreKind.MIN_PRODUCT, slices, n)
+def _geometry_outputs(lam, threshold, n, seed):
+    """Picks of every policy kind at intensity lam, and policy_scores and
+    mc_feedback_dist counts of the optimum under threshold."""
     cfg = pow_cfg(intensity=lam)
+    picks = montecarlo._picks(cfg, list(PolicyKind), n, np.random.default_rng(seed))
     [scores] = policy_scores(cfg, [SelectionPolicy(PolicyKind.OPT_PRODUCT, threshold)], n, seed)
     counts = mc_feedback_dist(cfg, threshold, n, seed).values
     return [*picks.values(), scores, counts]
 
 
-# (slice points, intensity, window radius, feedback threshold, trials) at
-# which the sampler yields each slice shape the slicing must not show in
-SLICE_SHAPES = {
-    "one trial per slice": (1e-9, LAM, 3.0, 3.0, 300),
-    "slices ending inside a pair block": (40.0, LAM, 3.0, 3.0, 600),
-    "slices of empty trials only": (0.5, 0.02, 1.3, 0.3, 400),
-}
+class TestArrivals:
+    @pytest.mark.parametrize("cfg, threshold", [(pow_cfg(), 3.0), (exp_cfg(intensity=2.0, d=0.6), 1.45)],
+                             ids=["power", "exp"])
+    def test_stopped_picks_equal_picks_over_400_arrivals(self, monkeypatch, cfg, threshold):
+        # 20,000 trials in one chunk: every criterion's pick, the optimum's
+        # under a feedback threshold and the feedback count equal their
+        # values over the same trial's first 400 arrivals, none of which
+        # the sampler reached
+        n, seed = 20_000, 7
+        rounds, nearest_first = [], montecarlo._nearest_first
 
+        def counting(lam, d, rng, visit, inner, live):
+            return nearest_first(lam, d, rng, lambda *args: rounds.append(1) or visit(*args), inner, live)
 
-def _slice_shape(name):
-    slice_points, lam, radius, threshold, n = SLICE_SHAPES[name]
-    return example(slice_points=slice_points, block=montecarlo._SAMPLE_BLOCK, lam=lam, radius=radius,
-                   threshold=threshold, n=n, seed=4)
+        monkeypatch.setattr(montecarlo, "_nearest_first", counting)
+        picks = montecarlo._picks(cfg, list(PolicyKind), n, np.random.default_rng(seed))
+        assert len(rounds) < 400
+        rounds.clear()
+        counts = montecarlo._chunk_feedback_counts(cfg, threshold, n, np.random.default_rng(seed))
+        assert len(rounds) < 400
+        optimum = SelectionPolicy(OPTIMUM[cfg.model][1], feedback_threshold=threshold)
+        want, want_thresholded, want_counts = _reference_picks(cfg, threshold, n, seed)
+        for kind in PolicyKind:
+            assert np.array_equal(picks[kind], want[kind]), kind
+        assert np.array_equal(montecarlo._threshold(picks[optimum.kind], optimum), want_thresholded)
+        assert np.isinf(want_thresholded).any() and np.isfinite(want_thresholded).any()
+        assert np.array_equal(counts, want_counts)
+        assert want_counts.max() > 1
 
+    def test_one_policy_call_equals_a_four_policy_call(self):
+        # the stopping rule reads every criterion, whichever policies are
+        # asked for, so a policy's per-trial picks do not depend on the others
+        for cfg, optimum in ((pow_cfg(), PolicyKind.OPT_PRODUCT), (exp_cfg(), PolicyKind.OPT_SUM)):
+            pols = [SelectionPolicy(kind) for kind in (optimum, PolicyKind.MIN_MIN, PolicyKind.MIN_MAX,
+                                                        PolicyKind.MID_POINT)]
+            n_trials = montecarlo._CHUNK_TRIALS + 100
+            four = policy_scores(cfg, pols, n_trials, 19)
+            for pol, want in zip(pols, four):
+                [got] = policy_scores(cfg, [pol], n_trials, 19)
+                assert np.array_equal(got, want)
 
-class TestSlices:
-    @pytest.mark.parametrize("shape", SLICE_SHAPES)
-    def test_the_slice_shapes_occur(self, shape):
-        slice_points, lam, radius, _, n = SLICE_SHAPES[shape]
-        rng = _CountingRng(4)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(montecarlo, "_SLICE_POINTS", slice_points)
-            items = list(montecarlo._sample_slices(lam, D, radius, n, rng))
-        assert [item[0] for item in items[1:]] == [item[1] for item in items[:-1]]
-        assert items[0][0] == 0 and items[-1][1] == n
-        sizes = [item[1] - item[0] for item in items]
-        points = [int(item[2].sum()) for item in items]
-        if shape == "one trial per slice":
-            assert set(sizes) == {1}
-        elif shape == "slices ending inside a pair block":
-            assert 0 < rng.blocks < sum(p > 0 for p in points)  # some block serves two slices
-        else:
-            assert points.count(0) > len(points) // 2
-
-    def test_a_one_trial_batch_draws_only_the_pairs_it_needs(self):
-        # a chunk's last block holds about twice the points still missing,
-        # not _SAMPLE_BLOCK pairs, and the points are those a full block gives
-        radius = 3.0
-        rng = _CountingRng(4)
-        [(_, _, counts, ds, dd)] = montecarlo._sample_slices(LAM, D, radius, 1, rng)
-        assert 0 < counts[0] < sum(rng.pairs) < montecarlo._SAMPLE_BLOCK
-        ref = np.random.default_rng(4)
-        assert np.array_equal(ref.poisson(LAM * math.pi * radius * radius, 1), counts)
-        block = ref.random((montecarlo._SAMPLE_BLOCK, 2))
-        block *= 2.0
-        block -= 1.0
-        u, v = block.T
-        take = np.flatnonzero(u * u + v * v <= 1.0)[: counts[0]]
-        x, y2 = u[take] * radius, np.square(v[take] * radius)
-        assert np.array_equal(ds, np.sqrt(np.square(x + D) + y2))
-        assert np.array_equal(dd, np.sqrt(np.square(x - D) + y2))
-
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=25, deadline=None)
     @given(
-        slice_points=st.one_of(st.sampled_from([1e-9, 0.5, 40.0]), st.floats(1e-3, 3e4)),
-        block=st.sampled_from([97, montecarlo._SAMPLE_BLOCK]),
+        block=st.sampled_from([1, 97, 4096]),
         lam=st.sampled_from([0.02, LAM, 4.0]),
-        radius=st.floats(0.3, 6.0),
         threshold=st.sampled_from([0.3, 1.44, 3.0]),
-        n=st.integers(1, 400),
+        n=st.integers(1, 300),
         seed=st.integers(0, 2**32 - 1),
     )
-    @_slice_shape("one trial per slice")
-    @_slice_shape("slices ending inside a pair block")
-    @_slice_shape("slices of empty trials only")
-    def test_outputs_do_not_depend_on_the_slice_size(self, slice_points, block, lam, radius, threshold, n, seed):
-        want = _geometry_outputs(lam, radius, threshold, n, seed)
+    @example(block=1, lam=LAM, threshold=3.0, n=300, seed=4)
+    def test_outputs_do_not_depend_on_the_pair_block(self, block, lam, threshold, n, seed):
+        want = _geometry_outputs(lam, threshold, n, seed)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(montecarlo, "_SLICE_POINTS", slice_points)
-            patch.setattr(montecarlo, "_SAMPLE_BLOCK", block)
-            got = _geometry_outputs(lam, radius, threshold, n, seed)
+            patch.setattr(montecarlo, "_PAIR_BLOCK", block)
+            got = _geometry_outputs(lam, threshold, n, seed)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
@@ -790,9 +769,8 @@ class TestMinMinWindow:
         farthest, beyond_level, n = 0.0, 0, 100_000
         for _ in range(10):
             counts, ds, dd = sample_batch(LAM, D, 1.5 * radius, n // 10, rng)
-            seg = montecarlo._segments(counts)
-            assert seg.nonempty.all()
-            best = montecarlo._segment_argmin(np.minimum(ds, dd), seg)
+            assert (counts > 0).all()
+            best = _lexsort_argmin(np.minimum(ds, dd), counts)
             r2 = 0.5 * (ds[best] ** 2 + dd[best] ** 2) - D * D  # parallelogram law
             farthest = max(farthest, float(r2.max()))
             beyond_level += int(np.sum(np.minimum(ds, dd)[best] > level))
@@ -891,8 +869,7 @@ class TestOutage:
 
     def test_shared_realization_dominance(self):
         # one call: each array, in input order and a repeated policy
-        # included, is that policy's pick on one sample drawn in the widest
-        # window any of the policies needs
+        # included, is that policy's pick on one sample
         cfg = pow_cfg()
         kinds = [PolicyKind.OPT_PRODUCT, PolicyKind.MID_POINT, PolicyKind.MIN_MAX, PolicyKind.MIN_MIN]
         pols = [SelectionPolicy(k) for k in kinds] + [
@@ -900,10 +877,8 @@ class TestOutage:
         opt, *others = scores = policy_scores(cfg, pols, 5000, 77)
         for other in others:
             assert np.all(opt <= other + 1e-12)
-        radius = max(coverage_radius(cfg, pol) for pol in pols)
         [stream] = np.random.default_rng(77).spawn(1)  # the stream of a one-chunk estimate
-        slices = montecarlo._sample_slices(LAM, D, radius, 5000, stream)
-        picks = montecarlo._picks(kinds, ScoreKind.MIN_PRODUCT, slices, 5000)
+        picks = montecarlo._picks(cfg, kinds, 5000, stream)
         assert len(scores) == len(pols)
         for got, pol in zip(scores, pols):
             assert np.array_equal(got, montecarlo._threshold(picks[pol.kind], pol))
@@ -953,7 +928,7 @@ class TestRate:
             mc_rate(pow_cfg(), SelectionPolicy(PolicyKind.OPT_PRODUCT), 1000, 0, 1)
 
     def test_oversized_window_refused_before_sampling(self):
-        # the coverage radius is ~328 here: 7.2e8 expected points per trial
+        # no trial stops within d = 328 of the midpoint: 7.2e8 arrivals per trial
         cfg = pow_cfg(intensity=2130.0, d=328.0)
         tracemalloc.start()
         try:
@@ -1025,11 +1000,11 @@ class TestFeedbackDist:
         with pytest.raises(ValueError, match="threshold must be > 0"):
             mc_feedback_dist(exp_cfg(), threshold, 100, 0)
 
-    def test_chunk_counts_equal_an_independent_count(self, monkeypatch):
-        # one-trial slices at ~2 points per trial: many slices hold no point
-        monkeypatch.setattr(montecarlo, "_SLICE_POINTS", 1)
+    def test_chunk_counts_equal_an_independent_count(self):
+        # ~2 nodes per trial within radius 3, which holds the sum <= 4
+        # ellipse: many trials hold no node there
         cfg, radius, threshold, n = exp_cfg(intensity=0.07), 3.0, 4.0, 500
-        got = montecarlo._chunk_feedback_counts(cfg, threshold, radius, n, np.random.default_rng(9))
+        got = montecarlo._chunk_feedback_counts(cfg, threshold, n, np.random.default_rng(9))
         counts, ds, dd = sample_batch(cfg.intensity, cfg.d, radius, n, np.random.default_rng(9))
         assert (counts == 0).any()
         trial = np.repeat(np.arange(n), counts)

@@ -1,6 +1,6 @@
 """Selection policies and the feedback filter, as the Monte Carlo engine
 applies them: montecarlo._picks, montecarlo._threshold and
-montecarlo._chunk_feedback_counts."""
+montecarlo._chunk_feedback_counts, on given nodes (given_nodes) or sampled ones."""
 
 import math
 
@@ -20,16 +20,49 @@ PRODUCT, SUM = ScoreKind.MIN_PRODUCT, ScoreKind.MIN_SUM
 
 
 def sample_batch(lam, d, radius, n, rng):
-    """(counts, ds, dd) of n trials: every slice montecarlo._sample_slices yields, joined."""
-    _, _, counts, ds, dd = zip(*montecarlo._sample_slices(lam, d, radius, n, rng))
-    return np.concatenate(counts), np.concatenate(ds), np.concatenate(dd)
+    """(counts, ds, dd) of n trials: the nodes montecarlo._nearest_first
+    visits within the given distance of the anchors' midpoint, in trial order."""
+    seen = []
+
+    def visit(trials, live, s, ds, dd):
+        inside = s <= radius * radius
+        seen.append((trials[inside], ds[inside], dd[inside]))
+        return radius * radius
+
+    montecarlo._nearest_first(lam, d, rng, visit, radius * radius, np.empty((0, n)))
+    trials, ds, dd = map(np.concatenate, zip(*seen))
+    order = np.argsort(trials, kind="stable")
+    return np.bincount(trials, minlength=n), ds[order], dd[order]
+
+
+def given_nodes(counts, ds, dd):
+    """Stand-in for montecarlo._nearest_first that visits the given nodes
+    (trials of the given node counts, concatenated) in storage order and
+    never stops a trial early.  _picks reads a node's squared distance s
+    from the midpoint only as the mid-point criterion, which any increasing
+    function of s serves: ds^2 + dd^2 = 2 (s + d^2) is passed in its place."""
+    starts = np.cumsum(counts) - counts
+
+    def nearest_first(lam, d, rng, visit, inner, live):
+        for k in range(counts.max(initial=0)):
+            trials = np.flatnonzero(counts > k)
+            at = starts[trials] + k
+            columns = live[:, trials]
+            visit(trials, columns, ds[at] ** 2 + dd[at] ** 2, ds[at], dd[at])
+            live[:, trials] = columns
+
+    return nearest_first
 
 
 def _select(policy, kind, counts, ds, dd):
     """Per-trial score (of the given kind) of the node the policy picks from
     trials of the given point counts, +inf where there is none: the engine's
-    pick (_picks, on the trials as one slice) under the policy's threshold."""
-    picks = _picks([policy.kind], kind, [(0, counts.size, counts, ds, dd)], counts.size)
+    pick (_picks, on the given nodes) under the policy's threshold."""
+    model = next(model for model, (score_kind, _) in OPTIMUM.items() if score_kind is kind)
+    cfg = NetworkConfig(d=1.2, intensity=1.0, n_elements=1, model=model)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(montecarlo, "_nearest_first", given_nodes(counts, ds, dd))
+        picks = _picks(cfg, [policy.kind], counts.size, None)
     return _threshold(picks[policy.kind], policy)
 
 
@@ -67,9 +100,9 @@ def feedback_counts(model, threshold, points_per_trial, monkeypatch):
     """_chunk_feedback_counts on the given trials in place of sampled ones."""
     counts = np.array([len(p) for p in points_per_trial])
     pts = [xy for p in points_per_trial for xy in p]
-    monkeypatch.setattr(montecarlo, "_sample_slices", lambda *a: [(0, counts.size, counts, *anchor_distances(pts))])
+    monkeypatch.setattr(montecarlo, "_nearest_first", given_nodes(counts, *anchor_distances(pts)))
     cfg = NetworkConfig(d=1.2, intensity=1.0, n_elements=1, model=model)
-    return _chunk_feedback_counts(cfg, threshold, 50.0, counts.size, None)
+    return _chunk_feedback_counts(cfg, threshold, counts.size, None)
 
 
 class TestSelect:
@@ -190,12 +223,18 @@ class TestDominance:
 class TestFeedbackFilter:
     def test_exp_below_2d_always_empty(self):
         cfg = NetworkConfig(d=1.2, intensity=1.0, n_elements=1, model=PathLossModel.EXP_LAW)
-        counts = _chunk_feedback_counts(cfg, 2.3, 5.0, 20, np.random.default_rng(17))
+        counts = _chunk_feedback_counts(cfg, 2.3, 20, np.random.default_rng(17))
         assert counts.tolist() == [0] * 20
 
-    def test_infinite_threshold_is_identity(self):
+    def test_infinite_threshold_is_identity(self, monkeypatch):
+        # an infinite threshold counts every node the sampler visits; here it
+        # stops every trial at radius 5, and the first arrival lies beyond
+        # that with probability exp(-25 pi)
         cfg = NetworkConfig(d=1.2, intensity=1.0, n_elements=1, model=PathLossModel.POWER_LAW)
-        got = _chunk_feedback_counts(cfg, math.inf, 5.0, 20, np.random.default_rng(18))
+        nearest_first = montecarlo._nearest_first
+        monkeypatch.setattr(montecarlo, "_nearest_first", lambda lam, d, rng, visit, inner, live: nearest_first(
+            lam, d, rng, lambda *args: np.minimum(visit(*args), 25.0), 25.0, live))
+        got = _chunk_feedback_counts(cfg, math.inf, 20, np.random.default_rng(18))
         assert np.array_equal(got, sample_batch(1.0, 1.2, 5.0, 20, np.random.default_rng(18))[0])
 
     def test_removes_point_above_threshold(self, monkeypatch):
