@@ -30,11 +30,13 @@ is needed.  The fading average h(t) = E log(1 + e^t Z^2) depends on t =
 log(avg_snr * y) and the element count only, so it is tabulated once per
 count on a lattice in t (one softplus pass and one correlation, since the
 fading nodes lie on a lattice in log Z^2) and read at each score node.
-rate_sweep reads it once for all the cells of a sweep that differ only in
-avg_snr, in batches of 1024 (SNR, score node) pairs, each one matrix
-product and a Horner pass (~45 ns per pair): a warm 17-point SNR sweep of
-rate and outage, 688-832 score nodes per cell, takes 0.7-0.9 ms.  The engine
-needs numpy only: K and E come from the array AGM kernel
+rate_sweep makes one read for all the cells of a call, whatever their law,
+element count or threshold: 1024 (cell, score node) values at a time, each
+gathering its lattice values from its own count's table, take one matrix
+product and a Horner pass (~45 ns per value).  A warm 17-point sweep of
+rate and outage, 160 (exponential law) to 832 (power law) score nodes per
+cell, takes about 0.4 and 0.7 ms over the SNR and 1.0 ms over N.  The
+engine needs numpy only: K and E come from the array AGM kernel
 specfun.ellip_ke_m1, and scipy is imported only inside the quadrature
 oracle, so `ris-select run` never loads it.
 
@@ -426,7 +428,7 @@ def pdf_y_exp(y: float, cfg: NetworkConfig) -> float:
 
 _TS_NODES = 64
 _TS_HALF_WIDTH = 3.2  # tanh-sinh parameter range [-3.2, 3.2]: end nodes ~1e-17 from the ends
-_HALVINGS = 40  # geometric panels halving down towards g = 0 or u = 0
+_HALVINGS = 40  # geometric panels halving down towards g = 0, and at most this many towards u = 0
 _FADING_STEP = 0.25  # trapezoid step in the standardized log fading gain
 _FADING_PRUNE = 45.0  # drop fading nodes whose weight is below e^-45 of the largest
 _TABLE_STEP = 0.06  # largest lattice step of the fading-average table, in t = log(avg_snr * y)
@@ -436,7 +438,7 @@ _TABLE_EDGE = 37.0  # softplus(x) is e^x below -37 and x above 37 to within e^-3
 # arguments t_i + x_j carry no rounding.
 _LATTICE_ULP = 2.0**-42
 _STENCIL = 10  # lattice values per local interpolant of the table (degree 9)
-_BATCH = 1024  # most score nodes per matrix product of a table read (see _FadingTable._interpolate)
+_BATCH = 1024  # most values per matrix product of a table read (see _interpolate)
 _TAIL_EPS = 1.0e-14  # survival probability beyond which the score is truncated
 
 
@@ -490,9 +492,9 @@ def _gl_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (lo + width * x).ravel(), (width * w).ravel()
 
 
-def _halvings(top: float) -> np.ndarray:
-    """Panel edges 0, top/2^40, ..., top/2, top."""
-    return top * np.concatenate([[0.0], 2.0 ** -np.arange(_HALVINGS, -1, -1)])
+def _halvings(top: float, count: int = _HALVINGS) -> np.ndarray:
+    """Panel edges 0, top/2^count, ..., top/2, top."""
+    return top * np.concatenate([[0.0], 2.0 ** -np.arange(count, -1, -1)])
 
 
 @functools.lru_cache(maxsize=64)
@@ -573,12 +575,8 @@ class _FadingTable:
     at most 0.06, so the interpolant is exact to rounding: h is within 1e-13
     relative of the rule sum for every t and N = 1..1024 (2e-14 at most in
     a scan).  What is left is the nodes' own rounding: the table sums over
-    an exact lattice, the rule's nodes lie on theirs to ~1e-14.
-
-    A read takes the interpolated values _BATCH at a time: one matrix
-    product with _horner_rows() gives the ten coefficients of each value's
-    interpolant, and Horner runs over those ten rows.  How a value rounds
-    can depend on its place in the product, by an ulp or so.
+    an exact lattice, the rule's nodes lie on theirs to ~1e-14.  Tables are
+    read by _fading_averages, any number of them at once.
     """
 
     origin: float  # t of the first lattice value
@@ -589,42 +587,83 @@ class _FadingTable:
     ez2: float  # E[Z^2] and E[log Z^2] under the law
     e_log: float
 
-    def average(self, t: np.ndarray) -> np.ndarray:
-        """h at each t of a 1-D array, interpolated _BATCH values at a time."""
-        h = t + self.e_log
-        below = t < self.low
-        h[below] = np.exp(t[below]) * self.ez2
-        inside = ~below & (t <= self.high)
-        t = t[inside]
-        q = np.empty_like(t)
-        for start in range(0, t.size, _BATCH):
-            q[start:start + _BATCH] = self._interpolate(t[start:start + _BATCH])
-        h[inside] = q
-        return h
 
-    def _interpolate(self, t: np.ndarray) -> np.ndarray:
-        s = (t - self.origin) / self.step
-        cell = np.floor(s)
-        s -= cell
-        s -= 0.5  # u in [-1/2, 1/2) between the stencil's middle nodes
-        v = self.windows[cell.astype(np.intp) - (_STENCIL // 2 - 1)]
-        # row k of c holds every node's coefficient of u^k: one (10 x 10) by
-        # (10 x n) product and Horner over its rows take 18 us at n = 850,
-        # against 43 us for one matrix-vector product per power.  The first
-        # such product maps the BLAS library's buffers (+0.28 MiB VmRSS; a
-        # warm analytic sweep's peak RSS rose 35.05 -> 35.28 MiB).  n is at
-        # most _BATCH = 1024: a read costs 45 ns per node at n = 1024, 70 at
-        # 2700 and 4096, and 470 at 16384 on OpenBLAS's threads; at 2048 a
-        # process ran at 36 or at 70, as v and c (160 KiB each) came from
-        # reused or from fresh pages, and 1024 keeps them under glibc's
-        # 128 KiB mmap threshold (Xeon, AVX-512, OpenBLAS 0.3.31)
-        c = _horner_rows() @ v.T
-        q = c[-1]
-        for row in c[-2::-1]:
-            q *= s
-            q += row
-        t = t + math.log(self.ez2)
-        return q * _softplus(t, np.empty_like(t))
+def _fading_averages(reads) -> np.ndarray:
+    """h at every t of each (table, t) read, concatenated in read order.
+
+    Each read sets its values outside its table's range from the
+    asymptotes, and takes the lattice offset of each value inside it.  The
+    values inside every read's range then go _BATCH at a time through
+    _interpolate, whichever tables they come from, each gathering its ten
+    lattice values from its own table.  A sweep over N thus makes one
+    matrix product per _BATCH values, not one per element count, and
+    copies no table.  How a value rounds can depend on its place in a
+    batch, by an ulp or so.
+    """
+    h = np.empty(sum(t.size for _, t in reads))
+    inside, offsets, shifted = [], [], []
+    tables, ends = [], []  # each run of reads of one table, and where its interpolated values end
+    start = end = 0
+    for table, t in reads:
+        part = h[start:start + t.size]
+        start += t.size
+        np.add(t, table.e_log, out=part)
+        below = t < table.low
+        part[below] = np.exp(t[below]) * table.ez2
+        inside.append(~below & (t <= table.high))
+        t = t[inside[-1]]
+        offsets.append((t - table.origin) / table.step)
+        t += math.log(table.ez2)
+        shifted.append(t)
+        end += t.size
+        if tables and tables[-1] is table:
+            ends[-1] = end
+        else:
+            tables.append(table)
+            ends.append(end)
+    offsets = np.concatenate(offsets)
+    scaled = np.concatenate(shifted)  # log(1 + e^t E[Z^2]), then h = q times that
+    _softplus(scaled, np.empty_like(scaled))
+    v = np.empty((min(scaled.size, _BATCH), _STENCIL))
+    j = 0
+    for start in range(0, scaled.size, _BATCH):
+        stop = min(start + _BATCH, scaled.size)
+        u = offsets[start:stop]
+        cell = np.floor(u)
+        u -= cell
+        u -= 0.5  # in [-1/2, 1/2) between the stencil's middle nodes
+        index = cell.astype(np.intp) - (_STENCIL // 2 - 1)
+        at = start
+        while at < stop:  # the batch's runs, each gathered from its table
+            while ends[j] <= at:
+                j += 1
+            run_end = min(ends[j], stop)
+            v[at - start:run_end - start] = tables[j].windows[index[at - start:run_end - start]]
+            at = run_end
+        scaled[start:stop] *= _interpolate(v[:stop - start], u)
+    h[np.concatenate(inside)] = scaled
+    return h
+
+
+def _interpolate(v: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The degree-9 polynomial through each row of v (its values at u_j = j
+    - 4.5), at that row's u."""
+    # row k of c holds every node's coefficient of u^k: one (10 x 10) by
+    # (10 x n) product and Horner over its rows take 18 us at n = 850,
+    # against 43 us for one matrix-vector product per power.  The first
+    # such product maps the BLAS library's buffers (+0.28 MiB VmRSS; a
+    # warm analytic sweep's peak RSS rose 35.05 -> 35.28 MiB).  n is at
+    # most _BATCH = 1024: a read costs 45 ns per node at n = 1024, 70 at
+    # 2700 and 4096, and 470 at 16384 on OpenBLAS's threads; at 2048 a
+    # process ran at 36 or at 70, as v and c (160 KiB each) came from
+    # reused or from fresh pages, and 1024 keeps them under glibc's
+    # 128 KiB mmap threshold (Xeon, AVX-512, OpenBLAS 0.3.31)
+    c = _horner_rows() @ v.T
+    q = c[-1]
+    for row in c[-2::-1]:
+        q *= u
+        q += row
+    return q
 
 
 def _table_step(node_step: float) -> tuple[int, float]:
@@ -676,26 +715,31 @@ def _fading_table(n_elements: int) -> _FadingTable:
     return _average_table(*_fading_rule(n_elements))
 
 
-def _average_rates(
-    log_y: np.ndarray, weight: np.ndarray, avg_snrs: list[float], n_elements: int, use_upper_bound: bool
-) -> list[float]:
-    """sum_i weight_i * E[log2(1 + s * e^{log_y_i} * Z^2)] over the fading rule, for each s in avg_snrs.
+def _average_rates(groups, use_upper_bound: bool) -> list[list[float]]:
+    """For each (log_y, weight, avg_snrs, n_elements) group, sum_i weight_i
+    * E[log2(1 + s * e^{log_y_i} * Z^2)] over the fading rule at each s in
+    avg_snrs.
 
-    The inner average is read from the element count's table at every
-    (SNR, score node) pair's t = log(s) + log_y_i, all in one `average`
-    call, so a group costs a few array passes over its SNRs times its
-    score nodes.  The Jensen bound replaces the fading rule by the single
-    node E[Z^2]: one softplus per pair, no table.
+    The inner average is read at every group's (SNR, score node) pairs, t =
+    log(s) + log_y_i, in one _fading_averages call, whatever the groups'
+    element counts, so a sweep costs a few array passes over all its pairs.
+    The Jensen bound replaces the fading rule by the single node E[Z^2]:
+    one softplus per pair, no table.
     """
-    live = weight > 0.0
-    log_y, weight = log_y[live], weight[live]
-    t = (log_y + np.array([[math.log(s)] for s in avg_snrs])).ravel()
+    ts = [(log_y + np.array([[math.log(s)] for s in snrs])).ravel() for log_y, _, snrs, _ in groups]
+    if not ts:
+        return []
     if use_upper_bound:
-        t += math.log(ez2(n_elements))
+        t = np.concatenate([t + math.log(ez2(n)) for t, (*_, n) in zip(ts, groups)])
         inner = _softplus(t, np.empty_like(t))
     else:
-        inner = _fading_table(n_elements).average(t)
-    return [float(weight @ row) / _LN2 for row in inner.reshape(len(avg_snrs), log_y.size)]
+        inner = _fading_averages([(_fading_table(n), t) for t, (*_, n) in zip(ts, groups)])
+    rates, start = [], 0
+    for t, (log_y, weight, snrs, _) in zip(ts, groups):
+        rows = inner[start:start + t.size].reshape(len(snrs), log_y.size)
+        rates.append([float(weight @ row) / _LN2 for row in rows])
+        start += t.size
+    return rates
 
 
 @functools.lru_cache(maxsize=64)
@@ -751,20 +795,26 @@ def _sum_score_rule(dist: DistCdf, alpha: float, cap: float) -> tuple[np.ndarray
     sum_i w_i f(g_i) ~ integral of f against that density up to cap > 2d.
 
     The density's inverse-square-root singularity at 2d is removed by the
-    substitution u = sqrt(g^2 - 4 d^2); Gauss-Legendre panels halve from
-    the truncation point U = min(cap, 1e-14 tail) down to u = 0, which
-    resolves the spike of width ~1/(pi lam d) that the density becomes when
-    lam d is large.  The rule depends on neither the SNR nor the element
-    count, so it is built once per (dist, alpha, cap) and returned read-only.
+    substitution u = sqrt(g^2 - 4 d^2), after which the integrand is smooth
+    at u = 0.  Gauss-Legendre panels halve from the truncation point U =
+    min(cap, 1e-14 tail) until the first panel [0, U / 2^k] is at most an
+    eighth of the integrand's smallest length scale there (k at most 40):
+    the density's decay width 2 / (pi lam d), the spike it becomes when lam
+    d is large; the anchor offset d, over which g = sqrt(u^2 + 4 d^2)
+    bends; and 1 / alpha.  The rule depends on neither the SNR nor the
+    element count, so it is built once per (dist, alpha, cap) and returned
+    read-only.
     """
     d, lam = dist.d, dist.intensity
     g_tail = critical_score(ScoreKind.MIN_SUM, lam, d, _TAIL_EPS)
     u_top = min(math.sqrt((g_tail - 2.0 * d) * (g_tail + 2.0 * d)),
                 math.sqrt((cap - 2.0 * d) * (cap + 2.0 * d)))
+    floor = min(2.0 / (math.pi * lam * d), d, 1.0 / alpha) / 8.0
+    count = min(_HALVINGS, max(0, math.ceil(math.log2(u_top / floor))))
     # panels no wider than 4 / alpha: log(1 + e^{-alpha g} ...) has complex
     # singularities pi / alpha off the real axis where the rate bends over;
     # the two edge sets are merged by hand, since np.union1d loads numpy.ma
-    edges = np.sort(np.concatenate([_halvings(u_top), np.arange(0.0, u_top, 4.0 / alpha)]))
+    edges = np.sort(np.concatenate([_halvings(u_top, count), np.arange(0.0, u_top, 4.0 / alpha)]))
     u, u_w = _gl_panels(edges[np.concatenate([[True], edges[1:] != edges[:-1]])])
     g = np.sqrt(u * u + 4.0 * d * d)
     weight = u_w * math.pi * lam * (u * u + 2.0 * d * d) / (2.0 * g) * np.exp(-0.25 * math.pi * lam * g * u)
@@ -773,35 +823,44 @@ def _sum_score_rule(dist: DistCdf, alpha: float, cap: float) -> tuple[np.ndarray
 
 
 def _score_nodes(cfg: NetworkConfig, cap: float) -> tuple[np.ndarray, np.ndarray]:
-    """log y and weight at the nodes of the optimum score rule of cfg's law up
-    to cap: log y = -eta log g under the power law, -alpha g under the other."""
+    """log y and weight at the nodes of positive weight of the optimum score
+    rule of cfg's law up to cap: log y = -eta log g under the power law,
+    -alpha g under the other."""
     if cfg.model is PathLossModel.POWER_LAW:
         g, weight = _product_score_rule(_optimum_dist(cfg), cap)
-        return -cfg.eta * np.log(g), weight
-    g, weight = _sum_score_rule(_optimum_dist(cfg), cfg.alpha, cap)
-    return -cfg.alpha * g, weight
+        log_y = -cfg.eta * np.log(g)
+    else:
+        g, weight = _sum_score_rule(_optimum_dist(cfg), cfg.alpha, cap)
+        log_y = -cfg.alpha * g
+    live = weight > 0.0
+    return log_y[live], weight[live]
 
 
 def _rates(cells, use_upper_bound: bool) -> list[float]:
     """The average rate of each (cfg, law, threshold) cell, in order.
 
-    Cells whose configurations differ only in avg_snr and that share their
-    threshold form a group: one score rule, one set of log y, and one
-    table read over all their SNRs (_average_rates).
+    Cells whose configurations differ only in avg_snr and n_elements and
+    that share their threshold share one score rule and one set of log y;
+    those that also share n_elements form a group over their SNRs.  Every
+    group's pairs go through one table read (_average_rates).
     """
-    groups = {}
+    rules = {}
     for i, (cfg, law, threshold) in enumerate(cells):
         cap = _threshold_cap(cfg, law, threshold)
-        key = (tuple({**vars(cfg), "avg_snr": None}.values()), cap)
-        groups.setdefault(key, []).append(i)
-    out = [0.0] * len(cells)
-    for (_, cap), members in groups.items():
-        cfg = cells[members[0]][0]
+        key = (tuple({**vars(cfg), "avg_snr": None, "n_elements": None}.values()), cap)
+        rules.setdefault(key, {}).setdefault(cfg.n_elements, []).append(i)
+    groups, members = [], []
+    for (_, cap), by_count in rules.items():
+        cfg = cells[next(iter(by_count.values()))[0]][0]
         if cfg.model is PathLossModel.EXP_LAW and cap <= 2.0 * cfg.d:
             continue  # no sum score is <= cap: no node feeds back, rate 0
-        snrs = [cells[i][0].avg_snr for i in members]
-        rates = _average_rates(*_score_nodes(cfg, cap), snrs, cfg.n_elements, use_upper_bound)
-        for i, rate in zip(members, rates):
+        nodes = _score_nodes(cfg, cap)
+        for n_elements, group in by_count.items():
+            groups.append((*nodes, [cells[i][0].avg_snr for i in group], n_elements))
+            members.append(group)
+    out = [0.0] * len(cells)
+    for group, rates in zip(members, _average_rates(groups, use_upper_bound)):
+        for i, rate in zip(group, rates):
             out[i] = rate
     return out
 
@@ -811,10 +870,11 @@ def rate_sweep(cells, use_upper_bound: bool = False) -> list[float]:
     threshold) cell, in order.
 
     The analytic counterpart of montecarlo.mc_sweep: the cells of a sweep
-    over avg_snr share one score rule and one read of the fading table, so
-    a sweep costs little more than one cell.  Each value is the one-cell
-    call's to within a few ulp, since a table value's rounding can depend on
-    its place in a batch.
+    over avg_snr share one score rule, and every cell of the call, whatever
+    its law, element count or threshold, goes through one read of the
+    fading tables, so a sweep costs little more than its score nodes' table
+    values.  Each value is the one-cell call's to within a few ulp, since a
+    table value's rounding can depend on its place in a batch.
     """
     return _rates([(cfg, cfg.model, threshold) for cfg, threshold in cells], use_upper_bound)
 

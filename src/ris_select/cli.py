@@ -186,6 +186,10 @@ def load_spec(path: str) -> ExperimentSpec:
         seed=_count("seed", _get(run, "seed", int, required=False, default=1), 0),
         output=_get(run, "output", str, required=False, default="out.csv"),
     )
+    optimum = OPTIMUM[spec.scenario["model"]][1]
+    if "montecarlo" not in spec.methods and optimum not in policies:
+        raise SpecError(f"methods = analytic has rows for the model's optimum '{optimum.value}' only, "
+                        "and policies does not name it")
     for value in spec.sweep_values():
         try:
             cfg, point_threshold = spec.config_at(value)

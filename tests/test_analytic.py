@@ -439,6 +439,11 @@ def logaddexp_average_rate(log_y, weight, avg_snr, n_elements, use_upper_bound):
 TABLE_RTOL = 1e-13
 
 
+def table_read(table, t):
+    """One table's h at each t, by the engine's read."""
+    return analytic._fading_averages([(table, np.asarray(t, dtype=float))])
+
+
 def rule_average(n, t):
     """sum_j w_j log(1 + e^{t + x_j}) over the fading rule, by np.logaddexp."""
     nodes, weight = analytic._fading_rule(n)
@@ -555,7 +560,7 @@ class TestFadingTable:
     @given(table_points())
     def test_matches_rule_sum(self, point):
         n, t = point
-        got = analytic._fading_table(n).average(np.array([t]))
+        got = table_read(analytic._fading_table(n), [t])
         assert got == pytest.approx(rule_average(n, [t]), rel=TABLE_RTOL, abs=0.0)
 
     @pytest.mark.parametrize("n", [1, 16, 1024])
@@ -568,7 +573,7 @@ class TestFadingTable:
                             table.origin + table.step * np.arange(size)])
         assert t.min() < table.low and t.max() > table.high
         want = rule_average(n, t)
-        assert np.all(np.abs(table.average(t) / want - 1.0) <= TABLE_RTOL)
+        assert np.all(np.abs(table_read(table, t) / want - 1.0) <= TABLE_RTOL)
 
     @pytest.mark.parametrize("n", [1, 2, 16, 256, 1024])
     def test_lattice_values_match_logaddexp(self, monkeypatch, n):
@@ -747,9 +752,9 @@ class TestAverageRate:
         # stated bound, and the Jensen bound's single node is still exact
         calls, engine = [], analytic._average_rates
 
-        def recording(*args):
-            calls.append(args)
-            return engine(*args)
+        def recording(groups, bound):
+            calls.append((groups, bound))
+            return engine(groups, bound)
 
         monkeypatch.setattr(analytic, "_average_rates", recording)
         build = pow_cfg if law == "power" else exp_cfg
@@ -761,12 +766,13 @@ class TestAverageRate:
                 else:
                     rate_exp(cfg, t_threshold=t, use_upper_bound=bound)
         assert len(calls) == 4
-        for log_y, weight, snrs, n_elements, bound in calls:
+        for groups, bound in calls:
+            ((log_y, weight, snrs, n_elements),) = groups
             assert snrs == [10.0] and n_elements == n
             want = logaddexp_average_rate(log_y, weight, 10.0, n, bound)
             assert want > 0.0
             rel = 1e-15 if bound else TABLE_RTOL
-            (got,) = engine(log_y, weight, snrs, n, bound)
+            ((got,),) = engine([(log_y, weight, snrs, n)], bound)
             assert got == pytest.approx(want, rel=rel, abs=0.0)
 
     @pytest.mark.parametrize("cap", [0.3, 1.0, 1.44, 2.5, 5.0, math.inf])
@@ -788,6 +794,38 @@ class TestAverageRate:
         got_k, got_e = ellip_ke_m1(p)
         assert got_k == pytest.approx(special.ellipkm1(p), rel=1e-13)
         assert got_e == pytest.approx(special.ellipe(1.0 - p), rel=1e-13)
+
+    # (lam, d, avg_snr_db, N, threshold, value) under the exponential law:
+    # values from adaptive quadrature (relative tolerance 1e-13, split at
+    # p = 1e-6 ... 20) of rate_fading_quad (relative tolerance 1e-12)
+    # against the Exp(1) variable p = lam * area, at lam d from 1e-6 to 2000
+    # and at thresholds just above 2d
+    PINNED_EXP_RULE = [
+        (1e-6, 1.0, 0, 16, None, 5.1969255722268336e-05),
+        (1e-3, 1.0, 0, 16, None, 0.051397004996875266),
+        (1.0, 1.0, 0, 16, None, 4.161295235767045),
+        (100.0, 1.0, 0, 16, None, 4.333810208609496),
+        (2000.0, 1.0, 0, 16, None, 4.333838833894823),
+        (2000.0, 1.0, 20, 16, None, 10.899149062189156),
+        (2000.0, 1.0, 0, 16, 2.1, 4.333838833894823),
+        (1e-6, 1.0, 30, 16, 2.1, 1.4962785523373471e-05),
+        (0.5, 1.2, 0, 16, 2.4 * (1 + 1e-12), 1.2074296201288738e-05),
+        (0.5, 1.2, 0, 16, 2.52, 1.984695519825168),
+    ]
+
+    @pytest.mark.parametrize("lam, d, snr_db, n, t, want", PINNED_EXP_RULE)
+    def test_exp_rule_pinned_oracle_values(self, lam, d, snr_db, n, t, want):
+        cfg = exp_cfg(d=d, intensity=lam, n_elements=n, avg_snr=10.0 ** (snr_db / 10.0))
+        assert rate_exp(cfg, t_threshold=t) == pytest.approx(want, rel=1e-12)
+
+    def test_exp_rule_is_sized_to_its_integrand(self):
+        # the benchmark scenario: the halvings stop at an eighth of 1 / alpha,
+        # the smallest length scale next to u = 0 (688 nodes on 40 halvings
+        # before they were sized)
+        g, _ = analytic._sum_score_rule(DIST_S, 1.037, math.inf)
+        assert g.size <= 160
+        u = np.sqrt(g * g - 4.0 * D * D)
+        assert u.min() > 0.0 and u.min() < 0.1 * min(2.0 / (math.pi * LAM * D), D, 1.0 / 1.037) / 8.0
 
     def test_score_rule_is_cached_read_only(self):
         g, weight = analytic._product_score_rule(DIST_P, math.inf)
@@ -860,26 +898,96 @@ class TestRateSweep:
         assert np.all(ulps_apart(got, want) <= SWEEP_ULPS)
         assert analytic.rate_sweep([]) == []
 
+    def test_n_elements_sweep_matches_its_one_cell_calls(self):
+        # one score rule and 17 tables: the counts' values share batches
+        for law in ("power", "exp"):
+            build = pow_cfg if law == "power" else exp_cfg
+            cells = [(build(n_elements=int(round(n))), None) for n in np.linspace(1, 256, 17)]
+            got = np.array(analytic.rate_sweep(cells))
+            want = np.array([one_cell(cfg, t) for cfg, t in cells])
+            assert np.all(got > 0.0) and np.all(ulps_apart(got, want) <= SWEEP_ULPS)
+
+    @pytest.mark.parametrize("law, lo, hi", [("power", 0.5, 8.0), ("exp", 1.0, 10.0)])
+    def test_threshold_sweep_matches_its_one_cell_calls(self, law, lo, hi):
+        # one score rule per threshold and one table: consecutive reads of it
+        build = pow_cfg if law == "power" else exp_cfg
+        cells = [(build(avg_snr=10.0), t) for t in np.linspace(lo, hi, 12)]
+        got = np.array(analytic.rate_sweep(cells))
+        want = np.array([one_cell(cfg, t) for cfg, t in cells])
+        assert np.all(ulps_apart(got, want) <= SWEEP_ULPS)
+        assert np.all((got == 0.0) == [law == "exp" and t <= 2 * D for _, t in cells])
+
+    def test_one_call_across_laws_counts_snrs_and_thresholds(self):
+        # every kind of group in one call, in a scrambled order, including
+        # exponential-law thresholds at, below and just above 2d
+        cells = []
+        for db in (-30.0, 0.0, 30.0):
+            for n in (1, 16, 256):
+                snr = 10.0 ** (db / 10.0)
+                cells += [(pow_cfg(avg_snr=snr, n_elements=n), t) for t in (None, 0.7, 3.0)]
+                cells += [(exp_cfg(avg_snr=snr, n_elements=n), t)
+                          for t in (None, 1.2, 2 * D, 2 * D * (1 + 1e-12), 3.0)]
+        cells = [cells[i] for i in np.random.default_rng(3).permutation(len(cells))]
+        got = np.array(analytic.rate_sweep(cells))
+        want = np.array([one_cell(cfg, t) for cfg, t in cells])
+        assert np.all(ulps_apart(got, want) <= SWEEP_ULPS)
+        assert np.all((got == 0.0) == [cfg.model is PathLossModel.EXP_LAW and t is not None and t <= 2 * D
+                                        for cfg, t in cells])
+
+    def test_a_batch_spanning_tables_matches_each_table_alone(self):
+        # 600 values of one table, then 300 of the same table and 700 of
+        # another: the first batch ends in the third read's values
+        first, second = analytic._fading_table(4), analytic._fading_table(16)
+        t = [np.linspace(-5.0, 5.0, size) for size in (600, 300, 700)]
+        reads = [(first, t[0]), (first, t[1]), (second, t[2])]
+        assert t[0].size + t[1].size < analytic._BATCH < sum(x.size for x in t)
+        got = analytic._fading_averages(reads)
+        alone = np.concatenate([table_read(table, x) for table, x in reads])
+        assert np.all(ulps_apart(got, alone) <= SWEEP_ULPS)
+        want = np.concatenate([rule_average(4, np.concatenate(t[:2])), rule_average(16, t[2])])
+        assert got == pytest.approx(want, rel=TABLE_RTOL, abs=0.0)
+
+    def test_n_elements_sweep_reads_its_tables_in_full_batches(self, monkeypatch):
+        # 17 element counts, one read: ceil(values / _BATCH) matrix products
+        # instead of one read (and at least one product) per count
+        sizes, reads = [], []
+        interpolate, averages = analytic._interpolate, analytic._fading_averages
+
+        def recording_interpolate(v, u):
+            sizes.append(u.size)
+            return interpolate(v, u)
+
+        def recording_averages(group_reads):
+            reads.append(len(group_reads))
+            return averages(group_reads)
+
+        monkeypatch.setattr(analytic, "_interpolate", recording_interpolate)
+        monkeypatch.setattr(analytic, "_fading_averages", recording_averages)
+        analytic.rate_sweep([(pow_cfg(n_elements=int(round(n))), None) for n in np.linspace(1, 256, 17)])
+        assert reads == [17]
+        assert len(sizes) == math.ceil(sum(sizes) / analytic._BATCH) < 17
+        assert all(size == analytic._BATCH for size in sizes[:-1])
+
     def test_group_reads_its_table_once_in_capped_batches(self, monkeypatch):
         # one group of 17 SNRs: one table read, whose interpolated nodes
         # fill more than two batches and reach _interpolate at most _BATCH
         # at a time
-        sizes, averages = [], []
-        interpolate, average = analytic._FadingTable._interpolate, analytic._FadingTable.average
+        sizes, reads = [], []
+        interpolate, averages = analytic._interpolate, analytic._fading_averages
 
-        def recording_interpolate(table, t):
-            sizes.append(t.size)
-            return interpolate(table, t)
+        def recording_interpolate(v, u):
+            sizes.append(u.size)
+            return interpolate(v, u)
 
-        def recording_average(table, t):
-            averages.append(t.size)
-            return average(table, t)
+        def recording_averages(group_reads):
+            reads.append(len(group_reads))
+            return averages(group_reads)
 
-        monkeypatch.setattr(analytic._FadingTable, "_interpolate", recording_interpolate)
-        monkeypatch.setattr(analytic._FadingTable, "average", recording_average)
+        monkeypatch.setattr(analytic, "_interpolate", recording_interpolate)
+        monkeypatch.setattr(analytic, "_fading_averages", recording_averages)
         cells = snr_cells("power", None, 17)
         got = np.array(analytic.rate_sweep(cells))
-        assert len(averages) == 1
+        assert reads == [1]
         assert sum(sizes) > 2 * analytic._BATCH and len(sizes) > 2
         assert max(sizes) <= analytic._BATCH
         sizes.clear()
@@ -891,8 +999,8 @@ class TestRateSweep:
         # a read of more than two batches, against one value at a time
         table = analytic._fading_table(16)
         t = np.linspace(table.low, table.high, 2 * analytic._BATCH + 77)
-        got = table.average(t.copy())
-        one = np.concatenate([table.average(t[i:i + 1].copy()) for i in range(t.size)])
+        got = table_read(table, t)
+        one = np.concatenate([table_read(table, t[i:i + 1]) for i in range(t.size)])
         assert np.all(ulps_apart(got, one) <= SWEEP_ULPS)
         assert got == pytest.approx(rule_average(16, t), rel=TABLE_RTOL, abs=0.0)
 

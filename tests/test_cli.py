@@ -150,6 +150,25 @@ class TestSpecParsing:
         assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize(
+        "model, policies, optimum",
+        [("power", "min-min, mid-point", "opt-product"), ("exp", "opt-product, min-max", "opt-sum")],
+    )
+    def test_analytic_only_without_the_models_optimum_exits_2(self, tmp_path, capsys, model, policies, optimum):
+        # analytic rows exist for the model's optimum only: without it the CSV would be a header alone
+        text = GOOD_SPEC.format(out=tmp_path / "o.csv").replace("model = power", f"model = {model}")
+        text = text.replace("metrics = outage", "metrics = outage, rate\nmethods = analytic")
+        spec = write_spec(tmp_path, text.replace("opt-product, min-min", policies))
+        with pytest.raises(SpecError, match=optimum):
+            load_spec(spec)
+        assert main(["run", "--spec", spec]) == 2
+        assert optimum in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+        # with the optimum, or with Monte Carlo rows, the same spec loads
+        load_spec(write_spec(tmp_path, text.replace("opt-product, min-min", f"{policies}, {optimum}")))
+        load_spec(write_spec(tmp_path, text.replace("opt-product, min-min", policies)
+                             .replace("methods = analytic", "methods = analytic, montecarlo")))
+
+    @pytest.mark.parametrize(
         "old, new",
         [
             ("variable = avg_snr_db\nmin = -10\nmax = 30", "variable = threshold\nmin = 1\nmax = 5"),
@@ -546,21 +565,21 @@ class TestRunCost:
         # one analytic.rate_sweep call per spec, and its 17 SNRs share one
         # table read; no cell goes through the one-cell rate_pow or rate_exp
         sweeps, reads = [], []
-        rate_sweep, average = analytic.rate_sweep, analytic._FadingTable.average
+        rate_sweep, averages = analytic.rate_sweep, analytic._fading_averages
 
         def recording_sweep(cells, *args):
             sweeps.append(len(cells))
             return rate_sweep(cells, *args)
 
-        def recording_average(table, t):
-            reads.append(t.size)
-            return average(table, t)
+        def recording_averages(group_reads):
+            reads.append(len(group_reads))
+            return averages(group_reads)
 
         def boom(*args, **kwargs):
             raise AssertionError("run reads its rates through rate_sweep")
 
         monkeypatch.setattr(analytic, "rate_sweep", recording_sweep)
-        monkeypatch.setattr(analytic._FadingTable, "average", recording_average)
+        monkeypatch.setattr(analytic, "_fading_averages", recording_averages)
         monkeypatch.setattr(analytic, "rate_pow", boom)
         monkeypatch.setattr(analytic, "rate_exp", boom)
         params = dict(n=16, model=model, snr=0, var="avg_snr_db", lo=-10, hi=30, steps=17,
@@ -570,11 +589,24 @@ class TestRunCost:
         assert sweeps == [17]
         assert len(reads) == 1
 
-    @pytest.mark.parametrize("model, policy", [("power", "opt-product"), ("exp", "opt-sum")])
-    def test_rows_do_not_depend_on_the_sweep_around_them(self, tmp_path, model, policy):
-        # the 17-point sweep reads the table for 17 SNRs at once, its 9 odd
-        # points (-10, -5, ..., 30 dB) for 9: the same rows
-        params = dict(n=16, model=model, snr=0, var="avg_snr_db", lo=-10, hi=30, policies=policy,
+    @pytest.mark.parametrize(
+        "model, policy, var, lo, hi",
+        [
+            pytest.param("power", "opt-product", "avg_snr_db", -10, 30, id="power-opt-product"),
+            pytest.param("exp", "opt-sum", "avg_snr_db", -10, 30, id="exp-opt-sum"),
+            pytest.param("power", "opt-product", "n_elements", 1, 257, id="power-opt-product-n_elements"),
+            pytest.param("exp", "opt-sum", "n_elements", 1, 257, id="exp-opt-sum-n_elements"),
+            pytest.param("power", "opt-product", "threshold", 0.5, 8.5, id="power-opt-product-threshold"),
+            pytest.param("exp", "opt-sum", "threshold", 1, 9, id="exp-opt-sum-threshold"),
+        ],
+    )
+    def test_rows_do_not_depend_on_the_sweep_around_them(self, tmp_path, model, policy, var, lo, hi):
+        # the 17-point sweep reads the tables for 17 points at once, its 9
+        # odd points (the first, third, ..., last) for 9: the same rows,
+        # whether the points differ in SNR, in element count (one table
+        # each) or in threshold (one score rule each; at or below 2d none
+        # under the exponential law)
+        params = dict(n=16, model=model, snr=0, var=var, lo=lo, hi=hi, policies=policy,
                       methods="analytic", metrics="outage, rate", trials=1000)
         full = run_experiment(load_spec(write_spec(tmp_path, GOLDEN_SPEC.format(**params, steps=17), "full.ini")))
         odd = run_experiment(load_spec(write_spec(tmp_path, GOLDEN_SPEC.format(**params, steps=9), "odd.ini")))
@@ -598,12 +630,22 @@ class TestRunCost:
                                                     metrics="outage, rate", trials=200), f"s{i}.ini")
             for i, params in enumerate(specs)
         ]
+        # and first an analytic-only sweep over N, which loads no numpy.random
+        # (importing it and its secrets and _hashlib after numpy raised peak
+        # RSS by 6.1 MB on an x86-64 Linux box)
+        analytic_only = write_spec(tmp_path, GOLDEN_SPEC.format(
+            n=16, model="exp", snr=0, var="n_elements", lo=1, hi=256, steps=5, policies="opt-sum",
+            methods="analytic", metrics="outage, rate", trials=200), "analytic.ini")
         script = """
 import sys
 from ris_select import analytic, cli
 from ris_select.channel import NetworkConfig, PathLossModel
 
-for path in sys.argv[1:]:
+rows = cli.run_experiment(cli.load_spec(sys.argv[1]))
+assert len(rows) == 11 and {r[2] for r in rows[1:]} == {"analytic"}, rows
+loaded = sorted(m for m in sys.modules if m in ("numpy.random", "secrets", "_hashlib"))
+assert not loaded, loaded
+for path in sys.argv[2:]:
     rows = cli.run_experiment(cli.load_spec(path))
     assert {r[2] for r in rows[1:]} == {"analytic", "montecarlo"}, rows
 forbidden = ("scipy", "decimal", "numpy.ma", "numpy.fft", "numpy.polynomial",
@@ -617,7 +659,7 @@ assert "scipy.integrate" in sys.modules and "scipy.stats" in sys.modules
 """
         src = str(Path(ris_select.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-c", script, *paths], env=env,
+        done = subprocess.run([sys.executable, "-c", script, analytic_only, *paths], env=env,
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
         assert "13/13 checks passed" in done.stdout
