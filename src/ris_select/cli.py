@@ -290,14 +290,13 @@ def _monte_carlo_cells(spec: ExperimentSpec, points, workers: int) -> dict:
     for i, (_, cfg, _) in enumerate(points):
         groups.setdefault(montecarlo.sample_key(cfg), []).append(i)
     out = {}
-    with montecarlo.shared_pool(workers, spec.trials) as pool:
-        for group_idx, members in enumerate(groups.values()):
-            keys = [(i, kind) for i in members for kind in spec.policies]
-            cells = [(points[i][1], _policy_obj(kind, points[i][2])) for i, kind in keys]
-            rng = np.random.default_rng(np.random.SeedSequence([spec.seed, group_idx]))
-            estimates = montecarlo.mc_sweep(cells, spec.trials, draws, rng, workers=workers, pool=pool)
-            for key, (outage, rate) in zip(keys, estimates):
-                out[key] = {"outage": outage, "rate": rate}
+    for group_idx, members in enumerate(groups.values()):
+        keys = [(i, kind) for i in members for kind in spec.policies]
+        cells = [(points[i][1], _policy_obj(kind, points[i][2])) for i, kind in keys]
+        rng = np.random.default_rng(np.random.SeedSequence([spec.seed, group_idx]))
+        estimates = montecarlo.mc_sweep(cells, spec.trials, draws, rng, workers=workers)
+        for key, (outage, rate) in zip(keys, estimates):
+            out[key] = {"outage": outage, "rate": rate}
     return out
 
 

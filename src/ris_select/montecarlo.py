@@ -22,7 +22,7 @@ A chunk that must draw more arrivals, or fading draws, than its budget
 allows is refused with UnsupportedRegionError before anything is drawn.
 Trials are processed in fixed-size chunks (8192 trials), each with its own
 stream spawned from the caller's seed, so results are identical regardless
-of how many worker processes execute the chunks.  Chunk results merge as
+of how many threads run the chunks.  Chunk results merge as
 (count, mean, sum of squared deviations) with the pairwise update of Chan,
 Golub & LeVeque (1979), never as raw sums of squares.
 
@@ -46,20 +46,16 @@ realizations (common random numbers).  ``mc_outage`` and ``mc_rate`` are
 the one-cell case, and ``policy_scores`` shares one sample among policies
 in the same way.
 
-Chunks run in the calling process, or in a pool in which the calling
-process is one of the workers; a sweep can open one such pool
-(``shared_pool``) and pass it to every kernel call.  When one process runs
-the whole estimate, the fading blocks of a chunk run on threads, the
-calling thread included, as numpy releases the GIL while it fills and
-transforms those arrays; in a pool each process draws its blocks in turn.
-Processes and threads share the work by one rule (``_caller_runs``), and
-since the chunk and block layout alone fixes the streams, neither changes
-a result.  The fading threads are a ``_ThreadTeam`` on ``threading``
-(which ``numpy.random`` loads anyway) that starts its threads for one
-round and joins them before the round returns or raises.
-``ProcessPoolExecutor`` is imported only when a run starts a process pool,
-so a run in one process, on one thread or more, loads neither
-``concurrent.futures`` nor ``multiprocessing``.
+Chunks run on up to ``workers`` threads, the calling thread included;
+when the calling thread runs every chunk, the fading blocks of each chunk
+run on such threads instead.  numpy releases the GIL while it fills an
+array from a stream or runs a ufunc over one, so the threads overlap in
+most of their work.  One rule (``_share``) splits chunks and blocks alike, and since
+the chunk and block layout alone fixes the streams, it changes no result.
+The threads come from ``threading`` (which ``numpy.random`` loads anyway):
+``_share`` starts them for one round of tasks and joins them before it
+returns or raises, so no thread outlives its round, and a run loads
+neither ``concurrent.futures`` nor ``multiprocessing``.
 """
 
 from __future__ import annotations
@@ -69,7 +65,6 @@ import math
 import os
 import threading
 from collections.abc import Callable
-from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,8 +76,8 @@ from .geometry import (_solve_increasing, critical_score, enclosing_radius, min_
 from .policies import OPTIMUM, OPTIMUM_SCORE, PolicyKind, SelectionPolicy, check_feedback_policy
 
 _CHUNK_TRIALS = 8192
-# Fewest trials worth a pool process of their own; a smaller last chunk
-# runs in the calling process.
+# Fewest trials worth a thread of their own; a smaller last chunk runs on
+# the calling thread.
 _MIN_SHARE = _CHUNK_TRIALS // 2
 # Trials per fading block: each block of a chunk draws its fading from a
 # stream of its own, so the blocks may run on any number of threads.
@@ -103,21 +98,16 @@ _PAIR_BLOCK = 1 << 12
 _FADING_BUDGET = 1 << 22
 
 
+# Kept only because perfbench's tracer and tests/test_tracer_names.py look the name up; nothing here uses it.
 def __getattr__(name: str):
     """ProcessPoolExecutor, imported from concurrent.futures on first access
-    (PEP 562), so that a run which starts no process pool never loads it."""
+    (PEP 562)."""
     if name != "ProcessPoolExecutor":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from concurrent.futures import ProcessPoolExecutor
 
     globals()[name] = ProcessPoolExecutor
     return ProcessPoolExecutor
-
-
-def _process_pool():
-    """The process pool class the module attribute holds now, which a caller
-    (a test, a tracer) may have replaced."""
-    return globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
 
 
 @dataclass(frozen=True)
@@ -250,7 +240,7 @@ def coverage_radius(cfg: NetworkConfig, policy: SelectionPolicy, eps: float = _W
 
 
 # ---------------------------------------------------------------------------
-# Chunk kernels (top level so worker processes can unpickle them)
+# Chunk kernels
 # ---------------------------------------------------------------------------
 
 def _disc_points(rng: np.random.Generator, n: int):
@@ -474,13 +464,12 @@ def _fading_power(sizes, m: int, n: int, rng: np.random.Generator, threads: int)
     blocks of _FADING_BLOCK trials, and block b accumulates its own columns
     with ``sample_z_prefixes`` from the b-th stream spawned from rng, so the
     block layout alone fixes every value.  Each step is one round in which
-    every block draws its elements up to the next N.  The blocks run as
-    shares (see _caller_runs) on at most ``threads`` threads, this one
-    included: a round starts the others and joins them before it returns
-    or raises (see _ThreadTeam), so no thread is alive between rounds.  On
-    one thread they are drawn here in turn, with no team.  Z^2 is formed in
-    one reused (m, n) array for every N but the largest, and in Z itself
-    for that.
+    every block draws its elements up to the next N.  The blocks of a round
+    run as shares (see _share) on at most ``threads`` threads, this one
+    included, and the round joins every thread it started before it returns
+    or raises, so no thread is alive between rounds; on one thread they are
+    drawn here in turn.  Z^2 is formed in one reused (m, n) array for every
+    N but the largest, and in Z itself for that.
     """
     sizes = sorted(set(sizes))
     starts = range(0, n, _FADING_BLOCK)
@@ -489,9 +478,8 @@ def _fading_power(sizes, m: int, n: int, rng: np.random.Generator, threads: int)
               for start, stream in zip(starts, rng.spawn(len(starts)))]
     scratch = np.empty_like(z) if len(sizes) > 1 else None
     threads = _team(threads, len(blocks))
-    team = _ThreadTeam(max_workers=threads - 1) if threads > 1 else None
     for size in sizes:
-        _caller_runs(team, threads, next, blocks, len(blocks))
+        _share(next, blocks, threads, len(blocks))
         yield size, np.square(z, out=z if size == sizes[-1] else scratch)
 
 
@@ -548,11 +536,6 @@ def _chunk_cells(cells, m_fading, threads, n, rng) -> tuple:
     return n, shift, offset, m2
 
 
-def _run_chunk(task) -> object:
-    kernel, payload, n, (bit_generator, seed) = task
-    return kernel(*payload, n, np.random.Generator(bit_generator(seed)))
-
-
 def _chunk_sizes(n_trials: int) -> list:
     """Trial counts of an estimate's chunks: full chunks, then what is left."""
     if n_trials < 1:
@@ -562,7 +545,7 @@ def _chunk_sizes(n_trials: int) -> list:
 
 
 def _cpus() -> int:
-    """CPUs this process may run on; no pool of processes or threads is larger."""
+    """CPUs this process may run on; no team of threads is larger."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without CPU affinity
@@ -570,120 +553,71 @@ def _cpus() -> int:
 
 
 def _shares(sizes: list) -> int:
-    """How many chunks of these trial counts are worth a pool process of
-    their own: all but a last chunk of fewer than _MIN_SHARE trials."""
+    """How many chunks of these trial counts are worth a thread of their
+    own: all but a last chunk of fewer than _MIN_SHARE trials."""
     return len(sizes) - (sizes[-1] < _MIN_SHARE)
 
 
 def _team(workers: int, shares: int) -> int:
-    """Workers worth running this many shares, this one included: no more
+    """Threads worth running this many shares, this one included: no more
     than workers, usable CPUs or shares."""
     return max(1, min(workers, _cpus(), shares))
 
 
-def _caller_runs(executor, team: int, run: Callable, tasks: list, shares: int) -> list:
-    """[run(task) for task in tasks], with this thread one of team workers.
+def _share(run: Callable, tasks: list, team: int, shares: int) -> list:
+    """[run(task) for task in tasks], on team threads, this one included.
 
     Of the first ``shares`` tasks, this thread runs the first ceil(shares /
-    team) while the executor's team - 1 workers share the rest.  This thread
-    then runs the tasks that are no share (a small last chunk, see _shares),
-    and only then waits on the executor.  So 8193 trials run in one process,
-    and 2 x 8192 + 1 trials at two workers make one child run the second
-    chunk.  A team of one is this thread alone, with no executor (None).
-    When this thread's own tasks raise, it still waits on the executor
-    before the error leaves, and what the workers raised is dropped.
+    team), then the tasks that are no share (a small last chunk, see
+    _shares), while team - 1 threads that it starts share the rest, each
+    running every (team - 1)-th.  So 8193 trials run on this thread alone,
+    and 2 x 8192 + 1 trials at two workers make one other thread run the
+    second chunk.  Every thread is joined before this returns or raises.
+    An error of this thread's own tasks leaves as it is; otherwise the
+    error of the lowest task that failed is raised.
     """
     head = -(-shares // team)
-    rest = executor.map(run, tasks[head:shares]) if team > 1 else []
-    try:
-        mine = [run(task) for task in tasks[:head] + tasks[shares:]]
-    except BaseException:
-        with suppress(Exception):
-            list(rest)
-        raise
-    # list(rest) waits on the executor and raises what its workers raised
-    return mine[:head] + list(rest) + mine[head:]
+    rest = range(head, shares)
+    count = min(team - 1, len(rest))
+    results, errors = [None] * len(tasks), {}
 
-
-class _ThreadTeam:
-    """Threads beside the calling one, for one round of tasks at a time.
-
-    ``map`` starts at most max_workers threads at once, each running every
-    max_workers-th task, and returns an iterator.  Reading it joins every
-    thread, then yields the results in task order, or raises the error of
-    the first thread that met one.  _caller_runs reads it also when its own
-    tasks raise, so no thread outlives its round.  The team holds no
-    thread between rounds and needs no shutdown.
-    """
-
-    def __init__(self, max_workers: int):
-        self.max_workers = max_workers
-
-    def map(self, fn: Callable, tasks: list):
-        results, errors = [None] * len(tasks), {}
-        count = min(self.max_workers, len(tasks))
-
-        def work(first):
+    def work(indices):
+        for i in indices:
             try:
-                for i in range(first, len(tasks), count):
-                    results[i] = fn(tasks[i])
+                results[i] = run(tasks[i])
             except BaseException as error:
-                errors[first] = error
+                errors[i] = error
+                return
 
-        threads = [threading.Thread(target=work, args=(first,)) for first in range(count)]
-        for thread in threads:
-            thread.start()
-        return self._joined(threads, results, errors)
-
-    @staticmethod
-    def _joined(threads: list, results: list, errors: dict):
+    threads = [threading.Thread(target=work, args=(rest[k::count],)) for k in range(count)]
+    for thread in threads:
+        thread.start()
+    try:
+        for i in [*range(head), *range(shares, len(tasks))]:
+            results[i] = run(tasks[i])
+    finally:
         for thread in threads:
             thread.join()
-        if errors:
-            raise errors[min(errors)]
-        yield from results
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
-@contextmanager
-def shared_pool(workers: int, n_trials: int):
-    """Chunk runner for many estimator calls of n_trials each, or None.
-
-    The runner is a process pool with this process as one of its workers
-    (see _caller_runs); n_trials fixes which chunks are shares.  Yields
-    None when the calls would run their chunks in this process anyway.
-    """
-    shares = _shares(_chunk_sizes(n_trials))
-    processes = _team(workers, shares)
-    if processes < 2:
-        yield None
-        return
-    with _process_pool()(max_workers=processes - 1) as executor:
-        yield lambda tasks: _caller_runs(executor, processes, _run_chunk, tasks, shares)
-
-
-def _map_chunks(kernel, payload, n_trials, rng, workers, pool=None, threaded=False):
+def _map_chunks(kernel, payload, n_trials, rng, workers, threaded=False):
     """kernel(*payload, n, stream) for each chunk, in chunk order.
 
-    A ``threaded`` kernel takes one more payload item, the threads it may
-    run on: ``workers`` when this process runs every chunk, and 1 when pool
-    processes keep the other CPUs busy.
+    The chunks run as shares (see _share) on up to ``workers`` threads.  A
+    ``threaded`` kernel takes one more payload item, the threads it may run
+    on: ``workers`` when this thread runs every chunk, and 1 when other
+    chunk threads keep the other CPUs busy.
     """
     sizes = _chunk_sizes(n_trials)
-    # a task carries its stream's seed, not a Generator: before numpy 2.0 an
-    # unpickled Generator lost its SeedSequence, and so what it spawns
-    bit_generator = np.random.default_rng(rng).bit_generator  # a Generator is used as it is
-    seeds = [(type(bit_generator), seed) for seed in bit_generator.seed_seq.spawn(len(sizes))]
-
-    def tasks(threads):
-        head = payload + (threads,) if threaded else payload
-        return [(kernel, head, sz, seed) for sz, seed in zip(sizes, seeds)]
-
-    if pool is not None and len(sizes) > 1:
-        return pool(tasks(1))
-    with shared_pool(workers, n_trials) as own:
-        if own is not None:
-            return own(tasks(1))
-    return [_run_chunk(t) for t in tasks(workers)]
+    streams = np.random.default_rng(rng).spawn(len(sizes))  # a Generator is used as it is
+    shares = _shares(sizes)
+    team = _team(workers, shares)
+    if threaded:
+        payload += (workers if team == 1 else 1,)
+    return _share(lambda task: kernel(*payload, *task), list(zip(sizes, streams)), team, shares)
 
 
 def default_workers() -> int:
@@ -733,7 +667,6 @@ def mc_sweep(
     fading_draws_per_trial: int | None,
     rng,
     workers: int = 1,
-    pool: Callable[[list], list] | None = None,
 ) -> list[tuple[Estimate, Estimate | None]]:
     """Outage and, when fading draws are asked for, rate of every cell.
 
@@ -743,9 +676,9 @@ def mc_sweep(
     cells read the same realizations, and each cell's result is the same in
     any sweep of its group with that seed.
     Returns one (outage, rate) pair per cell, in order; rate is None when
-    fading_draws_per_trial is None.  ``pool`` (see ``shared_pool``) runs
-    the chunks in place of a pool of this call's own.  When this process
-    runs every chunk, workers also caps the threads that draw the fading.
+    fading_draws_per_trial is None.  workers caps the threads that run the
+    chunks, or, when this thread runs every chunk, those that draw its
+    fading.
     """
     if not cells:
         raise ValueError("mc_sweep needs at least one cell")
@@ -761,7 +694,7 @@ def mc_sweep(
             raise ValueError("cells of one sweep must share intensity, d and path-loss model")
         check_feedback_policy(policy, cfg.model)
     payload = (tuple(cells), m_fading)
-    chunks = _map_chunks(_chunk_cells, payload, n_trials, rng, workers, pool, threaded=True)
+    chunks = _map_chunks(_chunk_cells, payload, n_trials, rng, workers, threaded=True)
     n, shift, offset, m2 = functools.reduce(_merge_moments, chunks)
     out = []
     for mean, sq in zip(shift + offset, m2):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -405,8 +406,8 @@ GOLDEN = {
              policies="opt-sum, min-max", methods="montecarlo", metrics="outage, rate", trials=8193),
         "5d03f8eabff5c7c0ba36422d5f98668880b9ab7b8eb9aa22f5d9be228b144c64",
     ),
-    # two full chunks and a 1-trial tail: at two workers a real pool child
-    # runs the second chunk
+    # two full chunks and a 1-trial tail: at two workers another thread runs
+    # the second chunk
     "three-chunks": (
         dict(n=4, model="exp", snr=5, var="avg_snr_db", lo=0, hi=10, steps=2,
              policies="opt-sum, min-max", methods="montecarlo", metrics="outage, rate",
@@ -465,44 +466,47 @@ class TestGoldenRows:
         for key, want in GOLDEN_ANALYTIC[name].items():
             assert got[key] == pytest.approx(want, rel=1e-9), key
 
-    def test_run_opens_one_pool(self, tmp_path, monkeypatch):
-        sizes = []
-
-        class CountingPool(montecarlo.ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
+    def test_run_shares_chunks_in_one_round(self, tmp_path, monkeypatch):
+        rounds = _record_rounds(monkeypatch)
         monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(64)))
-        for name, want in (("two-chunks", []), ("three-chunks", [1])):
-            sizes.clear()
+        for name, want in (("two-chunks", [0]), ("three-chunks", [1])):
+            rounds.clear()
             params, digest = GOLDEN[name]
             spec = load_spec(write_spec(tmp_path, GOLDEN_SPEC.format(**params)))
             rows = run_experiment(spec, workers=8)
             # one pass serves all four MC cells; a 1-trial tail chunk is no
-            # share for a child, so two chunks and a tail fork one child
-            assert sizes == want, name
+            # share for another thread, so two chunks and a tail start one
+            assert [threads for kind, threads in rounds if kind == "chunks"] == want, name
             assert _digest(rows) == digest
 
     def test_one_process_run_draws_fading_on_threads(self, tmp_path, monkeypatch):
-        mapped = []
-
-        class CountingThreads(montecarlo._ThreadTeam):
-            def map(self, fn, tasks):
-                mapped.append(len(tasks))
-                return super().map(fn, tasks)
-
-        monkeypatch.setattr(montecarlo, "_ThreadTeam", CountingThreads)
+        rounds = _record_rounds(monkeypatch)
         monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(64)))
         params, digest = GOLDEN["two-chunks"]
         spec = load_spec(write_spec(tmp_path, GOLDEN_SPEC.format(**params)))
         rows = run_experiment(spec, workers=2)
-        # one chunk and a 1-trial tail run in this process; the chunk's
-        # second fading block goes to one other thread, and the tail's one
-        # block is drawn with no team
-        assert mapped == [1]
+        # one chunk and a 1-trial tail run on this thread; the chunk's second
+        # fading block goes to one other thread, and the tail's one block is
+        # drawn here
+        assert rounds == [("blocks", 1), ("blocks", 0), ("chunks", 0)]
         assert _digest(rows) == digest
+
+
+def _record_rounds(monkeypatch) -> list:
+    """Patches montecarlo._share to record each round it runs as (kind,
+    threads): "blocks" for fading blocks and "chunks" for chunks, and the
+    number of threads other than the calling one that ran its tasks.  A
+    round is recorded when it ends, so a chunk's fading rounds come first."""
+    rounds, share = [], montecarlo._share
+
+    def recording(run, tasks, team, shares):
+        caller, ran = threading.get_ident(), set()
+        result = share(lambda task: ran.add(threading.get_ident()) or run(task), tasks, team, shares)
+        rounds.append(("blocks" if run is next else "chunks", len(ran - {caller})))
+        return result
+
+    monkeypatch.setattr(montecarlo, "_share", recording)
+    return rounds
 
 
 class TestRunCost:
@@ -665,33 +669,48 @@ assert "scipy.integrate" in sys.modules and "scipy.stats" in sys.modules
         assert "13/13 checks passed" in done.stdout
 
     def test_one_process_run_on_two_threads_imports_no_executor(self, tmp_path):
-        # a fresh interpreter with two usable CPUs: at two workers one chunk
-        # and a 1-trial tail run in this process, whose fading team starts
-        # a second thread with neither concurrent.futures nor logging, and
-        # the rows are the one-worker rows
-        params = dict(n=16, model="exp", snr=10, var="threshold", lo=3, hi=9, steps=3,
-                      policies="opt-sum, min-min", methods="analytic, montecarlo",
-                      metrics="outage, rate", trials=8193)
-        path = write_spec(tmp_path, GOLDEN_SPEC.format(**params))
+        # a fresh interpreter with two usable CPUs: at two workers the chunks
+        # and fading blocks run on threads, with neither concurrent.futures,
+        # multiprocessing nor logging, and the rows are the one-worker rows
+        paths = []
+        for trials in (8193, 2 * 8192 + 1):
+            params = dict(n=16, model="exp", snr=10, var="threshold", lo=3, hi=9, steps=3,
+                          policies="opt-sum, min-min", methods="analytic, montecarlo",
+                          metrics="outage, rate", trials=trials)
+            paths.append(write_spec(tmp_path, GOLDEN_SPEC.format(**params), f"spec-{trials}.ini"))
         script = """
 import sys
+import threading
 from ris_select import cli, montecarlo
 
 montecarlo.os.sched_getaffinity = lambda pid: {0, 1}
-rounds = []
-team_map = montecarlo._ThreadTeam.map
-montecarlo._ThreadTeam.map = lambda self, fn, tasks: rounds.append(len(tasks)) or team_map(self, fn, tasks)
-spec = cli.load_spec(sys.argv[1])
-two = cli.run_experiment(spec, workers=2)
-assert rounds == [1], rounds
-forbidden = ("concurrent.futures", "logging", "queue", "numpy.polynomial")
-loaded = sorted(m for m in sys.modules if m in forbidden)
-assert not loaded, loaded
-assert two == cli.run_experiment(spec, workers=1)
+rounds, share = [], montecarlo._share
+
+def recording(run, tasks, team, shares):
+    caller, ran = threading.get_ident(), set()
+    result = share(lambda task: ran.add(threading.get_ident()) or run(task), tasks, team, shares)
+    rounds.append(("blocks" if run is next else "chunks", len(ran - {caller})))
+    return result
+
+montecarlo._share = recording
+# at 8193 trials this thread runs both chunks and another the full chunk's
+# second fading block; at 2 x 8192 + 1 another thread runs the second chunk,
+# and each chunk draws its fading on its own thread
+want = {8193: [("blocks", 1), ("blocks", 0), ("chunks", 0)],
+        16385: [("blocks", 0)] * 3 + [("chunks", 1)]}
+for path in sys.argv[1:]:
+    spec = cli.load_spec(path)
+    rounds.clear()
+    two = cli.run_experiment(spec, workers=2)
+    assert rounds == want[spec.trials], (spec.trials, rounds)
+    forbidden = ("concurrent.futures", "multiprocessing", "logging", "queue", "numpy.polynomial")
+    loaded = sorted(m for m in sys.modules if m in forbidden)
+    assert not loaded, loaded
+    assert two == cli.run_experiment(spec, workers=1)
 """
         src = str(Path(ris_select.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-c", script, path], env=env,
+        done = subprocess.run([sys.executable, "-c", script, *paths], env=env,
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
 

@@ -2,7 +2,6 @@
 
 import math
 import os
-import pickle
 import sys
 import threading
 import time
@@ -128,8 +127,8 @@ class TestBasics:
         assert one == two
 
     def test_scores_independent_of_worker_count(self):
-        # at two workers a pool child unpickles the policy tuple and runs
-        # the second chunk, also at two full chunks and a 1-trial tail
+        # at two workers another thread runs the second chunk, also at two
+        # full chunks and a 1-trial tail
         cfg = exp_cfg()
         pols = [SelectionPolicy(PolicyKind.OPT_SUM), SelectionPolicy(PolicyKind.MIN_MIN),
                 SelectionPolicy(PolicyKind.OPT_SUM, feedback_threshold=4.0)]
@@ -161,39 +160,38 @@ class TestBasics:
 
 
     def test_pool_size_capped_by_chunks_and_cpus(self, monkeypatch):
-        sizes = []
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", _recording_pool(sizes, []))
+        # the team of chunk threads, this one included
+        rounds = _record_rounds(monkeypatch)
         monkeypatch.setenv("RIS_SELECT_THREADS", "10000")
         workers = montecarlo.default_workers()
         n_trials = 3 * montecarlo._CHUNK_TRIALS + 1  # three full chunks and a 1-trial tail
         cfg, pol = pow_cfg(), SelectionPolicy(PolicyKind.MIN_MIN)
         want = mc_outage(cfg, pol, n_trials, 8)
+        rounds.clear()
         assert mc_outage(cfg, pol, n_trials, 8, workers=workers) == want
-        assert all(size <= min(3, len(os.sched_getaffinity(0))) - 1 for size in sizes)
+        assert all(threads <= min(3, len(os.sched_getaffinity(0))) - 1 for _, threads, _ in rounds)
 
         monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(64)))
-        sizes.clear()
+        rounds.clear()
         assert mc_outage(cfg, pol, n_trials, 8, workers=workers) == want
-        with montecarlo.shared_pool(workers, n_trials) as pool:
-            assert mc_sweep([(cfg, pol)], n_trials, None, 8, pool=pool) == [(want, None)]
-        assert sizes == [2, 2]  # the tail is no share: two children and this process
+        assert mc_sweep([(cfg, pol)], n_trials, None, 8, workers=workers) == [(want, None)]
+        # the tail is no share: two other threads and this one
+        assert rounds == [("chunks", 2, 2), ("chunks", 2, 2)]
 
     @pytest.mark.parametrize("n_trials", [montecarlo._CHUNK_TRIALS + 1, 10_000,
                                           montecarlo._CHUNK_TRIALS + montecarlo._MIN_SHARE - 1])
     def test_no_child_for_less_than_half_a_chunk(self, monkeypatch, n_trials):
-        sizes = []
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", _recording_pool(sizes, []))
+        # no thread is started for a last chunk of fewer than _MIN_SHARE trials
+        rounds = _record_rounds(monkeypatch)
         monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(64)))
         cfg, pol = pow_cfg(), SelectionPolicy(PolicyKind.MIN_MIN)
         want = mc_outage(cfg, pol, n_trials, 8)
+        rounds.clear()
         assert mc_outage(cfg, pol, n_trials, 8, workers=2) == want
-        with montecarlo.shared_pool(2, n_trials) as pool:
-            assert pool is None
-        assert sizes == []
+        assert rounds == [("chunks", 0, 0)]
 
     def test_this_process_runs_its_share_of_the_chunks(self, monkeypatch):
-        mapped = []
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", _recording_pool([], mapped))
+        rounds = _record_rounds(monkeypatch)
         monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(64)))
         cfg, pol = pow_cfg(), SelectionPolicy(PolicyKind.MIN_MIN)
         # five chunks; a tail of fewer than _MIN_SHARE trials is no share
@@ -201,54 +199,77 @@ class TestBasics:
                              (montecarlo._MIN_SHARE, ((2, 2), (3, 3), (5, 4), (9, 4)))):
             n_trials = 4 * montecarlo._CHUNK_TRIALS + tail
             want = mc_outage(cfg, pol, n_trials, 8)
-            for workers, pool_chunks in shares:
-                mapped.clear()
+            for workers, moved in shares:
+                rounds.clear()
                 assert mc_outage(cfg, pol, n_trials, 8, workers=workers) == want
-                # this process runs the first ceil(shares / processes) chunks and
-                # a small tail; the children run the rest
-                assert mapped == [pool_chunks], (tail, workers)
+                # this thread runs the first ceil(shares / team) chunks and a
+                # small tail; the other threads run the rest
+                assert [r[2] for r in rounds] == [moved], (tail, workers)
+
+    def test_more_chunk_threads_than_cores_change_no_value(self, monkeypatch):
+        # four chunks on four threads, with thread switches forced often:
+        # each chunk writes only arrays of its own
+        rounds = _record_rounds(monkeypatch)
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(64)))
+        cells = [(exp_cfg(n_elements=4), SelectionPolicy(PolicyKind.OPT_SUM, feedback_threshold=4.0)),
+                 (exp_cfg(n_elements=9), SelectionPolicy(PolicyKind.MIN_MAX))]
+        n_trials = 4 * montecarlo._CHUNK_TRIALS + 1
+        want = mc_sweep(cells, n_trials, 2, 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = mc_sweep(cells, n_trials, 2, 8, workers=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+        assert rounds[-1] == ("chunks", 3, 3)
 
     @pytest.mark.parametrize("shares, mapped, mine", [(4, [2, 3], [0, 1, 4]), (5, [2, 3, 4], [0, 1])])
     def test_caller_runs_its_head_and_what_is_no_share_before_it_waits(self, shares, mapped, mine):
-        log = []
-
-        class LoggingExecutor:
-            def map(self, fn, tasks):
-                log.append(("mapped", list(tasks)))
-
-                def results():
-                    log.append("wait")
-                    yield from (fn(task) for task in tasks)
-                return results()
+        # the other threads' tasks wait until this thread has run all of its
+        # own, so it runs them before it joins the others
+        caller, log, others, own_done = threading.get_ident(), [], {}, threading.Event()
 
         def run(task):
-            log.append(task)
+            if threading.get_ident() == caller:
+                log.append(task)
+                if len(log) == len(mine):
+                    own_done.set()
+            else:
+                assert own_done.wait(timeout=60)
+                others.setdefault(threading.get_ident(), []).append(task)
             return -task
 
-        assert montecarlo._caller_runs(LoggingExecutor(), 3, run, list(range(5)), shares) == [0, -1, -2, -3, -4]
-        assert log == [("mapped", mapped), *mine, "wait", *mapped]
+        assert montecarlo._share(run, list(range(5)), 3, shares) == [0, -1, -2, -3, -4]
+        assert log == mine
+        # two other threads, each running every other task of the rest in turn
+        assert sorted(others.values()) == [mapped[0::2], mapped[1::2]]
 
 
-def _recording_pool(sizes, mapped):
-    """Stand-in for ProcessPoolExecutor (or _ThreadTeam) that runs the chunks
-    (or fading blocks) in this thread, recording each pool's size and the
-    number of tasks it is given."""
+def _record_rounds(monkeypatch) -> list:
+    """Patches montecarlo._share to record each round it runs as (kind,
+    threads, moved): kind is "blocks" for a round of fading blocks and
+    "chunks" for one of chunks, threads the number of threads other than
+    the calling one that ran its tasks, and moved the number of tasks they
+    ran.  A round is recorded when it ends, so the fading rounds of a chunk
+    come before the round of the chunks."""
+    rounds, share = [], montecarlo._share
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def recording(run, tasks, team, shares):
+        caller, ran = threading.get_ident(), []
 
-        def __enter__(self):
-            return self
+        def tracked(task):
+            ran.append(threading.get_ident())
+            return run(task)
 
-        def __exit__(self, *exc):
-            return False
+        try:
+            return share(tracked, tasks, team, shares)
+        finally:
+            others = [ident for ident in ran if ident != caller]
+            rounds.append(("blocks" if run is next else "chunks", len(set(others)), len(others)))
 
-        def map(self, fn, tasks):
-            mapped.append(len(tasks))
-            return map(fn, tasks)
-
-    return RecordingPool
+    monkeypatch.setattr(montecarlo, "_share", recording)
+    return rounds
 
 
 class TestMomentMerge:
@@ -497,19 +518,6 @@ class TestFadingBlocks:
             se = values.std(ddof=1) / math.sqrt(values.size)
             assert abs(values.mean() - want) < 3 * se
 
-    def test_chunk_tasks_carry_seeds_not_generators(self):
-        # a task reaches a pool process pickled; before numpy 2.0 an
-        # unpickled Generator spawned from fresh entropy, so tasks carry
-        # seed sequences and each process builds its own Generator
-        def pickling_pool(tasks):
-            for task in tasks:
-                assert not any(isinstance(item, np.random.Generator) for item in task)
-            return [montecarlo._run_chunk(pickle.loads(pickle.dumps(task))) for task in tasks]
-
-        cells = [(exp_cfg(n_elements=16), SelectionPolicy(PolicyKind.MIN_MIN))]
-        n_trials = 2 * montecarlo._CHUNK_TRIALS + 1
-        assert mc_sweep(cells, n_trials, 2, 8, pool=pickling_pool) == mc_sweep(cells, n_trials, 2, 8)
-
     def test_each_block_reads_its_own_stream(self):
         block = montecarlo._FADING_BLOCK
         n = block + 7  # one full block and a 7-trial one
@@ -554,17 +562,10 @@ class TestFadingBlocks:
     def test_fading_threads_stop_when_a_reduction_raises(self, monkeypatch):
         # a round joins its threads before it returns, so none is left
         # running while the reductions between rounds run, or raise
-        rounds = []
-
-        class RecordingThreads(montecarlo._ThreadTeam):
-            def map(self, fn, tasks):
-                rounds.append(len(tasks))
-                return super().map(fn, tasks)
-
         def failing(*args):
             raise RuntimeError("reduction failed")
 
-        monkeypatch.setattr(montecarlo, "_ThreadTeam", RecordingThreads)
+        rounds = _record_rounds(monkeypatch)
         monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(montecarlo, "_rates", failing)
         cells = ((pow_cfg(n_elements=4), SelectionPolicy(PolicyKind.OPT_PRODUCT)),
@@ -575,7 +576,7 @@ class TestFadingBlocks:
         except RuntimeError:
             # the traceback still holds the chunk's frame and its suspended
             # fading generator, which holds no thread
-            assert rounds == [1]
+            assert rounds == [("blocks", 1, 1)]
             assert threading.active_count() == before
         else:
             pytest.fail("the reduction did not raise")
@@ -591,12 +592,22 @@ class TestFadingBlocks:
             return task
 
         before = threading.active_count()
-        # this thread runs task 0; two team threads run tasks 1 (which
+        # this thread runs task 0; two other threads run tasks 1 (which
         # fails at once) and 2 (which takes longest)
         with pytest.raises(RuntimeError, match="worker failed"):
-            montecarlo._caller_runs(montecarlo._ThreadTeam(max_workers=2), 3, run, [0, 1, 2], 3)
+            montecarlo._share(run, [0, 1, 2], 3, 3)
         assert sorted(done) == [0, 2]
         assert threading.active_count() == before
+
+    def test_the_lowest_failed_task_raises_its_error(self):
+        # task 2 fails first, task 1 later: the error of task 1 leaves
+        def run(task):
+            time.sleep(0.2 * (task == 1))
+            if task:
+                raise RuntimeError(f"task {task} failed")
+
+        with pytest.raises(RuntimeError, match="task 1 failed"):
+            montecarlo._share(run, [0, 1, 2], 3, 3)
 
     def test_the_caller_error_leaves_after_the_worker_thread_joined(self):
         done = []
@@ -609,47 +620,44 @@ class TestFadingBlocks:
 
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="caller failed"):
-            montecarlo._caller_runs(montecarlo._ThreadTeam(max_workers=1), 2, run, [0, 1], 2)
+            montecarlo._share(run, [0, 1], 2, 2)
         assert done == [1]
         assert threading.active_count() == before
 
     def test_fading_threads_capped_by_cpus_and_blocks(self, monkeypatch):
-        sizes, mapped = [], []
-        monkeypatch.setattr(montecarlo, "_ThreadTeam", _recording_pool(sizes, mapped))
+        rounds = _record_rounds(monkeypatch)
         monkeypatch.setenv("RIS_SELECT_THREADS", "1000000")
         workers = montecarlo.default_workers()
         cells = [(exp_cfg(n_elements=64), SelectionPolicy(PolicyKind.MIN_MIN))]
-        n_trials = montecarlo._CHUNK_TRIALS + 1  # one process runs both chunks
+        n_trials = montecarlo._CHUNK_TRIALS + 1  # this thread runs both chunks
         want = mc_sweep(cells, n_trials, 2, 8)
+        rounds.clear()
         assert mc_sweep(cells, n_trials, 2, 8, workers=workers) == want
-        # a team of one thread draws its blocks with no _ThreadTeam
         extra = min(len(os.sched_getaffinity(0)), 2) - 1
-        assert all(size <= extra for size in sizes)
-        assert all(count <= extra for count in mapped)
+        assert all(threads <= extra and moved <= extra for _, threads, moved in rounds)
 
         monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(64)))
-        sizes.clear()
-        mapped.clear()
+        rounds.clear()
         assert mc_sweep(cells, n_trials, 2, 8, workers=workers) == want
         # the full chunk's second block goes to one other thread; the
-        # 1-trial tail is one block, drawn with no _ThreadTeam
-        assert sizes == [1]
-        assert mapped == [1]
+        # 1-trial tail is one block, drawn on this thread
+        assert rounds == [("blocks", 1, 1), ("blocks", 0, 0), ("chunks", 0, 0)]
 
-    def test_no_fading_threads_beside_a_process_pool(self, monkeypatch):
-        threads, processes = [], []
-        monkeypatch.setattr(montecarlo, "_ThreadTeam", _recording_pool([], threads))
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", _recording_pool(processes, []))
+    def test_no_fading_threads_beside_chunk_threads(self, monkeypatch):
+        rounds = _record_rounds(monkeypatch)
         monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(64)))
         cells = [(exp_cfg(n_elements=64), SelectionPolicy(PolicyKind.MIN_MIN))]
-        # the stand-in sees the threads of one process running every chunk
+        # this thread runs every chunk, and the full one's fading on two
         mc_sweep(cells, montecarlo._CHUNK_TRIALS + 1, 2, 8, workers=2)
-        assert processes == [] and threads == [1]
-        threads.clear()
+        assert rounds == [("blocks", 1, 1), ("blocks", 0, 0), ("chunks", 0, 0)]
         n_trials = 2 * montecarlo._CHUNK_TRIALS + 1
-        assert mc_sweep(cells, n_trials, 2, 8, workers=2) == mc_sweep(cells, n_trials, 2, 8)
-        assert processes == [1]
-        assert threads == []  # no chunk builds a thread pool for its fading blocks
+        want = mc_sweep(cells, n_trials, 2, 8)
+        rounds.clear()
+        assert mc_sweep(cells, n_trials, 2, 8, workers=2) == want
+        # one other thread runs the second chunk, and no chunk starts a
+        # thread for its fading blocks
+        assert rounds[-1] == ("chunks", 1, 1)
+        assert rounds[:-1] == [("blocks", 0, 0)] * 3
 
 
 def _lexsort_argmin(crit, counts):
