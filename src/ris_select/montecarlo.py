@@ -46,12 +46,15 @@ realizations (common random numbers).  ``mc_outage`` and ``mc_rate`` are
 the one-cell case, and ``policy_scores`` shares one sample among policies
 in the same way.
 
-Chunks run on up to ``workers`` threads, the calling thread included;
-when the calling thread runs every chunk, the fading blocks of each chunk
-run on such threads instead.  numpy releases the GIL while it fills an
-array from a stream or runs a ufunc over one, so the threads overlap in
-most of their work.  One rule (``_share``) splits chunks and blocks alike, and since
-the chunk and block layout alone fixes the streams, it changes no result.
+Chunks that draw fading run on up to ``workers`` threads, the calling
+thread included; when the calling thread runs every chunk, the fading
+blocks of each chunk run on such threads instead.  numpy releases the GIL
+while it fills an array from a stream or runs a ufunc over one, so the
+threads overlap in most of the fading work.  The sampler's small calls
+hold the GIL far more, so chunks that draw no fading run in turn on the
+calling thread.  One rule (``_share``) splits chunks and blocks alike, and
+since the chunk and block layout alone fixes the streams, it changes no
+result.
 The threads come from ``threading`` (which ``numpy.random`` loads anyway):
 ``_share`` starts them for one round of tasks and joins them before it
 returns or raises, so no thread outlives its round, and a run loads
@@ -606,14 +609,19 @@ def _share(run: Callable, tasks: list, team: int, shares: int) -> list:
 def _map_chunks(kernel, payload, n_trials, rng, workers, threaded=False):
     """kernel(*payload, n, stream) for each chunk, in chunk order.
 
-    The chunks run as shares (see _share) on up to ``workers`` threads.  A
-    ``threaded`` kernel takes one more payload item, the threads it may run
-    on: ``workers`` when this thread runs every chunk, and 1 when other
-    chunk threads keep the other CPUs busy.
+    A ``threaded`` kernel draws fading.  Its chunks run as shares (see
+    _share) on up to ``workers`` threads, and it takes one more payload
+    item, the threads it may draw its fading on: ``workers`` when this
+    thread runs every chunk, and 1 when other chunk threads keep the other
+    CPUs busy.  The chunks of other kernels only sample the geometry, and
+    they run in turn on this thread: the sampler makes about a hundred
+    numpy calls per round, many on arrays too short for numpy to release
+    the GIL, and on two threads its chunks ran slower than on one
+    (BENCH_thread_chunks.json).
     """
     sizes = _chunk_sizes(n_trials)
     streams = np.random.default_rng(rng).spawn(len(sizes))  # a Generator is used as it is
-    shares = _shares(sizes)
+    shares = _shares(sizes) if threaded else 0
     team = _team(workers, shares)
     if threaded:
         payload += (workers if team == 1 else 1,)
@@ -678,7 +686,7 @@ def mc_sweep(
     Returns one (outage, rate) pair per cell, in order; rate is None when
     fading_draws_per_trial is None.  workers caps the threads that run the
     chunks, or, when this thread runs every chunk, those that draw its
-    fading.
+    fading; with no fading draws every chunk runs on this thread.
     """
     if not cells:
         raise ValueError("mc_sweep needs at least one cell")
@@ -694,6 +702,7 @@ def mc_sweep(
             raise ValueError("cells of one sweep must share intensity, d and path-loss model")
         check_feedback_policy(policy, cfg.model)
     payload = (tuple(cells), m_fading)
+    workers = 1 if m_fading is None else workers
     chunks = _map_chunks(_chunk_cells, payload, n_trials, rng, workers, threaded=True)
     n, shift, offset, m2 = functools.reduce(_merge_moments, chunks)
     out = []

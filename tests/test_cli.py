@@ -5,7 +5,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
 import warnings
 from pathlib import Path
 
@@ -25,6 +24,8 @@ from ris_select.cli import (
     run_experiment,
 )
 from ris_select.policies import PolicyKind
+
+from share_rounds import record_rounds
 
 GOOD_SPEC = """\
 [scenario]
@@ -467,7 +468,7 @@ class TestGoldenRows:
             assert got[key] == pytest.approx(want, rel=1e-9), key
 
     def test_run_shares_chunks_in_one_round(self, tmp_path, monkeypatch):
-        rounds = _record_rounds(monkeypatch)
+        rounds = record_rounds(monkeypatch.setattr)
         monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(64)))
         for name, want in (("two-chunks", [0]), ("three-chunks", [1])):
             rounds.clear()
@@ -476,11 +477,11 @@ class TestGoldenRows:
             rows = run_experiment(spec, workers=8)
             # one pass serves all four MC cells; a 1-trial tail chunk is no
             # share for another thread, so two chunks and a tail start one
-            assert [threads for kind, threads in rounds if kind == "chunks"] == want, name
+            assert [threads for kind, threads, _ in rounds if kind == "chunks"] == want, name
             assert _digest(rows) == digest
 
     def test_one_process_run_draws_fading_on_threads(self, tmp_path, monkeypatch):
-        rounds = _record_rounds(monkeypatch)
+        rounds = record_rounds(monkeypatch.setattr)
         monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(64)))
         params, digest = GOLDEN["two-chunks"]
         spec = load_spec(write_spec(tmp_path, GOLDEN_SPEC.format(**params)))
@@ -488,25 +489,8 @@ class TestGoldenRows:
         # one chunk and a 1-trial tail run on this thread; the chunk's second
         # fading block goes to one other thread, and the tail's one block is
         # drawn here
-        assert rounds == [("blocks", 1), ("blocks", 0), ("chunks", 0)]
+        assert rounds == [("blocks", 1, 1), ("blocks", 0, 0), ("chunks", 0, 0)]
         assert _digest(rows) == digest
-
-
-def _record_rounds(monkeypatch) -> list:
-    """Patches montecarlo._share to record each round it runs as (kind,
-    threads): "blocks" for fading blocks and "chunks" for chunks, and the
-    number of threads other than the calling one that ran its tasks.  A
-    round is recorded when it ends, so a chunk's fading rounds come first."""
-    rounds, share = [], montecarlo._share
-
-    def recording(run, tasks, team, shares):
-        caller, ran = threading.get_ident(), set()
-        result = share(lambda task: ran.add(threading.get_ident()) or run(task), tasks, team, shares)
-        rounds.append(("blocks" if run is next else "chunks", len(ran - {caller})))
-        return result
-
-    monkeypatch.setattr(montecarlo, "_share", recording)
-    return rounds
 
 
 class TestRunCost:
@@ -680,24 +664,16 @@ assert "scipy.integrate" in sys.modules and "scipy.stats" in sys.modules
             paths.append(write_spec(tmp_path, GOLDEN_SPEC.format(**params), f"spec-{trials}.ini"))
         script = """
 import sys
-import threading
 from ris_select import cli, montecarlo
+from share_rounds import record_rounds
 
 montecarlo.os.sched_getaffinity = lambda pid: {0, 1}
-rounds, share = [], montecarlo._share
-
-def recording(run, tasks, team, shares):
-    caller, ran = threading.get_ident(), set()
-    result = share(lambda task: ran.add(threading.get_ident()) or run(task), tasks, team, shares)
-    rounds.append(("blocks" if run is next else "chunks", len(ran - {caller})))
-    return result
-
-montecarlo._share = recording
+rounds = record_rounds()
 # at 8193 trials this thread runs both chunks and another the full chunk's
 # second fading block; at 2 x 8192 + 1 another thread runs the second chunk,
 # and each chunk draws its fading on its own thread
-want = {8193: [("blocks", 1), ("blocks", 0), ("chunks", 0)],
-        16385: [("blocks", 0)] * 3 + [("chunks", 1)]}
+want = {8193: [("blocks", 1, 1), ("blocks", 0, 0), ("chunks", 0, 0)],
+        16385: [("blocks", 0, 0)] * 3 + [("chunks", 1, 1)]}
 for path in sys.argv[1:]:
     spec = cli.load_spec(path)
     rounds.clear()
@@ -709,7 +685,8 @@ for path in sys.argv[1:]:
     assert two == cli.run_experiment(spec, workers=1)
 """
         src = str(Path(ris_select.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        path = [src, str(Path(__file__).resolve().parent), os.environ.get("PYTHONPATH")]  # share_rounds too
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
         done = subprocess.run([sys.executable, "-c", script, *paths], env=env,
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr

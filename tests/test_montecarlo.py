@@ -32,6 +32,8 @@ from ris_select.montecarlo import (
 )
 from ris_select.policies import OPTIMUM, PolicyKind, SelectionPolicy
 
+from share_rounds import record_rounds
+
 LAM, D = 0.5, 1.2
 DIST_P = DistCdf(ScoreKind.MIN_PRODUCT, LAM, D)
 DIST_S = DistCdf(ScoreKind.MIN_SUM, LAM, D)
@@ -126,9 +128,11 @@ class TestBasics:
         two = mc_outage(cfg, pol, 20_000, 3, workers=2)
         assert one == two
 
-    def test_scores_independent_of_worker_count(self):
-        # at two workers another thread runs the second chunk, also at two
-        # full chunks and a 1-trial tail
+    def test_scores_independent_of_worker_count(self, monkeypatch):
+        # chunks that draw no fading only sample the geometry, and they run in
+        # turn on this thread at any worker count
+        rounds = record_rounds(monkeypatch.setattr)
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(64)))
         cfg = exp_cfg()
         pols = [SelectionPolicy(PolicyKind.OPT_SUM), SelectionPolicy(PolicyKind.MIN_MIN),
                 SelectionPolicy(PolicyKind.OPT_SUM, feedback_threshold=4.0)]
@@ -137,6 +141,10 @@ class TestBasics:
             s2 = policy_scores(cfg, pols, n_trials, 9, workers=2)
             assert len(s1) == len(s2) == len(pols)
             assert all(np.array_equal(a, b) for a, b in zip(s1, s2))
+            assert mc_outage(cfg, pols[1], n_trials, 9, workers=4) == mc_outage(cfg, pols[1], n_trials, 9)
+            assert np.array_equal(mc_feedback_dist(cfg, 4.0, n_trials, 9, workers=4).values,
+                                  mc_feedback_dist(cfg, 4.0, n_trials, 9).values)
+        assert set(rounds) == {("chunks", 0, 0)}
 
     def test_independent_seeds_agree_within_combined_se(self):
         cfg = pow_cfg()
@@ -161,55 +169,55 @@ class TestBasics:
 
     def test_pool_size_capped_by_chunks_and_cpus(self, monkeypatch):
         # the team of chunk threads, this one included
-        rounds = _record_rounds(monkeypatch)
+        rounds = record_rounds(monkeypatch.setattr)
         monkeypatch.setenv("RIS_SELECT_THREADS", "10000")
         workers = montecarlo.default_workers()
         n_trials = 3 * montecarlo._CHUNK_TRIALS + 1  # three full chunks and a 1-trial tail
         cfg, pol = pow_cfg(), SelectionPolicy(PolicyKind.MIN_MIN)
-        want = mc_outage(cfg, pol, n_trials, 8)
+        want = mc_rate(cfg, pol, n_trials, 1, 8)
         rounds.clear()
-        assert mc_outage(cfg, pol, n_trials, 8, workers=workers) == want
+        assert mc_rate(cfg, pol, n_trials, 1, 8, workers=workers) == want
         assert all(threads <= min(3, len(os.sched_getaffinity(0))) - 1 for _, threads, _ in rounds)
 
         monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(64)))
         rounds.clear()
-        assert mc_outage(cfg, pol, n_trials, 8, workers=workers) == want
-        assert mc_sweep([(cfg, pol)], n_trials, None, 8, workers=workers) == [(want, None)]
+        assert mc_rate(cfg, pol, n_trials, 1, 8, workers=workers) == want
+        assert mc_sweep([(cfg, pol)], n_trials, 1, 8, workers=workers)[0][1] == want
         # the tail is no share: two other threads and this one
-        assert rounds == [("chunks", 2, 2), ("chunks", 2, 2)]
+        assert [r for r in rounds if r[0] == "chunks"] == [("chunks", 2, 2), ("chunks", 2, 2)]
 
     @pytest.mark.parametrize("n_trials", [montecarlo._CHUNK_TRIALS + 1, 10_000,
                                           montecarlo._CHUNK_TRIALS + montecarlo._MIN_SHARE - 1])
     def test_no_child_for_less_than_half_a_chunk(self, monkeypatch, n_trials):
         # no thread is started for a last chunk of fewer than _MIN_SHARE trials
-        rounds = _record_rounds(monkeypatch)
+        rounds = record_rounds(monkeypatch.setattr)
         monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(64)))
         cfg, pol = pow_cfg(), SelectionPolicy(PolicyKind.MIN_MIN)
-        want = mc_outage(cfg, pol, n_trials, 8)
+        want = mc_rate(cfg, pol, n_trials, 1, 8)
         rounds.clear()
-        assert mc_outage(cfg, pol, n_trials, 8, workers=2) == want
-        assert rounds == [("chunks", 0, 0)]
+        assert mc_rate(cfg, pol, n_trials, 1, 8, workers=2) == want
+        assert [r for r in rounds if r[0] == "chunks"] == [("chunks", 0, 0)]
 
     def test_this_process_runs_its_share_of_the_chunks(self, monkeypatch):
-        rounds = _record_rounds(monkeypatch)
+        rounds = record_rounds(monkeypatch.setattr)
         monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(64)))
         cfg, pol = pow_cfg(), SelectionPolicy(PolicyKind.MIN_MIN)
         # five chunks; a tail of fewer than _MIN_SHARE trials is no share
         for tail, shares in ((1, ((2, 2), (3, 2), (5, 3), (9, 3))),
                              (montecarlo._MIN_SHARE, ((2, 2), (3, 3), (5, 4), (9, 4)))):
             n_trials = 4 * montecarlo._CHUNK_TRIALS + tail
-            want = mc_outage(cfg, pol, n_trials, 8)
+            want = mc_rate(cfg, pol, n_trials, 1, 8)
             for workers, moved in shares:
                 rounds.clear()
-                assert mc_outage(cfg, pol, n_trials, 8, workers=workers) == want
+                assert mc_rate(cfg, pol, n_trials, 1, 8, workers=workers) == want
                 # this thread runs the first ceil(shares / team) chunks and a
                 # small tail; the other threads run the rest
-                assert [r[2] for r in rounds] == [moved], (tail, workers)
+                assert [r[2] for r in rounds if r[0] == "chunks"] == [moved], (tail, workers)
 
     def test_more_chunk_threads_than_cores_change_no_value(self, monkeypatch):
         # four chunks on four threads, with thread switches forced often:
         # each chunk writes only arrays of its own
-        rounds = _record_rounds(monkeypatch)
+        rounds = record_rounds(monkeypatch.setattr)
         monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(64)))
         cells = [(exp_cfg(n_elements=4), SelectionPolicy(PolicyKind.OPT_SUM, feedback_threshold=4.0)),
                  (exp_cfg(n_elements=9), SelectionPolicy(PolicyKind.MIN_MAX))]
@@ -244,32 +252,6 @@ class TestBasics:
         assert log == mine
         # two other threads, each running every other task of the rest in turn
         assert sorted(others.values()) == [mapped[0::2], mapped[1::2]]
-
-
-def _record_rounds(monkeypatch) -> list:
-    """Patches montecarlo._share to record each round it runs as (kind,
-    threads, moved): kind is "blocks" for a round of fading blocks and
-    "chunks" for one of chunks, threads the number of threads other than
-    the calling one that ran its tasks, and moved the number of tasks they
-    ran.  A round is recorded when it ends, so the fading rounds of a chunk
-    come before the round of the chunks."""
-    rounds, share = [], montecarlo._share
-
-    def recording(run, tasks, team, shares):
-        caller, ran = threading.get_ident(), []
-
-        def tracked(task):
-            ran.append(threading.get_ident())
-            return run(task)
-
-        try:
-            return share(tracked, tasks, team, shares)
-        finally:
-            others = [ident for ident in ran if ident != caller]
-            rounds.append(("blocks" if run is next else "chunks", len(set(others)), len(others)))
-
-    monkeypatch.setattr(montecarlo, "_share", recording)
-    return rounds
 
 
 class TestMomentMerge:
@@ -565,7 +547,7 @@ class TestFadingBlocks:
         def failing(*args):
             raise RuntimeError("reduction failed")
 
-        rounds = _record_rounds(monkeypatch)
+        rounds = record_rounds(monkeypatch.setattr)
         monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(montecarlo, "_rates", failing)
         cells = ((pow_cfg(n_elements=4), SelectionPolicy(PolicyKind.OPT_PRODUCT)),
@@ -625,7 +607,7 @@ class TestFadingBlocks:
         assert threading.active_count() == before
 
     def test_fading_threads_capped_by_cpus_and_blocks(self, monkeypatch):
-        rounds = _record_rounds(monkeypatch)
+        rounds = record_rounds(monkeypatch.setattr)
         monkeypatch.setenv("RIS_SELECT_THREADS", "1000000")
         workers = montecarlo.default_workers()
         cells = [(exp_cfg(n_elements=64), SelectionPolicy(PolicyKind.MIN_MIN))]
@@ -644,7 +626,7 @@ class TestFadingBlocks:
         assert rounds == [("blocks", 1, 1), ("blocks", 0, 0), ("chunks", 0, 0)]
 
     def test_no_fading_threads_beside_chunk_threads(self, monkeypatch):
-        rounds = _record_rounds(monkeypatch)
+        rounds = record_rounds(monkeypatch.setattr)
         monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(64)))
         cells = [(exp_cfg(n_elements=64), SelectionPolicy(PolicyKind.MIN_MIN))]
         # this thread runs every chunk, and the full one's fading on two
